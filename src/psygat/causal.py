@@ -14,13 +14,10 @@ import numpy as np
 
 from . import model as M
 from . import tensor as T
+from .errors import DataError
 from .metrics import ranking_metrics
 from .peu import CATEGORIES, NUM_CATEGORIES
-from .train import AdamW
-
-
-class DataError(ValueError):
-    pass
+from .train import AdamW, focal_terms
 
 
 @dataclass
@@ -96,7 +93,7 @@ def extract_instances(session, peus, window, past_only=False):
     return instances
 
 
-class ScorerParams:
+class ScorerParams(T.Params):
     """Pairwise MLP over [h_target, h_candidate, target PEU, relative position]."""
 
     def __init__(self, config, model_hidden=128, seed=0, dtype=np.float32):
@@ -104,32 +101,12 @@ class ScorerParams:
         self.model_hidden = model_hidden
         self.input_dim = 2 * model_hidden + NUM_CATEGORIES + config.position_dim
         rng = np.random.default_rng(seed)
-
-        def xavier(fan_in, fan_out):
-            limit = np.sqrt(6.0 / (fan_in + fan_out))
-            return rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(dtype)
-
         self.tensors = {
-            "w1": T.Tensor(xavier(self.input_dim, config.hidden), name="w1"),
+            "w1": T.Tensor(T.xavier(rng, self.input_dim, config.hidden, dtype), name="w1"),
             "b1": T.Tensor(np.zeros(config.hidden, dtype=dtype), name="b1"),
-            "w2": T.Tensor(xavier(config.hidden, 1), name="w2"),
+            "w2": T.Tensor(T.xavier(rng, config.hidden, 1, dtype), name="w2"),
             "b2": T.Tensor(np.zeros(1, dtype=dtype), name="b2"),
         }
-
-    def named(self):
-        return self.tensors.items()
-
-    def zero_grad(self):
-        for t in self.tensors.values():
-            t.zero_grad()
-
-    def astype(self, dtype):
-        clone = ScorerParams.__new__(ScorerParams)
-        clone.config = self.config
-        clone.model_hidden = self.model_hidden
-        clone.input_dim = self.input_dim
-        clone.tensors = {k: T.Tensor(v.data.astype(dtype), name=k) for k, v in self.tensors.items()}
-        return clone
 
 
 def instance_features(instance, node_reps, peu_rows, window):
@@ -160,20 +137,14 @@ def score_edges(instance, node_reps, peu_rows, scorer):
     """Independent causal probability per candidate edge."""
     feats = instance_features(instance, node_reps, peu_rows, scorer.config.window)
     logits = edge_logits(feats, scorer)
-    return 1.0 / (1.0 + np.exp(-np.clip(logits.data, -60, 60)))
+    return T.stable_sigmoid(logits.data)
 
 
 def causal_loss(logits, labels, alpha=0.75, gamma=2.0):
     """Mean over edges of alpha * (1 - p_t)^gamma * BCE, on logits for stability."""
-    labels = np.asarray(labels)
     dtype = logits.dtype
-    sign = np.where(labels == 1, 1.0, -1.0).astype(dtype)
-    z = T.mul(logits, T.Tensor(sign))
-    nll = T.softplus(T.mul(z, T.Tensor(np.asarray(-1.0, dtype=dtype))))
-    if gamma != 0.0:
-        one = T.Tensor(np.ones_like(nll.data))
-        nll = T.mul(T.pow_const(T.sub(one, T.sigmoid(z)), gamma), nll)
-    loss = T.tmean(nll)
+    sign = np.where(np.asarray(labels) == 1, 1.0, -1.0).astype(dtype)
+    loss = T.tmean(focal_terms(T.mul(logits, T.Tensor(sign)), gamma))
     if alpha != 1.0:
         loss = T.mul(loss, T.Tensor(np.asarray(alpha, dtype=dtype)))
     return loss
@@ -203,16 +174,18 @@ def train_scorer(instances, reps_by_session, peus_by_session, config, seed=0):
         order = rng.permutation(len(train_set))
         for start in range(0, len(order), config.batch_instances):
             batch = [train_set[k] for k in order[start : start + config.batch_instances]]
-            scorer.zero_grad()
-            with T.Tape() as tape:
-                x = np.concatenate([feats[id(i)] for i in batch])
-                y = np.concatenate([np.asarray(i.labels) for i in batch])
-                logits = edge_logits(x, scorer)
-                loss = causal_loss(logits, y, config.focal_alpha, config.focal_gamma)
-                T.backward(loss)
-            opt.step(scorer.named())
-            tape.clear()
+            x = np.concatenate([feats[id(i)] for i in batch])
+            y = np.concatenate([np.asarray(i.labels) for i in batch])
+            _scorer_step(scorer, opt, x, y, config)
     return scorer
+
+
+def _scorer_step(scorer, opt, x, y, config):
+    """One AdamW step; the autodiff graph is freed when this call returns."""
+    scorer.zero_grad()
+    loss = causal_loss(edge_logits(x, scorer), y, config.focal_alpha, config.focal_gamma)
+    T.backward(loss)
+    opt.step(scorer.named())
 
 
 def rank_candidates(instance, probs):

@@ -11,12 +11,21 @@ from pathlib import Path
 import numpy as np
 
 from .causal import CausalConfig, ScorerParams
+from .errors import CheckpointError
 from .model import ModelConfig, ModelParams
 from .train import Checkpoint, TrainConfig
 
 
-class CheckpointError(ValueError):
-    pass
+def _load_arrays(params, arrays, prefix):
+    """Set every tensor of params from name -> array, checking names and shapes."""
+    for name, t in params.named():
+        if name not in arrays:
+            raise CheckpointError(f"{prefix}: missing parameter {name}")
+        if arrays[name].shape != t.data.shape:
+            raise CheckpointError(
+                f"{prefix}: shape mismatch for {name}: {arrays[name].shape} vs {t.data.shape}"
+            )
+        t.data = arrays[name].astype(t.data.dtype)
 
 
 def _write_pair(prefix, header, arrays):
@@ -41,10 +50,16 @@ def _write_pair(prefix, header, arrays):
 def _read_pair(prefix):
     prefix = Path(prefix)
     header = json.loads(prefix.with_suffix(".json").read_text(encoding="utf-8"))
-    blob = np.frombuffer(prefix.with_suffix(".bin").read_bytes(), dtype="<f4")
+    raw = prefix.with_suffix(".bin").read_bytes()
+    total = sum(entry["size"] for entry in header["params"])
+    if len(raw) != 4 * total:
+        raise CheckpointError(f"{prefix}: blob holds {len(raw)} bytes, index expects {4 * total}")
+    blob = np.frombuffer(raw, dtype="<f4")
     arrays = {}
     for entry in header["params"]:
         a, b = entry["offset"], entry["offset"] + entry["size"]
+        if a < 0 or b > blob.size or entry["size"] != int(np.prod(entry["shape"])):
+            raise CheckpointError(f"{prefix}: index entry {entry['name']} does not fit the blob")
         arrays[entry["name"]] = blob[a:b].reshape(entry["shape"]).copy()
     return header, arrays
 
@@ -67,12 +82,7 @@ def load_checkpoint(prefix):
     if header.get("kind") != "session_model":
         raise CheckpointError(f"{prefix}: not a session-model checkpoint")
     params = ModelParams(ModelConfig.from_json(header["model_config"]), seed=0)
-    for name, t in params.named():
-        if name not in arrays:
-            raise CheckpointError(f"{prefix}: missing parameter {name}")
-        if list(t.data.shape) != list(arrays[name].shape):
-            raise CheckpointError(f"{prefix}: shape mismatch for {name}")
-        t.data = arrays[name].astype(t.data.dtype)
+    _load_arrays(params, arrays, prefix)
     return Checkpoint(
         params=params,
         train_config=TrainConfig.from_json(header["train_config"]),
@@ -100,8 +110,7 @@ def load_scorer(prefix):
         raise CheckpointError(f"{prefix}: not a causal-scorer checkpoint")
     scorer = ScorerParams(CausalConfig.from_json(header["causal_config"]),
                           model_hidden=header["model_hidden"], seed=0)
-    for name, t in scorer.named():
-        t.data = arrays[name].astype(t.data.dtype)
+    _load_arrays(scorer, arrays, prefix)
     return scorer
 
 

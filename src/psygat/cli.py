@@ -20,15 +20,13 @@ from . import checkpoints as ckpt
 from . import datagen as D
 from . import train as TR
 from . import verify
+from .errors import ConfigError, CorpusError, PsygatError
 from .metrics import classification_report
 from .pipeline import graphs_from_sessions, peu_rows_by_session
-from .sessions import CorpusError, check_no_augmented_leakage, read_sessions, split_sessions, write_sessions
+from .sessions import check_no_augmented_leakage, read_sessions, split_sessions, write_sessions
 
+EXIT_DATA = 1
 EXIT_CONFIG = 2
-
-
-class CliConfigError(ValueError):
-    pass
 
 
 def parse_config_text(text):
@@ -38,7 +36,7 @@ def parse_config_text(text):
         if not line:
             continue
         if "=" not in line:
-            raise CliConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
+            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, val = (part.strip() for part in line.split("=", 1))
         values[key] = val
     return values
@@ -48,26 +46,28 @@ def _coerce(cls, values):
     """Coerce string values onto a dataclass's field types."""
     kwargs = {}
     defaults = cls()
-    for key, raw in values.items():
-        if key not in cls.__dataclass_fields__:
-            raise CliConfigError(f"unknown {cls.__name__} field {key!r}")
-        current = getattr(defaults, key)
-        if isinstance(current, bool):
-            if raw.lower() not in ("true", "false"):
-                raise CliConfigError(f"field {key!r}: expected true/false, got {raw!r}")
-            kwargs[key] = raw.lower() == "true"
-        elif isinstance(current, int):
-            kwargs[key] = int(raw)
-        elif isinstance(current, float):
-            kwargs[key] = float(raw)
-        elif isinstance(current, tuple):
-            kwargs[key] = tuple(int(x) for x in raw.split(","))
-        else:
-            kwargs[key] = raw
     try:
+        for key, raw in values.items():
+            if key not in cls.__dataclass_fields__:
+                raise ConfigError(f"unknown {cls.__name__} field {key!r}")
+            current = getattr(defaults, key)
+            if isinstance(current, bool):
+                if raw.lower() not in ("true", "false"):
+                    raise ConfigError(f"field {key!r}: expected true/false, got {raw!r}")
+                kwargs[key] = raw.lower() == "true"
+            elif isinstance(current, int):
+                kwargs[key] = int(raw)
+            elif isinstance(current, float):
+                kwargs[key] = float(raw)
+            elif isinstance(current, tuple):
+                kwargs[key] = tuple(int(x) for x in raw.split(","))
+            else:
+                kwargs[key] = raw
         return cls(**kwargs)
+    except ConfigError:
+        raise
     except (ValueError, TypeError) as exc:
-        raise CliConfigError(str(exc)) from exc
+        raise ConfigError(str(exc)) from exc
 
 
 def load_config(path, cls):
@@ -127,7 +127,7 @@ def cmd_generate(args):
     return 0
 
 
-def _load_graphs(corpus_path, persona_mode="on"):
+def _load_graphs(corpus_path):
     sessions = read_sessions(corpus_path)
     check_no_augmented_leakage(sessions)
     splits = split_sessions(sessions)
@@ -158,7 +158,7 @@ def cmd_train(args):
     out_dir.mkdir(parents=True, exist_ok=True)
     sessions, splits, graphs = _load_graphs(args.corpus)
     if not splits["train"] or not splits["val"]:
-        raise CliConfigError("corpus must provide train and val splits")
+        raise ConfigError("corpus must provide train and val splits")
     from .model import ModelConfig
 
     model_config = ModelConfig()
@@ -216,7 +216,7 @@ def cmd_evaluate(args):
 
 def cmd_explain(args):
     started = time.time()
-    prefix = Path(args.checkpoint[0]).with_suffix("")
+    prefix = Path(args.checkpoint).with_suffix("")
     hash_before = ckpt.checkpoint_hash(prefix)
     member = ckpt.load_checkpoint(prefix)
     sessions, splits, graphs = _load_graphs(args.corpus)
@@ -303,7 +303,7 @@ def build_parser():
     e.set_defaults(func=cmd_evaluate)
 
     x = sub.add_parser("explain", help="train the causal scorer and rank antecedents")
-    x.add_argument("--checkpoint", nargs="+", required=True)
+    x.add_argument("--checkpoint", required=True)
     x.add_argument("--corpus", required=True)
     x.add_argument("--window", type=int, default=3)
     x.add_argument("--past-only", action="store_true")
@@ -323,12 +323,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliConfigError, D.ConfigError, TR.ConfigError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (CorpusError, C.DataError, ckpt.CheckpointError) as exc:
+    except PsygatError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return EXIT_DATA
 
 
 if __name__ == "__main__":

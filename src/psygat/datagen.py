@@ -14,12 +14,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .errors import ConfigError
 from .peu import CATEGORIES, COPING, DEFAULT_LEXICON
 from .sessions import Session, Utterance
-
-
-class ConfigError(ValueError):
-    pass
 
 
 @dataclass

@@ -13,17 +13,11 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import EmbeddingLookupError, FormatError
+
 DEFAULT_DIM = 384
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
-
-
-class FormatError(ValueError):
-    pass
-
-
-class LookupError_(KeyError):
-    pass
 
 
 class EmbeddingTable:
@@ -42,7 +36,7 @@ class EmbeddingTable:
     def get(self, session_id, utt_index):
         key = (str(session_id), int(utt_index))
         if key not in self.vectors:
-            raise LookupError_(f"no embedding for session {session_id} utterance {utt_index}")
+            raise EmbeddingLookupError(f"no embedding for session {session_id} utterance {utt_index}")
         return self.vectors[key]
 
     def check_coverage(self, sessions):
@@ -53,7 +47,7 @@ class EmbeddingTable:
                 if (s.id, u.index) not in self.vectors:
                     missing.append(f"{s.id}/{u.index}")
         if missing:
-            raise LookupError_(f"{len(missing)} utterances without embeddings, first: {missing[0]}")
+            raise EmbeddingLookupError(f"{len(missing)} utterances without embeddings, first: {missing[0]}")
 
 
 def save_embeddings(path, table):

@@ -10,12 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError, DataError, EmptySessionError
 from .peu import COPING, NUM_CATEGORIES
-
-
-class EmptySessionError(ValueError):
-    pass
-
 
 EDGE_NORMS = ("range", "l2", "none")
 
@@ -46,7 +42,7 @@ def peu_edge_attr(p_t, p_next, norm="range"):
     (zero stays zero); "none" returns the raw difference.
     """
     if norm not in EDGE_NORMS:
-        raise ValueError(f"unknown edge norm {norm!r}, expected one of {EDGE_NORMS}")
+        raise ConfigError(f"unknown edge norm {norm!r}, expected one of {EDGE_NORMS}")
     diff = p_next.as_array(np.float64) - p_t.as_array(np.float64)
     if norm == "range":
         diff[COPING] /= 2.0
@@ -57,13 +53,13 @@ def peu_edge_attr(p_t, p_next, norm="range"):
     return diff.astype(np.float32)
 
 
-def build_graph(session, embeddings, peus, norm="range", prepend_question=True):
+def build_graph(session, embeddings, peus, norm="range"):
     """Assemble one SessionGraph from a session, its embeddings and PEUs."""
     T = session.T
     if T == 0:
         raise EmptySessionError(f"session {session.id} has no participant utterances")
     if peus.T != T:
-        raise ValueError(f"session {session.id}: {peus.T} PEU rows for {T} utterances")
+        raise DataError(f"session {session.id}: {peus.T} PEU rows for {T} utterances")
     node_text = np.stack([embeddings.get(session.id, u.index) for u in session.utterances])
     node_peu = peus.as_array(np.float32)
     if T > 1:

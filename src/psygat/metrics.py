@@ -10,9 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-
-class DataError(ValueError):
-    pass
+from .errors import DataError
 
 
 @dataclass

@@ -9,15 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .errors import ConfigError, DataError
 from .peu import NUM_CATEGORIES
-
-
-class ConfigError(ValueError):
-    pass
-
-
-class DataError(ValueError):
-    pass
 
 
 @dataclass
@@ -58,13 +51,8 @@ class ModelConfig:
         return cls(**obj)
 
 
-def _xavier(rng, fan_in, fan_out, shape, dtype):
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape).astype(dtype)
-
-
-class ModelParams:
-    """Named leaf tensors in a fixed creation order (the checkpoint order)."""
+class ModelParams(T.Params):
+    """The session classifier's parameters; creation order is the checkpoint order."""
 
     def __init__(self, config, seed=0, dtype=np.float32):
         self.config = config
@@ -74,8 +62,7 @@ class ModelParams:
         h = c.hidden
 
         def w(name, fan_in, fan_out, shape=None):
-            shape = shape or (fan_in, fan_out)
-            self.tensors[name] = T.Tensor(_xavier(rng, fan_in, fan_out, shape, dtype), name=name)
+            self.tensors[name] = T.Tensor(T.xavier(rng, fan_in, fan_out, dtype, shape), name=name)
 
         def const(name, value):
             self.tensors[name] = T.Tensor(np.asarray(value, dtype=dtype), name=name)
@@ -110,34 +97,6 @@ class ModelParams:
         const("head_b1", np.zeros(c.head_hidden))
         w("head_w2", c.head_hidden, 1)
         const("head_b2", np.zeros(1))
-
-    def __getitem__(self, name):
-        return self.tensors[name]
-
-    def named(self):
-        return self.tensors.items()
-
-    def zero_grad(self):
-        for t in self.tensors.values():
-            t.zero_grad()
-
-    def astype(self, dtype):
-        clone = ModelParams.__new__(ModelParams)
-        clone.config = self.config
-        clone.tensors = {
-            name: T.Tensor(t.data.astype(dtype), name=name) for name, t in self.tensors.items()
-        }
-        return clone
-
-    def copy(self):
-        return self.astype(self.tensors["text_w"].dtype)
-
-    def snapshot(self):
-        return {name: t.data.copy() for name, t in self.tensors.items()}
-
-    def load_snapshot(self, snap):
-        for name, t in self.tensors.items():
-            t.data = snap[name].astype(t.data.dtype).reshape(t.data.shape)
 
 
 @dataclass
@@ -282,8 +241,7 @@ def forward(graph, persona, params, train=False, rng=None, persona_mode=True):
     if train and c.out_dropout:
         hidden = T.dropout(hidden, c.dropout, rng, train=True)
     logit = T.reshape(T.add_bias(T.matmul(hidden, params["head_w2"]), params["head_b2"]), ())
-    x = float(logit.data)
-    prob = 1.0 / (1.0 + np.exp(-x)) if x >= 0 else np.exp(x) / (1.0 + np.exp(x))
+    prob = float(T.stable_sigmoid(np.float64(logit.data)))
     return ForwardOutput(
         logit=logit,
         prob=prob,

@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import DataError, SchemaError
+
 CATEGORIES = (
     "cognitive_distortions",
     "hopelessness_helplessness",
@@ -25,14 +27,6 @@ CATEGORIES = (
 NUM_CATEGORIES = 8
 COPING = NUM_CATEGORIES - 1
 CATEGORY_INDEX = {name: i for i, name in enumerate(CATEGORIES)}
-
-
-class SchemaError(ValueError):
-    pass
-
-
-class DataError(ValueError):
-    pass
 
 
 @dataclass

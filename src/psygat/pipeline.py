@@ -16,7 +16,7 @@ def graphs_from_sessions(sessions, embeddings=None, dim=384, hash_seed=0,
     else:
         table.check_coverage(sessions)
     return [
-        build_graph(s, table, build_peu_tensor(s), edge_norm, prepend_question)
+        build_graph(s, table, build_peu_tensor(s), edge_norm)
         for s in sessions
     ]
 

@@ -13,9 +13,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-
-class CorpusError(ValueError):
-    pass
+from .errors import CorpusError
 
 
 @dataclass

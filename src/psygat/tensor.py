@@ -9,46 +9,17 @@ scale_rows) so silent shape bugs cannot slip through.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
+
+from .errors import NumericalError, ShapeError, UsageError
 
 LAYER_NORM_EPS = 1e-5
 
 
-class ShapeError(ValueError):
-    pass
-
-
-class UsageError(RuntimeError):
-    pass
-
-
-class Tape:
-    """Records tensors in creation order so intermediates can be freed."""
-
-    _active = None
-
-    def __init__(self):
-        self.records = []
-
-    def __enter__(self):
-        self._prev = Tape._active
-        Tape._active = self
-        return self
-
-    def __exit__(self, *exc):
-        Tape._active = self._prev
-        return False
-
-    def clear(self):
-        for t in self.records:
-            t.grad = None
-            t.parents = ()
-            t._backward = None
-        self.records.clear()
-
-
 class Tensor:
-    __slots__ = ("data", "grad", "parents", "_backward", "name", "_prev")
+    __slots__ = ("data", "grad", "parents", "_backward", "name")
 
     def __init__(self, data, parents=(), backward=None, name=None, dtype=None):
         if dtype is not None:
@@ -62,8 +33,6 @@ class Tensor:
         self.parents = parents
         self._backward = backward
         self.name = name
-        if Tape._active is not None and parents:
-            Tape._active.records.append(self)
 
     @property
     def shape(self):
@@ -112,6 +81,42 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, name={self.name})"
+
+
+def xavier(rng, fan_in, fan_out, dtype, shape=None):
+    """Glorot-uniform draw; shape defaults to (fan_in, fan_out)."""
+    limit = np.sqrt(6.0 / (fan_in + fan_out))
+    return rng.uniform(-limit, limit, size=shape or (fan_in, fan_out)).astype(dtype)
+
+
+class Params:
+    """Named leaf tensors in a fixed creation order (the checkpoint order).
+
+    Subclasses fill self.tensors; any other attributes they set carry over
+    to the clone astype returns.
+    """
+
+    def __getitem__(self, name):
+        return self.tensors[name]
+
+    def named(self):
+        return self.tensors.items()
+
+    def zero_grad(self):
+        for t in self.tensors.values():
+            t.zero_grad()
+
+    def astype(self, dtype):
+        clone = copy.copy(self)
+        clone.tensors = {name: Tensor(t.data.astype(dtype), name=name) for name, t in self.named()}
+        return clone
+
+    def snapshot(self):
+        return {name: t.data.copy() for name, t in self.named()}
+
+    def load_snapshot(self, snap):
+        for name, t in self.named():
+            t.data = snap[name].astype(t.data.dtype).reshape(t.data.shape)
 
 
 def _wrap(x, like):
@@ -231,12 +236,14 @@ def elu(x, alpha=1.0):
     return out
 
 
+def stable_sigmoid(a):
+    """Elementwise 1 / (1 + e^-a) on a numpy array, overflow-free for any sign."""
+    e = np.exp(-np.abs(a))
+    return np.where(a >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def sigmoid(x):
-    y = np.where(
-        x.data >= 0,
-        1.0 / (1.0 + np.exp(-np.abs(x.data))),
-        np.exp(-np.abs(x.data)) / (1.0 + np.exp(-np.abs(x.data))),
-    )
+    y = stable_sigmoid(x.data)
     out = Tensor(y, (x,))
 
     def backward(g):
@@ -263,12 +270,7 @@ def softplus(x):
     out = Tensor(y, (x,))
 
     def backward(g):
-        sig = np.where(
-            x.data >= 0,
-            1.0 / (1.0 + np.exp(-np.abs(x.data))),
-            np.exp(-np.abs(x.data)) / (1.0 + np.exp(-np.abs(x.data))),
-        )
-        x.accumulate(g * sig)
+        x.accumulate(g * stable_sigmoid(x.data))
 
     out._backward = backward
     return out
@@ -563,7 +565,7 @@ def grad_check(f, params, eps=1e-4, max_coords=None, rng=None):
             lo = f().item()
             flat[i] = orig
             if not (np.isfinite(hi) and np.isfinite(lo)):
-                raise FloatingPointError(f"non-finite loss at coordinate {i} of {p.name or p.shape}")
+                raise NumericalError(f"non-finite loss at coordinate {i} of {p.name or p.shape}")
             fd = (hi - lo) / (2 * eps)
             a = an.reshape(-1)[i]
             err = abs(a - fd) / max(abs(a), abs(fd), 1e-8)

@@ -11,17 +11,10 @@ import numpy as np
 
 from . import model as M
 from . import tensor as T
-from .metrics import DataError, pr_auc
+from .errors import ConfigError, DataError, NumericalError
+from .metrics import pr_auc
 
 log = logging.getLogger(__name__)
-
-
-class ConfigError(ValueError):
-    pass
-
-
-class NumericalError(FloatingPointError):
-    pass
 
 
 @dataclass
@@ -82,19 +75,27 @@ class Checkpoint:
     epoch: int
 
 
+def focal_terms(z, gamma):
+    """Elementwise (1 - p_t)^gamma * (-log p_t) for signed logits z, p_t = sigmoid(z).
+
+    z is the logit times +1 for a positive label and -1 for a negative one;
+    -log p_t is computed as softplus(-z) for stability. gamma=0 leaves the
+    plain logistic loss.
+    """
+    nll = T.softplus(T.mul(z, T.Tensor(np.asarray(-1.0, dtype=z.dtype))))
+    if gamma == 0.0:
+        return nll
+    one = T.Tensor(np.asarray(1.0, dtype=z.dtype))
+    return T.mul(T.pow_const(T.sub(one, T.sigmoid(z)), gamma), nll)
+
+
 def focal_loss(logit, y, gamma=2.0, alpha=1.0):
-    """alpha * (1 - p_t)^gamma * (-log p_t), stabilized via softplus.
+    """alpha * (1 - p_t)^gamma * (-log p_t) for one scalar logit.
 
     gamma=0, alpha=1 recovers plain BCE exactly.
     """
     z = logit if y == 1 else T.mul(logit, T.Tensor(np.asarray(-1.0, dtype=logit.dtype)))
-    nll = T.softplus(T.mul(z, T.Tensor(np.asarray(-1.0, dtype=logit.dtype))))
-    if gamma == 0.0:
-        out = nll
-    else:
-        p_t = T.sigmoid(z)
-        one = T.Tensor(np.asarray(1.0, dtype=logit.dtype))
-        out = T.mul(T.pow_const(T.sub(one, p_t), gamma), nll)
+    out = focal_terms(z, gamma)
     if alpha != 1.0:
         out = T.mul(out, T.Tensor(np.asarray(alpha, dtype=logit.dtype)))
     return out
@@ -248,6 +249,32 @@ def predict_probs(params, graphs, persona_mode=True):
     )
 
 
+def _train_step(params, opt, batch, config, rng):
+    """One AdamW step on a minibatch. The autodiff graph is local to this
+    call, so refcounting frees it on return."""
+    persona_on = config.persona_mode == "on"
+    params.zero_grad()
+    outs = [
+        M.forward(g, g.persona, params, train=True, rng=rng, persona_mode=persona_on)
+        for g in batch
+    ]
+    terms = [_graph_loss(o, g.label, config) for o, g in zip(outs, batch)]
+    loss = terms[0]
+    for term in terms[1:]:
+        loss = T.add(loss, term)
+    loss = T.mul(loss, T.Tensor(np.asarray(1.0 / len(batch), dtype=loss.dtype)))
+    if config.contrastive_enabled and len(batch) >= 2:
+        reps = T.concat_rows([o.session_rep for o in outs])
+        aux = info_nce(reps, [g.label for g in batch], config.contrastive_temperature)
+        loss = T.add(
+            loss,
+            T.mul(aux, T.Tensor(np.asarray(config.contrastive_weight, dtype=loss.dtype))),
+        )
+    T.backward(loss)
+    clip_gradients(params.named(), config.clip_norm)
+    opt.step(params.named())
+
+
 def fit(train_graphs, val_graphs, config, model_config, seed=0):
     """Train one model; returns the checkpoint with the best validation PR-AUC."""
     if not train_graphs or not val_graphs:
@@ -269,28 +296,7 @@ def fit(train_graphs, val_graphs, config, model_config, seed=0):
         order = rng.permutation(len(train_graphs))
         for start in range(0, len(order), config.batch_size):
             batch = [train_graphs[i] for i in order[start : start + config.batch_size]]
-            params.zero_grad()
-            with T.Tape() as tape:
-                outs = [
-                    M.forward(g, g.persona, params, train=True, rng=rng, persona_mode=persona_on)
-                    for g in batch
-                ]
-                terms = [_graph_loss(o, g.label, config) for o, g in zip(outs, batch)]
-                loss = terms[0]
-                for term in terms[1:]:
-                    loss = T.add(loss, term)
-                loss = T.mul(loss, T.Tensor(np.asarray(1.0 / len(batch), dtype=loss.dtype)))
-                if config.contrastive_enabled and len(batch) >= 2:
-                    reps = T.concat_rows([o.session_rep for o in outs])
-                    aux = info_nce(reps, [g.label for g in batch], config.contrastive_temperature)
-                    loss = T.add(
-                        loss,
-                        T.mul(aux, T.Tensor(np.asarray(config.contrastive_weight, dtype=loss.dtype))),
-                    )
-                T.backward(loss)
-            clip_gradients(params.named(), config.clip_norm)
-            opt.step(params.named())
-            tape.clear()
+            _train_step(params, opt, batch, config, rng)
 
         probs = predict_probs(params, val_graphs, persona_on)
         auc = pr_auc(probs, val_labels)

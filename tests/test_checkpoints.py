@@ -1,5 +1,7 @@
 """Checkpoint persistence: round-trips, validation and hashing."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -53,11 +55,25 @@ class TestSessionModelCheckpoints:
     def test_blob_is_float32_little_endian(self, tmp_path):
         ck = small_checkpoint()
         CK.save_checkpoint(tmp_path / "ckpt", ck)
-        import json
-
         header = json.loads((tmp_path / "ckpt.json").read_text())
         total = sum(entry["size"] for entry in header["params"])
         assert (tmp_path / "ckpt.bin").stat().st_size == 4 * total
+
+    def test_truncated_blob_rejected(self, tmp_path):
+        CK.save_checkpoint(tmp_path / "ckpt", small_checkpoint())
+        blob = tmp_path / "ckpt.bin"
+        blob.write_bytes(blob.read_bytes()[:-4])
+        with pytest.raises(CK.CheckpointError, match="bytes"):
+            CK.load_checkpoint(tmp_path / "ckpt")
+
+    def test_out_of_range_offset_rejected(self, tmp_path):
+        CK.save_checkpoint(tmp_path / "ckpt", small_checkpoint())
+        path = tmp_path / "ckpt.json"
+        header = json.loads(path.read_text())
+        header["params"][-1]["offset"] += 1
+        path.write_text(json.dumps(header))
+        with pytest.raises(CK.CheckpointError, match="does not fit"):
+            CK.load_checkpoint(tmp_path / "ckpt")
 
 
 class TestScorerCheckpoints:
@@ -75,6 +91,20 @@ class TestScorerCheckpoints:
         CK.save_checkpoint(tmp_path / "m", small_checkpoint())
         with pytest.raises(CK.CheckpointError):
             CK.load_scorer(tmp_path / "m")
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("name", "w3", "missing parameter w2"),
+        ("shape", [1, 32], "shape mismatch for w2"),
+    ])
+    def test_bad_tensor_entry_rejected(self, tmp_path, field, value, message):
+        CK.save_scorer(tmp_path / "s", ScorerParams(CausalConfig(hidden=32), model_hidden=8))
+        path = tmp_path / "s.json"
+        header = json.loads(path.read_text())
+        (entry,) = [e for e in header["params"] if e["name"] == "w2"]
+        entry[field] = value
+        path.write_text(json.dumps(header))
+        with pytest.raises(CK.CheckpointError, match=message):
+            CK.load_scorer(tmp_path / "s")
 
 
 class TestHash:

@@ -18,7 +18,7 @@ class TestConfigParsing:
         assert values == {"lr": "0.001", "loss": "bce"}
 
     def test_malformed_line_rejected(self):
-        with pytest.raises(cli.CliConfigError, match="line 1"):
+        with pytest.raises(cli.ConfigError, match="line 1"):
             cli.parse_config_text("just words\n")
 
     def test_coercion_onto_field_types(self):
@@ -33,16 +33,21 @@ class TestConfigParsing:
         assert config.loss == "bce"
 
     def test_unknown_field_rejected(self):
-        with pytest.raises(cli.CliConfigError, match="unknown"):
+        with pytest.raises(cli.ConfigError, match="unknown"):
             cli._coerce(GenConfig, {"sessions": "10"})
 
     def test_bad_bool_rejected(self):
-        with pytest.raises(cli.CliConfigError):
+        with pytest.raises(cli.ConfigError):
             cli._coerce(TrainConfig, {"contrastive_enabled": "yes"})
 
     def test_invalid_value_becomes_config_error(self):
-        with pytest.raises(cli.CliConfigError):
+        with pytest.raises(cli.ConfigError):
             cli._coerce(TrainConfig, {"lr": "-1.0"})
+
+    @pytest.mark.parametrize("key,raw", [("max_epochs", "abc"), ("lr", "fast"), ("seeds", "0,x")])
+    def test_unparsable_number_becomes_config_error(self, key, raw):
+        with pytest.raises(cli.ConfigError):
+            cli._coerce(TrainConfig, {key: raw})
 
 
 @pytest.fixture(scope="module")
@@ -115,6 +120,33 @@ class TestTrain:
                          "--config", str(workspace["train_cfg"]),
                          "--out", str(tmp_path / "o")]) == 1
 
+    def test_missing_peu_annotation_exits_one_without_traceback(self, workspace, tmp_path,
+                                                               capsys):
+        sessions = read_sessions(workspace["corpus"])
+        sessions[0].peus = sessions[0].peus[1:]
+        from psygat.sessions import write_sessions
+
+        gappy = tmp_path / "gappy.jsonl"
+        write_sessions(gappy, sessions)
+        capsys.readouterr()
+        assert cli.main(["train", "--corpus", str(gappy),
+                         "--config", str(workspace["train_cfg"]),
+                         "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "no PEU annotation" in err and "Traceback" not in err
+
+    def test_unparsable_epoch_count_exits_two_without_traceback(self, workspace, tmp_path,
+                                                               capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("max_epochs = abc\n")
+        capsys.readouterr()
+        assert cli.main(["train", "--corpus", str(workspace["corpus"]), "--config", str(bad),
+                         "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "abc" in err and "Traceback" not in err
+
 
 class TestEvaluate:
     def test_report_written(self, workspace, tmp_path):
@@ -171,6 +203,13 @@ class TestExplain:
                          "--checkpoint", str(workspace["train_dir"] / "ckpt-seed0.json"),
                          "--corpus", str(bare), "--out", str(tmp_path / "o")])
         assert code == 1
+
+    def test_second_checkpoint_exits_two(self, workspace, tmp_path):
+        ck = str(workspace["train_dir"] / "ckpt-seed0.json")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["explain", "--checkpoint", ck, ck,
+                      "--corpus", str(workspace["corpus"]), "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
 
 
 class TestGradcheck:

@@ -1,5 +1,5 @@
-"""Autodiff engine: frozen hand-computed gradients, shape policing,
-tape bookkeeping and finite-difference agreement."""
+"""Autodiff engine: frozen hand-computed gradients, shape policing
+and finite-difference agreement."""
 
 import numpy as np
 import pytest
@@ -107,6 +107,14 @@ class TestHandGradients:
         np.testing.assert_allclose(x.grad, np.full((2, 2), 3.0))
         assert s.grad == pytest.approx(10.0)
 
+    def test_grads_accumulate_until_zeroed(self):
+        x = t64([[1.0]])
+        T.backward(T.tsum(T.mul(x, x)))
+        T.backward(T.tsum(T.mul(x, x)))
+        assert x.grad[0, 0] == pytest.approx(4.0)
+        x.zero_grad()
+        assert x.grad is None
+
 
 class TestShapePolicy:
     def test_mismatched_elementwise_shapes_rejected(self):
@@ -155,34 +163,6 @@ class TestDropout:
     def test_invalid_probability(self):
         with pytest.raises(T.UsageError):
             T.dropout(t64(np.ones((2, 2))), 1.0, train=True)
-
-
-class TestTape:
-    def test_tape_records_only_derived_tensors(self):
-        x = t64(np.ones((2, 2)))
-        with T.Tape() as tape:
-            y = T.mul(x, x)
-            z = T.tsum(y)
-        assert y in tape.records and z in tape.records
-        assert x not in tape.records
-
-    def test_clear_frees_graph_links(self):
-        x = t64(np.ones((2, 2)))
-        with T.Tape() as tape:
-            z = T.tsum(T.mul(x, x))
-            T.backward(z)
-        assert x.grad is not None
-        tape.clear()
-        assert z.parents == () and z._backward is None
-        assert not tape.records
-
-    def test_grads_accumulate_until_zeroed(self):
-        x = t64([[1.0]])
-        T.backward(T.tsum(T.mul(x, x)))
-        T.backward(T.tsum(T.mul(x, x)))
-        assert x.grad[0, 0] == pytest.approx(4.0)
-        x.zero_grad()
-        assert x.grad is None
 
 
 class TestGradCheck:

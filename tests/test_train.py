@@ -264,3 +264,28 @@ class TestTrainConfig:
             TR.TrainConfig(persona_mode="maybe")
         with pytest.raises(TR.ConfigError):
             TR.TrainConfig(contrastive_temperature=0.0)
+
+
+class TestFit:
+    def test_step_graphs_leave_no_cyclic_garbage(self):
+        # op closures capture only their parents, so refcounting alone frees
+        # each step's autodiff graph; nothing is left for the cycle collector
+        import gc
+
+        from psygat import model as M
+        from psygat.verify import _tiny_graph
+
+        rng = np.random.default_rng(0)
+        graphs = [_tiny_graph(rng) for _ in range(6)]
+        for k, g in enumerate(graphs):
+            g.label = k % 2
+        cfg = M.ModelConfig(text_dim=12, hidden=16, heads=2, persona_dim=4, head_hidden=8)
+        config = TR.TrainConfig(max_epochs=2, seeds=(0,), batch_size=3)
+        TR.fit(graphs, graphs, config, cfg, seed=0)  # first calls leave one-off import garbage
+        gc.collect()
+        gc.disable()
+        try:
+            TR.fit(graphs, graphs, config, cfg, seed=0)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
