@@ -11,7 +11,7 @@ from psygat.datagen import GenConfig, generate_corpus
 from psygat.metrics import classification_report
 from psygat.model import ModelConfig
 from psygat.pipeline import graphs_from_sessions
-from psygat.train import TrainConfig, ensemble_predict, train_ensemble
+from psygat.train import TrainConfig, ensemble_probs, train_ensemble
 
 splits = generate_corpus(GenConfig(seed=0, n_sessions=80, peu_dropout=0.3))
 graphs = {name: graphs_from_sessions(split) for name, split in splits.items()}
@@ -23,7 +23,7 @@ for m in members:
     print(f"seed {m.seed}: best val PR-AUC {m.best_val_pr_auc:.3f} at epoch {m.epoch}")
 print(f"ensemble threshold (max-F1 on validation): {threshold:.3f}")
 
-probs = np.array([ensemble_predict(members, g) for g in graphs["test"]])
+probs = ensemble_probs(members, graphs["test"])
 labels = np.array([g.label for g in graphs["test"]])
 report = classification_report(probs, labels, threshold)
 print(f"test macro-F1 {report.macro_f1:.3f}  PR-AUC {report.pr_auc:.3f}")
@@ -32,6 +32,6 @@ print("confusion:", report.counts)
 # persona ablation on the same corpus: swap the embedding for zeros
 off = TrainConfig(seeds=(0, 1), max_epochs=20, persona_mode="off")
 members_off, thr_off = train_ensemble(graphs["train"], graphs["val"], off, ModelConfig())
-probs_off = np.array([ensemble_predict(members_off, g) for g in graphs["test"]])
+probs_off = ensemble_probs(members_off, graphs["test"])
 rep_off = classification_report(probs_off, labels, thr_off)
 print(f"persona off: test macro-F1 {rep_off.macro_f1:.3f}")

@@ -15,6 +15,7 @@ import numpy as np
 from . import model as M
 from . import tensor as T
 from .errors import DataError
+from .graph import GraphBatch
 from .metrics import ranking_metrics
 from .peu import CATEGORIES, NUM_CATEGORIES
 from .train import AdamW, focal_terms
@@ -151,9 +152,9 @@ def causal_loss(logits, labels, alpha=0.75, gamma=2.0):
 
 
 def session_node_reps(graph, params):
-    """Detached per-utterance representations from a frozen session model."""
-    out = M.forward(graph, graph.persona, params, train=False)
-    return out.node_reps.data.copy()
+    """Detached per-utterance representations from a frozen session model:
+    the encoder that forward shares, without readout or head."""
+    return M.encode(GraphBatch.from_graphs([graph]), params).data
 
 
 def train_scorer(instances, reps_by_session, peus_by_session, config, seed=0):

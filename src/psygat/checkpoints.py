@@ -47,20 +47,32 @@ def _write_pair(prefix, header, arrays):
     tmp_bin.replace(prefix.with_suffix(".bin"))
 
 
-def _read_pair(prefix):
+def _read_pair(prefix, kind):
+    """Header and name -> array of a checkpoint of the given kind."""
     prefix = Path(prefix)
-    header = json.loads(prefix.with_suffix(".json").read_text(encoding="utf-8"))
+    try:
+        header = json.loads(prefix.with_suffix(".json").read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise CheckpointError(f"{prefix}: header is not valid JSON: {exc}") from exc
+    if not isinstance(header, dict) or "params" not in header:
+        raise CheckpointError(f"{prefix}: header has no parameter index")
+    if header.get("kind") != kind:
+        raise CheckpointError(f"{prefix}: not a {kind.replace('_', '-')} checkpoint")
     raw = prefix.with_suffix(".bin").read_bytes()
-    total = sum(entry["size"] for entry in header["params"])
-    if len(raw) != 4 * total:
-        raise CheckpointError(f"{prefix}: blob holds {len(raw)} bytes, index expects {4 * total}")
     blob = np.frombuffer(raw, dtype="<f4")
     arrays = {}
-    for entry in header["params"]:
-        a, b = entry["offset"], entry["offset"] + entry["size"]
-        if a < 0 or b > blob.size or entry["size"] != int(np.prod(entry["shape"])):
-            raise CheckpointError(f"{prefix}: index entry {entry['name']} does not fit the blob")
-        arrays[entry["name"]] = blob[a:b].reshape(entry["shape"]).copy()
+    try:
+        total = sum(entry["size"] for entry in header["params"])
+        if len(raw) != 4 * total:
+            raise CheckpointError(
+                f"{prefix}: blob holds {len(raw)} bytes, index expects {4 * total}")
+        for entry in header["params"]:
+            a, b = entry["offset"], entry["offset"] + entry["size"]
+            if a < 0 or b > blob.size or entry["size"] != int(np.prod(entry["shape"])):
+                raise CheckpointError(f"{prefix}: index entry {entry['name']} does not fit the blob")
+            arrays[entry["name"]] = blob[a:b].reshape(entry["shape"]).copy()
+    except (KeyError, TypeError) as exc:
+        raise CheckpointError(f"{prefix}: malformed parameter index: {exc!r}") from exc
     return header, arrays
 
 
@@ -78,9 +90,7 @@ def save_checkpoint(prefix, checkpoint):
 
 
 def load_checkpoint(prefix):
-    header, arrays = _read_pair(prefix)
-    if header.get("kind") != "session_model":
-        raise CheckpointError(f"{prefix}: not a session-model checkpoint")
+    header, arrays = _read_pair(prefix, "session_model")
     params = ModelParams(ModelConfig.from_json(header["model_config"]), seed=0)
     _load_arrays(params, arrays, prefix)
     return Checkpoint(
@@ -105,9 +115,7 @@ def save_scorer(prefix, scorer, extra=None):
 
 
 def load_scorer(prefix):
-    header, arrays = _read_pair(prefix)
-    if header.get("kind") != "causal_scorer":
-        raise CheckpointError(f"{prefix}: not a causal-scorer checkpoint")
+    header, arrays = _read_pair(prefix, "causal_scorer")
     scorer = ScorerParams(CausalConfig.from_json(header["causal_config"]),
                           model_hidden=header["model_hidden"], seed=0)
     _load_arrays(scorer, arrays, prefix)

@@ -168,7 +168,7 @@ def cmd_train(args):
         prefix = out_dir / f"ckpt-seed{member.seed}"
         ckpt.save_checkpoint(prefix, member)
         outputs += [prefix.with_suffix(".json"), prefix.with_suffix(".bin")]
-    val_probs = np.array([TR.ensemble_predict(members, g) for g in graphs["val"]])
+    val_probs = TR.ensemble_probs(members, graphs["val"])
     val_labels = np.array([g.label for g in graphs["val"]])
     report = {
         "split": "val",
@@ -201,7 +201,7 @@ def cmd_evaluate(args):
     if not splits[args.split]:
         raise CorpusError(f"corpus has no sessions in split {args.split!r}")
     threshold = args.threshold if args.threshold is not None else members[0].threshold
-    probs = np.array([TR.ensemble_predict(members, g) for g in graphs[args.split]])
+    probs = TR.ensemble_probs(members, graphs[args.split])
     labels = np.array([g.label for g in graphs[args.split]])
     report = {"split": args.split, "metrics": _report(probs, labels, threshold)}
     out_dir = Path(args.out)
@@ -326,7 +326,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except PsygatError as exc:
+    except (PsygatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -1,5 +1,9 @@
 """Session-level classifier: dual input projections, edge-injected GATv2
 layers with residuals, Set2Set readout, persona conditioning, MLP head.
+
+Every function runs on a GraphBatch, the disjoint union of its graphs, so
+one forward serves a whole minibatch; attention and readout never cross
+graph boundaries.
 """
 
 from __future__ import annotations
@@ -9,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, ShapeError, UsageError
+from .graph import GraphBatch, SessionGraph
 from .peu import NUM_CATEGORIES
 
 
@@ -101,23 +106,23 @@ class ModelParams(T.Params):
 
 @dataclass
 class ForwardOutput:
-    logit: T.Tensor  # scalar
-    prob: float
-    node_reps: T.Tensor  # (T, hidden)
-    session_rep: T.Tensor  # (1, readout_dim)
-    conditioned_rep: T.Tensor  # (1, readout_dim + persona_dim)
+    logits: T.Tensor  # (B,)
+    probs: np.ndarray  # (B,) float64
+    node_reps: T.Tensor  # (N, hidden)
+    session_reps: T.Tensor  # (B, readout_dim)
+    conditioned_reps: T.Tensor  # (B, readout_dim + persona_dim)
 
 
-def project_inputs(graph, params):
+def project_inputs(batch, params):
     """LN -> linear per stream, sum, LN: the fused initial node features."""
     c = params.config
-    if graph.node_text.shape[1] != c.text_dim:
+    if batch.node_text.shape[1] != c.text_dim:
         raise ConfigError(
-            f"text dim {graph.node_text.shape[1]} does not match model text_dim {c.text_dim}"
+            f"text dim {batch.node_text.shape[1]} does not match model text_dim {c.text_dim}"
         )
     dtype = params["text_w"].dtype
-    text = T.Tensor(graph.node_text.astype(dtype))
-    peu = T.Tensor(graph.node_peu.astype(dtype))
+    text = T.Tensor(batch.node_text.astype(dtype, copy=False))
+    peu = T.Tensor(batch.node_peu.astype(dtype, copy=False))
     t = T.layer_norm(text, params["text_ln_gamma"], params["text_ln_beta"])
     t = T.add_bias(T.matmul(t, params["text_w"]), params["text_b"])
     p = T.layer_norm(peu, params["peu_ln_gamma"], params["peu_ln_beta"])
@@ -125,39 +130,28 @@ def project_inputs(graph, params):
     return T.layer_norm(T.add(t, p), params["fuse_ln_gamma"], params["fuse_ln_beta"])
 
 
-def _attention_edges(n):
-    """Self edge plus incoming chain edge per destination, sorted by dst."""
-    srcs, dsts = [], []
-    for j in range(n):
-        srcs.append(j)
-        dsts.append(j)
-        if j > 0:
-            srcs.append(j - 1)
-            dsts.append(j)
-    return np.asarray(srcs), np.asarray(dsts)
-
-
-def gat_layer(h, graph, params, layer, train=False, rng=None):
+def gat_layer(h, batch, params, layer, draws=None):
     """One edge-injected GATv2 layer with residual connection.
 
     Edge attributes are projected and summed into their destination nodes
     before attention. Every node gets an implicit self edge so attention
-    is well-defined at the chain head.
+    is well-defined at each chain head. draws, in training, yields the
+    dropout draws of each site in turn (see _dropout_draws).
     """
     c = params.config
     n = h.shape[0]
     dtype = h.dtype
-    if graph.edge_attr.shape[0] > 0:
+    if batch.edge_attr.shape[0] > 0:
         inj = T.add_bias(
-            T.matmul(T.Tensor(graph.edge_attr.astype(dtype)), params[f"gat{layer}_edge_w"]),
+            T.matmul(T.Tensor(batch.edge_attr.astype(dtype, copy=False)),
+                     params[f"gat{layer}_edge_w"]),
             params[f"gat{layer}_edge_b"],
         )
-        real_dst = np.arange(1, n)
-        hp = T.add(h, T.segment_sum(inj, real_dst, n))
+        hp = T.add(h, T.segment_sum(inj, batch.edge_dst, n))
     else:
         hp = h
 
-    srcs, dsts = _attention_edges(n)
+    srcs, dsts = batch.attn_src, batch.attn_dst
     src_proj = T.matmul(hp, params[f"gat{layer}_w_src"])
     dst_proj = T.matmul(hp, params[f"gat{layer}_w_dst"])
     e_src = T.gather_rows(src_proj, srcs)
@@ -170,26 +164,69 @@ def gat_layer(h, graph, params, layer, train=False, rng=None):
         s = T.slice_cols(pre, lo, hi)
         logits = T.reshape(T.matmul(s, params[f"gat{layer}_attn{head}"]), (len(srcs),))
         alpha = T.segment_softmax(logits, dsts)
-        if train and c.attn_dropout:
-            alpha = T.dropout(alpha, c.dropout, rng, train=True)
+        if draws is not None and c.attn_dropout:
+            alpha = T.dropout(alpha, c.dropout, train=True, uniform=next(draws))
         msg = T.scale_rows(T.slice_cols(e_src, lo, hi), alpha)
         heads_out.append(T.segment_sum(msg, dsts, n))
     agg = T.concat_cols(heads_out) if len(heads_out) > 1 else heads_out[0]
     agg = T.elu(T.add_bias(agg, params[f"gat{layer}_b"]))
-    if train and c.out_dropout:
-        agg = T.dropout(agg, c.dropout, rng, train=True)
+    if draws is not None and c.out_dropout:
+        agg = T.dropout(agg, c.dropout, train=True, uniform=next(draws))
     return T.add(agg, h)
 
 
-def set2set_readout(node_reps, params):
-    """Iterative attention pooling driven by an LSTM query; output [q || r]."""
+def encode(batch, params, draws=None):
+    """Node representations: input projection followed by the GAT layers."""
+    h = project_inputs(batch, params)
+    for layer in range(params.config.num_layers):
+        h = gat_layer(h, batch, params, layer, draws)
+    return h
+
+
+def _dropout_draws(batch, config, rng):
+    """U[0, 1) draws for every dropout site of one training forward.
+
+    Each graph takes its draws in turn, site by site in forward order (per
+    layer each attention head, then the layer output; the MLP head last);
+    each site then joins its graphs' draws in batch order. A batch thus
+    drops exactly what forwards of its graphs one at a time, in order,
+    would drop, so batching leaves a seed's masks unchanged.
+    """
+    c = config
+    per_graph = []
+    for n in batch.sizes:
+        sites = []
+        for _ in range(c.num_layers):
+            if c.attn_dropout:
+                sites += [rng.random(2 * n - 1) for _ in range(c.heads)]
+            if c.out_dropout:
+                sites.append(rng.random((n, c.hidden)))
+        if c.out_dropout:
+            sites.append(rng.random((1, c.head_hidden)))
+        per_graph.append(sites)
+    return [np.concatenate(site) for site in zip(*per_graph)]
+
+
+def set2set_readout(node_reps, params, node_graph=None, num_graphs=1):
+    """Iterative attention pooling driven by an LSTM query; output [q || r].
+
+    node_graph maps each node row to its graph (non-decreasing; all zeros
+    when omitted). Every graph's query scores all N nodes in one (B, N)
+    matmul; nodes of other graphs are masked out before the per-graph
+    softmax, so their attention weight is exactly zero.
+    """
     c = params.config
     n = node_reps.shape[0]
     dtype = node_reps.dtype
-    q = T.Tensor(np.zeros((1, c.hidden), dtype=dtype))
-    cell = T.Tensor(np.zeros((1, c.hidden), dtype=dtype))
-    q_star = T.Tensor(np.zeros((1, 2 * c.hidden), dtype=dtype))
-    seg = np.zeros(n, dtype=np.int64)
+    b = num_graphs
+    q = T.Tensor(np.zeros((b, c.hidden), dtype=dtype))
+    cell = T.Tensor(np.zeros((b, c.hidden), dtype=dtype))
+    q_star = T.Tensor(np.zeros((b, 2 * c.hidden), dtype=dtype))
+    rows = np.repeat(np.arange(b), n)
+    if b > 1:
+        mask = np.where(np.arange(b)[:, None] == node_graph[None, :], 0.0, -np.inf)
+        mask = T.Tensor(mask.astype(dtype).reshape(b * n))
+    reps_t = T.transpose(node_reps)
     for _ in range(c.set2set_iters):
         gates = T.add_bias(
             T.add(T.matmul(q_star, params["s2s_wx"]), T.matmul(q, params["s2s_wh"])),
@@ -202,50 +239,65 @@ def set2set_readout(node_reps, params):
         o = T.sigmoid(T.slice_cols(gates, 3 * h, 4 * h))
         cell = T.add(T.mul(f, cell), T.mul(i, g))
         q = T.mul(o, T.tanh(cell))
-        scores = T.reshape(T.matmul(node_reps, T.transpose(q)), (n,))
-        alpha = T.segment_softmax(scores, seg)
-        r = T.matmul(T.reshape(alpha, (1, n)), node_reps)
+        scores = T.reshape(T.matmul(q, reps_t), (b * n,))
+        if b > 1:
+            scores = T.add(scores, mask)
+        alpha = T.segment_softmax(scores, rows)
+        r = T.matmul(T.reshape(alpha, (b, n)), node_reps)
         q_star = T.concat_cols([q, r])
     return q_star
 
 
-def mean_readout(node_reps):
+def mean_readout(node_reps, node_graph=None, num_graphs=1):
+    """Per-graph mean of the node rows, as one (B, N) averaging matmul."""
     n = node_reps.shape[0]
-    ones = T.Tensor(np.full((1, n), 1.0 / n, dtype=node_reps.dtype))
-    return T.matmul(ones, node_reps)
+    if node_graph is None:
+        node_graph = np.zeros(n, dtype=np.int64)
+    member = (np.arange(num_graphs)[:, None] == node_graph[None, :]).astype(node_reps.dtype)
+    weights = member / member.sum(axis=1, keepdims=True)
+    return T.matmul(T.Tensor(weights), node_reps)
 
 
-def forward(graph, persona, params, train=False, rng=None, persona_mode=True):
-    """Full pipeline from a SessionGraph to a depression logit.
+def forward(batch, persona, params, train=False, rng=None, persona_mode=True):
+    """Full pipeline from a GraphBatch to one depression logit per graph.
 
-    persona_mode=False swaps the persona row for a zero vector of the same
-    width so head shapes match across modes.
+    A lone SessionGraph is run as a batch of one. persona gives the persona
+    id of a lone graph, or one id per graph of a batch; None takes each
+    graph's own. persona_mode=False swaps the persona rows for zero vectors
+    of the same width so head shapes match across modes.
     """
     c = params.config
-    if persona_mode and not (0 <= persona < c.persona_count):
-        raise DataError(f"persona {persona} out of range [0, {c.persona_count})")
-    h = project_inputs(graph, params)
-    for layer in range(c.num_layers):
-        h = gat_layer(h, graph, params, layer, train=train, rng=rng)
-    node_reps = h
+    if isinstance(batch, SessionGraph):
+        batch = GraphBatch.from_graphs([batch])
+    b = batch.num_graphs
+    personas = batch.personas if persona is None else np.asarray(persona, dtype=np.int64).reshape(-1)
+    if personas.shape != (b,):
+        raise ShapeError(f"{personas.size} persona ids for a batch of {b} graphs")
+    if persona_mode and not np.all((personas >= 0) & (personas < c.persona_count)):
+        raise DataError(f"persona ids {personas.tolist()} out of range [0, {c.persona_count})")
+    draws = None
+    if train and c.dropout > 0.0:
+        if rng is None:
+            raise UsageError("a training forward with dropout requires an rng")
+        draws = iter(_dropout_draws(batch, c, rng))
+    node_reps = encode(batch, params, draws)
     if c.readout == "set2set":
-        session_rep = set2set_readout(node_reps, params)
+        session_reps = set2set_readout(node_reps, params, batch.node_graph, b)
     else:
-        session_rep = mean_readout(node_reps)
+        session_reps = mean_readout(node_reps, batch.node_graph, b)
     if persona_mode:
-        z = T.gather_rows(params["persona_table"], [persona])
+        z = T.gather_rows(params["persona_table"], personas)
     else:
-        z = T.Tensor(np.zeros((1, c.persona_dim), dtype=session_rep.dtype))
-    cond = T.concat_cols([session_rep, z])
+        z = T.Tensor(np.zeros((b, c.persona_dim), dtype=session_reps.dtype))
+    cond = T.concat_cols([session_reps, z])
     hidden = T.elu(T.add_bias(T.matmul(cond, params["head_w1"]), params["head_b1"]))
-    if train and c.out_dropout:
-        hidden = T.dropout(hidden, c.dropout, rng, train=True)
-    logit = T.reshape(T.add_bias(T.matmul(hidden, params["head_w2"]), params["head_b2"]), ())
-    prob = float(T.stable_sigmoid(np.float64(logit.data)))
+    if draws is not None and c.out_dropout:
+        hidden = T.dropout(hidden, c.dropout, train=True, uniform=next(draws))
+    logits = T.reshape(T.add_bias(T.matmul(hidden, params["head_w2"]), params["head_b2"]), (b,))
     return ForwardOutput(
-        logit=logit,
-        prob=prob,
+        logits=logits,
+        probs=T.stable_sigmoid(logits.data.astype(np.float64)),
         node_reps=node_reps,
-        session_rep=session_rep,
-        conditioned_rep=cond,
+        session_reps=session_reps,
+        conditioned_reps=cond,
     )

@@ -307,14 +307,22 @@ def pow_const(x, p):
     return out
 
 
-def dropout(x, p, rng=None, train=False):
+def dropout(x, p, rng=None, train=False, uniform=None):
+    """Inverted dropout: keep where a U[0, 1) draw is >= p, scale by 1 / (1 - p).
+
+    The draws come from rng unless given as uniform, an array of x's shape.
+    """
     if not (0.0 <= p < 1.0):
         raise UsageError(f"dropout probability {p} outside [0, 1)")
     if not train or p == 0.0:
         return x
-    if rng is None:
-        raise UsageError("dropout in train mode requires an rng")
-    keep = (rng.random(x.shape) >= p).astype(x.dtype)
+    if uniform is None:
+        if rng is None:
+            raise UsageError("dropout in train mode requires an rng or uniform draws")
+        uniform = rng.random(x.shape)
+    elif uniform.shape != x.shape:
+        raise ShapeError(f"dropout draws of shape {uniform.shape} for input {x.shape}")
+    keep = (uniform >= p).astype(x.dtype)
     scale = np.asarray(1.0 / (1.0 - p), dtype=x.dtype)
     out = Tensor(x.data * keep * scale, (x,))
 
@@ -385,12 +393,26 @@ def segment_softmax(logits, segment_ids):
 
 
 def segment_sum(x, segment_ids, num_segments):
-    """Sum rows of (n, d) into (num_segments, d) buckets."""
+    """Sum rows of (n, d) into (num_segments, d) buckets.
+
+    segment_ids must be non-decreasing, which lets one np.add.reduceat over
+    the runs of equal ids do the sum; ids that do not occur leave their
+    bucket zero.
+    """
     if x.data.ndim != 2:
         raise ShapeError(f"segment_sum expects a matrix, got {x.shape}")
     seg = np.asarray(segment_ids, dtype=np.int64)
+    if seg.shape != (x.shape[0],):
+        raise ShapeError(f"segment ids length {seg.shape} vs rows {x.shape}")
     y = np.zeros((num_segments, x.shape[1]), dtype=x.dtype)
-    np.add.at(y, seg, x.data)
+    if seg.size:
+        step = np.diff(seg)
+        if np.any(step < 0):
+            raise ShapeError("segment_sum needs non-decreasing segment ids")
+        if seg[0] < 0 or seg[-1] >= num_segments:
+            raise ShapeError(f"segment ids [{seg[0]}, {seg[-1]}] outside {num_segments} segments")
+        starts = np.concatenate(([0], np.flatnonzero(step) + 1))
+        y[seg[starts]] = np.add.reduceat(x.data, starts, axis=0)
     out = Tensor(y, (x,))
 
     def backward(g):

@@ -5,16 +5,23 @@ seed ensembling and decision-threshold selection.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import model as M
 from . import tensor as T
 from .errors import ConfigError, DataError, NumericalError
+from .graph import GraphBatch
 from .metrics import pr_auc
 
 log = logging.getLogger(__name__)
+
+# Graphs per eval-mode forward in predict_probs. Scoring 40 default-corpus
+# graphs took the same time at 8 to 40 graphs per forward (3.4x faster than
+# one per forward); larger chunks only hold more intermediates at once, and
+# 64 per forward added 9 MB to the peak RSS of a default fit.
+PREDICT_CHUNK = 16
 
 
 @dataclass
@@ -90,12 +97,13 @@ def focal_terms(z, gamma):
 
 
 def focal_loss(logit, y, gamma=2.0, alpha=1.0):
-    """alpha * (1 - p_t)^gamma * (-log p_t) for one scalar logit.
+    """alpha * (1 - p_t)^gamma * (-log p_t), elementwise.
 
+    logit is a scalar with one label y, or a (B,) vector with B labels.
     gamma=0, alpha=1 recovers plain BCE exactly.
     """
-    z = logit if y == 1 else T.mul(logit, T.Tensor(np.asarray(-1.0, dtype=logit.dtype)))
-    out = focal_terms(z, gamma)
+    sign = np.where(np.asarray(y) == 1, 1.0, -1.0).astype(logit.dtype)
+    out = focal_terms(T.mul(logit, T.Tensor(sign)), gamma)
     if alpha != 1.0:
         out = T.mul(out, T.Tensor(np.asarray(alpha, dtype=logit.dtype)))
     return out
@@ -237,35 +245,36 @@ def select_threshold(probs, labels, objective="f1", min_precision=0.75):
     return best[1]
 
 
-def _graph_loss(out, label, config):
+def _graph_losses(logits, labels, config):
     if config.loss == "bce":
-        return bce_loss(out.logit, label)
-    return focal_loss(out.logit, label, config.focal_gamma, config.focal_alpha)
+        return bce_loss(logits, labels)
+    return focal_loss(logits, labels, config.focal_gamma, config.focal_alpha)
+
+
+def _chunks(graphs):
+    return [GraphBatch.from_graphs(graphs[i : i + PREDICT_CHUNK])
+            for i in range(0, len(graphs), PREDICT_CHUNK)]
+
+
+def _batch_probs(params, batches, persona_mode):
+    probs = [M.forward(b, None, params, persona_mode=persona_mode).probs for b in batches]
+    return np.concatenate(probs) if probs else np.zeros(0)
 
 
 def predict_probs(params, graphs, persona_mode=True):
-    return np.array(
-        [M.forward(g, g.persona, params, train=False, persona_mode=persona_mode).prob for g in graphs]
-    )
+    """Eval-mode probabilities, one batched forward per PREDICT_CHUNK graphs."""
+    return _batch_probs(params, _chunks(graphs), persona_mode)
 
 
 def _train_step(params, opt, batch, config, rng):
-    """One AdamW step on a minibatch. The autodiff graph is local to this
+    """One AdamW step on a GraphBatch. The autodiff graph is local to this
     call, so refcounting frees it on return."""
     persona_on = config.persona_mode == "on"
     params.zero_grad()
-    outs = [
-        M.forward(g, g.persona, params, train=True, rng=rng, persona_mode=persona_on)
-        for g in batch
-    ]
-    terms = [_graph_loss(o, g.label, config) for o, g in zip(outs, batch)]
-    loss = terms[0]
-    for term in terms[1:]:
-        loss = T.add(loss, term)
-    loss = T.mul(loss, T.Tensor(np.asarray(1.0 / len(batch), dtype=loss.dtype)))
-    if config.contrastive_enabled and len(batch) >= 2:
-        reps = T.concat_rows([o.session_rep for o in outs])
-        aux = info_nce(reps, [g.label for g in batch], config.contrastive_temperature)
+    out = M.forward(batch, None, params, train=True, rng=rng, persona_mode=persona_on)
+    loss = T.tmean(_graph_losses(out.logits, batch.labels, config))
+    if config.contrastive_enabled and batch.num_graphs >= 2:
+        aux = info_nce(out.session_reps, batch.labels, config.contrastive_temperature)
         loss = T.add(
             loss,
             T.mul(aux, T.Tensor(np.asarray(config.contrastive_weight, dtype=loss.dtype))),
@@ -296,7 +305,7 @@ def fit(train_graphs, val_graphs, config, model_config, seed=0):
         order = rng.permutation(len(train_graphs))
         for start in range(0, len(order), config.batch_size):
             batch = [train_graphs[i] for i in order[start : start + config.batch_size]]
-            _train_step(params, opt, batch, config, rng)
+            _train_step(params, opt, GraphBatch.from_graphs(batch), config, rng)
 
         probs = predict_probs(params, val_graphs, persona_on)
         auc = pr_auc(probs, val_labels)
@@ -328,27 +337,30 @@ def fit(train_graphs, val_graphs, config, model_config, seed=0):
     )
 
 
-def ensemble_predict(checkpoints, graph, persona=None):
-    """Arithmetic mean of member probabilities."""
+def ensemble_probs(checkpoints, graphs):
+    """Arithmetic mean of member probabilities, one value per graph."""
     if not checkpoints:
         raise ConfigError("ensemble needs at least one checkpoint")
     arch = checkpoints[0].params.config.to_json()
     for ck in checkpoints[1:]:
         if ck.params.config.to_json() != arch:
             raise ConfigError("ensemble members have mismatched architectures")
-    persona = graph.persona if persona is None else persona
     persona_on = checkpoints[0].train_config.persona_mode == "on"
-    probs = [
-        M.forward(graph, persona, ck.params, train=False, persona_mode=persona_on).prob
-        for ck in checkpoints
-    ]
-    return float(np.mean(probs))
+    batches = _chunks(graphs)
+    return np.mean([_batch_probs(ck.params, batches, persona_on) for ck in checkpoints], axis=0)
+
+
+def ensemble_predict(checkpoints, graph, persona=None):
+    """ensemble_probs of one graph, optionally scored under another persona."""
+    if persona is not None:
+        graph = replace(graph, persona=persona)
+    return float(ensemble_probs(checkpoints, [graph])[0])
 
 
 def train_ensemble(train_graphs, val_graphs, config, model_config):
     """Fit one member per seed and select the ensemble threshold on validation."""
     members = [fit(train_graphs, val_graphs, config, model_config, seed=s) for s in config.seeds]
-    val_probs = np.array([ensemble_predict(members, g) for g in val_graphs])
+    val_probs = ensemble_probs(members, val_graphs)
     val_labels = np.array([g.label for g in val_graphs])
     threshold = select_threshold(val_probs, val_labels, config.threshold_objective, config.min_precision)
     return members, threshold

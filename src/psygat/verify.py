@@ -8,7 +8,7 @@ import numpy as np
 
 from . import model as M
 from . import tensor as T
-from .graph import SessionGraph
+from .graph import GraphBatch, SessionGraph
 
 OP_TOL = 1e-4
 END_TO_END_TOL = 1e-3
@@ -131,29 +131,52 @@ def _tiny_graph(rng, n_nodes=4, text_dim=12):
     )
 
 
-def check_model(seed=0, n_nodes=4):
-    """End-to-end fd check of the full forward on a small graph, float64."""
-    rng = np.random.default_rng(seed)
-    cfg = M.ModelConfig(text_dim=12, hidden=16, heads=2, persona_dim=4, head_hidden=8,
-                        dropout=0.0)
-    params = M.ModelParams(cfg, seed=seed, dtype=np.float64)
-    graph = _tiny_graph(rng, n_nodes, cfg.text_dim)
-
-    def f():
-        out = M.forward(graph, 1, params, train=False)
-        return out.logit
-
+def _model_check(f, params, seed):
     leaves = list(params.tensors.values())
     # eps=1e-4: smaller steps push fd into rounding noise on the many
     # low-sensitivity coordinates (unused LN offsets etc.)
     return T.grad_check(f, leaves, eps=1e-4, max_coords=3, rng=np.random.default_rng(seed))
 
 
+def _tiny_params(seed):
+    cfg = M.ModelConfig(text_dim=12, hidden=16, heads=2, persona_dim=4, head_hidden=8,
+                        dropout=0.0)
+    return M.ModelParams(cfg, seed=seed, dtype=np.float64)
+
+
+def check_model(seed=0, n_nodes=4):
+    """End-to-end fd check of the full forward on a small graph, float64."""
+    rng = np.random.default_rng(seed)
+    params = _tiny_params(seed)
+    graph = _tiny_graph(rng, n_nodes, params.config.text_dim)
+    return _model_check(lambda: T.tsum(M.forward(graph, 1, params).logits), params, seed)
+
+
+def check_batch(seed=0, sizes=(5, 1, 8, 3)):
+    """fd check of one batched forward over graphs of mixed lengths, one of
+    them a single node without edges, through a random functional of the
+    per-graph logits, float64."""
+    # With fewer nodes some w_dst columns get an exactly-zero gradient (a
+    # shift shared by a destination's attention logits cancels in its
+    # softmax), where fd returns rounding noise; with more, a LeakyReLU or
+    # ELU kink falls within eps of some coordinate more often.
+    rng = np.random.default_rng(seed)
+    params = _tiny_params(seed)
+    graphs = [_tiny_graph(rng, n, params.config.text_dim) for n in sizes]
+    for k, g in enumerate(graphs):
+        g.persona = k % params.config.persona_count
+    batch = GraphBatch.from_graphs(graphs)
+    f = _fw(lambda: M.forward(batch, None, params).logits, rng)
+    return _model_check(f, params, seed)
+
+
 def run_suite(trials=100, seed=0):
-    """(name, max_rel_err, tolerance, passed) rows for ops plus the full model."""
+    """(name, max_rel_err, tolerance, passed) rows for ops plus the full model,
+    on one graph and on a batch."""
     rows = []
     for name, err in sorted(check_ops(trials, seed).items()):
         rows.append((name, err, OP_TOL, err < OP_TOL))
-    e2e = check_model(seed)
-    rows.append(("full_model_forward", e2e, END_TO_END_TOL, e2e < END_TO_END_TOL))
+    for name, err in (("full_model_forward", check_model(seed)),
+                      ("batched_model_forward", check_batch(seed))):
+        rows.append((name, err, END_TO_END_TOL, err < END_TO_END_TOL))
     return rows

@@ -152,3 +152,16 @@ class TestScorer:
         with pytest.raises(C.DataError):
             C.rank_and_evaluate(instances, {"c": np.zeros((6, 4), dtype=np.float32)},
                                 {"c": peus.as_array()}, scorer)
+
+
+def test_session_node_reps_equal_forward_node_reps():
+    from psygat import model as M
+    from tests.test_model import make_graph, small_config
+
+    rng = np.random.default_rng(0)
+    cfg = small_config()
+    params = M.ModelParams(cfg, seed=0)
+    for n in (1, 2, 9):
+        g = make_graph(rng, n, cfg)
+        np.testing.assert_array_equal(C.session_node_reps(g, params),
+                                      M.forward(g, g.persona, params).node_reps.data)

@@ -75,6 +75,23 @@ class TestSessionModelCheckpoints:
         with pytest.raises(CK.CheckpointError, match="does not fit"):
             CK.load_checkpoint(tmp_path / "ckpt")
 
+    @pytest.mark.parametrize("text", ["{not json", "[1, 2]", '{"kind": "session_model"}',
+                                      '{"params": []}'])
+    def test_malformed_header_rejected(self, tmp_path, text):
+        CK.save_checkpoint(tmp_path / "ckpt", small_checkpoint())
+        (tmp_path / "ckpt.json").write_text(text)
+        with pytest.raises(CK.CheckpointError):
+            CK.load_checkpoint(tmp_path / "ckpt")
+
+    def test_index_entry_without_offset_rejected(self, tmp_path):
+        CK.save_checkpoint(tmp_path / "ckpt", small_checkpoint())
+        path = tmp_path / "ckpt.json"
+        header = json.loads(path.read_text())
+        del header["params"][0]["offset"]
+        path.write_text(json.dumps(header))
+        with pytest.raises(CK.CheckpointError, match="malformed"):
+            CK.load_checkpoint(tmp_path / "ckpt")
+
 
 class TestScorerCheckpoints:
     def test_round_trip(self, tmp_path):

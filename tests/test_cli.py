@@ -4,6 +4,7 @@ budget; learning quality is covered elsewhere."""
 
 import json
 
+import numpy as np
 import pytest
 
 from psygat import cli
@@ -169,6 +170,35 @@ class TestEvaluate:
         report = json.loads((out / "eval-val.json").read_text())
         assert report["metrics"]["threshold"] == 0.25
 
+    def test_missing_checkpoint_exits_one_without_traceback(self, workspace, tmp_path, capsys):
+        capsys.readouterr()
+        code = cli.main(["evaluate", "--checkpoint", str(tmp_path / "nope.json"),
+                         "--corpus", str(workspace["corpus"]), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "nope.json" in err and "Traceback" not in err
+
+    def test_missing_corpus_exits_one_without_traceback(self, workspace, tmp_path, capsys):
+        capsys.readouterr()
+        code = cli.main(["evaluate",
+                         "--checkpoint", str(workspace["train_dir"] / "ckpt-seed0.json"),
+                         "--corpus", str(tmp_path / "absent.jsonl"), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "absent.jsonl" in err and "Traceback" not in err
+
+    def test_ensemble_scores_match_per_graph_ensemble_predict(self, workspace):
+        from psygat import checkpoints, train
+        from psygat.pipeline import graphs_from_sessions
+
+        member = checkpoints.load_checkpoint(workspace["train_dir"] / "ckpt-seed0")
+        graphs = graphs_from_sessions(read_sessions(workspace["corpus"]))
+        batched = train.ensemble_probs([member, member], graphs)
+        single = [train.ensemble_predict([member, member], g) for g in graphs]
+        np.testing.assert_allclose(batched, single, atol=1e-6)
+
 
 class TestExplain:
     def test_artifacts_and_frozen_checkpoint(self, workspace, tmp_path):
@@ -218,3 +248,4 @@ class TestGradcheck:
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
         assert "full_model_forward" in out
+        assert "batched_model_forward" in out

@@ -6,6 +6,7 @@ import pytest
 
 from psygat import model as M
 from psygat import tensor as T
+from psygat.graph import GraphBatch
 
 
 def small_config(**overrides):
@@ -84,23 +85,23 @@ class TestForward:
         cfg = small_config()
         params = M.ModelParams(cfg, seed=0)
         out = M.forward(make_graph(rng, 6, cfg), 1, params)
-        assert out.logit.shape == ()
-        assert 0.0 < out.prob < 1.0
+        assert out.logits.shape == (1,)
+        assert out.probs.shape == (1,) and 0.0 < out.probs[0] < 1.0
         assert out.node_reps.shape == (6, 16)
-        assert out.session_rep.shape == (1, 32)
-        assert out.conditioned_rep.shape == (1, 36)
+        assert out.session_reps.shape == (1, 32)
+        assert out.conditioned_reps.shape == (1, 36)
 
     def test_single_node_graph_works(self):
         rng = np.random.default_rng(0)
         cfg = small_config()
         out = M.forward(make_graph(rng, 1, cfg), 0, M.ModelParams(cfg, seed=0))
-        assert np.isfinite(out.logit.data)
+        assert np.all(np.isfinite(out.logits.data))
 
     def test_prob_matches_logit(self):
         rng = np.random.default_rng(1)
         cfg = small_config()
         out = M.forward(make_graph(rng, 4, cfg), 2, M.ModelParams(cfg, seed=1))
-        assert out.prob == pytest.approx(1 / (1 + np.exp(-float(out.logit.data))), rel=1e-6)
+        assert out.probs[0] == pytest.approx(1 / (1 + np.exp(-float(out.logits.data[0]))), rel=1e-6)
 
     def test_persona_out_of_range_rejected(self):
         rng = np.random.default_rng(0)
@@ -115,17 +116,17 @@ class TestForward:
         g = make_graph(rng, 5, cfg)
         a = M.forward(g, 0, params, persona_mode=False)
         b = M.forward(g, 3, params, persona_mode=False)
-        assert a.logit.data == b.logit.data
+        np.testing.assert_array_equal(a.logits.data, b.logits.data)
         # off mode zero-pads, so conditioned width matches on mode
-        assert a.conditioned_rep.shape == (1, 36)
-        np.testing.assert_array_equal(a.conditioned_rep.data[:, 32:], np.zeros((1, 4)))
+        assert a.conditioned_reps.shape == (1, 36)
+        np.testing.assert_array_equal(a.conditioned_reps.data[:, 32:], np.zeros((1, 4)))
 
     def test_persona_on_changes_output(self):
         rng = np.random.default_rng(0)
         cfg = small_config()
         params = M.ModelParams(cfg, seed=0)
         g = make_graph(rng, 5, cfg)
-        probs = {p: M.forward(g, p, params).prob for p in range(4)}
+        probs = {p: M.forward(g, p, params).probs[0] for p in range(4)}
         assert len(set(probs.values())) > 1
 
     def test_text_dim_mismatch_rejected(self):
@@ -139,23 +140,25 @@ class TestForward:
         cfg = small_config(dropout=0.5)
         params = M.ModelParams(cfg, seed=0)
         g = make_graph(rng, 5, cfg)
-        assert M.forward(g, 1, params).prob == M.forward(g, 1, params).prob
+        assert M.forward(g, 1, params).probs[0] == M.forward(g, 1, params).probs[0]
 
 
 class TestAttentionStructure:
     def test_edges_are_self_plus_incoming_chain(self):
-        srcs, dsts = M._attention_edges(3)
-        pairs = sorted(zip(srcs.tolist(), dsts.tolist()))
-        assert pairs == [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2)]
+        rng = np.random.default_rng(0)
+        batch = GraphBatch.from_graphs([make_graph(rng, 3)])
+        pairs = list(zip(batch.attn_src.tolist(), batch.attn_dst.tolist()))
+        assert pairs == [(0, 0), (1, 1), (0, 1), (2, 2), (1, 2)]
+        assert batch.edge_dst.tolist() == [1, 2]
 
     def test_attention_sums_to_one_per_destination(self):
         # re-run the layer's attention computation and check normalization
         rng = np.random.default_rng(2)
         cfg = small_config()
         params = M.ModelParams(cfg, seed=2)
-        g = make_graph(rng, 6, cfg)
+        g = GraphBatch.from_graphs([make_graph(rng, 6, cfg)])
         h = M.project_inputs(g, params)
-        srcs, dsts = M._attention_edges(6)
+        srcs, dsts = g.attn_src, g.attn_dst
         src_proj = T.matmul(h, params["gat0_w_src"])
         dst_proj = T.matmul(h, params["gat0_w_dst"])
         pre = T.leaky_relu(T.add(T.gather_rows(src_proj, srcs), T.gather_rows(dst_proj, dsts)),
@@ -203,7 +206,7 @@ class TestReadouts:
         rng = np.random.default_rng(6)
         cfg = small_config(readout="mean")
         out = M.forward(make_graph(rng, 5, cfg), 0, M.ModelParams(cfg, seed=0))
-        assert out.session_rep.shape == (1, 16)
+        assert out.session_reps.shape == (1, 16)
 
 
 def test_gradients_flow_to_every_parameter():
@@ -212,7 +215,116 @@ def test_gradients_flow_to_every_parameter():
     params = M.ModelParams(cfg, seed=7)
     g = make_graph(rng, 5, cfg)
     out = M.forward(g, 1, params)
-    T.backward(out.logit)
+    T.backward(T.tsum(out.logits))
     dead = [name for name, t in params.named()
             if t.grad is None or not np.any(t.grad)]
     assert dead == []
+
+
+class TestBatching:
+    SIZES = (4, 1, 7, 2, 5)
+
+    def graphs(self, rng, cfg):
+        return [make_graph(rng, n, cfg, persona=k % 4, label=k % 2)
+                for k, n in enumerate(self.SIZES)]
+
+    def test_batch_indices_are_disjoint_and_offset(self):
+        rng = np.random.default_rng(0)
+        batch = GraphBatch.from_graphs([make_graph(rng, 2), make_graph(rng, 1), make_graph(rng, 3)])
+        assert batch.node_graph.tolist() == [0, 0, 1, 2, 2, 2]
+        assert batch.edge_dst.tolist() == [1, 4, 5]
+        pairs = list(zip(batch.attn_src.tolist(), batch.attn_dst.tolist()))
+        assert pairs == [(0, 0), (1, 1), (0, 1), (2, 2), (3, 3), (4, 4), (3, 4), (5, 5), (4, 5)]
+        assert batch.edge_attr.shape == (3, 8)
+        assert batch.labels.tolist() == [1, 1, 1]
+
+    def test_unlabeled_graph_leaves_batch_unlabeled(self):
+        rng = np.random.default_rng(0)
+        g = make_graph(rng, 2)
+        g.label = None
+        assert GraphBatch.from_graphs([g, make_graph(rng, 3)]).labels is None
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(M.DataError):
+            GraphBatch.from_graphs([])
+
+    @pytest.mark.parametrize("readout", ["set2set", "mean"])
+    def test_batched_logits_match_per_graph(self, readout):
+        rng = np.random.default_rng(8)
+        cfg = small_config(readout=readout, dropout=0.3)
+        params = M.ModelParams(cfg, seed=8)
+        graphs = self.graphs(rng, cfg)
+        batched = M.forward(GraphBatch.from_graphs(graphs), None, params)
+        single = [M.forward(g, g.persona, params) for g in graphs]
+        np.testing.assert_allclose(batched.logits.data,
+                                   [o.logits.data[0] for o in single], atol=1e-5)
+        np.testing.assert_allclose(batched.node_reps.data,
+                                   np.concatenate([o.node_reps.data for o in single]), atol=1e-5)
+
+    def test_perturbing_one_graph_leaves_the_others_bit_identical(self):
+        rng = np.random.default_rng(9)
+        cfg = small_config()
+        params = M.ModelParams(cfg, seed=9)
+        graphs = self.graphs(rng, cfg)
+        before = M.forward(GraphBatch.from_graphs(graphs), None, params).logits.data.copy()
+        for k in range(len(graphs)):
+            graphs[k].node_text += 3.0
+            graphs[k].node_peu[-1, 0] = 1.0 - graphs[k].node_peu[-1, 0]
+            after = M.forward(GraphBatch.from_graphs(graphs), None, params).logits.data
+            others = [j for j in range(len(graphs)) if j != k]
+            np.testing.assert_array_equal(after[others], before[others])
+            assert after[k] != before[k]
+            before = after.copy()
+
+    def test_training_forward_drops_what_per_graph_forwards_drop(self):
+        rng = np.random.default_rng(13)
+        cfg = small_config(dropout=0.4)
+        params = M.ModelParams(cfg, seed=13)
+        graphs = self.graphs(rng, cfg)
+        batch_stream, stream = np.random.default_rng(5), np.random.default_rng(5)
+        batched = M.forward(GraphBatch.from_graphs(graphs), None, params, train=True,
+                            rng=batch_stream)
+        single = [M.forward(g, g.persona, params, train=True, rng=stream).logits.data[0]
+                  for g in graphs]
+        np.testing.assert_allclose(batched.logits.data, single, atol=1e-5)
+        assert batch_stream.random() == stream.random()  # both took the same draws
+        eval_logits = M.forward(GraphBatch.from_graphs(graphs), None, params).logits.data
+        assert not np.allclose(batched.logits.data, eval_logits)
+
+    def test_training_forward_with_dropout_needs_rng(self):
+        rng = np.random.default_rng(14)
+        cfg = small_config(dropout=0.4)
+        with pytest.raises(M.UsageError):
+            M.forward(make_graph(rng, 3, cfg), 1, M.ModelParams(cfg, seed=14), train=True)
+
+    def test_batch_of_single_node_graphs(self):
+        rng = np.random.default_rng(10)
+        cfg = small_config()
+        params = M.ModelParams(cfg, seed=10)
+        graphs = [make_graph(rng, 1, cfg), make_graph(rng, 1, cfg)]
+        batch = GraphBatch.from_graphs(graphs)
+        assert batch.edge_attr.shape == (0, 8)
+        out = M.forward(batch, None, params)
+        assert out.logits.shape == (2,)
+        single = [M.forward(g, g.persona, params).logits.data[0] for g in graphs]
+        np.testing.assert_allclose(out.logits.data, single, atol=1e-5)
+
+    def test_persona_override_per_graph(self):
+        rng = np.random.default_rng(11)
+        cfg = small_config()
+        params = M.ModelParams(cfg, seed=11)
+        graphs = self.graphs(rng, cfg)
+        batch = GraphBatch.from_graphs(graphs)
+        out = M.forward(batch, [3] * len(graphs), params)
+        single = [M.forward(g, 3, params).logits.data[0] for g in graphs]
+        np.testing.assert_allclose(out.logits.data, single, atol=1e-5)
+        with pytest.raises(M.ShapeError):
+            M.forward(batch, [0, 1], params)
+
+    def test_encode_matches_forward_node_reps(self):
+        rng = np.random.default_rng(12)
+        cfg = small_config()
+        params = M.ModelParams(cfg, seed=12)
+        batch = GraphBatch.from_graphs(self.graphs(rng, cfg))
+        np.testing.assert_array_equal(M.encode(batch, params).data,
+                                      M.forward(batch, None, params).node_reps.data)

@@ -66,6 +66,24 @@ class TestHandGradients:
         T.backward(T.tsum(T.mul(out, t64([[1.0, 1.0], [10.0, 10.0]]))))
         np.testing.assert_allclose(x.grad, [[1.0, 1.0], [1.0, 1.0], [10.0, 10.0]])
 
+    @pytest.mark.parametrize("seg,num", [
+        ([2, 2, 3, 5, 5, 5], 8),  # empty leading, interior and trailing segments
+        ([0, 1, 2], 3),
+        ([4], 6),
+        ([], 3),
+    ])
+    def test_segment_sum_matches_add_at_reference(self, seg, num):
+        rng = np.random.default_rng(len(seg))
+        x = t64(rng.standard_normal((len(seg), 3)))
+        ref = np.zeros((num, 3))
+        np.add.at(ref, np.asarray(seg, dtype=np.int64), x.data)
+        np.testing.assert_allclose(T.segment_sum(x, seg, num).data, ref, rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("seg,num", [([0, 2, 1], 3), ([0, 0, 3], 3), ([-1, 0, 0], 2)])
+    def test_segment_sum_rejects_unsorted_or_out_of_range_ids(self, seg, num):
+        with pytest.raises(T.ShapeError):
+            T.segment_sum(t64(np.ones((3, 2))), seg, num)
+
     def test_gather_rows_accumulates_repeated_indices(self):
         x = t64([[1.0], [2.0]])
         out = T.gather_rows(x, [0, 0, 1])
@@ -163,6 +181,14 @@ class TestDropout:
     def test_invalid_probability(self):
         with pytest.raises(T.UsageError):
             T.dropout(t64(np.ones((2, 2))), 1.0, train=True)
+
+    def test_given_draws_match_the_rng_they_came_from(self):
+        x = t64(np.arange(12.0).reshape(3, 4))
+        drawn = T.dropout(x, 0.4, np.random.default_rng(1), train=True)
+        given = T.dropout(x, 0.4, train=True, uniform=np.random.default_rng(1).random((3, 4)))
+        np.testing.assert_array_equal(drawn.data, given.data)
+        with pytest.raises(T.ShapeError):
+            T.dropout(x, 0.4, train=True, uniform=np.zeros(12))
 
 
 class TestGradCheck:

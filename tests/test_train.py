@@ -267,6 +267,37 @@ class TestTrainConfig:
 
 
 class TestFit:
+    def test_steps_per_epoch_cover_every_graph_once(self, monkeypatch):
+        from psygat import model as M
+        from psygat.verify import _tiny_graph
+
+        rng = np.random.default_rng(1)
+        graphs = [_tiny_graph(rng, int(n)) for n in rng.integers(1, 6, 11)]
+        for k, g in enumerate(graphs):
+            g.label = k % 2
+        seen = []
+        step = TR._train_step
+        monkeypatch.setattr(TR, "_train_step",
+                            lambda params, opt, batch, *a: seen.append(batch.num_graphs)
+                            or step(params, opt, batch, *a))
+        cfg = M.ModelConfig(text_dim=12, hidden=16, heads=2, persona_dim=4, head_hidden=8)
+        config = TR.TrainConfig(max_epochs=3, early_stop_patience=5, seeds=(0,), batch_size=4)
+        TR.fit(graphs, graphs, config, cfg, seed=0)
+        assert seen == [4, 4, 3] * 3
+
+    def test_predict_probs_match_per_graph_forward_across_chunks(self, monkeypatch):
+        from psygat import model as M
+        from psygat.verify import _tiny_graph
+
+        rng = np.random.default_rng(2)
+        graphs = [_tiny_graph(rng, int(n)) for n in rng.integers(1, 7, 9)]
+        cfg = M.ModelConfig(text_dim=12, hidden=16, heads=2, persona_dim=4, head_hidden=8)
+        params = M.ModelParams(cfg, seed=2)
+        single = [M.forward(g, g.persona, params).probs[0] for g in graphs]
+        monkeypatch.setattr(TR, "PREDICT_CHUNK", 4)
+        np.testing.assert_allclose(TR.predict_probs(params, graphs), single, atol=1e-6)
+        assert TR.predict_probs(params, []).shape == (0,)
+
     def test_step_graphs_leave_no_cyclic_garbage(self):
         # op closures capture only their parents, so refcounting alone frees
         # each step's autodiff graph; nothing is left for the cycle collector

@@ -12,6 +12,7 @@ def test_suite_covers_all_ops_and_model():
         "layer_norm", "segment_softmax", "segment_sum", "gather_rows",
         "concat_cols", "concat_rows", "slice_cols", "reshape", "transpose",
         "tsum", "tmean", "l2_normalize_rows", "dropout", "full_model_forward",
+        "batched_model_forward",
     }
     assert expected <= names
 
@@ -26,4 +27,5 @@ def test_tolerances():
     for name, err, tol, passed in verify.run_suite(trials=1):
         rows[name] = tol
     assert rows["full_model_forward"] == 1e-3
+    assert rows["batched_model_forward"] == 1e-3
     assert rows["matmul"] == 1e-4
