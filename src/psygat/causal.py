@@ -128,7 +128,7 @@ def instance_features(instance, node_reps, peu_rows, window):
 
 
 def edge_logits(features, scorer):
-    x = T.Tensor(features.astype(scorer.tensors["w1"].dtype))
+    x = T.Tensor(features.astype(scorer.tensors["w1"].dtype), requires_grad=False)
     h = T.elu(T.add_bias(T.matmul(x, scorer.tensors["w1"]), scorer.tensors["b1"]))
     out = T.add_bias(T.matmul(h, scorer.tensors["w2"]), scorer.tensors["b2"])
     return T.reshape(out, (features.shape[0],))
@@ -137,7 +137,8 @@ def edge_logits(features, scorer):
 def score_edges(instance, node_reps, peu_rows, scorer):
     """Independent causal probability per candidate edge."""
     feats = instance_features(instance, node_reps, peu_rows, scorer.config.window)
-    logits = edge_logits(feats, scorer)
+    with T.no_grad():
+        logits = edge_logits(feats, scorer)
     return T.stable_sigmoid(logits.data)
 
 
@@ -145,16 +146,17 @@ def causal_loss(logits, labels, alpha=0.75, gamma=2.0):
     """Mean over edges of alpha * (1 - p_t)^gamma * BCE, on logits for stability."""
     dtype = logits.dtype
     sign = np.where(np.asarray(labels) == 1, 1.0, -1.0).astype(dtype)
-    loss = T.tmean(focal_terms(T.mul(logits, T.Tensor(sign)), gamma))
+    loss = T.tmean(focal_terms(T.mul(logits, T.Tensor(sign, requires_grad=False)), gamma))
     if alpha != 1.0:
-        loss = T.mul(loss, T.Tensor(np.asarray(alpha, dtype=dtype)))
+        loss = T.mul(loss, T.Tensor(np.asarray(alpha, dtype=dtype), requires_grad=False))
     return loss
 
 
 def session_node_reps(graph, params):
     """Detached per-utterance representations from a frozen session model:
     the encoder that forward shares, without readout or head."""
-    return M.encode(GraphBatch.from_graphs([graph]), params).data
+    with T.no_grad():
+        return M.encode(GraphBatch.from_graphs([graph]), params).data
 
 
 def train_scorer(instances, reps_by_session, peus_by_session, config, seed=0):

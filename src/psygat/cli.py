@@ -1,13 +1,16 @@
 """Command-line surface: generate / train / evaluate / explain / gradcheck.
 
-Config files are plain ``key = value`` text (# comments allowed). Nothing
-is read from environment variables.
+Config files are plain ``key = value`` text (# comments allowed). No
+setting is read from environment variables; run manifests only record the
+BLAS thread-count variables.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import subprocess
 import sys
 import time
@@ -27,6 +30,8 @@ from .sessions import check_no_augmented_leakage, read_sessions, split_sessions,
 
 EXIT_DATA = 1
 EXIT_CONFIG = 2
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def parse_config_text(text):
@@ -93,6 +98,14 @@ def write_manifest(out_dir, command, config, seeds, outputs, started):
         "git": _git_describe(),
         "wall_clock_s": round(time.time() - started, 3),
         "outputs": sorted(str(p) for p in outputs),
+        # what run-to-run timings depend on; unset thread variables mean
+        # one BLAS thread per CPU
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "cpu_count": os.cpu_count(),
+            "blas_threads": {name: os.environ.get(name) for name in BLAS_THREAD_VARS},
+        },
     }
     path = Path(out_dir) / "run_manifest.json"
     tmp = path.with_suffix(".tmp")
@@ -194,13 +207,35 @@ def _load_members(paths):
     return members
 
 
+def _ensemble_threshold(paths, members):
+    """The ensemble threshold train selected for these members, from the
+    report.json it wrote beside their checkpoints."""
+    seeds = sorted(m.seed for m in members)
+    folders = {Path(p).parent for p in paths}
+    if len(folders) == 1:
+        report_path = folders.pop() / "report.json"
+        try:
+            report = json.loads(report_path.read_text(encoding="utf-8"))
+            if sorted(m["seed"] for m in report["members"]) == seeds:
+                return float(report["ensemble_threshold"])
+        except (OSError, ValueError, KeyError, TypeError):
+            pass
+    raise ConfigError(f"no train report.json beside the checkpoints lists exactly seeds {seeds}; "
+                      "pass --threshold for this ensemble")
+
+
 def cmd_evaluate(args):
     started = time.time()
     members = _load_members(args.checkpoint)
+    if args.threshold is not None:
+        threshold = args.threshold
+    elif len(members) == 1:
+        threshold = members[0].threshold
+    else:
+        threshold = _ensemble_threshold(args.checkpoint, members)
     sessions, splits, graphs = _load_graphs(args.corpus)
     if not splits[args.split]:
         raise CorpusError(f"corpus has no sessions in split {args.split!r}")
-    threshold = args.threshold if args.threshold is not None else members[0].threshold
     probs = TR.ensemble_probs(members, graphs[args.split])
     labels = np.array([g.label for g in graphs[args.split]])
     report = {"split": args.split, "metrics": _report(probs, labels, threshold)}

@@ -87,10 +87,12 @@ def _bucket(token, seed):
     return int.from_bytes(h, "little")
 
 
-def hash_embed(text, dim=DEFAULT_DIM, seed=0):
+def hash_embed(text, dim=DEFAULT_DIM, seed=0, buckets=None):
     """Signed feature hashing of unigrams + bigrams, L2-normalized.
 
     Empty/tokenless text maps to the zero vector (exempt from normalization).
+    buckets, a dict from feature to hash, lets calls that share it hash
+    each distinct feature once; it must only be shared under one seed.
     """
     if dim < 8:
         raise FormatError(f"hash_embed dim must be >= 8, got {dim}")
@@ -98,9 +100,13 @@ def hash_embed(text, dim=DEFAULT_DIM, seed=0):
     vec = np.zeros(dim, dtype=np.float32)
     if not tokens:
         return vec
+    if buckets is None:
+        buckets = {}
     features = list(tokens) + [f"{a}_{b}" for a, b in zip(tokens, tokens[1:])]
     for feat in features:
-        h = _bucket(feat, seed)
+        h = buckets.get(feat)
+        if h is None:
+            h = buckets[feat] = _bucket(feat, seed)
         sign = 1.0 if (h >> 1) & 1 else -1.0
         vec[h % dim] += sign
     norm = float(np.linalg.norm(vec))
@@ -110,9 +116,15 @@ def hash_embed(text, dim=DEFAULT_DIM, seed=0):
 
 
 def embed_sessions(sessions, dim=DEFAULT_DIM, seed=0, prepend_question=True):
-    """Hash-embed every utterance of the given sessions into a table."""
+    """Hash-embed every utterance of the given sessions into a table.
+
+    Feature hashes are shared across the call's utterances and dropped
+    when it returns.
+    """
     table = EmbeddingTable(dim)
+    buckets = {}
     for s in sessions:
         for u in s.utterances:
-            table.put(s.id, u.index, hash_embed(s.text(u.index, prepend_question), dim, seed))
+            text = s.text(u.index, prepend_question)
+            table.put(s.id, u.index, hash_embed(text, dim, seed, buckets))
     return table

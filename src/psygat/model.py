@@ -121,8 +121,8 @@ def project_inputs(batch, params):
             f"text dim {batch.node_text.shape[1]} does not match model text_dim {c.text_dim}"
         )
     dtype = params["text_w"].dtype
-    text = T.Tensor(batch.node_text.astype(dtype, copy=False))
-    peu = T.Tensor(batch.node_peu.astype(dtype, copy=False))
+    text = T.Tensor(batch.node_text.astype(dtype, copy=False), requires_grad=False)
+    peu = T.Tensor(batch.node_peu.astype(dtype, copy=False), requires_grad=False)
     t = T.layer_norm(text, params["text_ln_gamma"], params["text_ln_beta"])
     t = T.add_bias(T.matmul(t, params["text_w"]), params["text_b"])
     p = T.layer_norm(peu, params["peu_ln_gamma"], params["peu_ln_beta"])
@@ -143,7 +143,7 @@ def gat_layer(h, batch, params, layer, draws=None):
     dtype = h.dtype
     if batch.edge_attr.shape[0] > 0:
         inj = T.add_bias(
-            T.matmul(T.Tensor(batch.edge_attr.astype(dtype, copy=False)),
+            T.matmul(T.Tensor(batch.edge_attr.astype(dtype, copy=False), requires_grad=False),
                      params[f"gat{layer}_edge_w"]),
             params[f"gat{layer}_edge_b"],
         )
@@ -219,13 +219,13 @@ def set2set_readout(node_reps, params, node_graph=None, num_graphs=1):
     n = node_reps.shape[0]
     dtype = node_reps.dtype
     b = num_graphs
-    q = T.Tensor(np.zeros((b, c.hidden), dtype=dtype))
-    cell = T.Tensor(np.zeros((b, c.hidden), dtype=dtype))
-    q_star = T.Tensor(np.zeros((b, 2 * c.hidden), dtype=dtype))
+    q = T.Tensor(np.zeros((b, c.hidden), dtype=dtype), requires_grad=False)
+    cell = T.Tensor(np.zeros((b, c.hidden), dtype=dtype), requires_grad=False)
+    q_star = T.Tensor(np.zeros((b, 2 * c.hidden), dtype=dtype), requires_grad=False)
     rows = np.repeat(np.arange(b), n)
     if b > 1:
         mask = np.where(np.arange(b)[:, None] == node_graph[None, :], 0.0, -np.inf)
-        mask = T.Tensor(mask.astype(dtype).reshape(b * n))
+        mask = T.Tensor(mask.astype(dtype).reshape(b * n), requires_grad=False)
     reps_t = T.transpose(node_reps)
     for _ in range(c.set2set_iters):
         gates = T.add_bias(
@@ -255,7 +255,7 @@ def mean_readout(node_reps, node_graph=None, num_graphs=1):
         node_graph = np.zeros(n, dtype=np.int64)
     member = (np.arange(num_graphs)[:, None] == node_graph[None, :]).astype(node_reps.dtype)
     weights = member / member.sum(axis=1, keepdims=True)
-    return T.matmul(T.Tensor(weights), node_reps)
+    return T.matmul(T.Tensor(weights, requires_grad=False), node_reps)
 
 
 def forward(batch, persona, params, train=False, rng=None, persona_mode=True):
@@ -288,7 +288,7 @@ def forward(batch, persona, params, train=False, rng=None, persona_mode=True):
     if persona_mode:
         z = T.gather_rows(params["persona_table"], personas)
     else:
-        z = T.Tensor(np.zeros((b, c.persona_dim), dtype=session_reps.dtype))
+        z = T.Tensor(np.zeros((b, c.persona_dim), dtype=session_reps.dtype), requires_grad=False)
     cond = T.concat_cols([session_reps, z])
     hidden = T.elu(T.add_bias(T.matmul(cond, params["head_w1"]), params["head_b1"]))
     if draws is not None and c.out_dropout:

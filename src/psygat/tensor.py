@@ -5,10 +5,17 @@ central differences are unreliable at single precision. Broadcasting is
 deliberately restricted to exact-shape and scalar operands; the few
 row/column broadcasts the model needs have dedicated ops (add_bias,
 scale_rows) so silent shape bugs cannot slip through.
+
+Only what a gradient is read from is tracked: a leaf made with
+requires_grad=False is a constant, an op's output needs a gradient iff
+one of its inputs does, and inside no_grad() no op records its inputs.
+Backward never visits a tensor that needs no gradient, and ops skip the
+gradient math of inputs that need none.
 """
 
 from __future__ import annotations
 
+import contextlib
 import copy
 
 import numpy as np
@@ -17,11 +24,29 @@ from .errors import NumericalError, ShapeError, UsageError
 
 LAYER_NORM_EPS = 1e-5
 
+_grad_enabled = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Run ops without recording their inputs or backward closures, so an
+    eval-mode forward frees each intermediate once nothing else holds it."""
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
 
 class Tensor:
-    __slots__ = ("data", "grad", "parents", "_backward", "name")
+    __slots__ = ("data", "grad", "parents", "_backward", "name", "requires_grad")
 
-    def __init__(self, data, parents=(), backward=None, name=None, dtype=None):
+    def __init__(self, data, parents=(), backward=None, name=None, dtype=None,
+                 requires_grad=True):
+        """A leaf (no parents) needs a gradient unless requires_grad=False.
+        A tensor made from parents needs one iff a parent does, and keeps
+        its parents and backward closure only then and outside no_grad."""
         if dtype is not None:
             data = np.asarray(data, dtype=dtype)
         else:
@@ -30,9 +55,20 @@ class Tensor:
                 data = data.astype(np.float32)
         self.data = data
         self.grad = None
+        if parents:
+            requires_grad = False
+            if _grad_enabled:
+                # a plain loop: any() over a generator made an add ~30% slower
+                for p in parents:
+                    if p.requires_grad:
+                        requires_grad = True
+                        break
+            if not requires_grad:
+                parents, backward = (), None
         self.parents = parents
         self._backward = backward
         self.name = name
+        self.requires_grad = requires_grad
 
     @property
     def shape(self):
@@ -122,7 +158,7 @@ class Params:
 def _wrap(x, like):
     if isinstance(x, Tensor):
         return x
-    return Tensor(np.asarray(x, dtype=like.dtype))
+    return Tensor(np.asarray(x, dtype=like.dtype), requires_grad=False)
 
 
 def _check_elementwise(a, b, opname):
@@ -140,100 +176,95 @@ def _reduce_to(g, shape):
 
 def add(a, b):
     _check_elementwise(a, b, "add")
-    out = Tensor(a.data + b.data, (a, b))
 
     def backward(g):
-        a.accumulate(_reduce_to(g, a.data.shape))
-        b.accumulate(_reduce_to(g, b.data.shape))
+        if a.requires_grad:
+            a.accumulate(_reduce_to(g, a.data.shape))
+        if b.requires_grad:
+            b.accumulate(_reduce_to(g, b.data.shape))
 
-    out._backward = backward
-    return out
+    return Tensor(a.data + b.data, (a, b), backward)
 
 
 def sub(a, b):
     _check_elementwise(a, b, "sub")
-    out = Tensor(a.data - b.data, (a, b))
 
     def backward(g):
-        a.accumulate(_reduce_to(g, a.data.shape))
-        b.accumulate(_reduce_to(-g, b.data.shape))
+        if a.requires_grad:
+            a.accumulate(_reduce_to(g, a.data.shape))
+        if b.requires_grad:
+            b.accumulate(_reduce_to(-g, b.data.shape))
 
-    out._backward = backward
-    return out
+    return Tensor(a.data - b.data, (a, b), backward)
 
 
 def mul(a, b):
     _check_elementwise(a, b, "mul")
-    out = Tensor(a.data * b.data, (a, b))
 
     def backward(g):
-        a.accumulate(_reduce_to(g * b.data, a.data.shape))
-        b.accumulate(_reduce_to(g * a.data, b.data.shape))
+        if a.requires_grad:
+            a.accumulate(_reduce_to(g * b.data, a.data.shape))
+        if b.requires_grad:
+            b.accumulate(_reduce_to(g * a.data, b.data.shape))
 
-    out._backward = backward
-    return out
+    return Tensor(a.data * b.data, (a, b), backward)
 
 
 def matmul(a, b):
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    out = Tensor(a.data @ b.data, (a, b))
 
     def backward(g):
-        a.accumulate(g @ b.data.T)
-        b.accumulate(a.data.T @ g)
+        if a.requires_grad:
+            a.accumulate(g @ b.data.T)
+        if b.requires_grad:
+            b.accumulate(a.data.T @ g)
 
-    out._backward = backward
-    return out
+    return Tensor(a.data @ b.data, (a, b), backward)
 
 
 def add_bias(x, b):
     """x: (n, d), b: (d,) row-broadcast add."""
     if x.data.ndim != 2 or b.data.ndim != 1 or x.shape[1] != b.shape[0]:
         raise ShapeError(f"add_bias: shapes {x.shape} and {b.shape}")
-    out = Tensor(x.data + b.data[None, :], (x, b))
 
     def backward(g):
-        x.accumulate(g)
-        b.accumulate(g.sum(axis=0))
+        if x.requires_grad:
+            x.accumulate(g)
+        if b.requires_grad:
+            b.accumulate(g.sum(axis=0))
 
-    out._backward = backward
-    return out
+    return Tensor(x.data + b.data[None, :], (x, b), backward)
 
 
 def scale_rows(x, s):
     """x: (n, d) scaled row-wise by s: (n,)."""
     if x.data.ndim != 2 or s.data.ndim != 1 or x.shape[0] != s.shape[0]:
         raise ShapeError(f"scale_rows: shapes {x.shape} and {s.shape}")
-    out = Tensor(x.data * s.data[:, None], (x, s))
 
     def backward(g):
-        x.accumulate(g * s.data[:, None])
-        s.accumulate((g * x.data).sum(axis=1))
+        if x.requires_grad:
+            x.accumulate(g * s.data[:, None])
+        if s.requires_grad:
+            s.accumulate((g * x.data).sum(axis=1))
 
-    out._backward = backward
-    return out
+    return Tensor(x.data * s.data[:, None], (x, s), backward)
 
 
 def leaky_relu(x, slope=0.2):
-    out = Tensor(np.where(x.data > 0, x.data, slope * x.data), (x,))
-
     def backward(g):
         x.accumulate(g * np.where(x.data > 0, 1.0, slope).astype(x.dtype))
 
-    out._backward = backward
-    return out
+    return Tensor(np.where(x.data > 0, x.data, slope * x.data), (x,), backward)
 
 
 def elu(x, alpha=1.0):
     neg = alpha * (np.exp(np.minimum(x.data, 0.0)) - 1.0)
-    out = Tensor(np.where(x.data > 0, x.data, neg), (x,))
 
     def backward(g):
         x.accumulate(g * np.where(x.data > 0, 1.0, neg + alpha))
 
-    out._backward = backward
-    return out
+    return Tensor(np.where(x.data > 0, x.data, neg), (x,), backward)
 
 
 def stable_sigmoid(a):
@@ -244,67 +275,53 @@ def stable_sigmoid(a):
 
 def sigmoid(x):
     y = stable_sigmoid(x.data)
-    out = Tensor(y, (x,))
 
     def backward(g):
         x.accumulate(g * y * (1.0 - y))
 
-    out._backward = backward
-    return out
+    return Tensor(y, (x,), backward)
 
 
 def tanh(x):
     y = np.tanh(x.data)
-    out = Tensor(y, (x,))
 
     def backward(g):
         x.accumulate(g * (1.0 - y * y))
 
-    out._backward = backward
-    return out
+    return Tensor(y, (x,), backward)
 
 
 def softplus(x):
     # log(1 + e^x), overflow-safe
     y = np.maximum(x.data, 0.0) + np.log1p(np.exp(-np.abs(x.data)))
-    out = Tensor(y, (x,))
 
     def backward(g):
         x.accumulate(g * stable_sigmoid(x.data))
 
-    out._backward = backward
-    return out
+    return Tensor(y, (x,), backward)
 
 
 def log(x):
-    out = Tensor(np.log(x.data), (x,))
-
     def backward(g):
         x.accumulate(g / x.data)
 
-    out._backward = backward
-    return out
+    return Tensor(np.log(x.data), (x,), backward)
 
 
 def exp(x):
     y = np.exp(x.data)
-    out = Tensor(y, (x,))
 
     def backward(g):
         x.accumulate(g * y)
 
-    out._backward = backward
-    return out
+    return Tensor(y, (x,), backward)
 
 
 def pow_const(x, p):
-    out = Tensor(x.data**p, (x,))
-
     def backward(g):
         x.accumulate(g * p * x.data ** (p - 1))
 
-    out._backward = backward
-    return out
+    return Tensor(x.data**p, (x,), backward)
 
 
 def dropout(x, p, rng=None, train=False, uniform=None):
@@ -324,13 +341,11 @@ def dropout(x, p, rng=None, train=False, uniform=None):
         raise ShapeError(f"dropout draws of shape {uniform.shape} for input {x.shape}")
     keep = (uniform >= p).astype(x.dtype)
     scale = np.asarray(1.0 / (1.0 - p), dtype=x.dtype)
-    out = Tensor(x.data * keep * scale, (x,))
 
     def backward(g):
         x.accumulate(g * keep * scale)
 
-    out._backward = backward
-    return out
+    return Tensor(x.data * keep * scale, (x,), backward)
 
 
 def layer_norm(x, gamma, beta, eps=LAYER_NORM_EPS):
@@ -345,19 +360,20 @@ def layer_norm(x, gamma, beta, eps=LAYER_NORM_EPS):
     var = (xc * xc).mean(axis=1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
-    out = Tensor(xhat * gamma.data[None, :] + beta.data[None, :], (x, gamma, beta))
 
     def backward(g):
-        gamma.accumulate((g * xhat).sum(axis=0))
-        beta.accumulate(g.sum(axis=0))
-        gx = g * gamma.data[None, :]
-        # d/dx of (x - mu) * inv with mu, inv both functions of the row
-        x.accumulate(
-            inv * (gx - gx.mean(axis=1, keepdims=True) - xhat * (gx * xhat).mean(axis=1, keepdims=True))
-        )
+        if gamma.requires_grad:
+            gamma.accumulate((g * xhat).sum(axis=0))
+        if beta.requires_grad:
+            beta.accumulate(g.sum(axis=0))
+        if x.requires_grad:
+            gx = g * gamma.data[None, :]
+            # d/dx of (x - mu) * inv with mu, inv both functions of the row
+            x.accumulate(
+                inv * (gx - gx.mean(axis=1, keepdims=True) - xhat * (gx * xhat).mean(axis=1, keepdims=True))
+            )
 
-    out._backward = backward
-    return out
+    return Tensor(xhat * gamma.data[None, :] + beta.data[None, :], (x, gamma, beta), backward)
 
 
 def segment_softmax(logits, segment_ids):
@@ -373,7 +389,7 @@ def segment_softmax(logits, segment_ids):
     if seg.shape != (n,):
         raise ShapeError(f"segment ids length {seg.shape} vs logits {logits.shape}")
     if n == 0:
-        return Tensor(np.zeros(0, dtype=logits.dtype), (logits,), backward=lambda g: None)
+        return Tensor(np.zeros(0, dtype=logits.dtype), (logits,), lambda g: None)
     nseg = int(seg.max()) + 1
     mx = np.full(nseg, -np.inf, dtype=logits.dtype)
     np.maximum.at(mx, seg, logits.data)
@@ -381,15 +397,13 @@ def segment_softmax(logits, segment_ids):
     denom = np.zeros(nseg, dtype=logits.dtype)
     np.add.at(denom, seg, e)
     y = e / denom[seg]
-    out = Tensor(y, (logits,))
 
     def backward(g):
         dot = np.zeros(nseg, dtype=logits.dtype)
         np.add.at(dot, seg, g * y)
         logits.accumulate(y * (g - dot[seg]))
 
-    out._backward = backward
-    return out
+    return Tensor(y, (logits,), backward)
 
 
 def segment_sum(x, segment_ids, num_segments):
@@ -413,26 +427,43 @@ def segment_sum(x, segment_ids, num_segments):
             raise ShapeError(f"segment ids [{seg[0]}, {seg[-1]}] outside {num_segments} segments")
         starts = np.concatenate(([0], np.flatnonzero(step) + 1))
         y[seg[starts]] = np.add.reduceat(x.data, starts, axis=0)
-    out = Tensor(y, (x,))
 
     def backward(g):
         x.accumulate(g[seg])
 
-    out._backward = backward
+    return Tensor(y, (x,), backward)
+
+
+def _scatter_add_rows(out, idx, g):
+    """out[idx[k]] += g[k] for every k, summing each row's entries in k order.
+
+    Entries get their occurrence rank among equal indices from a stable
+    argsort; one fancy-indexed += per rank then touches every row at most
+    once, so there are no collisions, and each row sums in the order
+    np.add.at would, bit for bit.
+    """
+    n = idx.shape[0]
+    if n == 0:
+        return out
+    order = np.argsort(idx, kind="stable")
+    sorted_idx = idx[order]
+    first = np.ones(n, dtype=bool)
+    first[1:] = sorted_idx[1:] != sorted_idx[:-1]
+    positions = np.arange(n)
+    rank = positions - np.maximum.accumulate(np.where(first, positions, 0))
+    for r in range(int(rank.max()) + 1):
+        k = order[rank == r]
+        out[idx[k]] += g[k]
     return out
 
 
 def gather_rows(x, indices):
     idx = np.asarray(indices, dtype=np.int64)
-    out = Tensor(x.data[idx], (x,))
 
     def backward(g):
-        gx = np.zeros_like(x.data)
-        np.add.at(gx, idx, g)
-        x.accumulate(gx)
+        x.accumulate(_scatter_add_rows(np.zeros_like(x.data), idx, g))
 
-    out._backward = backward
-    return out
+    return Tensor(x.data[idx], (x,), backward)
 
 
 def concat_cols(tensors):
@@ -440,15 +471,14 @@ def concat_cols(tensors):
     for t in tensors:
         if t.data.ndim != 2 or t.shape[0] != n:
             raise ShapeError(f"concat_cols: row mismatch {[t.shape for t in tensors]}")
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=1), tuple(tensors))
     offsets = np.cumsum([0] + [t.shape[1] for t in tensors])
 
     def backward(g):
         for t, a, b in zip(tensors, offsets[:-1], offsets[1:]):
-            t.accumulate(g[:, a:b])
+            if t.requires_grad:
+                t.accumulate(g[:, a:b])
 
-    out._backward = backward
-    return out
+    return Tensor(np.concatenate([t.data for t in tensors], axis=1), tuple(tensors), backward)
 
 
 def concat_rows(tensors):
@@ -456,68 +486,53 @@ def concat_rows(tensors):
     for t in tensors:
         if t.data.ndim != 2 or t.shape[1] != d:
             raise ShapeError(f"concat_rows: col mismatch {[t.shape for t in tensors]}")
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=0), tuple(tensors))
     offsets = np.cumsum([0] + [t.shape[0] for t in tensors])
 
     def backward(g):
         for t, a, b in zip(tensors, offsets[:-1], offsets[1:]):
-            t.accumulate(g[a:b])
+            if t.requires_grad:
+                t.accumulate(g[a:b])
 
-    out._backward = backward
-    return out
+    return Tensor(np.concatenate([t.data for t in tensors], axis=0), tuple(tensors), backward)
 
 
 def slice_cols(x, start, stop):
-    out = Tensor(x.data[:, start:stop], (x,))
-
     def backward(g):
         gx = np.zeros_like(x.data)
         gx[:, start:stop] = g
         x.accumulate(gx)
 
-    out._backward = backward
-    return out
+    return Tensor(x.data[:, start:stop], (x,), backward)
 
 
 def reshape(x, shape):
-    out = Tensor(x.data.reshape(shape), (x,))
-
     def backward(g):
         x.accumulate(g.reshape(x.data.shape))
 
-    out._backward = backward
-    return out
+    return Tensor(x.data.reshape(shape), (x,), backward)
 
 
 def transpose(x):
-    out = Tensor(x.data.T, (x,))
-
     def backward(g):
         x.accumulate(g.T)
 
-    out._backward = backward
-    return out
+    return Tensor(x.data.T, (x,), backward)
 
 
 def tsum(x):
-    out = Tensor(np.asarray(x.data.sum(), dtype=x.dtype), (x,))
-
     def backward(g):
         x.accumulate(np.full_like(x.data, g))
 
-    out._backward = backward
-    return out
+    return Tensor(np.asarray(x.data.sum(), dtype=x.dtype), (x,), backward)
 
 
 def tmean(x):
     n = x.data.size
-    out = Tensor(np.asarray(x.data.mean(), dtype=x.dtype), (x,))
 
     def backward(g):
         x.accumulate(np.full_like(x.data, g / n))
 
-    out._backward = backward
-    return out
+    return Tensor(np.asarray(x.data.mean(), dtype=x.dtype), (x,), backward)
 
 
 def l2_normalize_rows(x, eps=1e-12):
@@ -526,20 +541,24 @@ def l2_normalize_rows(x, eps=1e-12):
         raise ShapeError(f"l2_normalize_rows expects a matrix, got {x.shape}")
     norm = np.sqrt((x.data * x.data).sum(axis=1, keepdims=True) + eps)
     y = x.data / norm
-    out = Tensor(y, (x,))
 
     def backward(g):
         dot = (g * y).sum(axis=1, keepdims=True)
         x.accumulate((g - y * dot) / norm)
 
-    out._backward = backward
-    return out
+    return Tensor(y, (x,), backward)
 
 
 def backward(loss):
-    """Reverse accumulation from a scalar loss; grads add until zeroed."""
+    """Reverse accumulation from a scalar loss; grads add until zeroed.
+
+    Only tensors that need a gradient are visited.
+    """
     if loss.data.ndim != 0 and loss.data.size != 1:
         raise UsageError(f"backward requires a scalar loss, got shape {loss.shape}")
+    if not loss.requires_grad:
+        raise UsageError("backward from a tensor that needs no gradient "
+                         "(a constant, or computed under no_grad)")
     topo = []
     visited = set()
     stack = [(loss, False)]
@@ -553,7 +572,7 @@ def backward(loss):
         visited.add(id(node))
         stack.append((node, True))
         for p in node.parents:
-            if id(p) not in visited:
+            if p.requires_grad and id(p) not in visited:
                 stack.append((p, False))
     loss.accumulate(np.ones_like(loss.data))
     for node in reversed(topo):
@@ -573,23 +592,24 @@ def grad_check(f, params, eps=1e-4, max_coords=None, rng=None):
     backward(loss)
     analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
     worst = 0.0
-    for p, an in zip(params, analytic):
-        flat = p.data.reshape(-1)
-        coords = range(flat.size)
-        if max_coords is not None and flat.size > max_coords:
-            r = rng if rng is not None else np.random.default_rng(0)
-            coords = r.choice(flat.size, size=max_coords, replace=False)
-        for i in coords:
-            orig = flat[i]
-            flat[i] = orig + eps
-            hi = f().item()
-            flat[i] = orig - eps
-            lo = f().item()
-            flat[i] = orig
-            if not (np.isfinite(hi) and np.isfinite(lo)):
-                raise NumericalError(f"non-finite loss at coordinate {i} of {p.name or p.shape}")
-            fd = (hi - lo) / (2 * eps)
-            a = an.reshape(-1)[i]
-            err = abs(a - fd) / max(abs(a), abs(fd), 1e-8)
-            worst = max(worst, err)
+    with no_grad():
+        for p, an in zip(params, analytic):
+            flat = p.data.reshape(-1)
+            coords = range(flat.size)
+            if max_coords is not None and flat.size > max_coords:
+                r = rng if rng is not None else np.random.default_rng(0)
+                coords = r.choice(flat.size, size=max_coords, replace=False)
+            for i in coords:
+                orig = flat[i]
+                flat[i] = orig + eps
+                hi = f().item()
+                flat[i] = orig - eps
+                lo = f().item()
+                flat[i] = orig
+                if not (np.isfinite(hi) and np.isfinite(lo)):
+                    raise NumericalError(f"non-finite loss at coordinate {i} of {p.name or p.shape}")
+                fd = (hi - lo) / (2 * eps)
+                a = an.reshape(-1)[i]
+                err = abs(a - fd) / max(abs(a), abs(fd), 1e-8)
+                worst = max(worst, err)
     return worst

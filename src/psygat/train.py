@@ -19,8 +19,10 @@ log = logging.getLogger(__name__)
 
 # Graphs per eval-mode forward in predict_probs. Scoring 40 default-corpus
 # graphs took the same time at 8 to 40 graphs per forward (3.4x faster than
-# one per forward); larger chunks only hold more intermediates at once, and
-# 64 per forward added 9 MB to the peak RSS of a default fit.
+# one per forward). Under no_grad a forward holds only the intermediates in
+# use, which still grow with the chunk: scoring the 80 default val+test
+# graphs peaked at 3.0 MB traced at 16 per forward and 7.5 MB at 64, in the
+# same time.
 PREDICT_CHUNK = 16
 
 
@@ -89,10 +91,10 @@ def focal_terms(z, gamma):
     -log p_t is computed as softplus(-z) for stability. gamma=0 leaves the
     plain logistic loss.
     """
-    nll = T.softplus(T.mul(z, T.Tensor(np.asarray(-1.0, dtype=z.dtype))))
+    nll = T.softplus(T.mul(z, T.Tensor(np.asarray(-1.0, dtype=z.dtype), requires_grad=False)))
     if gamma == 0.0:
         return nll
-    one = T.Tensor(np.asarray(1.0, dtype=z.dtype))
+    one = T.Tensor(np.asarray(1.0, dtype=z.dtype), requires_grad=False)
     return T.mul(T.pow_const(T.sub(one, T.sigmoid(z)), gamma), nll)
 
 
@@ -103,9 +105,9 @@ def focal_loss(logit, y, gamma=2.0, alpha=1.0):
     gamma=0, alpha=1 recovers plain BCE exactly.
     """
     sign = np.where(np.asarray(y) == 1, 1.0, -1.0).astype(logit.dtype)
-    out = focal_terms(T.mul(logit, T.Tensor(sign)), gamma)
+    out = focal_terms(T.mul(logit, T.Tensor(sign, requires_grad=False)), gamma)
     if alpha != 1.0:
-        out = T.mul(out, T.Tensor(np.asarray(alpha, dtype=logit.dtype)))
+        out = T.mul(out, T.Tensor(np.asarray(alpha, dtype=logit.dtype), requires_grad=False))
     return out
 
 
@@ -123,35 +125,48 @@ def info_nce(session_reps, labels, temperature=0.2):
     B = session_reps.shape[0]
     if B < 2:
         log.warning("info_nce: batch of %d has no pairs, contributing 0", B)
-        return T.Tensor(np.asarray(0.0, dtype=session_reps.dtype))
+        return T.Tensor(np.asarray(0.0, dtype=session_reps.dtype), requires_grad=False)
     same = labels[:, None] == labels[None, :]
     np.fill_diagonal(same, False)
     pos_counts = same.sum(axis=1)
     anchors = pos_counts > 0
     if not anchors.any():
-        return T.Tensor(np.asarray(0.0, dtype=session_reps.dtype))
+        return T.Tensor(np.asarray(0.0, dtype=session_reps.dtype), requires_grad=False)
     dtype = session_reps.dtype
     normed = T.l2_normalize_rows(session_reps)
     sims = T.mul(
         T.matmul(normed, T.transpose(normed)),
-        T.Tensor(np.asarray(1.0 / temperature, dtype=dtype)),
+        T.Tensor(np.asarray(1.0 / temperature, dtype=dtype), requires_grad=False),
     )
     mask = np.zeros((B, B), dtype=dtype)
     np.fill_diagonal(mask, -1e9)
-    masked = T.add(sims, T.Tensor(mask))
+    masked = T.add(sims, T.Tensor(mask, requires_grad=False))
     e = T.exp(masked)
-    log_den = T.log(T.matmul(e, T.Tensor(np.ones((B, 1), dtype=dtype))))
+    log_den = T.log(T.matmul(e, T.Tensor(np.ones((B, 1), dtype=dtype), requires_grad=False)))
     weights = np.zeros((B, B), dtype=dtype)
     n_anchors = int(anchors.sum())
     for i in np.flatnonzero(anchors):
         weights[i, same[i]] = 1.0 / (n_anchors * pos_counts[i])
     row_w = weights.sum(axis=1, keepdims=True).astype(dtype)
-    term_den = T.tsum(T.mul(log_den, T.Tensor(row_w)))
-    term_pos = T.tsum(T.mul(masked, T.Tensor(weights)))
+    term_den = T.tsum(T.mul(log_den, T.Tensor(row_w, requires_grad=False)))
+    term_pos = T.tsum(T.mul(masked, T.Tensor(weights, requires_grad=False)))
     return T.sub(term_den, term_pos)
 
 
 class AdamW:
+    """Decoupled weight decay Adam (Loshchilov & Hutter 2019).
+
+    Each step updates m, v and the parameter in place through two scratch
+    buffers per parameter, allocating nothing. Every operation is the one
+    the textbook formula
+
+        m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * (g * g)
+        p -= (lr * (m / c1)) / (sqrt(v / c2) + eps)
+
+    evaluates, in the same order, so results are bit-identical to it;
+    folding lr / c1 into one scalar would not be.
+    """
+
     def __init__(self, lr, weight_decay=0.0, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr = lr
         self.weight_decay = weight_decay
@@ -161,25 +176,36 @@ class AdamW:
         self.state = {}
 
     def step(self, named_params):
+        b1, b2 = self.beta1, self.beta2
         for name, p in named_params:
-            if p.grad is None:
-                g = np.zeros_like(p.data)
-            else:
-                g = p.grad
+            g = np.zeros_like(p.data) if p.grad is None else p.grad
             if not np.all(np.isfinite(g)):
                 raise NumericalError(f"non-finite gradient for parameter {name}")
-            st = self.state.setdefault(
-                name, {"m": np.zeros_like(p.data), "v": np.zeros_like(p.data), "t": 0}
-            )
+            st = self.state.get(name)
+            if st is None:
+                st = self.state[name] = {
+                    "t": 0, "m": np.zeros_like(p.data), "v": np.zeros_like(p.data),
+                    "s1": np.empty_like(p.data), "s2": np.empty_like(p.data),
+                }
+            m, v, s1, s2 = st["m"], st["v"], st["s1"], st["s2"]
             # decoupled decay, applied before the Adam update
             if self.weight_decay:
                 p.data *= 1.0 - self.lr * self.weight_decay
             st["t"] += 1
-            st["m"] = self.beta1 * st["m"] + (1 - self.beta1) * g
-            st["v"] = self.beta2 * st["v"] + (1 - self.beta2) * (g * g)
-            mhat = st["m"] / (1 - self.beta1 ** st["t"])
-            vhat = st["v"] / (1 - self.beta2 ** st["t"])
-            p.data -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            np.multiply(m, b1, out=m)
+            np.multiply(g, 1 - b1, out=s1)
+            np.add(m, s1, out=m)
+            np.multiply(g, g, out=s1)
+            np.multiply(s1, 1 - b2, out=s1)
+            np.multiply(v, b2, out=v)
+            np.add(v, s1, out=v)
+            np.divide(m, 1 - b1 ** st["t"], out=s1)
+            np.multiply(s1, self.lr, out=s1)
+            np.divide(v, 1 - b2 ** st["t"], out=s2)
+            np.sqrt(s2, out=s2)
+            np.add(s2, self.eps, out=s2)
+            np.divide(s1, s2, out=s1)
+            p.data -= s1
 
 
 def clip_gradients(named_params, max_norm):
@@ -257,7 +283,8 @@ def _chunks(graphs):
 
 
 def _batch_probs(params, batches, persona_mode):
-    probs = [M.forward(b, None, params, persona_mode=persona_mode).probs for b in batches]
+    with T.no_grad():
+        probs = [M.forward(b, None, params, persona_mode=persona_mode).probs for b in batches]
     return np.concatenate(probs) if probs else np.zeros(0)
 
 
@@ -277,7 +304,8 @@ def _train_step(params, opt, batch, config, rng):
         aux = info_nce(out.session_reps, batch.labels, config.contrastive_temperature)
         loss = T.add(
             loss,
-            T.mul(aux, T.Tensor(np.asarray(config.contrastive_weight, dtype=loss.dtype))),
+            T.mul(aux, T.Tensor(np.asarray(config.contrastive_weight, dtype=loss.dtype),
+                                requires_grad=False)),
         )
     T.backward(loss)
     clip_gradients(params.named(), config.clip_norm)

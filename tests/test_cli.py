@@ -3,6 +3,8 @@ exit codes. Training here uses a deliberately tiny corpus and epoch
 budget; learning quality is covered elsewhere."""
 
 import json
+import os
+import shutil
 
 import numpy as np
 import pytest
@@ -80,6 +82,12 @@ class TestGenerate:
         run = json.loads((d / "run_manifest.json").read_text())
         assert run["command"] == "generate"
         assert run["seeds"] == [5]
+        env = run["environment"]
+        assert env["numpy"] == np.__version__ and env["cpu_count"] == os.cpu_count()
+        assert env["python"].count(".") == 2
+        assert env["blas_threads"] == {name: os.environ.get(name) for name in
+                                       ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                        "MKL_NUM_THREADS")}
 
     def test_reruns_are_byte_identical(self, workspace, tmp_path):
         out = tmp_path / "again"
@@ -160,6 +168,9 @@ class TestEvaluate:
         report = json.loads((out / "eval-test.json").read_text())
         assert report["split"] == "test"
         assert set(report["metrics"]["counts"]) == {"tp", "fp", "fn", "tn"}
+        # a single checkpoint is scored at its own threshold
+        trained = json.loads((workspace["train_dir"] / "report.json").read_text())
+        assert report["metrics"]["threshold"] == trained["members"][0]["threshold"]
 
     def test_threshold_override(self, workspace, tmp_path):
         out = tmp_path / "eval2"
@@ -188,6 +199,47 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
         assert "absent.jsonl" in err and "Traceback" not in err
+
+    @pytest.fixture(scope="class")
+    def pair_dir(self, workspace):
+        """A two-member ensemble trained on the workspace corpus."""
+        cfg = workspace["root"] / "pair.cfg"
+        cfg.write_text("max_epochs = 1\nseeds = 0,1\nbatch_size = 8\n")
+        out = workspace["root"] / "pair"
+        assert cli.main(["train", "--corpus", str(workspace["corpus"]), "--config", str(cfg),
+                         "--out", str(out)]) == 0
+        return out
+
+    def _evaluate_pair(self, folder, corpus, out, *extra):
+        return cli.main(["evaluate", "--checkpoint", str(folder / "ckpt-seed0.json"),
+                         str(folder / "ckpt-seed1.json"), "--corpus", str(corpus),
+                         "--split", "val", "--out", str(out), *extra])
+
+    def test_ensemble_uses_the_threshold_train_selected(self, workspace, pair_dir, tmp_path):
+        assert self._evaluate_pair(pair_dir, workspace["corpus"], tmp_path) == 0
+        report = json.loads((pair_dir / "report.json").read_text())
+        evaluated = json.loads((tmp_path / "eval-val.json").read_text())
+        assert evaluated["metrics"]["threshold"] == report["ensemble_threshold"]
+        assert evaluated["metrics"] == report["metrics"]
+
+    @pytest.mark.parametrize("report", ["missing", "other seeds"])
+    def test_ensemble_without_its_report_exits_two(self, workspace, pair_dir, tmp_path,
+                                                   capsys, report):
+        folder = tmp_path / "members"
+        folder.mkdir()
+        for name in ("ckpt-seed0.json", "ckpt-seed0.bin", "ckpt-seed1.json", "ckpt-seed1.bin"):
+            shutil.copy(pair_dir / name, folder / name)
+        if report == "other seeds":
+            shutil.copy(workspace["train_dir"] / "report.json", folder / "report.json")
+        capsys.readouterr()
+        assert self._evaluate_pair(folder, workspace["corpus"], tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "--threshold" in err and "Traceback" not in err
+        assert self._evaluate_pair(folder, workspace["corpus"], tmp_path / "o",
+                                   "--threshold", "0.3") == 0
+        evaluated = json.loads((tmp_path / "o" / "eval-val.json").read_text())
+        assert evaluated["metrics"]["threshold"] == 0.3
 
     def test_ensemble_scores_match_per_graph_ensemble_predict(self, workspace):
         from psygat import checkpoints, train

@@ -97,3 +97,14 @@ def test_embed_sessions_covers_all_utterances():
     table = embed.embed_sessions(sessions, dim=32)
     table.check_coverage(sessions)
     assert len(table.vectors) == 5
+
+
+def test_embed_sessions_vectors_equal_hash_embed_per_utterance():
+    # shared words and bigrams across utterances and sessions reuse hashes
+    sessions = [make_session("a", 4), make_session("b", 3)]
+    sessions[1].utterances[0].answer = "hello world hello world again"
+    table = embed.embed_sessions(sessions, dim=64, seed=2)
+    for s in sessions:
+        for u in s.utterances:
+            np.testing.assert_array_equal(table.get(s.id, u.index),
+                                          embed.hash_embed(s.text(u.index, True), 64, seed=2))

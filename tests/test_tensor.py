@@ -90,6 +90,20 @@ class TestHandGradients:
         T.backward(T.tsum(out))
         np.testing.assert_allclose(x.grad, [[2.0], [1.0]])
 
+    @pytest.mark.parametrize("counts", [
+        [1] * 6, [2] * 6, [3] * 6, [4] * 6, [5] * 6, [1, 2, 3, 4, 5, 0], [],
+    ])
+    def test_gather_rows_backward_is_bit_equal_to_add_at(self, counts):
+        # float32 sums depend on their order, so equality pins np.add.at's
+        rng = np.random.default_rng(len(counts) + sum(counts))
+        idx = rng.permutation(np.repeat(np.arange(len(counts)), counts).astype(np.int64))
+        x = T.Tensor(rng.standard_normal((len(counts) + 2, 5)).astype(np.float32))
+        w = (rng.standard_normal((idx.size, 5)) * 10.0 ** rng.integers(-3, 4, (idx.size, 1)))
+        T.backward(T.tsum(T.mul(T.gather_rows(x, idx), T.Tensor(w.astype(np.float32)))))
+        ref = np.zeros_like(x.data)
+        np.add.at(ref, idx, w.astype(np.float32))
+        np.testing.assert_array_equal(x.grad, ref)
+
     def test_sigmoid_at_zero(self):
         out = T.sigmoid(t64(np.zeros((1, 1))))
         assert out.data[0, 0] == pytest.approx(0.5)
@@ -132,6 +146,40 @@ class TestHandGradients:
         assert x.grad[0, 0] == pytest.approx(4.0)
         x.zero_grad()
         assert x.grad is None
+
+
+class TestConstantsAndNoGrad:
+    def test_constant_gets_no_grad(self):
+        # the constant is layer_norm's x and a mul operand; both skip its gradient
+        rng = np.random.default_rng(0)
+        c = T.Tensor(rng.standard_normal((3, 4)), requires_grad=False)
+        w, gamma, beta = t64(rng.standard_normal((4, 4))), t64(np.ones(4)), t64(np.zeros(4))
+        T.backward(T.tsum(T.mul(T.matmul(T.layer_norm(c, gamma, beta), w), c)))
+        assert c.grad is None
+        assert all(p.grad is not None for p in (w, gamma, beta))
+
+    def test_op_on_constants_is_a_constant(self):
+        c = T.Tensor(np.ones((2, 2)), requires_grad=False)
+        out = T.matmul(T.add(c, c), c)
+        assert not out.requires_grad
+        assert out.parents == () and out._backward is None
+        with pytest.raises(T.UsageError):
+            T.backward(T.tsum(out))
+
+    def test_no_grad_records_no_parents(self):
+        x = t64([[0.5, -1.0], [2.0, 0.25]])
+        with T.no_grad():
+            y = T.tsum(T.tanh(T.matmul(x, x)))
+        assert y.parents == () and y._backward is None and not y.requires_grad
+        with pytest.raises(T.UsageError):
+            T.backward(y)
+        assert x.grad is None
+        # grad mode is back on after the block, also when it raised
+        with pytest.raises(RuntimeError):
+            with T.no_grad():
+                raise RuntimeError
+        T.backward(T.tsum(T.mul(x, x)))
+        np.testing.assert_allclose(x.grad, 2 * x.data)
 
 
 class TestShapePolicy:

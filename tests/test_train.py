@@ -121,6 +121,38 @@ class TestAdamW:
         with pytest.raises(TR.NumericalError, match="p"):
             TR.AdamW(lr=0.1).step([("p", p)])
 
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
+    def test_bit_equal_to_reference_formula(self, weight_decay):
+        def reference(p, grads, lr, wd, b1=0.9, b2=0.999, eps=1e-8):
+            m, v = np.zeros_like(p), np.zeros_like(p)
+            for t, g in enumerate(grads, 1):
+                g = np.zeros_like(p) if g is None else g
+                if wd:
+                    p *= 1.0 - lr * wd
+                m = b1 * m + (1 - b1) * g
+                v = b2 * v + (1 - b2) * (g * g)
+                mhat = m / (1 - b1**t)
+                vhat = v / (1 - b2**t)
+                p -= lr * mhat / (np.sqrt(vhat) + eps)
+            return p
+
+        rng = np.random.default_rng(5)
+        # a zero start keeps the updates' last bits in the parameter
+        start = {"a": np.zeros((40, 30)), "b": rng.standard_normal(6)}
+        grads = {name: [(rng.standard_normal(x.shape) * 10.0 ** k).astype(np.float32)
+                        for k in range(-3, 2)]
+                 for name, x in start.items()}
+        grads["b"][2] = None  # a parameter the step's loss did not reach
+        params = {name: T.Tensor(x.astype(np.float32)) for name, x in start.items()}
+        opt = TR.AdamW(lr=3e-3, weight_decay=weight_decay)
+        for step in range(5):
+            for name, p in params.items():
+                p.grad = grads[name][step]
+            opt.step(params.items())
+        for name, x in start.items():
+            expected = reference(x.astype(np.float32), grads[name], 3e-3, weight_decay)
+            np.testing.assert_array_equal(params[name].data, expected)
+
     def test_converges_on_quadratic(self):
         p = T.Tensor(np.asarray([5.0], dtype=np.float64))
         opt = TR.AdamW(lr=0.1)
@@ -297,6 +329,42 @@ class TestFit:
         monkeypatch.setattr(TR, "PREDICT_CHUNK", 4)
         np.testing.assert_allclose(TR.predict_probs(params, graphs), single, atol=1e-6)
         assert TR.predict_probs(params, []).shape == (0,)
+
+    def test_constants_leave_parameter_gradients_bit_equal(self, monkeypatch):
+        # one train step's clipped gradients, with the inputs, zero states and
+        # loss constants marked as needing no gradient, and with every leaf
+        # requiring one
+        from psygat import model as M
+        from psygat.graph import GraphBatch
+        from psygat.verify import _tiny_graph
+
+        rng = np.random.default_rng(3)
+        graphs = [_tiny_graph(rng, int(n)) for n in (4, 1, 6, 3)]
+        for k, g in enumerate(graphs):
+            g.label, g.persona = k % 2, k % 4
+        batch = GraphBatch.from_graphs(graphs)
+        cfg = M.ModelConfig(text_dim=12, hidden=16, heads=2, persona_dim=4, head_hidden=8)
+        config = TR.TrainConfig(seeds=(0,))
+
+        class Recorder:
+            def step(self, named_params):
+                self.grads = {name: p.grad.copy() for name, p in named_params}
+
+        def step_grads():
+            opt = Recorder()
+            TR._train_step(M.ModelParams(cfg, seed=1), opt, batch, config,
+                           np.random.default_rng(7))
+            return opt.grads
+
+        marked = step_grads()
+        init = T.Tensor.__init__
+        monkeypatch.setattr(T.Tensor, "__init__",
+                            lambda self, *args, requires_grad=True, **kwargs:
+                            init(self, *args, **kwargs))
+        unmarked = step_grads()
+        assert marked.keys() == unmarked.keys()
+        for name in marked:
+            np.testing.assert_array_equal(marked[name], unmarked[name], err_msg=name)
 
     def test_step_graphs_leave_no_cyclic_garbage(self):
         # op closures capture only their parents, so refcounting alone frees
