@@ -2,6 +2,15 @@
 units, with causal edge-ranking explanations of detected symptoms.
 """
 
+import os
+
+# One BLAS thread unless the caller chose a count. The model multiplies
+# small matrices, where more threads only wait on each other, and worse on
+# a loaded host; set before numpy loads, since BLAS reads these only then.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+for _var in BLAS_THREAD_VARS:
+    os.environ.setdefault(_var, "1")
+
 __version__ = "0.1.0"
 
 from .datagen import GenConfig, PersonaProfile, generate_corpus, generate_session

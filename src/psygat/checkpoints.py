@@ -76,6 +76,22 @@ def _read_pair(prefix, kind):
     return header, arrays
 
 
+def _header_field(prefix, header, key):
+    if key not in header:
+        raise CheckpointError(f"{prefix}: header has no {key}")
+    return header[key]
+
+
+def _header_config(prefix, header, key, cls):
+    """The config dataclass stored under key, rejected as a CheckpointError
+    when absent or when cls does not accept it."""
+    obj = _header_field(prefix, header, key)
+    try:
+        return cls.from_json(obj)
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"{prefix}: invalid {key}: {exc}") from exc
+
+
 def save_checkpoint(prefix, checkpoint):
     header = {
         "kind": "session_model",
@@ -91,16 +107,13 @@ def save_checkpoint(prefix, checkpoint):
 
 def load_checkpoint(prefix):
     header, arrays = _read_pair(prefix, "session_model")
-    params = ModelParams(ModelConfig.from_json(header["model_config"]), seed=0)
+    model_config = _header_config(prefix, header, "model_config", ModelConfig)
+    train_config = _header_config(prefix, header, "train_config", TrainConfig)
+    fields = {key: _header_field(prefix, header, key)
+              for key in ("best_val_pr_auc", "threshold", "seed", "epoch")}
+    params = ModelParams(model_config, seed=0)
     _load_arrays(params, arrays, prefix)
-    return Checkpoint(
-        params=params,
-        train_config=TrainConfig.from_json(header["train_config"]),
-        best_val_pr_auc=header["best_val_pr_auc"],
-        threshold=header["threshold"],
-        seed=header["seed"],
-        epoch=header["epoch"],
-    )
+    return Checkpoint(params=params, train_config=train_config, **fields)
 
 
 def save_scorer(prefix, scorer, extra=None):
@@ -116,8 +129,8 @@ def save_scorer(prefix, scorer, extra=None):
 
 def load_scorer(prefix):
     header, arrays = _read_pair(prefix, "causal_scorer")
-    scorer = ScorerParams(CausalConfig.from_json(header["causal_config"]),
-                          model_hidden=header["model_hidden"], seed=0)
+    scorer = ScorerParams(_header_config(prefix, header, "causal_config", CausalConfig),
+                          model_hidden=_header_field(prefix, header, "model_hidden"), seed=0)
     _load_arrays(scorer, arrays, prefix)
     return scorer
 

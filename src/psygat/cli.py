@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import BLAS_THREAD_VARS
 from . import causal as C
 from . import checkpoints as ckpt
 from . import datagen as D
@@ -30,8 +31,6 @@ from .sessions import check_no_augmented_leakage, read_sessions, split_sessions,
 
 EXIT_DATA = 1
 EXIT_CONFIG = 2
-
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def parse_config_text(text):
@@ -98,8 +97,7 @@ def write_manifest(out_dir, command, config, seeds, outputs, started):
         "git": _git_describe(),
         "wall_clock_s": round(time.time() - started, 3),
         "outputs": sorted(str(p) for p in outputs),
-        # what run-to-run timings depend on; unset thread variables mean
-        # one BLAS thread per CPU
+        # what run-to-run timings depend on
         "environment": {
             "python": platform.python_version(),
             "numpy": np.__version__,

@@ -39,17 +39,15 @@ class GraphBatch:
     """Several SessionGraphs as one disjoint graph, in the order given.
 
     Node rows are concatenated graph by graph, so every index array below
-    is global and non-decreasing in its destination. Chain edge k runs from
-    node edge_dst[k] - 1 to edge_dst[k]; the attention edges add a self
-    edge per node, ordered self before predecessor for each destination.
+    is global and non-decreasing. Chain edge k runs from node edge_dst[k] - 1
+    to edge_dst[k]; the attention edges add a self edge per node, ordered
+    self before predecessor for each destination.
     """
 
     node_text: np.ndarray  # (N, d_s)
     node_peu: np.ndarray  # (N, 8)
     edge_attr: np.ndarray  # (E, 8), E = N - B
-    edge_dst: np.ndarray  # (E,) destination node of each chain edge
-    attn_src: np.ndarray  # (N + E,) attention edge sources
-    attn_dst: np.ndarray  # (N + E,) attention edge destinations, non-decreasing
+    edge_dst: np.ndarray  # (E,) destination node of each chain edge, increasing
     node_graph: np.ndarray  # (N,) graph index of each node, non-decreasing
     sizes: np.ndarray  # (B,) nodes per graph
     personas: np.ndarray  # (B,)
@@ -63,18 +61,12 @@ class GraphBatch:
         n = int(sizes.sum())
         head = np.zeros(n, dtype=bool)
         head[np.cumsum(sizes) - sizes] = True
-        edge_dst = np.flatnonzero(~head)
-        attn_dst = np.repeat(np.arange(n), np.where(head, 1, 2))
-        attn_src = attn_dst.copy()
-        attn_src[np.flatnonzero(attn_dst[1:] == attn_dst[:-1]) + 1] = edge_dst - 1
         labels = [g.label for g in graphs]
         return cls(
             node_text=np.concatenate([g.node_text for g in graphs]),
             node_peu=np.concatenate([g.node_peu for g in graphs]),
             edge_attr=np.concatenate([g.edge_attr for g in graphs]),
-            edge_dst=edge_dst,
-            attn_src=attn_src,
-            attn_dst=attn_dst,
+            edge_dst=np.flatnonzero(~head),
             node_graph=np.repeat(np.arange(len(graphs)), sizes),
             sizes=sizes,
             personas=np.array([g.persona for g in graphs], dtype=np.int64),
@@ -84,6 +76,21 @@ class GraphBatch:
     @property
     def num_graphs(self):
         return self.sizes.shape[0]
+
+    @property
+    def attn_dst(self):
+        """(N + E,) attention edge destinations, non-decreasing."""
+        counts = np.ones(self.node_graph.shape[0], dtype=np.int64)
+        counts[self.edge_dst] = 2
+        return np.repeat(np.arange(counts.shape[0]), counts)
+
+    @property
+    def attn_src(self):
+        """(N + E,) attention edge sources, matching attn_dst."""
+        dst = self.attn_dst
+        src = dst.copy()
+        src[np.flatnonzero(dst[1:] == dst[:-1]) + 1] = self.edge_dst - 1
+        return src
 
 
 def peu_edge_attr(p_t, p_next, norm="range"):

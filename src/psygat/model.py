@@ -134,9 +134,11 @@ def gat_layer(h, batch, params, layer, draws=None):
     """One edge-injected GATv2 layer with residual connection.
 
     Edge attributes are projected and summed into their destination nodes
-    before attention. Every node gets an implicit self edge so attention
-    is well-defined at each chain head. draws, in training, yields the
-    dropout draws of each site in turn (see _dropout_draws).
+    before attention. Every node attends to itself and to its predecessor
+    in the chain, so attention is well-defined at each chain head; one
+    chain_attention op scores both edges of all heads in closed form.
+    draws, in training, yields the dropout draws of each site in turn (see
+    _dropout_draws).
     """
     c = params.config
     n = h.shape[0]
@@ -151,28 +153,34 @@ def gat_layer(h, batch, params, layer, draws=None):
     else:
         hp = h
 
-    srcs, dsts = batch.attn_src, batch.attn_dst
-    src_proj = T.matmul(hp, params[f"gat{layer}_w_src"])
-    dst_proj = T.matmul(hp, params[f"gat{layer}_w_dst"])
-    e_src = T.gather_rows(src_proj, srcs)
-    e_dst = T.gather_rows(dst_proj, dsts)
-    pre = T.leaky_relu(T.add(e_src, e_dst), c.leaky_slope)
-
-    heads_out = []
-    for head in range(c.heads):
-        lo, hi = head * c.head_dim, (head + 1) * c.head_dim
-        s = T.slice_cols(pre, lo, hi)
-        logits = T.reshape(T.matmul(s, params[f"gat{layer}_attn{head}"]), (len(srcs),))
-        alpha = T.segment_softmax(logits, dsts)
-        if draws is not None and c.attn_dropout:
-            alpha = T.dropout(alpha, c.dropout, train=True, uniform=next(draws))
-        msg = T.scale_rows(T.slice_cols(e_src, lo, hi), alpha)
-        heads_out.append(T.segment_sum(msg, dsts, n))
-    agg = T.concat_cols(heads_out) if len(heads_out) > 1 else heads_out[0]
+    keep = None
+    if draws is not None and c.attn_dropout:
+        keep = _attention_keep(batch, [next(draws) for _ in range(c.heads)], c.dropout, dtype)
+    agg = T.chain_attention(
+        T.matmul(hp, params[f"gat{layer}_w_src"]),
+        T.matmul(hp, params[f"gat{layer}_w_dst"]),
+        [params[f"gat{layer}_attn{head}"] for head in range(c.heads)],
+        batch.edge_dst, c.leaky_slope, keep,
+    )
     agg = T.elu(T.add_bias(agg, params[f"gat{layer}_b"]))
     if draws is not None and c.out_dropout:
         agg = T.dropout(agg, c.dropout, train=True, uniform=next(draws))
     return T.add(agg, h)
+
+
+def _attention_keep(batch, uniforms, p, dtype):
+    """Self and predecessor dropout multipliers, (N, heads) each, from each
+    head's N + E draws over the attention edges (GraphBatch.attn_src,
+    attn_dst), so a seed drops the same attention weights as T.dropout
+    over that edge list."""
+    if not (0.0 <= p < 1.0):
+        raise UsageError(f"dropout probability {p} outside [0, 1)")
+    src, dst = batch.attn_src, batch.attn_dst
+    is_self = src == dst
+    keep = (np.stack(uniforms, axis=1) >= p).astype(dtype) * np.asarray(1.0 / (1.0 - p), dtype=dtype)
+    keep_pred = np.zeros((len(batch.node_graph), len(uniforms)), dtype=dtype)
+    keep_pred[dst[~is_self]] = keep[~is_self]
+    return keep[is_self], keep_pred
 
 
 def encode(batch, params, draws=None):

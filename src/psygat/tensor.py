@@ -251,11 +251,19 @@ def scale_rows(x, s):
     return Tensor(x.data * s.data[:, None], (x, s), backward)
 
 
+def _leaky(z, slope):
+    """LeakyReLU of an array. For 0 <= slope <= 1 it is the larger of z and
+    slope * z, the same values at a fraction of np.where's cost."""
+    if 0.0 <= slope <= 1.0:
+        return np.maximum(z, slope * z)
+    return np.where(z > 0, z, slope * z)
+
+
 def leaky_relu(x, slope=0.2):
     def backward(g):
         x.accumulate(g * np.where(x.data > 0, 1.0, slope).astype(x.dtype))
 
-    return Tensor(np.where(x.data > 0, x.data, slope * x.data), (x,), backward)
+    return Tensor(_leaky(x.data, slope), (x,), backward)
 
 
 def elu(x, alpha=1.0):
@@ -410,8 +418,9 @@ def segment_sum(x, segment_ids, num_segments):
     """Sum rows of (n, d) into (num_segments, d) buckets.
 
     segment_ids must be non-decreasing, which lets one np.add.reduceat over
-    the runs of equal ids do the sum; ids that do not occur leave their
-    bucket zero.
+    the runs of equal ids do the sum; strictly increasing ids have one row
+    per bucket and are copied in. Ids that do not occur leave their bucket
+    zero.
     """
     if x.data.ndim != 2:
         raise ShapeError(f"segment_sum expects a matrix, got {x.shape}")
@@ -425,13 +434,106 @@ def segment_sum(x, segment_ids, num_segments):
             raise ShapeError("segment_sum needs non-decreasing segment ids")
         if seg[0] < 0 or seg[-1] >= num_segments:
             raise ShapeError(f"segment ids [{seg[0]}, {seg[-1]}] outside {num_segments} segments")
-        starts = np.concatenate(([0], np.flatnonzero(step) + 1))
-        y[seg[starts]] = np.add.reduceat(x.data, starts, axis=0)
+        if step.all():
+            y[seg] = x.data
+        else:
+            starts = np.concatenate(([0], np.flatnonzero(step) + 1))
+            y[seg[starts]] = np.add.reduceat(x.data, starts, axis=0)
 
     def backward(g):
         x.accumulate(g[seg])
 
     return Tensor(y, (x,), backward)
+
+
+def chain_attention(src_proj, dst_proj, attn_heads, edge_dst, slope, keep=None):
+    """GATv2 attention on chains: every node attends to itself and, if it
+    has one, to its predecessor i - 1.
+
+    src_proj and dst_proj are (N, H * D); attn_heads holds one (D, 1) score
+    vector per head; edge_dst lists, strictly increasing, the nodes that
+    have a predecessor. Head h scores edge j -> i as
+    leaky_relu(src[j] + dst[i]) . a_h over its D columns and softmaxes each
+    node's (at most two) scores in segment_softmax's order: max, exp, then
+    self + predecessor. The output holds alpha_self * src[i] +
+    alpha_pred * src[i - 1] for each head, heads side by side. That is
+    segment_softmax and segment_sum over the explicit self-plus-chain edge
+    list, computed on dense and shifted arrays with no gather or scatter.
+
+    keep, for attention dropout, is a pair of (N, H) multipliers for the
+    self and predecessor weights, each 0 or the inverted-dropout scale; a
+    0/1 mask times the scale is exact, so alpha * keep rounds as dropout's
+    (alpha * mask) * scale does. Predecessor entries of nodes without one
+    do not matter.
+    """
+    src, dst = src_proj.data, dst_proj.data
+    heads = len(attn_heads)
+    if src.ndim != 2 or dst.shape != src.shape or heads == 0 or src.shape[1] % heads:
+        raise ShapeError(f"chain_attention: projections {src_proj.shape}/{dst_proj.shape} "
+                         f"for {heads} heads")
+    n, width = src.shape
+    d = width // heads
+    for a in attn_heads:
+        if a.shape != (d, 1):
+            raise ShapeError(f"chain_attention: attention vector {a.shape}, expected {(d, 1)}")
+    edge_dst = np.asarray(edge_dst, dtype=np.int64)
+    if edge_dst.ndim != 1 or (edge_dst.size and (
+            edge_dst[0] < 1 or edge_dst[-1] >= n or np.any(np.diff(edge_dst) <= 0))):
+        raise ShapeError(f"chain_attention: edge destinations must rise strictly within [1, {n})")
+    if keep is not None and any(k.shape != (n, heads) for k in keep):
+        raise ShapeError(f"chain_attention: keep multipliers {[k.shape for k in keep]}, "
+                         f"expected {(n, heads)}")
+
+    # block-diagonal (H * D, H): one matmul scores every head
+    blocks = np.zeros((width, heads), dtype=src.dtype)
+    for h, a in enumerate(attn_heads):
+        blocks[h * d:(h + 1) * d, h] = a.data[:, 0]
+    # row i of the self arrays is edge i -> i; row i - 1 of the predecessor
+    # arrays is edge i - 1 -> i
+    z_self = src + dst
+    z_pred = src[:-1] + dst[1:]
+    pre_self, pre_pred = _leaky(z_self, slope), _leaky(z_pred, slope)
+    s_self = pre_self @ blocks
+    s_pred = np.full((n, heads), -np.inf, dtype=src.dtype)
+    s_pred[edge_dst] = (pre_pred @ blocks)[edge_dst - 1]
+    mx = np.maximum(s_self, s_pred)
+    e_self = np.exp(s_self - mx)
+    e_pred = np.exp(s_pred - mx)  # exactly 0 where there is no predecessor
+    denom = e_self + e_pred
+    a_self, a_pred = e_self / denom, e_pred / denom
+    w_self, w_pred = (a_self, a_pred) if keep is None else (a_self * keep[0], a_pred * keep[1])
+
+    src3 = src.reshape(n, heads, d)
+    out = (src3 * w_self[:, :, None]).reshape(n, width)
+    out[1:] += (src3[:-1] * w_pred[1:, :, None]).reshape(n - 1, width)
+
+    def backward(g):
+        g3 = g.reshape(n, heads, d)
+        gw_self = (g3 * src3).sum(axis=2)
+        gw_pred = np.zeros_like(gw_self)
+        gw_pred[1:] = (g3[1:] * src3[:-1]).sum(axis=2)
+        if keep is not None:
+            gw_self, gw_pred = gw_self * keep[0], gw_pred * keep[1]
+        # two-way softmax backward; a_pred = 0 zeroes nodes without a predecessor
+        dot = gw_self * a_self + gw_pred * a_pred
+        gs_self = a_self * (gw_self - dot)
+        gs_pred = (a_pred * (gw_pred - dot))[1:]
+        if any(a.requires_grad for a in attn_heads):
+            g_blocks = pre_self.T @ gs_self + pre_pred.T @ gs_pred
+            for h, a in enumerate(attn_heads):
+                if a.requires_grad:
+                    a.accumulate(g_blocks[h * d:(h + 1) * d, h:h + 1])
+        gz_self = (gs_self @ blocks.T) * np.where(z_self > 0, 1.0, slope).astype(src.dtype)
+        gz_pred = (gs_pred @ blocks.T) * np.where(z_pred > 0, 1.0, slope).astype(src.dtype)
+        if src_proj.requires_grad:
+            g_src = (g3 * w_self[:, :, None]).reshape(n, width) + gz_self
+            g_src[:-1] += (g3[1:] * w_pred[1:, :, None]).reshape(n - 1, width) + gz_pred
+            src_proj.accumulate(g_src)
+        if dst_proj.requires_grad:
+            gz_self[1:] += gz_pred
+            dst_proj.accumulate(gz_self)
+
+    return Tensor(out, (src_proj, dst_proj, *attn_heads), backward)
 
 
 def _scatter_add_rows(out, idx, g):

@@ -103,6 +103,34 @@ def _op_checks(rng):
     # fd needs the same dropout mask on every call, hence a fresh fixed-seed rng
     yield "dropout", _fw(lambda: T.dropout(x, 0.3, np.random.default_rng(7), train=True), rng), [x]
 
+    yield "chain_attention", *_chain_attention_check(rng)
+
+
+def _chain_attention_check(rng):
+    """Several chains, lone nodes among them, with dropout multipliers.
+
+    Where a node's self and predecessor pre-activations lie on the same
+    LeakyReLU side, a dst coordinate shifts both of its scores alike, the
+    two-way softmax cancels the shift and fd returns rounding noise around
+    an exact zero. src alternating in sign along the nodes, and larger than
+    dst, puts the two on opposite sides, at least 0.25 from the kink. A
+    chain head's lone weight is 1 exactly, so its dst rows read an exact
+    zero both ways.
+    """
+    sizes = rng.integers(1, 5, int(rng.integers(2, 5)))
+    n = int(sizes.sum())
+    heads, d = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+    head = np.zeros(n, dtype=bool)
+    head[np.cumsum(sizes) - sizes] = True
+    edge_dst = np.flatnonzero(~head)
+    sign = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)[:, None]
+    src = T.Tensor(sign * rng.uniform(0.5, 1.0, (n, heads * d)), dtype=np.float64)
+    dst = T.Tensor(rng.uniform(-0.25, 0.25, (n, heads * d)), dtype=np.float64)
+    attn = [T.Tensor(0.5 * rng.standard_normal((d, 1)), dtype=np.float64) for _ in range(heads)]
+    keep = tuple(np.where(rng.random((n, heads)) >= 0.3, 1.0 / 0.7, 0.0) for _ in range(2))
+    f = _fw(lambda: T.chain_attention(src, dst, attn, edge_dst, 0.2, keep), rng)
+    return f, [src, dst, *attn]
+
 
 def check_ops(trials=100, seed=0):
     """Max relative fd error per op over randomized small shapes."""
@@ -111,7 +139,13 @@ def check_ops(trials=100, seed=0):
         rng = np.random.default_rng(seed * 100_003 + trial)
         crng = np.random.default_rng(trial)
         for name, f, params in _op_checks(rng):
-            err = _check(f, params, rng=crng)
+            # chain_attention has coordinates of gradient near 1e-6 (a
+            # saturated two-way softmax, or both of a node's weights
+            # dropped), where 1e-5 steps leave fd in rounding noise; its
+            # inputs stay clear of the kink, so it takes the model checks'
+            # 1e-4 steps
+            eps = 1e-4 if name == "chain_attention" else 1e-5
+            err = _check(f, params, eps=eps, rng=crng)
             worst[name] = max(worst.get(name, 0.0), err)
     return worst
 

@@ -24,6 +24,12 @@ def small_checkpoint(seed=0):
     )
 
 
+def edit_header(path, change):
+    header = json.loads(path.read_text())
+    change(header)
+    path.write_text(json.dumps(header))
+
+
 class TestSessionModelCheckpoints:
     def test_round_trip_preserves_everything(self, tmp_path):
         ck = small_checkpoint()
@@ -93,6 +99,33 @@ class TestSessionModelCheckpoints:
             CK.load_checkpoint(tmp_path / "ckpt")
 
 
+    @pytest.mark.parametrize("key", ["model_config", "train_config", "seed", "epoch",
+                                     "best_val_pr_auc", "threshold"])
+    def test_missing_header_field_rejected(self, tmp_path, key):
+        CK.save_checkpoint(tmp_path / "ckpt", small_checkpoint())
+        edit_header(tmp_path / "ckpt.json", lambda header: header.pop(key))
+        with pytest.raises(CK.CheckpointError, match=f"header has no {key}"):
+            CK.load_checkpoint(tmp_path / "ckpt")
+
+    @pytest.mark.parametrize("key,change", [
+        ("model_config", {"width": 3}),  # unknown key
+        ("model_config", {"hidden": 7}),  # not divisible by heads
+        ("train_config", {"optimizer": "sgd"}),
+        ("train_config", {"lr": -1.0}),
+    ])
+    def test_config_rejected_by_its_dataclass(self, tmp_path, key, change):
+        CK.save_checkpoint(tmp_path / "ckpt", small_checkpoint())
+        edit_header(tmp_path / "ckpt.json", lambda header: header[key].update(change))
+        with pytest.raises(CK.CheckpointError, match=f"invalid {key}"):
+            CK.load_checkpoint(tmp_path / "ckpt")
+
+    def test_config_that_is_not_an_object_rejected(self, tmp_path):
+        CK.save_checkpoint(tmp_path / "ckpt", small_checkpoint())
+        edit_header(tmp_path / "ckpt.json", lambda header: header.update(model_config=[1, 2]))
+        with pytest.raises(CK.CheckpointError, match="invalid model_config"):
+            CK.load_checkpoint(tmp_path / "ckpt")
+
+
 class TestScorerCheckpoints:
     def test_round_trip(self, tmp_path):
         scorer = ScorerParams(CausalConfig(window=5, hidden=32), model_hidden=16, seed=3)
@@ -121,6 +154,21 @@ class TestScorerCheckpoints:
         entry[field] = value
         path.write_text(json.dumps(header))
         with pytest.raises(CK.CheckpointError, match=message):
+            CK.load_scorer(tmp_path / "s")
+
+
+    @pytest.mark.parametrize("key", ["causal_config", "model_hidden"])
+    def test_missing_header_field_rejected(self, tmp_path, key):
+        CK.save_scorer(tmp_path / "s", ScorerParams(CausalConfig(), model_hidden=8))
+        edit_header(tmp_path / "s.json", lambda header: header.pop(key))
+        with pytest.raises(CK.CheckpointError, match=f"header has no {key}"):
+            CK.load_scorer(tmp_path / "s")
+
+    @pytest.mark.parametrize("change", [{"depth": 2}, {"window": 0}])
+    def test_config_rejected_by_its_dataclass(self, tmp_path, change):
+        CK.save_scorer(tmp_path / "s", ScorerParams(CausalConfig(), model_hidden=8))
+        edit_header(tmp_path / "s.json", lambda header: header["causal_config"].update(change))
+        with pytest.raises(CK.CheckpointError, match="invalid causal_config"):
             CK.load_scorer(tmp_path / "s")
 
 

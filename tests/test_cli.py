@@ -5,6 +5,9 @@ budget; learning quality is covered elsewhere."""
 import json
 import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -107,6 +110,23 @@ class TestGenerate:
 
 
 class TestTrain:
+    def test_blas_defaults_to_one_thread_unless_the_caller_sets_it(self, workspace, tmp_path):
+        # a fresh interpreter, so psygat's import comes before numpy's
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        env["OMP_NUM_THREADS"] = "3"
+        src = Path(cli.__file__).resolve().parents[1]
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        config = tmp_path / "train.cfg"
+        config.write_text("max_epochs = 1\nseeds = 0\nbatch_size = 8\n")
+        out = tmp_path / "run"
+        subprocess.run([sys.executable, "-m", "psygat.cli", "train",
+                        "--corpus", str(workspace["corpus"]), "--config", str(config),
+                        "--out", str(out)], env=env, check=True, capture_output=True)
+        run = json.loads((out / "run_manifest.json").read_text())
+        assert run["environment"]["blas_threads"] == {
+            "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "3", "MKL_NUM_THREADS": "1"}
+
     def test_checkpoints_and_report_written(self, workspace):
         d = workspace["train_dir"]
         assert (d / "ckpt-seed0.json").exists()
@@ -189,6 +209,20 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
         assert "nope.json" in err and "Traceback" not in err
+
+    def test_checkpoint_header_without_threshold_exits_one(self, workspace, tmp_path, capsys):
+        for suffix in (".json", ".bin"):
+            shutil.copy(workspace["train_dir"] / f"ckpt-seed0{suffix}", tmp_path / f"c{suffix}")
+        header = json.loads((tmp_path / "c.json").read_text())
+        del header["threshold"]
+        (tmp_path / "c.json").write_text(json.dumps(header))
+        capsys.readouterr()
+        code = cli.main(["evaluate", "--checkpoint", str(tmp_path / "c.json"),
+                         "--corpus", str(workspace["corpus"]), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "header has no threshold" in err and "Traceback" not in err
 
     def test_missing_corpus_exits_one_without_traceback(self, workspace, tmp_path, capsys):
         capsys.readouterr()

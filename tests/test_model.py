@@ -185,6 +185,82 @@ class TestAttentionStructure:
         np.testing.assert_allclose(before, after, atol=1e-6)
 
 
+def composed_attention(src_proj, dst_proj, attn_heads, batch, slope, uniforms=None, p=0.0):
+    """The generic message-passing form of chain_attention, over the explicit
+    self-plus-chain edge list: gathers, a segment softmax per head, optional
+    dropout of the weights, a segment sum per head."""
+    srcs, dsts = batch.attn_src, batch.attn_dst
+    n = dst_proj.shape[0]
+    d = src_proj.shape[1] // len(attn_heads)
+    e_src = T.gather_rows(src_proj, srcs)
+    pre = T.leaky_relu(T.add(e_src, T.gather_rows(dst_proj, dsts)), slope)
+    out = []
+    for head, a in enumerate(attn_heads):
+        lo, hi = head * d, (head + 1) * d
+        alpha = T.segment_softmax(T.reshape(T.matmul(T.slice_cols(pre, lo, hi), a), (len(srcs),)),
+                                  dsts)
+        if uniforms is not None:
+            alpha = T.dropout(alpha, p, train=True, uniform=uniforms[head])
+        out.append(T.segment_sum(T.scale_rows(T.slice_cols(e_src, lo, hi), alpha), dsts, n))
+    return T.concat_cols(out)
+
+
+class TestChainAttention:
+    SIZES = (4, 1, 7, 2, 1, 5)
+
+    def inputs(self, dtype, seed=0, heads=2, d=4):
+        rng = np.random.default_rng(seed)
+        batch = GraphBatch.from_graphs([make_graph(rng, n) for n in self.SIZES])
+        n = batch.node_graph.shape[0]
+
+        def leaf(*shape):
+            return T.Tensor(rng.standard_normal(shape), dtype=dtype)
+
+        return (rng, batch, leaf(n, heads * d), leaf(n, heads * d),
+                [leaf(d, 1) for _ in range(heads)])
+
+    @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-6)])
+    @pytest.mark.parametrize("train", [False, True])
+    def test_matches_composed_message_passing(self, dtype, tol, train):
+        rng, batch, src, dst, attn = self.inputs(dtype)
+        p = 0.3
+        uniforms = [rng.random(len(batch.attn_dst)) for _ in attn] if train else None
+        keep = M._attention_keep(batch, uniforms, p, src.dtype) if train else None
+        weights = rng.standard_normal(src.shape).astype(dtype)
+        results = []
+        for run in (lambda: T.chain_attention(src, dst, attn, batch.edge_dst, 0.2, keep),
+                    lambda: composed_attention(src, dst, attn, batch, 0.2, uniforms, p)):
+            for t in (src, dst, *attn):
+                t.zero_grad()
+            out = run()
+            T.backward(T.tsum(T.mul(out, T.Tensor(weights, requires_grad=False))))
+            results.append([out.data] + [t.grad.copy() for t in (src, dst, *attn)])
+        for fused, composed in zip(*results):
+            assert fused.dtype == composed.dtype == dtype
+            np.testing.assert_allclose(fused, composed, rtol=tol, atol=tol)
+
+    def test_weights_sum_to_one_per_destination(self):
+        # with every source row equal to v, each destination receives
+        # (alpha_self + alpha_pred) * v, whatever dst makes of the scores
+        rng, batch, _, dst, attn = self.inputs(np.float64, seed=1)
+        v = rng.standard_normal(dst.shape[1])
+        src = T.Tensor(np.tile(v, (dst.shape[0], 1)), dtype=np.float64)
+        out = T.chain_attention(src, dst, attn, batch.edge_dst, 0.2)
+        np.testing.assert_allclose(out.data, src.data, rtol=1e-12, atol=0)
+
+    def test_chain_heads_attend_only_to_themselves(self):
+        _, batch, src, dst, attn = self.inputs(np.float64, seed=2)
+        out = T.chain_attention(src, dst, attn, batch.edge_dst, 0.2)
+        heads = np.cumsum(batch.sizes) - batch.sizes
+        np.testing.assert_array_equal(out.data[heads], src.data[heads])
+
+    @pytest.mark.parametrize("edge_dst", [[0, 1], [2, 2], [3, 1], [1, 20]])
+    def test_bad_edge_destinations_rejected(self, edge_dst):
+        _, _, src, dst, attn = self.inputs(np.float64)
+        with pytest.raises(T.ShapeError):
+            T.chain_attention(src, dst, attn, edge_dst, 0.2)
+
+
 class TestReadouts:
     def test_set2set_permutation_invariance(self):
         rng = np.random.default_rng(4)
@@ -237,6 +313,17 @@ class TestBatching:
         assert pairs == [(0, 0), (1, 1), (0, 1), (2, 2), (3, 3), (4, 4), (3, 4), (5, 5), (4, 5)]
         assert batch.edge_attr.shape == (3, 8)
         assert batch.labels.tolist() == [1, 1, 1]
+
+    def test_attention_edges_match_the_explicit_construction(self):
+        rng = np.random.default_rng(1)
+        batch = GraphBatch.from_graphs([make_graph(rng, n) for n in self.SIZES + (1, 3)])
+        head = np.zeros(int(batch.sizes.sum()), dtype=bool)
+        head[np.cumsum(batch.sizes) - batch.sizes] = True
+        dst = np.repeat(np.arange(head.size), np.where(head, 1, 2))
+        src = dst.copy()
+        src[np.flatnonzero(dst[1:] == dst[:-1]) + 1] = np.flatnonzero(~head) - 1
+        np.testing.assert_array_equal(batch.attn_dst, dst)
+        np.testing.assert_array_equal(batch.attn_src, src)
 
     def test_unlabeled_graph_leaves_batch_unlabeled(self):
         rng = np.random.default_rng(0)

@@ -84,6 +84,22 @@ class TestHandGradients:
         with pytest.raises(T.ShapeError):
             T.segment_sum(t64(np.ones((3, 2))), seg, num)
 
+    @pytest.mark.parametrize("seg,num", [([0, 1, 2, 3], 4), ([1, 4, 5, 9], 11), ([2], 3)])
+    def test_segment_sum_of_increasing_ids_is_bit_equal_to_reduceat(self, seg, num):
+        rng = np.random.default_rng(len(seg) + num)
+        x = T.Tensor(rng.standard_normal((len(seg), 5)).astype(np.float32))
+        ref = np.zeros((num, 5), dtype=np.float32)
+        ref[seg] = np.add.reduceat(x.data, np.arange(len(seg)), axis=0)
+        out = T.segment_sum(x, seg, num)
+        np.testing.assert_array_equal(out.data, ref)
+        T.backward(T.tsum(out))
+        np.testing.assert_array_equal(x.grad, np.ones_like(x.data))
+
+    @pytest.mark.parametrize("seg,num", [([0, 1, 3], 3), ([-1, 0, 1], 2), ([2, 1, 0], 3)])
+    def test_segment_sum_rejects_bad_distinct_ids(self, seg, num):
+        with pytest.raises(T.ShapeError):
+            T.segment_sum(t64(np.ones((3, 2))), seg, num)
+
     def test_gather_rows_accumulates_repeated_indices(self):
         x = t64([[1.0], [2.0]])
         out = T.gather_rows(x, [0, 0, 1])

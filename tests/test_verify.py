@@ -9,7 +9,7 @@ def test_suite_covers_all_ops_and_model():
     expected = {
         "matmul", "add", "sub", "mul", "add_bias", "scale_rows", "leaky_relu",
         "elu", "sigmoid", "tanh", "softplus", "exp", "log", "pow_const",
-        "layer_norm", "segment_softmax", "segment_sum", "gather_rows",
+        "layer_norm", "segment_softmax", "segment_sum", "gather_rows", "chain_attention",
         "concat_cols", "concat_rows", "slice_cols", "reshape", "transpose",
         "tsum", "tmean", "l2_normalize_rows", "dropout", "full_model_forward",
         "batched_model_forward",
