@@ -33,6 +33,19 @@ class EmbeddingTable:
             raise FormatError(f"non-finite vector for {session_id}/{utt_index}")
         self.vectors[(str(session_id), int(utt_index))] = vec
 
+    def put_rows(self, session_id, utt_indices, block):
+        """put() for the rows of a (len(utt_indices), dim) block, checked once."""
+        block = np.asarray(block, dtype=np.float32)
+        if block.shape != (len(utt_indices), self.dim):
+            raise FormatError(f"vectors for session {session_id} have shape {block.shape}, "
+                              f"expected ({len(utt_indices)}, {self.dim})")
+        finite = np.isfinite(block).all(axis=1)
+        if not finite.all():
+            raise FormatError(f"non-finite vector for {session_id}/{utt_indices[int(np.argmin(finite))]}")
+        sid = str(session_id)
+        for idx, vec in zip(utt_indices, block):
+            self.vectors[(sid, int(idx))] = vec
+
     def get(self, session_id, utt_index):
         key = (str(session_id), int(utt_index))
         if key not in self.vectors:
@@ -82,49 +95,61 @@ def load_embeddings(path):
     return table
 
 
-def _bucket(token, seed):
-    h = hashlib.blake2b(token.encode("utf-8"), digest_size=8, salt=seed.to_bytes(8, "little")).digest()
-    return int.from_bytes(h, "little")
+def _hash_rows(texts, dim, seed, codes):
+    """(len(texts), dim) float32 block of signed unigram + bigram bucket
+    counts, each row L2-normalized; rows without features stay zero.
 
-
-def hash_embed(text, dim=DEFAULT_DIM, seed=0, buckets=None):
-    """Signed feature hashing of unigrams + bigrams, L2-normalized.
-
-    Empty/tokenless text maps to the zero vector (exempt from normalization).
-    buckets, a dict from feature to hash, lets calls that share it hash
-    each distinct feature once; it must only be shared under one seed.
+    codes maps each feature to 2 * bucket + sign bit, so a feature is hashed
+    once per dict; it must only be shared under one dim and seed. All counts
+    go through one bincount. They are small integers, so the sums and norms
+    are exact and equal those of adding each feature in turn.
     """
     if dim < 8:
         raise FormatError(f"hash_embed dim must be >= 8, got {dim}")
-    tokens = _TOKEN_RE.findall(text.lower())
-    vec = np.zeros(dim, dtype=np.float32)
-    if not tokens:
-        return vec
-    if buckets is None:
-        buckets = {}
-    features = list(tokens) + [f"{a}_{b}" for a, b in zip(tokens, tokens[1:])]
-    for feat in features:
-        h = buckets.get(feat)
-        if h is None:
-            h = buckets[feat] = _bucket(feat, seed)
-        sign = 1.0 if (h >> 1) & 1 else -1.0
-        vec[h % dim] += sign
-    norm = float(np.linalg.norm(vec))
-    if norm > 0:
-        vec /= norm
-    return vec
+    feats, counts = [], []
+    for text in texts:
+        tokens = _TOKEN_RE.findall(text.lower())
+        feats += tokens
+        feats += map("_".join, zip(tokens, tokens[1:]))
+        counts.append(max(2 * len(tokens) - 1, 0))
+    new = list(set(feats).difference(codes))
+    if new:
+        base = hashlib.blake2b(digest_size=8, salt=seed.to_bytes(8, "little"))
+
+        def digest(feat):
+            h = base.copy()
+            h.update(feat.encode("utf-8"))
+            return h.digest()
+
+        v = np.frombuffer(b"".join(map(digest, new)), dtype="<u8")
+        codes.update(zip(new, (2 * (v % dim) + ((v >> 1) & 1)).tolist()))
+    n = len(texts)
+    flat = np.fromiter(map(codes.__getitem__, feats), dtype=np.int64, count=len(feats))
+    rows = np.repeat(np.arange(n, dtype=np.int64), counts)
+    sums = np.bincount(rows * dim + (flat >> 1), weights=2.0 * (flat & 1) - 1.0, minlength=n * dim)
+    vecs = sums.reshape(n, dim).astype(np.float32)
+    norm = np.sqrt((vecs * vecs).sum(axis=1))
+    norm[norm == 0] = 1
+    return vecs / norm[:, None]
+
+
+def hash_embed(text, dim=DEFAULT_DIM, seed=0):
+    """Signed feature hashing of unigrams + bigrams, L2-normalized.
+
+    Empty/tokenless text maps to the zero vector (exempt from normalization).
+    """
+    return _hash_rows([text], dim, seed, {})[0]
 
 
 def embed_sessions(sessions, dim=DEFAULT_DIM, seed=0, prepend_question=True):
     """Hash-embed every utterance of the given sessions into a table.
 
-    Feature hashes are shared across the call's utterances and dropped
-    when it returns.
+    Each session is embedded as one block. Feature hashes are shared
+    across the call's utterances and dropped when it returns.
     """
     table = EmbeddingTable(dim)
-    buckets = {}
+    codes = {}
     for s in sessions:
-        for u in s.utterances:
-            text = s.text(u.index, prepend_question)
-            table.put(s.id, u.index, hash_embed(text, dim, seed, buckets))
+        texts = [s.text(u.index, prepend_question) for u in s.utterances]
+        table.put_rows(s.id, [u.index for u in s.utterances], _hash_rows(texts, dim, seed, codes))
     return table

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, EmptySessionError
-from .peu import COPING, NUM_CATEGORIES
+from .peu import COPING
 
 EDGE_NORMS = ("range", "l2", "none")
 
@@ -40,8 +40,7 @@ class GraphBatch:
 
     Node rows are concatenated graph by graph, so every index array below
     is global and non-decreasing. Chain edge k runs from node edge_dst[k] - 1
-    to edge_dst[k]; the attention edges add a self edge per node, ordered
-    self before predecessor for each destination.
+    to edge_dst[k].
     """
 
     node_text: np.ndarray  # (N, d_s)
@@ -77,39 +76,33 @@ class GraphBatch:
     def num_graphs(self):
         return self.sizes.shape[0]
 
-    @property
-    def attn_dst(self):
-        """(N + E,) attention edge destinations, non-decreasing."""
-        counts = np.ones(self.node_graph.shape[0], dtype=np.int64)
-        counts[self.edge_dst] = 2
-        return np.repeat(np.arange(counts.shape[0]), counts)
 
-    @property
-    def attn_src(self):
-        """(N + E,) attention edge sources, matching attn_dst."""
-        dst = self.attn_dst
-        src = dst.copy()
-        src[np.flatnonzero(dst[1:] == dst[:-1]) + 1] = self.edge_dst - 1
-        return src
-
-
-def peu_edge_attr(p_t, p_next, norm="range"):
-    """Componentwise change p_next - p_t, normalized into [-1, 1].
+def edge_attrs(peu_rows, norm="range"):
+    """(T - 1, 8) float32 changes between consecutive rows of a (T, 8) PEU
+    array, each normalized into [-1, 1].
 
     The coping dim is ternary so its raw difference spans [-2, 2]; range
-    normalization halves it. "l2" rescales the whole vector to unit norm
-    (zero stays zero); "none" returns the raw difference.
+    normalization halves it. "l2" rescales each row to unit norm (zero
+    rows stay zero); "none" returns the raw differences. PEU values are
+    small integers, so every row's norm is exact.
     """
     if norm not in EDGE_NORMS:
         raise ConfigError(f"unknown edge norm {norm!r}, expected one of {EDGE_NORMS}")
-    diff = p_next.as_array(np.float64) - p_t.as_array(np.float64)
+    vals = np.asarray(peu_rows, dtype=np.float64)
+    diff = vals[1:] - vals[:-1]
     if norm == "range":
-        diff[COPING] /= 2.0
+        diff[:, COPING] /= 2.0
     elif norm == "l2":
-        n = np.linalg.norm(diff)
-        if n > 0:
-            diff = diff / n
+        n = np.sqrt((diff * diff).sum(axis=1))
+        nonzero = n > 0
+        diff[nonzero] /= n[nonzero, None]
     return diff.astype(np.float32)
+
+
+def peu_edge_attr(p_t, p_next, norm="range"):
+    """Componentwise change p_next - p_t of two PeuVectors, normalized as
+    edge_attrs normalizes each row."""
+    return edge_attrs([p_t.values, p_next.values], norm)[0]
 
 
 def build_graph(session, embeddings, peus, norm="range"):
@@ -121,17 +114,11 @@ def build_graph(session, embeddings, peus, norm="range"):
         raise DataError(f"session {session.id}: {peus.T} PEU rows for {T} utterances")
     node_text = np.stack([embeddings.get(session.id, u.index) for u in session.utterances])
     node_peu = peus.as_array(np.float32)
-    if T > 1:
-        edge_attr = np.stack(
-            [peu_edge_attr(peus.rows[t], peus.rows[t + 1], norm) for t in range(T - 1)]
-        )
-    else:
-        edge_attr = np.zeros((0, NUM_CATEGORIES), dtype=np.float32)
     return SessionGraph(
         session_id=session.id,
         node_text=node_text,
         node_peu=node_peu,
-        edge_attr=edge_attr,
+        edge_attr=edge_attrs(node_peu, norm),
         persona=session.persona,
         label=session.label,
     )

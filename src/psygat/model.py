@@ -39,6 +39,8 @@ class ModelConfig:
             raise ConfigError(f"hidden {self.hidden} not divisible by heads {self.heads}")
         if self.readout not in ("set2set", "mean"):
             raise ConfigError(f"unknown readout {self.readout!r}")
+        if self.readout == "set2set" and self.set2set_iters < 1:
+            raise ConfigError(f"set2set_iters must be >= 1, got {self.set2set_iters}")
 
     @property
     def head_dim(self):
@@ -170,17 +172,20 @@ def gat_layer(h, batch, params, layer, draws=None):
 
 def _attention_keep(batch, uniforms, p, dtype):
     """Self and predecessor dropout multipliers, (N, heads) each, from each
-    head's N + E draws over the attention edges (GraphBatch.attn_src,
-    attn_dst), so a seed drops the same attention weights as T.dropout
-    over that edge list."""
+    head's N + E draws. The draws cover the attention edges destination by
+    destination, self edge before predecessor edge, so node j of graph k
+    has its self draw at 2j - k - 1 (2j - k at a chain head) and its
+    predecessor draw at 2j - k. A seed thus drops the same attention
+    weights as T.dropout over that edge list."""
     if not (0.0 <= p < 1.0):
         raise UsageError(f"dropout probability {p} outside [0, 1)")
-    src, dst = batch.attn_src, batch.attn_dst
-    is_self = src == dst
     keep = (np.stack(uniforms, axis=1) >= p).astype(dtype) * np.asarray(1.0 / (1.0 - p), dtype=dtype)
-    keep_pred = np.zeros((len(batch.node_graph), len(uniforms)), dtype=dtype)
-    keep_pred[dst[~is_self]] = keep[~is_self]
-    return keep[is_self], keep_pred
+    pred = 2 * batch.edge_dst - batch.node_graph[batch.edge_dst]
+    self_at = 2 * np.arange(batch.node_graph.shape[0]) - batch.node_graph
+    self_at[batch.edge_dst] = pred - 1
+    keep_pred = np.zeros((self_at.shape[0], len(uniforms)), dtype=dtype)
+    keep_pred[batch.edge_dst] = keep[pred]
+    return keep[self_at], keep_pred
 
 
 def encode(batch, params, draws=None):
@@ -225,27 +230,33 @@ def set2set_readout(node_reps, params, node_graph=None, num_graphs=1):
     """
     c = params.config
     n = node_reps.shape[0]
-    dtype = node_reps.dtype
+    h = c.hidden
     b = num_graphs
-    q = T.Tensor(np.zeros((b, c.hidden), dtype=dtype), requires_grad=False)
-    cell = T.Tensor(np.zeros((b, c.hidden), dtype=dtype), requires_grad=False)
-    q_star = T.Tensor(np.zeros((b, 2 * c.hidden), dtype=dtype), requires_grad=False)
     rows = np.repeat(np.arange(b), n)
     if b > 1:
         mask = np.where(np.arange(b)[:, None] == node_graph[None, :], 0.0, -np.inf)
-        mask = T.Tensor(mask.astype(dtype).reshape(b * n), requires_grad=False)
+        mask = T.Tensor(mask.astype(node_reps.dtype).reshape(b * n), requires_grad=False)
     reps_t = T.transpose(node_reps)
+    zeros = T.Tensor(np.zeros((b, 4 * h), dtype=node_reps.dtype), requires_grad=False)
+    cell = q_star = None
     for _ in range(c.set2set_iters):
-        gates = T.add_bias(
-            T.add(T.matmul(q_star, params["s2s_wx"]), T.matmul(q, params["s2s_wh"])),
-            params["s2s_b"],
-        )
-        h = c.hidden
+        if q_star is None:
+            # the LSTM starts from zero q, q_star and cell: its gates are the
+            # bias alone and the new cell is i * g
+            gates = T.add_bias(zeros, params["s2s_b"])
+        else:
+            gates = T.add_bias(
+                T.add(T.matmul(q_star, params["s2s_wx"]), T.matmul(q, params["s2s_wh"])),
+                params["s2s_b"],
+            )
         i = T.sigmoid(T.slice_cols(gates, 0, h))
-        f = T.sigmoid(T.slice_cols(gates, h, 2 * h))
         g = T.tanh(T.slice_cols(gates, 2 * h, 3 * h))
         o = T.sigmoid(T.slice_cols(gates, 3 * h, 4 * h))
-        cell = T.add(T.mul(f, cell), T.mul(i, g))
+        if cell is None:
+            cell = T.mul(i, g)
+        else:
+            f = T.sigmoid(T.slice_cols(gates, h, 2 * h))
+            cell = T.add(T.mul(f, cell), T.mul(i, g))
         q = T.mul(o, T.tanh(cell))
         scores = T.reshape(T.matmul(q, reps_t), (b * n,))
         if b > 1:

@@ -67,9 +67,7 @@ class PeuTensor:
         return len(self.rows)
 
     def as_array(self, dtype=np.float32):
-        if not self.rows:
-            return np.zeros((0, NUM_CATEGORIES), dtype=dtype)
-        return np.stack([r.as_array(dtype) for r in self.rows])
+        return np.array([r.values for r in self.rows], dtype=dtype).reshape(-1, NUM_CATEGORIES)
 
 
 def parse_annotations(record):

@@ -1,10 +1,32 @@
 """Embedding tables, the text file format and the hashing fallback."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from psygat import embed
+from psygat.datagen import GenConfig, generate_corpus
 from psygat.sessions import Session, Utterance
+
+
+def reference_hash_embed(text, dim, seed):
+    """The per-feature form of hash_embed, frozen as the reference: one
+    salted blake2b digest and one float32 += per unigram and bigram."""
+    tokens = embed._TOKEN_RE.findall(text.lower())
+    vec = np.zeros(dim, dtype=np.float32)
+    if not tokens:
+        return vec
+    features = list(tokens) + [f"{a}_{b}" for a, b in zip(tokens, tokens[1:])]
+    for feat in features:
+        h = hashlib.blake2b(feat.encode("utf-8"), digest_size=8,
+                            salt=seed.to_bytes(8, "little")).digest()
+        h = int.from_bytes(h, "little")
+        vec[h % dim] += 1.0 if (h >> 1) & 1 else -1.0
+    norm = float(np.linalg.norm(vec))
+    if norm > 0:
+        vec /= norm
+    return vec
 
 
 def make_session(sid="s", n=2):
@@ -108,3 +130,73 @@ def test_embed_sessions_vectors_equal_hash_embed_per_utterance():
         for u in s.utterances:
             np.testing.assert_array_equal(table.get(s.id, u.index),
                                           embed.hash_embed(s.text(u.index, True), 64, seed=2))
+
+
+EDGE_CASE_ANSWERS = (
+    "",  # tokenless
+    "?!., --",  # tokenless after tokenization
+    "alone",  # one token, no bigrams
+    "again again again again",  # a unigram and a bigram repeated in one utterance
+    "hello world",  # shared with the other sessions
+    "World HELLO, world!",
+)
+
+
+def edge_case_sessions():
+    sessions = []
+    for k in range(3):
+        utts = [Utterance(i, "" if i % 2 else f"question {k}", a)
+                for i, a in enumerate(EDGE_CASE_ANSWERS)]
+        sessions.append(Session(id=f"e{k}", persona=0, label=0, utterances=utts))
+    return sessions
+
+
+@pytest.mark.parametrize("dim", [8, 9, 100, 384])
+@pytest.mark.parametrize("prepend_question", [True, False])
+def test_vectors_are_bit_identical_to_the_per_feature_reference(dim, prepend_question):
+    sessions = edge_case_sessions()
+    for seed in (0, 1, 2):
+        sessions += generate_corpus(GenConfig(seed=seed, n_sessions=10))["train"]
+    for hash_seed in (0, 5):
+        table = embed.embed_sessions(sessions, dim, hash_seed, prepend_question)
+        assert len(table.vectors) == sum(s.T for s in sessions)
+        for s in sessions:
+            for u in s.utterances:
+                text = s.text(u.index, prepend_question)
+                want = reference_hash_embed(text, dim, hash_seed).tobytes()
+                assert table.get(s.id, u.index).tobytes() == want
+                assert embed.hash_embed(text, dim, hash_seed).tobytes() == want
+
+
+def test_features_of_opposite_sign_cancel_in_a_shared_bucket():
+    # when 4 divides dim, bit 1 of a hash sets both its sign and part of its
+    # bucket, so every bucket has one sign; an odd dim lets signs meet
+    dim, words = 9, [f"w{k}" for k in range(64)]
+    signed = {w: embed.hash_embed(w, dim) for w in words}
+    a, b = next((a, b) for a in words for b in words
+                if np.array_equal(signed[a], -signed[b]))
+    vec = embed.hash_embed(f"{a} {b}", dim)
+    assert vec.tobytes() == reference_hash_embed(f"{a} {b}", dim, 0).tobytes()
+    # the unigrams cancel, so only the bigram's unit count is left
+    assert np.count_nonzero(vec) == 1 and np.abs(vec).max() == 1.0
+
+
+class TestPutRows:
+    def test_rows_stored_under_their_utterance_indices(self):
+        t = embed.EmbeddingTable(2)
+        t.put_rows("s", [3, 7], [[1, 2], [3, 4]])
+        np.testing.assert_array_equal(t.get("s", 7), [3, 4])
+        assert t.get("s", 3).dtype == np.float32
+
+    def test_wrong_shape_rejected(self):
+        t = embed.EmbeddingTable(2)
+        with pytest.raises(embed.FormatError, match="shape"):
+            t.put_rows("s", [0, 1], np.zeros((2, 3)))
+        with pytest.raises(embed.FormatError, match="shape"):
+            t.put_rows("s", [0], np.zeros((2, 2)))
+
+    def test_non_finite_row_named(self):
+        t = embed.EmbeddingTable(2)
+        with pytest.raises(embed.FormatError, match="s/5"):
+            t.put_rows("s", [4, 5], [[0.0, 1.0], [np.inf, 0.0]])
+        assert t.vectors == {}

@@ -1,11 +1,15 @@
 """Session graph assembly and PEU-difference edge attributes."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from psygat import graph as G
+from psygat.datagen import GenConfig, generate_corpus
 from psygat.embed import embed_sessions
-from psygat.peu import PeuTensor, PeuVector, build_peu_tensor
+from psygat.peu import COPING, PeuTensor, PeuVector, build_peu_tensor
+from psygat.pipeline import graphs_from_sessions
 from psygat.sessions import Session, Utterance
 
 
@@ -87,3 +91,59 @@ class TestBuildGraph:
         s = make_session(3)
         with pytest.raises(ValueError, match="PEU rows"):
             G.build_graph(s, embed_sessions([s], dim=16), PeuTensor([]))
+
+
+def reference_edge_attr(p_t, p_next, norm):
+    """One edge's attribute computed on its own, as a frozen reference."""
+    diff = p_next.as_array(np.float64) - p_t.as_array(np.float64)
+    if norm == "range":
+        diff[COPING] /= 2.0
+    elif norm == "l2":
+        n = np.linalg.norm(diff)
+        if n > 0:
+            diff = diff / n
+    return diff.astype(np.float32)
+
+
+def peu_session(rows, sid="p"):
+    return Session(id=sid, persona=0, label=0,
+                   utterances=[Utterance(i, "q", f"text {i}") for i in range(len(rows))],
+                   peus=[{"utt": i, "peus": [{"category": c, "value": v, "spans": []}
+                                             for c, v in row]}
+                         for i, row in enumerate(rows)])
+
+
+@pytest.mark.parametrize("norm", G.EDGE_NORMS)
+def test_build_graph_edge_attr_equals_per_edge_rows(norm):
+    corpus = generate_corpus(GenConfig(seed=3, n_sessions=10, utterances_min=2, utterances_max=6))
+    sessions = [s for split in corpus.values() for s in split]
+    sad = [("self_negativity", 1), ("protective_positive_coping", -1)]
+    # repeated rows give zero differences, which l2 must leave at zero
+    sessions += [peu_session([sad]), peu_session([sad, sad, [], [], sad], "r")]
+    assert {1, 2, 5} <= {s.T for s in sessions}
+    table = embed_sessions(sessions, dim=16)
+    for s in sessions:
+        peus = build_peu_tensor(s)
+        g = G.build_graph(s, table, peus, norm)
+        assert g.edge_attr.dtype == np.float32 and g.edge_attr.shape == (s.T - 1, 8)
+        rows = [(peus.rows[t], peus.rows[t + 1]) for t in range(s.T - 1)]
+        want = np.zeros((0, 8), np.float32) if not rows else np.stack(
+            [reference_edge_attr(a, b, norm) for a, b in rows])
+        assert g.edge_attr.tobytes() == want.tobytes()
+        for t, (a, b) in enumerate(rows):
+            assert G.peu_edge_attr(a, b, norm).tobytes() == g.edge_attr[t].tobytes()
+        assert g.node_peu.tobytes() == np.stack([r.as_array() for r in peus.rows]).tobytes()
+
+
+def test_default_corpus_graphs_match_pinned_digest():
+    """Every graph input of the default corpus, pinned to the bytes: hash
+    embedding, PEU rows and edge attributes must not move under a refactor."""
+    corpus = generate_corpus(GenConfig(seed=0))
+    sessions = [s for split in ("train", "val", "test") for s in corpus[split]]
+    h = hashlib.sha256()
+    for g in graphs_from_sessions(sessions):
+        for a in (g.node_text, g.node_peu, g.edge_attr):
+            h.update(f"{a.dtype.str}{a.shape}".encode())
+            h.update(a.tobytes())
+    assert len(sessions) == 200
+    assert h.hexdigest() == "d546c030f5f51404caa2c09d9d0639139b91dcdbbd3cc39763d1370ddc354393"

@@ -34,6 +34,33 @@ def make_graph(rng, n=5, config=None, persona=1, label=1):
     )
 
 
+def attention_edges(batch):
+    """(src, dst) of the self-plus-predecessor attention edges, built edge by
+    edge: destination by destination, each self edge before its predecessor
+    edge. This order is the layout of each head's attention dropout draws."""
+    src, dst = [], []
+    start = 0
+    for n in batch.sizes.tolist():
+        for j in range(start, start + n):
+            src.append(j)
+            dst.append(j)
+            if j > start:
+                src.append(j - 1)
+                dst.append(j)
+        start += n
+    return np.array(src), np.array(dst)
+
+
+def reference_attention_keep(batch, uniforms, p, dtype):
+    """Self and predecessor dropout multipliers read off the edge list."""
+    src, dst = attention_edges(batch)
+    is_self = src == dst
+    keep = (np.stack(uniforms, axis=1) >= p).astype(dtype) * np.asarray(1.0 / (1.0 - p), dtype=dtype)
+    keep_pred = np.zeros((len(batch.node_graph), len(uniforms)), dtype=dtype)
+    keep_pred[dst[~is_self]] = keep[~is_self]
+    return keep[is_self], keep_pred
+
+
 class TestConfig:
     def test_hidden_must_divide_by_heads(self):
         with pytest.raises(M.ConfigError):
@@ -42,6 +69,11 @@ class TestConfig:
     def test_unknown_readout_rejected(self):
         with pytest.raises(M.ConfigError):
             small_config(readout="max")
+
+    def test_set2set_needs_an_iteration(self):
+        with pytest.raises(M.ConfigError, match="set2set_iters"):
+            small_config(set2set_iters=0)
+        assert small_config(readout="mean", set2set_iters=0).readout == "mean"
 
     def test_derived_dims(self):
         c = small_config()
@@ -147,7 +179,7 @@ class TestAttentionStructure:
     def test_edges_are_self_plus_incoming_chain(self):
         rng = np.random.default_rng(0)
         batch = GraphBatch.from_graphs([make_graph(rng, 3)])
-        pairs = list(zip(batch.attn_src.tolist(), batch.attn_dst.tolist()))
+        pairs = list(zip(*(e.tolist() for e in attention_edges(batch))))
         assert pairs == [(0, 0), (1, 1), (0, 1), (2, 2), (1, 2)]
         assert batch.edge_dst.tolist() == [1, 2]
 
@@ -158,7 +190,7 @@ class TestAttentionStructure:
         params = M.ModelParams(cfg, seed=2)
         g = GraphBatch.from_graphs([make_graph(rng, 6, cfg)])
         h = M.project_inputs(g, params)
-        srcs, dsts = g.attn_src, g.attn_dst
+        srcs, dsts = attention_edges(g)
         src_proj = T.matmul(h, params["gat0_w_src"])
         dst_proj = T.matmul(h, params["gat0_w_dst"])
         pre = T.leaky_relu(T.add(T.gather_rows(src_proj, srcs), T.gather_rows(dst_proj, dsts)),
@@ -189,7 +221,7 @@ def composed_attention(src_proj, dst_proj, attn_heads, batch, slope, uniforms=No
     """The generic message-passing form of chain_attention, over the explicit
     self-plus-chain edge list: gathers, a segment softmax per head, optional
     dropout of the weights, a segment sum per head."""
-    srcs, dsts = batch.attn_src, batch.attn_dst
+    srcs, dsts = attention_edges(batch)
     n = dst_proj.shape[0]
     d = src_proj.shape[1] // len(attn_heads)
     e_src = T.gather_rows(src_proj, srcs)
@@ -224,7 +256,7 @@ class TestChainAttention:
     def test_matches_composed_message_passing(self, dtype, tol, train):
         rng, batch, src, dst, attn = self.inputs(dtype)
         p = 0.3
-        uniforms = [rng.random(len(batch.attn_dst)) for _ in attn] if train else None
+        uniforms = [rng.random(len(attention_edges(batch)[1])) for _ in attn] if train else None
         keep = M._attention_keep(batch, uniforms, p, src.dtype) if train else None
         weights = rng.standard_normal(src.shape).astype(dtype)
         results = []
@@ -285,6 +317,92 @@ class TestReadouts:
         assert out.session_reps.shape == (1, 16)
 
 
+def reference_set2set(node_reps, params, node_graph=None, num_graphs=1):
+    """Set2Set with every iteration run through the full LSTM cell, the first
+    one from explicit zero q, q_star and cell, kept as the reference."""
+    c = params.config
+    n = node_reps.shape[0]
+    dtype = node_reps.dtype
+    b = num_graphs
+    q = T.Tensor(np.zeros((b, c.hidden), dtype=dtype), requires_grad=False)
+    cell = T.Tensor(np.zeros((b, c.hidden), dtype=dtype), requires_grad=False)
+    q_star = T.Tensor(np.zeros((b, 2 * c.hidden), dtype=dtype), requires_grad=False)
+    rows = np.repeat(np.arange(b), n)
+    if b > 1:
+        mask = np.where(np.arange(b)[:, None] == node_graph[None, :], 0.0, -np.inf)
+        mask = T.Tensor(mask.astype(dtype).reshape(b * n), requires_grad=False)
+    reps_t = T.transpose(node_reps)
+    for _ in range(c.set2set_iters):
+        gates = T.add_bias(
+            T.add(T.matmul(q_star, params["s2s_wx"]), T.matmul(q, params["s2s_wh"])),
+            params["s2s_b"],
+        )
+        h = c.hidden
+        i = T.sigmoid(T.slice_cols(gates, 0, h))
+        f = T.sigmoid(T.slice_cols(gates, h, 2 * h))
+        g = T.tanh(T.slice_cols(gates, 2 * h, 3 * h))
+        o = T.sigmoid(T.slice_cols(gates, 3 * h, 4 * h))
+        cell = T.add(T.mul(f, cell), T.mul(i, g))
+        q = T.mul(o, T.tanh(cell))
+        scores = T.reshape(T.matmul(q, reps_t), (b * n,))
+        if b > 1:
+            scores = T.add(scores, mask)
+        alpha = T.segment_softmax(scores, rows)
+        r = T.matmul(T.reshape(alpha, (b, n)), node_reps)
+        q_star = T.concat_cols([q, r])
+    return q_star
+
+
+class TestSet2SetFirstStep:
+    @pytest.mark.parametrize("sizes", [(6,), (1,), (4, 1, 5), (1, 1)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("iters", [1, 3])
+    def test_output_and_gradients_bit_equal_to_the_full_loop(self, sizes, dtype, iters):
+        rng = np.random.default_rng(sum(sizes) + iters)
+        params = M.ModelParams(small_config(set2set_iters=iters), seed=iters).astype(dtype)
+        # a trained bias, so the first step's gates are not all zero
+        params["s2s_b"].data = rng.standard_normal(params["s2s_b"].shape).astype(dtype)
+        node_graph = np.repeat(np.arange(len(sizes)), sizes)
+        reps = T.Tensor(rng.standard_normal((sum(sizes), 16)), dtype=dtype)
+        weights = T.Tensor(rng.standard_normal((len(sizes), 32)), dtype=dtype, requires_grad=False)
+        results = []
+        for readout in (M.set2set_readout, reference_set2set):
+            params.zero_grad()
+            reps.zero_grad()
+            out = readout(reps, params, node_graph, len(sizes))
+            T.backward(T.tsum(T.mul(out, weights)))
+            # with one iteration nothing reads the LSTM weights, and a gradient
+            # never accumulated counts as zero, as AdamW and clipping take it
+            results.append([out.data, reps.grad] + [
+                np.zeros_like(params[k].data) if params[k].grad is None else params[k].grad
+                for k in ("s2s_wx", "s2s_wh", "s2s_b")])
+        for got, want in zip(*results):
+            assert got.dtype == dtype
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("iters", [1, 3])
+    def test_first_step_makes_seven_fewer_ops(self, iters):
+        # no matmuls of the zero q and q_star, no add of their products, no
+        # forget gate (slice and sigmoid), no f * cell and no add to i * g
+        params = M.ModelParams(small_config(set2set_iters=iters), seed=0)
+        reps = T.Tensor(np.random.default_rng(0).standard_normal((5, 16)), dtype=np.float32)
+
+        def graph_nodes(out):
+            seen, stack = {}, [out]
+            while stack:
+                t = stack.pop()
+                if id(t) not in seen:
+                    seen[id(t)] = t
+                    stack.extend(t.parents)
+            return seen.values()
+
+        ops = [sum(1 for t in graph_nodes(readout(reps, params)) if t.parents)
+               for readout in (M.set2set_readout, reference_set2set)]
+        assert ops[1] - ops[0] == 7
+        leaves = [t for t in graph_nodes(M.set2set_readout(reps, params)) if not t.parents]
+        assert any(t is params["s2s_wx"] for t in leaves) == (iters > 1)
+
+
 def test_gradients_flow_to_every_parameter():
     rng = np.random.default_rng(7)
     cfg = small_config()
@@ -309,12 +427,13 @@ class TestBatching:
         batch = GraphBatch.from_graphs([make_graph(rng, 2), make_graph(rng, 1), make_graph(rng, 3)])
         assert batch.node_graph.tolist() == [0, 0, 1, 2, 2, 2]
         assert batch.edge_dst.tolist() == [1, 4, 5]
-        pairs = list(zip(batch.attn_src.tolist(), batch.attn_dst.tolist()))
+        pairs = list(zip(*(e.tolist() for e in attention_edges(batch))))
         assert pairs == [(0, 0), (1, 1), (0, 1), (2, 2), (3, 3), (4, 4), (3, 4), (5, 5), (4, 5)]
         assert batch.edge_attr.shape == (3, 8)
         assert batch.labels.tolist() == [1, 1, 1]
 
     def test_attention_edges_match_the_explicit_construction(self):
+        # the reference edge list equals the one built from head positions alone
         rng = np.random.default_rng(1)
         batch = GraphBatch.from_graphs([make_graph(rng, n) for n in self.SIZES + (1, 3)])
         head = np.zeros(int(batch.sizes.sum()), dtype=bool)
@@ -322,8 +441,22 @@ class TestBatching:
         dst = np.repeat(np.arange(head.size), np.where(head, 1, 2))
         src = dst.copy()
         src[np.flatnonzero(dst[1:] == dst[:-1]) + 1] = np.flatnonzero(~head) - 1
-        np.testing.assert_array_equal(batch.attn_dst, dst)
-        np.testing.assert_array_equal(batch.attn_src, src)
+        ref_src, ref_dst = attention_edges(batch)
+        np.testing.assert_array_equal(ref_dst, dst)
+        np.testing.assert_array_equal(ref_src, src)
+
+    @pytest.mark.parametrize("sizes", [(1,), (7,), (1, 1, 2), (5, 1, 8, 3)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_attention_keep_matches_the_edge_list(self, sizes, dtype):
+        rng = np.random.default_rng(len(sizes))
+        batch = GraphBatch.from_graphs([make_graph(rng, n) for n in sizes])
+        uniforms = [rng.random(2 * sum(sizes) - len(sizes)) for _ in range(2)]
+        for p in (0.0, 0.5):
+            got = M._attention_keep(batch, uniforms, p, dtype)
+            want = reference_attention_keep(batch, uniforms, p, dtype)
+            for g, w in zip(got, want):
+                assert g.dtype == dtype and g.shape == (sum(sizes), 2)
+                assert g.tobytes() == w.tobytes()
 
     def test_unlabeled_graph_leaves_batch_unlabeled(self):
         rng = np.random.default_rng(0)
