@@ -14,7 +14,7 @@ import numpy as np
 
 from . import model as M
 from . import tensor as T
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .graph import GraphBatch
 from .metrics import ranking_metrics
 from .peu import CATEGORIES, NUM_CATEGORIES
@@ -36,6 +36,11 @@ class CausalConfig:
     def __post_init__(self):
         if self.window < 1:
             raise DataError(f"window must be >= 1, got {self.window}")
+        for name in ("epochs", "batch_instances", "hidden"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.lr <= 0 or self.weight_decay < 0:
+            raise ConfigError("learning rate must be positive, weight decay non-negative")
 
     @property
     def position_dim(self):
@@ -110,25 +115,34 @@ class ScorerParams(T.Params):
         }
 
 
-def instance_features(instance, node_reps, peu_rows, window):
-    """Feature matrix, one row per candidate edge."""
+def instance_features(instance, node_reps, peu_rows, window, out=None):
+    """Feature matrix, one row per candidate edge:
+    [h_target, h_candidate, target PEU, one-hot relative position].
+
+    Written into out, a (candidates, input_dim) array, when given; otherwise
+    into a new array in node_reps' dtype.
+    """
     t = instance.target_index
-    if t >= node_reps.shape[0]:
+    n_nodes, hidden = node_reps.shape
+    if t >= n_nodes:
         raise DataError(f"no node representation for target utterance {t}")
-    dtype = node_reps.dtype
-    rows = []
-    target_peu = np.asarray(peu_rows[t], dtype=dtype)
-    for j in instance.candidate_indices:
-        if j >= node_reps.shape[0]:
-            raise DataError(f"no node representation for candidate utterance {j}")
-        pos = np.zeros(2 * window + 1, dtype=dtype)
-        pos[j - t + window] = 1.0
-        rows.append(np.concatenate([node_reps[t], node_reps[j], target_peu, pos]))
-    return np.stack(rows)
+    cand = np.asarray(instance.candidate_indices, dtype=np.int64)
+    if cand.size and cand.max() >= n_nodes:
+        bad = int(cand[cand >= n_nodes][0])
+        raise DataError(f"no node representation for candidate utterance {bad}")
+    peu = np.asarray(peu_rows[t])
+    pos = 2 * hidden + peu.shape[0]
+    if out is None:
+        out = np.empty((cand.size, pos + 2 * window + 1), dtype=node_reps.dtype)
+    out[:, :hidden] = node_reps[t]
+    out[:, hidden:2 * hidden] = node_reps[cand]
+    out[:, 2 * hidden:pos] = peu
+    out[:, pos:] = np.eye(2 * window + 1, dtype=out.dtype)[cand - t + window]
+    return out
 
 
 def edge_logits(features, scorer):
-    x = T.Tensor(features.astype(scorer.tensors["w1"].dtype), requires_grad=False)
+    x = T.Tensor(features.astype(scorer.tensors["w1"].dtype, copy=False), requires_grad=False)
     h = T.elu(T.add_bias(T.matmul(x, scorer.tensors["w1"]), scorer.tensors["b1"]))
     out = T.add_bias(T.matmul(h, scorer.tensors["w2"]), scorer.tensors["b2"])
     return T.reshape(out, (features.shape[0],))
@@ -168,19 +182,29 @@ def train_scorer(instances, reps_by_session, peus_by_session, config, seed=0):
                           seed=seed)
     opt = AdamW(config.lr, config.weight_decay)
     rng = np.random.default_rng(seed)
-    feats = {
-        id(i): instance_features(i, reps_by_session[i.session_id],
-                                 peus_by_session[i.session_id], config.window)
-        for i in train_set
-    }
+    # every instance's rows in one matrix, filled in place: building it from
+    # per-instance blocks would hold the features twice at its peak
+    counts = np.array([len(i.candidate_indices) for i in train_set])
+    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    features = np.empty((int(counts.sum()), scorer.input_dim), dtype=scorer.tensors["w1"].dtype)
+    labels = np.empty(features.shape[0], dtype=np.int64)
+    for i, a, n in zip(train_set, starts, counts):
+        instance_features(i, reps_by_session[i.session_id], peus_by_session[i.session_id],
+                          config.window, out=features[a:a + n])
+        labels[a:a + n] = i.labels
     for _ in range(config.epochs):
         order = rng.permutation(len(train_set))
         for start in range(0, len(order), config.batch_instances):
-            batch = [train_set[k] for k in order[start : start + config.batch_instances]]
-            x = np.concatenate([feats[id(i)] for i in batch])
-            y = np.concatenate([np.asarray(i.labels) for i in batch])
-            _scorer_step(scorer, opt, x, y, config)
+            batch = order[start : start + config.batch_instances]
+            rows = _block_rows(starts[batch], counts[batch])
+            _scorer_step(scorer, opt, features[rows], labels[rows], config)
     return scorer
+
+
+def _block_rows(starts, counts):
+    """Row indices of the blocks [start, start + count), block after block."""
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1]) + np.repeat(starts - (ends - counts), counts)
 
 
 def _scorer_step(scorer, opt, x, y, config):

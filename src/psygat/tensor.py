@@ -82,7 +82,13 @@ class Tensor:
         return float(self.data)
 
     def accumulate(self, g):
+        """Add g to the gradient. A first gradient of matching shape is
+        stored as a copy in this tensor's dtype: ops may hand the same
+        array to several inputs, and clipping scales gradients in place."""
         if self.grad is None:
+            if g.shape == self.data.shape:
+                self.grad = np.array(g, dtype=self.data.dtype)
+                return
             self.grad = np.zeros_like(self.data)
         self.grad += g
 
@@ -266,13 +272,16 @@ def leaky_relu(x, slope=0.2):
     return Tensor(_leaky(x.data, slope), (x,), backward)
 
 
-def elu(x, alpha=1.0):
-    neg = alpha * (np.exp(np.minimum(x.data, 0.0)) - 1.0)
+def elu(x):
+    """ELU with alpha 1, without np.where: for x > 0 the negative part
+    exp(0) - 1 is exactly +0.0 (never -0.0), so neg + max(x, 0) is x there
+    and neg elsewhere, and neg + 1 is the slope on both sides."""
+    neg = np.exp(np.minimum(x.data, 0.0)) - 1.0
 
     def backward(g):
-        x.accumulate(g * np.where(x.data > 0, 1.0, neg + alpha))
+        x.accumulate(g * (neg + 1.0))
 
-    return Tensor(np.where(x.data > 0, x.data, neg), (x,), backward)
+    return Tensor(neg + np.maximum(x.data, 0.0), (x,), backward)
 
 
 def stable_sigmoid(a):
@@ -307,6 +316,32 @@ def softplus(x):
         x.accumulate(g * stable_sigmoid(x.data))
 
     return Tensor(y, (x,), backward)
+
+
+def focal(z, gamma):
+    """Elementwise (1 - sigmoid(z))^gamma * softplus(-z) as one op.
+
+    Forward and backward evaluate exactly the float operations, in the same
+    order, of composing mul(z, -1), softplus, sigmoid, sub from 1, pow_const
+    and mul, so results are bit-identical to that chain, with one tensor
+    instead of its eight.
+    """
+    minus = np.asarray(-1.0, dtype=z.dtype)
+    t = z.data * minus
+    nll = np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
+    s = stable_sigmoid(z.data)
+    # an array even when z is 0-d, so ** takes ndarray's power path as
+    # pow_const's does
+    q = np.asarray(np.asarray(1.0, dtype=z.dtype) - s)
+    w = q**gamma
+
+    def backward(g):
+        g_q = g * nll * gamma * q ** (gamma - 1)
+        g_sigmoid = -g_q * s * (1.0 - s)
+        g_softplus = g * w * stable_sigmoid(t) * minus
+        z.accumulate(g_sigmoid + g_softplus)
+
+    return Tensor(w * nll, (z,), backward)
 
 
 def log(x):

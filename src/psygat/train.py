@@ -88,14 +88,12 @@ def focal_terms(z, gamma):
     """Elementwise (1 - p_t)^gamma * (-log p_t) for signed logits z, p_t = sigmoid(z).
 
     z is the logit times +1 for a positive label and -1 for a negative one;
-    -log p_t is computed as softplus(-z) for stability. gamma=0 leaves the
-    plain logistic loss.
+    -log p_t is computed as softplus(-z) for stability, fused with the
+    focal weight into one op. gamma=0 leaves the plain logistic loss.
     """
-    nll = T.softplus(T.mul(z, T.Tensor(np.asarray(-1.0, dtype=z.dtype), requires_grad=False)))
-    if gamma == 0.0:
-        return nll
-    one = T.Tensor(np.asarray(1.0, dtype=z.dtype), requires_grad=False)
-    return T.mul(T.pow_const(T.sub(one, T.sigmoid(z)), gamma), nll)
+    if gamma != 0.0:
+        return T.focal(z, gamma)
+    return T.softplus(T.mul(z, T.Tensor(np.asarray(-1.0, dtype=z.dtype), requires_grad=False)))
 
 
 def focal_loss(logit, y, gamma=2.0, alpha=1.0):

@@ -1,11 +1,14 @@
 """Causal instance extraction, edge scoring and ranked explanations."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from psygat import causal as C
 from psygat.peu import build_peu_tensor
 from psygat.sessions import Session, Utterance
+from psygat.train import AdamW
 
 
 def make_session(active, causes=(), n=8, sid="c"):
@@ -19,6 +22,74 @@ def make_session(active, causes=(), n=8, sid="c"):
     return Session(id=sid, persona=0, label=1,
                    utterances=[Utterance(i, "q", f"a{i}") for i in range(n)],
                    peus=peus, causes=list(causes))
+
+
+def reference_instance_features(instance, node_reps, peu_rows, window):
+    """One concatenated row per candidate, in node_reps' dtype."""
+    t = instance.target_index
+    dtype = node_reps.dtype
+    target_peu = np.asarray(peu_rows[t], dtype=dtype)
+    rows = []
+    for j in instance.candidate_indices:
+        pos = np.zeros(2 * window + 1, dtype=dtype)
+        pos[j - t + window] = 1.0
+        rows.append(np.concatenate([node_reps[t], node_reps[j], target_peu, pos]))
+    return np.stack(rows)
+
+
+def reference_train_scorer(instances, reps_by, peus_by, config, seed=0):
+    """train_scorer with each minibatch concatenated from per-instance blocks."""
+    train_set = [i for i in instances if i.candidate_indices]
+    scorer = C.ScorerParams(config, model_hidden=next(iter(reps_by.values())).shape[1],
+                            seed=seed)
+    opt = AdamW(config.lr, config.weight_decay)
+    rng = np.random.default_rng(seed)
+    feats = {id(i): reference_instance_features(i, reps_by[i.session_id], peus_by[i.session_id],
+                                                config.window)
+             for i in train_set}
+    for _ in range(config.epochs):
+        order = rng.permutation(len(train_set))
+        for start in range(0, len(order), config.batch_instances):
+            batch = [train_set[k] for k in order[start:start + config.batch_instances]]
+            x = np.concatenate([feats[id(i)] for i in batch])
+            y = np.concatenate([np.asarray(i.labels) for i in batch])
+            scorer.zero_grad()
+            C.T.backward(C.causal_loss(C.edge_logits(x, scorer), y, config.focal_alpha,
+                                       config.focal_gamma))
+            opt.step(scorer.named())
+    return scorer
+
+
+def planted_instances(config, sessions, hidden=8, n=8, target=4):
+    """Sessions whose one cause of the target carries a planted signature;
+    returns (instances, reps by session, PEU rows by session)."""
+    rng = np.random.default_rng(0)
+    reps_by, peus_by, instances = {}, {}, []
+    for k in range(sessions):
+        cause = int(rng.integers(1, 4))
+        causes = [{"target": target, "category": C.CATEGORIES[1], "sources": [cause]}]
+        s = make_session({target: 1}, causes, n=n, sid=f"s{k}")
+        peus = build_peu_tensor(s)
+        reps = rng.standard_normal((n, hidden)).astype(np.float32) * 0.1
+        reps[cause, :4] = 2.0  # planted signature
+        reps_by[s.id] = reps
+        peus_by[s.id] = peus.as_array()
+        instances += C.extract_instances(s, peus, config.window)
+    return instances, reps_by, peus_by
+
+
+class TestCausalConfig:
+    @pytest.mark.parametrize("change", [
+        {"epochs": 0}, {"batch_instances": 0}, {"hidden": 0}, {"lr": 0.0}, {"lr": -1e-3},
+        {"weight_decay": -0.1},
+    ])
+    def test_invalid_fields_rejected(self, change):
+        with pytest.raises(C.ConfigError):
+            C.CausalConfig(**change)
+
+    def test_bad_window_is_a_data_error(self):
+        with pytest.raises(C.DataError):
+            C.CausalConfig(window=0)
 
 
 class TestExtractInstances:
@@ -75,6 +146,45 @@ class TestScorer:
         np.testing.assert_array_equal(feats[0, 8:16], peus.as_array()[3])
         np.testing.assert_array_equal(feats[0, 16:], [1, 0, 0, 0, 0])
 
+    @pytest.mark.parametrize("past_only", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_features_match_the_per_candidate_loop(self, past_only, dtype):
+        # targets at both ends clip the window; past_only drops later candidates
+        rng = np.random.default_rng(4)
+        clipped = 0
+        for window in (1, 2, 3):
+            s = make_session({0: 1, 1: 2, 4: 0, 8: 3, 9: 1}, n=10)
+            peus = build_peu_tensor(s)
+            reps = rng.standard_normal((10, 6)).astype(dtype)
+            instances = C.extract_instances(s, peus, window, past_only)
+            clipped += sum(len(i.candidate_indices) < (window if past_only else 2 * window)
+                           for i in instances)
+            for inst in instances:
+                got = C.instance_features(inst, reps, peus.as_array(), window)
+                want = reference_instance_features(inst, reps, peus.as_array(), window)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+        assert clipped
+
+    def test_features_written_into_a_given_block(self):
+        s = make_session({3: 2}, n=6)
+        peus = build_peu_tensor(s)
+        (inst,) = C.extract_instances(s, peus, window=2)
+        reps = np.random.default_rng(0).standard_normal((6, 4))
+        block = np.full((4, 4 + 4 + 8 + 5), np.nan, dtype=np.float32)
+        assert C.instance_features(inst, reps, peus.as_array(), 2, out=block) is block
+        want = reference_instance_features(inst, reps, peus.as_array(), 2).astype(np.float32)
+        assert block.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n_reps,message", [(3, "target utterance 3"),
+                                                (5, "candidate utterance 5")])
+    def test_features_need_every_node_representation(self, n_reps, message):
+        s = make_session({3: 2}, n=6)
+        peus = build_peu_tensor(s)
+        (inst,) = C.extract_instances(s, peus, window=2)
+        with pytest.raises(C.DataError, match=message):
+            C.instance_features(inst, np.zeros((n_reps, 4), np.float32), peus.as_array(), 2)
+
     def test_score_edges_probabilities(self):
         s = make_session({3: 2}, n=6)
         peus = build_peu_tensor(s)
@@ -106,22 +216,8 @@ class TestScorer:
     def test_training_learns_planted_signal(self):
         # candidates whose representation matches a fixed pattern are the
         # causes; the scorer should rank them first after training
-        rng = np.random.default_rng(0)
-        hidden = 8
         config = C.CausalConfig(window=3, epochs=30, batch_instances=16)
-        sessions, reps_by, peus_by, instances = [], {}, {}, []
-        for k in range(30):
-            n = 8
-            target = 4
-            cause = int(rng.integers(1, 4))
-            causes = [{"target": target, "category": C.CATEGORIES[1], "sources": [cause]}]
-            s = make_session({target: 1}, causes, n=n, sid=f"s{k}")
-            peus = build_peu_tensor(s)
-            reps = rng.standard_normal((n, hidden)).astype(np.float32) * 0.1
-            reps[cause, :4] = 2.0  # planted signature
-            reps_by[s.id] = reps
-            peus_by[s.id] = peus.as_array()
-            instances += C.extract_instances(s, peus, config.window)
+        instances, reps_by, peus_by = planted_instances(config, sessions=30)
         train, test = instances[:24], instances[24:]
         scorer = C.train_scorer(train, reps_by, peus_by, config, seed=0)
         report, explanations, skipped = C.rank_and_evaluate(test, reps_by, peus_by, scorer)
@@ -130,6 +226,16 @@ class TestScorer:
         assert report.mrr == pytest.approx(1.0)
         for rec in explanations:
             assert rec["ranked"][0]["is_cause"]
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-3])
+    def test_trained_scorer_is_bit_equal_to_per_batch_concatenation(self, weight_decay):
+        config = C.CausalConfig(window=2, epochs=3, batch_instances=5, hidden=16,
+                                weight_decay=weight_decay)
+        instances, reps_by, peus_by = planted_instances(config, sessions=12)
+        got = C.train_scorer(instances, reps_by, peus_by, config, seed=3)
+        want = reference_train_scorer(instances, reps_by, peus_by, config, seed=3)
+        for (name, a), (_, b) in zip(got.named(), want.named()):
+            assert a.data.tobytes() == b.data.tobytes(), name
 
     def test_rank_and_evaluate_skips_causeless_instances(self):
         s = make_session({2: 1, 5: 3},
@@ -165,3 +271,35 @@ def test_session_node_reps_equal_forward_node_reps():
         g = make_graph(rng, n, cfg)
         np.testing.assert_array_equal(C.session_node_reps(g, params),
                                       M.forward(g, g.persona, params).node_reps.data)
+
+
+def test_explain_outputs_match_pinned_digest():
+    """Scorer parameters and explanation probabilities of a seed-0 explain
+    run, pinned to the bytes: the scorer's training must not move under a
+    refactor."""
+    from psygat import model as M
+    from psygat.datagen import GenConfig, generate_corpus
+    from psygat.pipeline import graphs_from_sessions
+
+    corpus = generate_corpus(GenConfig(seed=0))
+    sessions = [s for split in ("train", "val", "test") for s in corpus[split]]
+    params = M.ModelParams(M.ModelConfig(), seed=0)
+    config = C.CausalConfig(epochs=2)
+    read = corpus["train"] + corpus["test"]
+    graphs = {g.session_id: g for g in graphs_from_sessions(sessions)}
+    reps = {s.id: C.session_node_reps(graphs[s.id], params) for s in read}
+    peus = {s.id: build_peu_tensor(s) for s in read}
+    rows = {sid: p.as_array() for sid, p in peus.items()}
+
+    def instances(split):
+        return [i for s in split for i in C.extract_instances(s, peus[s.id], config.window)]
+
+    scorer = C.train_scorer(instances(corpus["train"]), reps, rows, config, seed=0)
+    _, explanations, _ = C.rank_and_evaluate(instances(corpus["test"]), reps, rows, scorer)
+    h = hashlib.sha256()
+    for name, t in scorer.named():
+        h.update(name.encode())
+        h.update(t.data.tobytes())
+    h.update(np.array([r["prob"] for rec in explanations for r in rec["ranked"]]).tobytes())
+    assert len(explanations) == 299
+    assert h.hexdigest() == "c489cb108c02b8fec411b8d3767103ef28068648098dcc7f486d13c73126e8a0"

@@ -164,7 +164,10 @@ class TestScorerCheckpoints:
         with pytest.raises(CK.CheckpointError, match=f"header has no {key}"):
             CK.load_scorer(tmp_path / "s")
 
-    @pytest.mark.parametrize("change", [{"depth": 2}, {"window": 0}])
+    @pytest.mark.parametrize("change", [
+        {"depth": 2}, {"window": 0}, {"epochs": 0}, {"batch_instances": 0}, {"hidden": 0},
+        {"lr": 0.0}, {"weight_decay": -1.0},
+    ])
     def test_config_rejected_by_its_dataclass(self, tmp_path, change):
         CK.save_scorer(tmp_path / "s", ScorerParams(CausalConfig(), model_hidden=8))
         edit_header(tmp_path / "s.json", lambda header: header["causal_config"].update(change))

@@ -307,6 +307,26 @@ class TestExplain:
         assert {"session", "target", "category", "ranked"} <= set(rec)
         assert (out / "causal-scorer.json").exists()
 
+    def test_encodes_and_annotates_only_the_sessions_it_reads(self, workspace, tmp_path,
+                                                              monkeypatch):
+        from psygat.sessions import split_sessions
+
+        encoded, annotated = [], []
+        reps, peus = cli.C.session_node_reps, cli.build_peu_tensor
+        monkeypatch.setattr(cli.C, "session_node_reps",
+                            lambda g, params: encoded.append(g.session_id) or reps(g, params))
+        monkeypatch.setattr(cli, "build_peu_tensor",
+                            lambda s: annotated.append(s.id) or peus(s))
+        code = cli.main(["explain",
+                         "--checkpoint", str(workspace["train_dir"] / "ckpt-seed0.json"),
+                         "--corpus", str(workspace["corpus"]), "--out", str(tmp_path / "o")])
+        assert code == 0
+        splits = split_sessions(read_sessions(workspace["corpus"]))
+        assert splits["val"] and splits["test"]
+        read = [s.id for s in splits["train"] + splits["test"]]
+        assert encoded == read
+        assert annotated == read
+
     def test_corpus_without_causes_exits_one(self, workspace, tmp_path):
         sessions = read_sessions(workspace["corpus"])
         for s in sessions:

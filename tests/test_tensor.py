@@ -164,6 +164,94 @@ class TestHandGradients:
         assert x.grad is None
 
 
+class TestGradientCopies:
+    def test_first_gradients_share_no_memory(self):
+        # add hands the same upstream array to both inputs
+        a, b = t64([[1.0, 2.0]]), t64([[3.0, 4.0]])
+        T.backward(T.tsum(T.add(a, b)))
+        assert not np.shares_memory(a.grad, b.grad)
+
+    def test_clip_gradients_scales_each_parameter_once(self):
+        from psygat.train import clip_gradients
+
+        a, b = t64([[1.0, 2.0]]), t64([[3.0, 4.0]])
+        T.backward(T.tsum(T.add(a, b)))
+        # four unit entries: global norm 2, every entry scaled by 1 / 2 once
+        assert clip_gradients([("a", a), ("b", b)], max_norm=1.0) == pytest.approx(2.0)
+        np.testing.assert_array_equal(a.grad, [[0.5, 0.5]])
+        np.testing.assert_array_equal(b.grad, [[0.5, 0.5]])
+
+    def test_first_gradient_is_a_copy_in_the_tensor_dtype(self):
+        x = T.Tensor(np.zeros(3, dtype=np.float32))
+        g = np.array([0.1, 0.2, 0.3])
+        x.accumulate(g)
+        g[:] = 5.0
+        assert x.grad.dtype == np.float32
+        np.testing.assert_array_equal(x.grad, np.array([0.1, 0.2, 0.3], dtype=np.float32))
+
+    def test_scalar_first_gradient_broadcasts(self):
+        x = t64(np.zeros((2, 2)))
+        x.accumulate(np.asarray(1.5))
+        np.testing.assert_array_equal(x.grad, np.full((2, 2), 1.5))
+
+
+def composed_focal(z, gamma):
+    """The focal chain focal fuses: softplus(-z) * (1 - sigmoid(z))^gamma."""
+    nll = T.softplus(T.mul(z, T.Tensor(np.asarray(-1.0, dtype=z.dtype), requires_grad=False)))
+    one = T.Tensor(np.asarray(1.0, dtype=z.dtype), requires_grad=False)
+    return T.mul(T.pow_const(T.sub(one, T.sigmoid(z)), gamma), nll)
+
+
+def where_elu(x, alpha=1.0):
+    """ELU as np.where selects it."""
+    neg = alpha * (np.exp(np.minimum(x.data, 0.0)) - 1.0)
+
+    def backward(g):
+        x.accumulate(g * np.where(x.data > 0, 1.0, neg + alpha))
+
+    return T.Tensor(np.where(x.data > 0, x.data, neg), (x,), backward)
+
+
+def value_and_grad(op, values, dtype, weights=None):
+    """Output and input gradient of op at values, each as bytes; weights
+    make the upstream gradient non-uniform."""
+    z = T.Tensor(np.asarray(values, dtype=dtype))
+    out = op(z)
+    loss = out if weights is None else T.tsum(T.mul(out, T.Tensor(weights.astype(dtype))))
+    T.backward(loss)
+    return out.data.tobytes(), z.grad.tobytes()
+
+
+class TestFusedOpsMatchTheirReferences:
+    LOGITS = [0.0, 1e-8, -1e-8, 20.0, -20.0, 60.0, -60.0, 0.3, -2.5]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0, 3.0])
+    def test_focal_is_bit_equal_to_the_composed_chain(self, dtype, gamma):
+        rng = np.random.default_rng(int(gamma * 10))
+        values = np.concatenate([self.LOGITS, 4.0 * rng.standard_normal(40)])
+        weights = rng.standard_normal(values.shape)
+        with np.errstate(all="ignore"):  # 0 ** (gamma - 1) at saturated logits
+            for z in self.LOGITS:  # 0-d, as focal_loss sees one logit
+                assert (value_and_grad(lambda t: T.focal(t, gamma), z, dtype)
+                        == value_and_grad(lambda t: composed_focal(t, gamma), z, dtype))
+            assert (value_and_grad(lambda t: T.focal(t, gamma), values, dtype, weights)
+                    == value_and_grad(lambda t: composed_focal(t, gamma), values, dtype, weights))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_elu_is_bit_equal_to_the_where_form(self, dtype):
+        info = np.finfo(dtype)
+        special = [0.0, -0.0, info.smallest_subnormal, -info.smallest_subnormal,
+                   info.tiny, -info.tiny, np.inf, -np.inf, -100.0, 100.0, 1e-30, -1e-30]
+        rng = np.random.default_rng(3)
+        values = np.concatenate([special, 3.0 * rng.standard_normal(200)])
+        weights = rng.standard_normal(values.shape)
+        assert (value_and_grad(T.elu, values, dtype, weights)
+                == value_and_grad(where_elu, values, dtype, weights))
+        for x in special:
+            assert value_and_grad(T.elu, x, dtype) == value_and_grad(where_elu, x, dtype)
+
+
 class TestConstantsAndNoGrad:
     def test_constant_gets_no_grad(self):
         # the constant is layer_norm's x and a mul operand; both skip its gradient

@@ -11,7 +11,7 @@ def test_suite_covers_all_ops_and_model():
         "elu", "sigmoid", "tanh", "softplus", "exp", "log", "pow_const",
         "layer_norm", "segment_softmax", "segment_sum", "gather_rows", "chain_attention",
         "concat_cols", "concat_rows", "slice_cols", "reshape", "transpose",
-        "tsum", "tmean", "l2_normalize_rows", "dropout", "full_model_forward",
+        "tsum", "tmean", "l2_normalize_rows", "dropout", "focal", "full_model_forward",
         "batched_model_forward",
     }
     assert expected <= names
