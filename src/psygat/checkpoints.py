@@ -25,7 +25,7 @@ def _load_arrays(params, arrays, prefix):
             raise CheckpointError(
                 f"{prefix}: shape mismatch for {name}: {arrays[name].shape} vs {t.data.shape}"
             )
-        t.data = arrays[name].astype(t.data.dtype)
+        t.data = arrays[name].astype(t.data.dtype)  # a copy, never a view of the blob
 
 
 def _write_pair(prefix, header, arrays):
@@ -48,7 +48,8 @@ def _write_pair(prefix, header, arrays):
 
 
 def _read_pair(prefix, kind):
-    """Header and name -> array of a checkpoint of the given kind."""
+    """Header and name -> array of a checkpoint of the given kind. The
+    arrays are read-only views of the blob; _load_arrays copies them."""
     prefix = Path(prefix)
     try:
         header = json.loads(prefix.with_suffix(".json").read_text(encoding="utf-8"))
@@ -70,7 +71,7 @@ def _read_pair(prefix, kind):
             a, b = entry["offset"], entry["offset"] + entry["size"]
             if a < 0 or b > blob.size or entry["size"] != int(np.prod(entry["shape"])):
                 raise CheckpointError(f"{prefix}: index entry {entry['name']} does not fit the blob")
-            arrays[entry["name"]] = blob[a:b].reshape(entry["shape"]).copy()
+            arrays[entry["name"]] = blob[a:b].reshape(entry["shape"])
     except (KeyError, TypeError) as exc:
         raise CheckpointError(f"{prefix}: malformed parameter index: {exc!r}") from exc
     return header, arrays

@@ -3,11 +3,15 @@ layers with residuals, Set2Set readout, persona conditioning, MLP head.
 
 Every function runs on a GraphBatch, the disjoint union of its graphs, so
 one forward serves a whole minibatch; attention and readout never cross
-graph boundaries.
+graph boundaries. Parameters stacked along a leading member axis
+(tensor.stack_params) run a whole ensemble in the same forward: every
+activation then carries that axis first, and the functions below index
+nodes and features from the last axes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,6 +112,9 @@ class ModelParams(T.Params):
 
 @dataclass
 class ForwardOutput:
+    """Shapes for single-model parameters; stacked parameters put their
+    member axis M first, e.g. logits (M, B)."""
+
     logits: T.Tensor  # (B,)
     probs: np.ndarray  # (B,) float64
     node_reps: T.Tensor  # (N, hidden)
@@ -143,7 +150,7 @@ def gat_layer(h, batch, params, layer, draws=None):
     _dropout_draws).
     """
     c = params.config
-    n = h.shape[0]
+    n = h.shape[-2]
     dtype = h.dtype
     if batch.edge_attr.shape[0] > 0:
         inj = T.add_bias(
@@ -226,16 +233,21 @@ def set2set_readout(node_reps, params, node_graph=None, num_graphs=1):
     node_graph maps each node row to its graph (non-decreasing; all zeros
     when omitted). Every graph's query scores all N nodes in one (B, N)
     matmul; nodes of other graphs are masked out before the per-graph
-    softmax, so their attention weight is exactly zero.
+    softmax, so their attention weight is exactly zero. With a member
+    axis, each member's graphs are separate softmax segments of one
+    segment_softmax.
     """
     c = params.config
-    n = node_reps.shape[0]
+    lead = node_reps.shape[:-2]
+    n = node_reps.shape[-2]
     h = c.hidden
     b = num_graphs
-    rows = np.repeat(np.arange(b), n)
+    m = math.prod(lead)
+    rows = np.repeat(np.arange(m * b), n)
     if b > 1:
         mask = np.where(np.arange(b)[:, None] == node_graph[None, :], 0.0, -np.inf)
-        mask = T.Tensor(mask.astype(node_reps.dtype).reshape(b * n), requires_grad=False)
+        mask = T.Tensor(np.tile(mask.astype(node_reps.dtype).reshape(b * n), m),
+                        requires_grad=False)
     reps_t = T.transpose(node_reps)
     zeros = T.Tensor(np.zeros((b, 4 * h), dtype=node_reps.dtype), requires_grad=False)
     cell = q_star = None
@@ -258,18 +270,18 @@ def set2set_readout(node_reps, params, node_graph=None, num_graphs=1):
             f = T.sigmoid(T.slice_cols(gates, h, 2 * h))
             cell = T.add(T.mul(f, cell), T.mul(i, g))
         q = T.mul(o, T.tanh(cell))
-        scores = T.reshape(T.matmul(q, reps_t), (b * n,))
+        scores = T.reshape(T.matmul(q, reps_t), (m * b * n,))
         if b > 1:
             scores = T.add(scores, mask)
         alpha = T.segment_softmax(scores, rows)
-        r = T.matmul(T.reshape(alpha, (b, n)), node_reps)
+        r = T.matmul(T.reshape(alpha, lead + (b, n)), node_reps)
         q_star = T.concat_cols([q, r])
     return q_star
 
 
 def mean_readout(node_reps, node_graph=None, num_graphs=1):
     """Per-graph mean of the node rows, as one (B, N) averaging matmul."""
-    n = node_reps.shape[0]
+    n = node_reps.shape[-2]
     if node_graph is None:
         node_graph = np.zeros(n, dtype=np.int64)
     member = (np.arange(num_graphs)[:, None] == node_graph[None, :]).astype(node_reps.dtype)
@@ -283,9 +295,11 @@ def forward(batch, persona, params, train=False, rng=None, persona_mode=True):
     A lone SessionGraph is run as a batch of one. persona gives the persona
     id of a lone graph, or one id per graph of a batch; None takes each
     graph's own. persona_mode=False swaps the persona rows for zero vectors
-    of the same width so head shapes match across modes.
+    of the same width so head shapes match across modes. Stacked params
+    (tensor.stack_params) score every member in this one forward.
     """
     c = params.config
+    lead = params["head_b2"].shape[:-1]
     if isinstance(batch, SessionGraph):
         batch = GraphBatch.from_graphs([batch])
     b = batch.num_graphs
@@ -307,12 +321,14 @@ def forward(batch, persona, params, train=False, rng=None, persona_mode=True):
     if persona_mode:
         z = T.gather_rows(params["persona_table"], personas)
     else:
-        z = T.Tensor(np.zeros((b, c.persona_dim), dtype=session_reps.dtype), requires_grad=False)
+        z = T.Tensor(np.zeros(lead + (b, c.persona_dim), dtype=session_reps.dtype),
+                     requires_grad=False)
     cond = T.concat_cols([session_reps, z])
     hidden = T.elu(T.add_bias(T.matmul(cond, params["head_w1"]), params["head_b1"]))
     if draws is not None and c.out_dropout:
         hidden = T.dropout(hidden, c.dropout, train=True, uniform=next(draws))
-    logits = T.reshape(T.add_bias(T.matmul(hidden, params["head_w2"]), params["head_b2"]), (b,))
+    logits = T.reshape(T.add_bias(T.matmul(hidden, params["head_w2"]), params["head_b2"]),
+                       lead + (b,))
     return ForwardOutput(
         logits=logits,
         probs=T.stable_sigmoid(logits.data.astype(np.float64)),

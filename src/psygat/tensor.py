@@ -6,6 +6,14 @@ deliberately restricted to exact-shape and scalar operands; the few
 row/column broadcasts the model needs have dedicated ops (add_bias,
 scale_rows) so silent shape bugs cannot slip through.
 
+The ops an eval forward uses also take leading batch dimensions, "the
+lead", which is how an ensemble runs as one forward over parameters
+stacked along a member axis (stack_params): matmul, add_bias, layer_norm,
+segment_sum, chain_attention, gather_rows, concat_cols, slice_cols,
+reshape and transpose work on the last one or two axes. An operand
+without the lead is shared: it broadcasts over the lead, and its gradient
+sums over it.
+
 Only what a gradient is read from is tracked: a leaf made with
 requires_grad=False is a constant, an op's output needs a gradient iff
 one of its inputs does, and inside no_grad() no op records its inputs.
@@ -161,6 +169,26 @@ class Params:
             t.data = snap[name].astype(t.data.dtype).reshape(t.data.shape)
 
 
+def stack_params(members):
+    """A clone of members[0] whose tensors hold all members' same-named
+    tensors along a new leading axis, for one forward over every member.
+
+    Each member tensor is re-pointed at its slice of the stack, so members
+    and stack share one copy of the weights: an in-place update of either
+    shows in both. Rebinding a member tensor's data breaks the link. The
+    members must be distinct, with equal tensor names, shapes and dtypes.
+    """
+    clone = copy.copy(members[0])
+    clone.tensors = {}
+    for name, t in members[0].named():
+        stack = np.empty((len(members),) + t.data.shape, dtype=t.data.dtype)
+        for k, p in enumerate(members):
+            stack[k] = p[name].data
+            p[name].data = stack[k]
+        clone.tensors[name] = Tensor(stack, name=name)
+    return clone
+
+
 def _wrap(x, like):
     if isinstance(x, Tensor):
         return x
@@ -178,6 +206,27 @@ def _reduce_to(g, shape):
     if g.shape == shape:
         return g
     return np.asarray(g.sum(), dtype=g.dtype).reshape(shape)
+
+
+def _lead(opname, *operands):
+    """The common lead of (tensor, trailing ndim) operands: each operand's
+    dimensions before its trailing ones are either absent (shared) or that
+    lead."""
+    lead = ()
+    for t, k in operands:
+        own = t.shape[:t.data.ndim - k]
+        if own and own != lead:
+            if lead:
+                raise ShapeError(f"{opname}: leading dimensions {lead} and {own} "
+                                 "neither equal nor absent")
+            lead = own
+    return lead
+
+
+def _unshare(g, shape):
+    """g, summed over the lead that an operand of the given shape lacks."""
+    extra = g.ndim - len(shape)
+    return g.sum(axis=tuple(range(extra))) if extra else g
 
 
 def add(a, b):
@@ -217,30 +266,36 @@ def mul(a, b):
 
 
 def matmul(a, b):
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
+    """(..., n, k) @ (..., k, m) with np.matmul semantics; a 2-d operand is
+    shared by every matrix of the other's lead. np.matmul multiplies each
+    pair of matrices as the 2-d product does, so a stacked product equals
+    its 2-d slices bit for bit."""
+    if a.data.ndim < 2 or b.data.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
+    _lead("matmul", (a, 2), (b, 2))
 
     def backward(g):
         if a.requires_grad:
-            a.accumulate(g @ b.data.T)
+            a.accumulate(_unshare(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
         if b.requires_grad:
-            b.accumulate(a.data.T @ g)
+            b.accumulate(_unshare(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
 
     return Tensor(a.data @ b.data, (a, b), backward)
 
 
 def add_bias(x, b):
-    """x: (n, d), b: (d,) row-broadcast add."""
-    if x.data.ndim != 2 or b.data.ndim != 1 or x.shape[1] != b.shape[0]:
+    """x: (..., n, d) plus b: (..., d) on every row."""
+    if x.data.ndim < 2 or b.data.ndim < 1 or x.shape[-1] != b.shape[-1]:
         raise ShapeError(f"add_bias: shapes {x.shape} and {b.shape}")
+    _lead("add_bias", (x, 2), (b, 1))
 
     def backward(g):
         if x.requires_grad:
-            x.accumulate(g)
+            x.accumulate(_unshare(g, x.data.shape))
         if b.requires_grad:
-            b.accumulate(g.sum(axis=0))
+            b.accumulate(_unshare(g.sum(axis=-2), b.data.shape))
 
-    return Tensor(x.data + b.data[None, :], (x, b), backward)
+    return Tensor(x.data + b.data[..., None, :], (x, b), backward)
 
 
 def scale_rows(x, s):
@@ -392,31 +447,34 @@ def dropout(x, p, rng=None, train=False, uniform=None):
 
 
 def layer_norm(x, gamma, beta, eps=LAYER_NORM_EPS):
-    """Per-row normalization of (n, d), then affine with gamma/beta of shape (d,)."""
-    if x.data.ndim != 2:
+    """Per-row normalization of (..., n, d), then affine with gamma/beta of
+    shape (..., d). A shared x is normalized once for every affine."""
+    if x.data.ndim < 2:
         raise ShapeError(f"layer_norm expects a matrix, got {x.shape}")
-    d = x.shape[1]
-    if gamma.shape != (d,) or beta.shape != (d,):
+    d = x.shape[-1]
+    if gamma.shape[-1:] != (d,) or beta.shape != gamma.shape:
         raise ShapeError(f"layer_norm affine shapes {gamma.shape}/{beta.shape} vs d={d}")
-    mu = x.data.mean(axis=1, keepdims=True)
+    _lead("layer_norm", (x, 2), (gamma, 1))
+    mu = x.data.mean(axis=-1, keepdims=True)
     xc = x.data - mu
-    var = (xc * xc).mean(axis=1, keepdims=True)
+    var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
+    g_rows = gamma.data[..., None, :]
 
     def backward(g):
         if gamma.requires_grad:
-            gamma.accumulate((g * xhat).sum(axis=0))
+            gamma.accumulate(_unshare((g * xhat).sum(axis=-2), gamma.data.shape))
         if beta.requires_grad:
-            beta.accumulate(g.sum(axis=0))
+            beta.accumulate(_unshare(g.sum(axis=-2), beta.data.shape))
         if x.requires_grad:
-            gx = g * gamma.data[None, :]
+            gx = g * g_rows
             # d/dx of (x - mu) * inv with mu, inv both functions of the row
-            x.accumulate(
-                inv * (gx - gx.mean(axis=1, keepdims=True) - xhat * (gx * xhat).mean(axis=1, keepdims=True))
-            )
+            gx = inv * (gx - gx.mean(axis=-1, keepdims=True)
+                        - xhat * (gx * xhat).mean(axis=-1, keepdims=True))
+            x.accumulate(_unshare(gx, x.data.shape))
 
-    return Tensor(xhat * gamma.data[None, :] + beta.data[None, :], (x, gamma, beta), backward)
+    return Tensor(xhat * g_rows + beta.data[..., None, :], (x, gamma, beta), backward)
 
 
 def segment_softmax(logits, segment_ids):
@@ -450,19 +508,19 @@ def segment_softmax(logits, segment_ids):
 
 
 def segment_sum(x, segment_ids, num_segments):
-    """Sum rows of (n, d) into (num_segments, d) buckets.
+    """Sum rows of (..., n, d) into (..., num_segments, d) buckets.
 
     segment_ids must be non-decreasing, which lets one np.add.reduceat over
     the runs of equal ids do the sum; strictly increasing ids have one row
     per bucket and are copied in. Ids that do not occur leave their bucket
     zero.
     """
-    if x.data.ndim != 2:
+    if x.data.ndim < 2:
         raise ShapeError(f"segment_sum expects a matrix, got {x.shape}")
     seg = np.asarray(segment_ids, dtype=np.int64)
-    if seg.shape != (x.shape[0],):
+    if seg.shape != (x.shape[-2],):
         raise ShapeError(f"segment ids length {seg.shape} vs rows {x.shape}")
-    y = np.zeros((num_segments, x.shape[1]), dtype=x.dtype)
+    y = np.zeros(x.shape[:-2] + (num_segments, x.shape[-1]), dtype=x.dtype)
     if seg.size:
         step = np.diff(seg)
         if np.any(step < 0):
@@ -470,13 +528,13 @@ def segment_sum(x, segment_ids, num_segments):
         if seg[0] < 0 or seg[-1] >= num_segments:
             raise ShapeError(f"segment ids [{seg[0]}, {seg[-1]}] outside {num_segments} segments")
         if step.all():
-            y[seg] = x.data
+            y[..., seg, :] = x.data
         else:
             starts = np.concatenate(([0], np.flatnonzero(step) + 1))
-            y[seg[starts]] = np.add.reduceat(x.data, starts, axis=0)
+            y[..., seg[starts], :] = np.add.reduceat(x.data, starts, axis=-2)
 
     def backward(g):
-        x.accumulate(g[seg])
+        x.accumulate(g[..., seg, :])
 
     return Tensor(y, (x,), backward)
 
@@ -485,15 +543,16 @@ def chain_attention(src_proj, dst_proj, attn_heads, edge_dst, slope, keep=None):
     """GATv2 attention on chains: every node attends to itself and, if it
     has one, to its predecessor i - 1.
 
-    src_proj and dst_proj are (N, H * D); attn_heads holds one (D, 1) score
-    vector per head; edge_dst lists, strictly increasing, the nodes that
-    have a predecessor. Head h scores edge j -> i as
-    leaky_relu(src[j] + dst[i]) . a_h over its D columns and softmaxes each
-    node's (at most two) scores in segment_softmax's order: max, exp, then
-    self + predecessor. The output holds alpha_self * src[i] +
-    alpha_pred * src[i - 1] for each head, heads side by side. That is
-    segment_softmax and segment_sum over the explicit self-plus-chain edge
-    list, computed on dense and shifted arrays with no gather or scatter.
+    src_proj and dst_proj are (..., N, H * D); attn_heads holds one
+    (..., D, 1) score vector per head, with the projections' lead; edge_dst
+    lists, strictly increasing, the nodes that have a predecessor. Head h
+    scores edge j -> i as leaky_relu(src[j] + dst[i]) . a_h over its D
+    columns and softmaxes each node's (at most two) scores in
+    segment_softmax's order: max, exp, then self + predecessor. The output
+    holds alpha_self * src[i] + alpha_pred * src[i - 1] for each head, heads
+    side by side. That is segment_softmax and segment_sum over the explicit
+    self-plus-chain edge list, computed on dense and shifted arrays with no
+    gather or scatter.
 
     keep, for attention dropout, is a pair of (N, H) multipliers for the
     self and predecessor weights, each 0 or the inverted-dropout scale; a
@@ -503,14 +562,16 @@ def chain_attention(src_proj, dst_proj, attn_heads, edge_dst, slope, keep=None):
     """
     src, dst = src_proj.data, dst_proj.data
     heads = len(attn_heads)
-    if src.ndim != 2 or dst.shape != src.shape or heads == 0 or src.shape[1] % heads:
+    if src.ndim < 2 or dst.shape != src.shape or heads == 0 or src.shape[-1] % heads:
         raise ShapeError(f"chain_attention: projections {src_proj.shape}/{dst_proj.shape} "
                          f"for {heads} heads")
-    n, width = src.shape
+    lead = src.shape[:-2]
+    n, width = src.shape[-2:]
     d = width // heads
     for a in attn_heads:
-        if a.shape != (d, 1):
-            raise ShapeError(f"chain_attention: attention vector {a.shape}, expected {(d, 1)}")
+        if a.shape != lead + (d, 1):
+            raise ShapeError(f"chain_attention: attention vector {a.shape}, "
+                             f"expected {lead + (d, 1)}")
     edge_dst = np.asarray(edge_dst, dtype=np.int64)
     if edge_dst.ndim != 1 or (edge_dst.size and (
             edge_dst[0] < 1 or edge_dst[-1] >= n or np.any(np.diff(edge_dst) <= 0))):
@@ -519,18 +580,18 @@ def chain_attention(src_proj, dst_proj, attn_heads, edge_dst, slope, keep=None):
         raise ShapeError(f"chain_attention: keep multipliers {[k.shape for k in keep]}, "
                          f"expected {(n, heads)}")
 
-    # block-diagonal (H * D, H): one matmul scores every head
-    blocks = np.zeros((width, heads), dtype=src.dtype)
+    # block-diagonal (..., H * D, H): one matmul scores every head
+    blocks = np.zeros(lead + (width, heads), dtype=src.dtype)
     for h, a in enumerate(attn_heads):
-        blocks[h * d:(h + 1) * d, h] = a.data[:, 0]
+        blocks[..., h * d:(h + 1) * d, h] = a.data[..., 0]
     # row i of the self arrays is edge i -> i; row i - 1 of the predecessor
     # arrays is edge i - 1 -> i
     z_self = src + dst
-    z_pred = src[:-1] + dst[1:]
+    z_pred = src[..., :-1, :] + dst[..., 1:, :]
     pre_self, pre_pred = _leaky(z_self, slope), _leaky(z_pred, slope)
     s_self = pre_self @ blocks
-    s_pred = np.full((n, heads), -np.inf, dtype=src.dtype)
-    s_pred[edge_dst] = (pre_pred @ blocks)[edge_dst - 1]
+    s_pred = np.full(lead + (n, heads), -np.inf, dtype=src.dtype)
+    s_pred[..., edge_dst, :] = (pre_pred @ blocks)[..., edge_dst - 1, :]
     mx = np.maximum(s_self, s_pred)
     e_self = np.exp(s_self - mx)
     e_pred = np.exp(s_pred - mx)  # exactly 0 where there is no predecessor
@@ -538,41 +599,46 @@ def chain_attention(src_proj, dst_proj, attn_heads, edge_dst, slope, keep=None):
     a_self, a_pred = e_self / denom, e_pred / denom
     w_self, w_pred = (a_self, a_pred) if keep is None else (a_self * keep[0], a_pred * keep[1])
 
-    src3 = src.reshape(n, heads, d)
-    out = (src3 * w_self[:, :, None]).reshape(n, width)
-    out[1:] += (src3[:-1] * w_pred[1:, :, None]).reshape(n - 1, width)
+    src3 = src.reshape(lead + (n, heads, d))
+    out = (src3 * w_self[..., None]).reshape(lead + (n, width))
+    out[..., 1:, :] += (src3[..., :-1, :, :] * w_pred[..., 1:, :, None]).reshape(
+        lead + (n - 1, width))
 
     def backward(g):
-        g3 = g.reshape(n, heads, d)
-        gw_self = (g3 * src3).sum(axis=2)
+        g3 = g.reshape(lead + (n, heads, d))
+        gw_self = (g3 * src3).sum(axis=-1)
         gw_pred = np.zeros_like(gw_self)
-        gw_pred[1:] = (g3[1:] * src3[:-1]).sum(axis=2)
+        gw_pred[..., 1:, :] = (g3[..., 1:, :, :] * src3[..., :-1, :, :]).sum(axis=-1)
         if keep is not None:
             gw_self, gw_pred = gw_self * keep[0], gw_pred * keep[1]
         # two-way softmax backward; a_pred = 0 zeroes nodes without a predecessor
         dot = gw_self * a_self + gw_pred * a_pred
         gs_self = a_self * (gw_self - dot)
-        gs_pred = (a_pred * (gw_pred - dot))[1:]
+        gs_pred = (a_pred * (gw_pred - dot))[..., 1:, :]
         if any(a.requires_grad for a in attn_heads):
-            g_blocks = pre_self.T @ gs_self + pre_pred.T @ gs_pred
+            g_blocks = (np.swapaxes(pre_self, -1, -2) @ gs_self
+                        + np.swapaxes(pre_pred, -1, -2) @ gs_pred)
             for h, a in enumerate(attn_heads):
                 if a.requires_grad:
-                    a.accumulate(g_blocks[h * d:(h + 1) * d, h:h + 1])
-        gz_self = (gs_self @ blocks.T) * np.where(z_self > 0, 1.0, slope).astype(src.dtype)
-        gz_pred = (gs_pred @ blocks.T) * np.where(z_pred > 0, 1.0, slope).astype(src.dtype)
+                    a.accumulate(g_blocks[..., h * d:(h + 1) * d, h:h + 1])
+        blocks_t = np.swapaxes(blocks, -1, -2)
+        gz_self = (gs_self @ blocks_t) * np.where(z_self > 0, 1.0, slope).astype(src.dtype)
+        gz_pred = (gs_pred @ blocks_t) * np.where(z_pred > 0, 1.0, slope).astype(src.dtype)
         if src_proj.requires_grad:
-            g_src = (g3 * w_self[:, :, None]).reshape(n, width) + gz_self
-            g_src[:-1] += (g3[1:] * w_pred[1:, :, None]).reshape(n - 1, width) + gz_pred
+            g_src = (g3 * w_self[..., None]).reshape(lead + (n, width)) + gz_self
+            g_src[..., :-1, :] += (g3[..., 1:, :, :] * w_pred[..., 1:, :, None]).reshape(
+                lead + (n - 1, width)) + gz_pred
             src_proj.accumulate(g_src)
         if dst_proj.requires_grad:
-            gz_self[1:] += gz_pred
+            gz_self[..., 1:, :] += gz_pred
             dst_proj.accumulate(gz_self)
 
     return Tensor(out, (src_proj, dst_proj, *attn_heads), backward)
 
 
 def _scatter_add_rows(out, idx, g):
-    """out[idx[k]] += g[k] for every k, summing each row's entries in k order.
+    """out[..., idx[k], :] += g[..., k, :] for every k, summing each row's
+    entries in k order.
 
     Entries get their occurrence rank among equal indices from a stable
     argsort; one fancy-indexed += per rank then touches every row at most
@@ -590,32 +656,36 @@ def _scatter_add_rows(out, idx, g):
     rank = positions - np.maximum.accumulate(np.where(first, positions, 0))
     for r in range(int(rank.max()) + 1):
         k = order[rank == r]
-        out[idx[k]] += g[k]
+        out[..., idx[k], :] += g[..., k, :]
     return out
 
 
 def gather_rows(x, indices):
+    """Rows indices of (..., n, d): (..., len(indices), d)."""
+    if x.data.ndim < 2:
+        raise ShapeError(f"gather_rows expects a matrix, got {x.shape}")
     idx = np.asarray(indices, dtype=np.int64)
 
     def backward(g):
         x.accumulate(_scatter_add_rows(np.zeros_like(x.data), idx, g))
 
-    return Tensor(x.data[idx], (x,), backward)
+    return Tensor(x.data[..., idx, :], (x,), backward)
 
 
 def concat_cols(tensors):
-    n = tensors[0].shape[0]
+    """Join (..., n, d_k) tensors of one lead along the last axis."""
+    rows = tensors[0].shape[:-1]
     for t in tensors:
-        if t.data.ndim != 2 or t.shape[0] != n:
+        if t.data.ndim < 2 or t.shape[:-1] != rows:
             raise ShapeError(f"concat_cols: row mismatch {[t.shape for t in tensors]}")
-    offsets = np.cumsum([0] + [t.shape[1] for t in tensors])
+    offsets = np.cumsum([0] + [t.shape[-1] for t in tensors])
 
     def backward(g):
         for t, a, b in zip(tensors, offsets[:-1], offsets[1:]):
             if t.requires_grad:
-                t.accumulate(g[:, a:b])
+                t.accumulate(g[..., a:b])
 
-    return Tensor(np.concatenate([t.data for t in tensors], axis=1), tuple(tensors), backward)
+    return Tensor(np.concatenate([t.data for t in tensors], axis=-1), tuple(tensors), backward)
 
 
 def concat_rows(tensors):
@@ -634,12 +704,13 @@ def concat_rows(tensors):
 
 
 def slice_cols(x, start, stop):
+    """Columns start:stop of the last axis."""
     def backward(g):
         gx = np.zeros_like(x.data)
-        gx[:, start:stop] = g
+        gx[..., start:stop] = g
         x.accumulate(gx)
 
-    return Tensor(x.data[:, start:stop], (x,), backward)
+    return Tensor(x.data[..., start:stop], (x,), backward)
 
 
 def reshape(x, shape):
@@ -650,10 +721,11 @@ def reshape(x, shape):
 
 
 def transpose(x):
+    """Swap the last two axes."""
     def backward(g):
-        x.accumulate(g.T)
+        x.accumulate(np.swapaxes(g, -1, -2))
 
-    return Tensor(x.data.T, (x,), backward)
+    return Tensor(np.swapaxes(x.data, -1, -2), (x,), backward)
 
 
 def tsum(x):

@@ -280,15 +280,12 @@ def _chunks(graphs):
             for i in range(0, len(graphs), PREDICT_CHUNK)]
 
 
-def _batch_probs(params, batches, persona_mode):
-    with T.no_grad():
-        probs = [M.forward(b, None, params, persona_mode=persona_mode).probs for b in batches]
-    return np.concatenate(probs) if probs else np.zeros(0)
-
-
 def predict_probs(params, graphs, persona_mode=True):
     """Eval-mode probabilities, one batched forward per PREDICT_CHUNK graphs."""
-    return _batch_probs(params, _chunks(graphs), persona_mode)
+    with T.no_grad():
+        probs = [M.forward(b, None, params, persona_mode=persona_mode).probs
+                 for b in _chunks(graphs)]
+    return np.concatenate(probs) if probs else np.zeros(0)
 
 
 def _train_step(params, opt, batch, config, rng):
@@ -363,17 +360,62 @@ def fit(train_graphs, val_graphs, config, model_config, seed=0):
     )
 
 
+# The last ensemble's stacked Params, with the (tensor, data) pairs of its
+# members once re-pointed at the stack. A module-level slot because callers
+# pass a plain list of checkpoints, which has nowhere to keep it; one slot
+# holds at most one ensemble's stack, and the identity check makes a stale
+# entry harmless.
+_stack_cache = None
+
+
+def _stacked_params(members):
+    """Stacked Params of distinct member params. The cached stack serves
+    while the members' tensors, in order, are the ones stacked and still
+    hold their slices; a rebound tensor (load_snapshot, a checkpoint load)
+    or another member list restacks."""
+    global _stack_cache
+    bound = [(t, t.data) for p in members for t in p.tensors.values()]
+    if _stack_cache is not None:
+        cached, stacked = _stack_cache
+        if len(cached) == len(bound) and all(
+                t is u and d is e for (t, d), (u, e) in zip(bound, cached)):
+            return stacked
+    _stack_cache = None  # the old stack is freed once its members are re-pointed
+    stacked = T.stack_params(members)
+    _stack_cache = ([(t, t.data) for p in members for t in p.tensors.values()], stacked)
+    return stacked
+
+
 def ensemble_probs(checkpoints, graphs):
-    """Arithmetic mean of member probabilities, one value per graph."""
+    """Arithmetic mean of member probabilities, one value per graph.
+
+    All members run in one forward per chunk, over parameters stacked along
+    a member axis; a member listed twice is scored once. Members must share
+    architecture, persona mode and parameter dtype.
+    """
     if not checkpoints:
         raise ConfigError("ensemble needs at least one checkpoint")
-    arch = checkpoints[0].params.config.to_json()
+    first = checkpoints[0]
+    arch = first.params.config.to_json()
     for ck in checkpoints[1:]:
         if ck.params.config.to_json() != arch:
             raise ConfigError("ensemble members have mismatched architectures")
-    persona_on = checkpoints[0].train_config.persona_mode == "on"
-    batches = _chunks(graphs)
-    return np.mean([_batch_probs(ck.params, batches, persona_on) for ck in checkpoints], axis=0)
+        if ck.train_config.persona_mode != first.train_config.persona_mode:
+            raise ConfigError("ensemble members have mixed persona modes")
+    if len({t.dtype for ck in checkpoints for _, t in ck.params.named()}) > 1:
+        raise ConfigError("ensemble members have mixed parameter dtypes")
+    persona_on = first.train_config.persona_mode == "on"
+    params = [ck.params for ck in checkpoints]
+    distinct = list({id(p): p for p in params}.values())
+    stacked = _stacked_params(distinct)
+    with T.no_grad():
+        chunks = [M.forward(b, None, stacked, persona_mode=persona_on).probs
+                  for b in _chunks(graphs)]
+    probs = np.concatenate(chunks, axis=1) if chunks else np.zeros((len(distinct), 0))
+    if len(distinct) < len(params):
+        slot = {id(p): k for k, p in enumerate(distinct)}
+        probs = probs[[slot[id(p)] for p in params]]
+    return probs.mean(axis=0)
 
 
 def ensemble_predict(checkpoints, graph, persona=None):

@@ -211,13 +211,31 @@ def check_batch(seed=0, sizes=(5, 1, 8, 3)):
     return _model_check(f, params, seed)
 
 
+def check_stacked(seed=0, sizes=(5, 1, 8, 3)):
+    """fd check of one forward of three members stacked along a member
+    axis (tensor.stack_params), over check_batch's graphs, with respect to
+    the stacked leaves, float64. Every op with a member axis in the forward
+    passes these gradients back along it. The operands the members share
+    (input features, edge attributes, the zero Set2Set state) are
+    constants, so no gradient sums over the members."""
+    rng = np.random.default_rng(seed)
+    stacked = T.stack_params([_tiny_params(seed + k) for k in range(3)])
+    graphs = [_tiny_graph(rng, n, stacked.config.text_dim) for n in sizes]
+    for k, g in enumerate(graphs):
+        g.persona = k % stacked.config.persona_count
+    batch = GraphBatch.from_graphs(graphs)
+    f = _fw(lambda: M.forward(batch, None, stacked).logits, rng)
+    return _model_check(f, stacked, seed)
+
+
 def run_suite(trials=100, seed=0):
     """(name, max_rel_err, tolerance, passed) rows for ops plus the full model,
-    on one graph and on a batch."""
+    on one graph, on a batch and with stacked members."""
     rows = []
     for name, err in sorted(check_ops(trials, seed).items()):
         rows.append((name, err, OP_TOL, err < OP_TOL))
     for name, err in (("full_model_forward", check_model(seed)),
-                      ("batched_model_forward", check_batch(seed))):
+                      ("batched_model_forward", check_batch(seed)),
+                      ("stacked_model_forward", check_stacked(seed))):
         rows.append((name, err, END_TO_END_TOL, err < END_TO_END_TOL))
     return rows

@@ -45,6 +45,18 @@ class TestSessionModelCheckpoints:
             assert n1 == n2
             np.testing.assert_array_equal(t1.data, t2.data)
 
+    def test_loaded_parameters_are_writable_copies_of_the_blob(self, tmp_path):
+        ck = small_checkpoint()
+        CK.save_checkpoint(tmp_path / "ckpt", ck)
+        _, arrays = CK._read_pair(tmp_path / "ckpt", "session_model")
+        blob = next(iter(arrays.values())).base
+        loaded = CK.load_checkpoint(tmp_path / "ckpt")
+        for (_, t), (_, want) in zip(loaded.params.named(), ck.params.named()):
+            assert t.data.flags.writeable and t.data.flags.owndata
+            assert t.data.dtype == np.float32 and t.data.tobytes() == want.data.tobytes()
+            assert not np.shares_memory(t.data, blob)
+            t.data += 1.0  # an AdamW step updates in place
+
     def test_save_is_byte_deterministic(self, tmp_path):
         ck = small_checkpoint()
         CK.save_checkpoint(tmp_path / "a", ck)

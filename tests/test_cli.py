@@ -285,6 +285,25 @@ class TestEvaluate:
         single = [train.ensemble_predict([member, member], g) for g in graphs]
         np.testing.assert_allclose(batched, single, atol=1e-6)
 
+    def test_mixed_persona_modes_exit_two(self, workspace, tmp_path, capsys):
+        from dataclasses import replace
+
+        from psygat import checkpoints
+
+        on = workspace["train_dir"] / "ckpt-seed0"
+        member = checkpoints.load_checkpoint(on)
+        off = tmp_path / "ckpt-off"
+        checkpoints.save_checkpoint(off, replace(
+            member, train_config=replace(member.train_config, persona_mode="off")))
+        capsys.readouterr()
+        code = cli.main(["evaluate", "--checkpoint", f"{on}.json", f"{off}.json",
+                         "--corpus", str(workspace["corpus"]), "--threshold", "0.5",
+                         "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "persona modes" in err and "Traceback" not in err
+
 
 class TestExplain:
     def test_artifacts_and_frozen_checkpoint(self, workspace, tmp_path):

@@ -252,6 +252,93 @@ class TestFusedOpsMatchTheirReferences:
             assert value_and_grad(T.elu, x, dtype) == value_and_grad(where_elu, x, dtype)
 
 
+def stacked_and_sliced(op, arrays, shared, rng):
+    """op's output and input gradients on arrays with a leading member axis
+    (the shared ones without it), and the same assembled from one op call
+    per member on its slices, a shared input's gradient accumulated over
+    the members; the upstream gradient is random."""
+    stacked = [T.Tensor(a) for a in arrays]
+    out = op(*stacked)
+    weights = rng.standard_normal(out.shape).astype(out.dtype)
+    T.backward(T.tsum(T.mul(out, T.Tensor(weights))))
+    got = [out.data] + [t.grad for t in stacked]
+    common = [T.Tensor(a) if s else None for a, s in zip(arrays, shared)]
+    outs, grads = [], [[] for _ in arrays]
+    for k in range(out.shape[0]):
+        ins = [c if s else T.Tensor(a[k]) for a, s, c in zip(arrays, shared, common)]
+        o = op(*ins)
+        T.backward(T.tsum(T.mul(o, T.Tensor(weights[k]))))
+        outs.append(o.data)
+        for j, t in enumerate(ins):
+            grads[j].append(t.grad)
+    want = [np.stack(outs)] + [c.grad if s else np.stack(g)
+                               for c, s, g in zip(common, shared, grads)]
+    return got, want
+
+
+M3 = 3
+MEMBER_AXIS_CASES = {
+    "matmul": (T.matmul, [(M3, 4, 5), (M3, 5, 6)], [False, False]),
+    "matmul shared left": (T.matmul, [(4, 5), (M3, 5, 6)], [True, False]),
+    "matmul shared right": (T.matmul, [(M3, 4, 5), (5, 6)], [False, True]),
+    "add_bias": (T.add_bias, [(M3, 4, 6), (M3, 6)], [False, False]),
+    "add_bias shared rows": (T.add_bias, [(4, 6), (M3, 6)], [True, False]),
+    "add_bias shared bias": (T.add_bias, [(M3, 4, 6), (6,)], [False, True]),
+    "layer_norm": (T.layer_norm, [(M3, 4, 6), (M3, 6), (M3, 6)], [False, False, False]),
+    "layer_norm shared input": (T.layer_norm, [(4, 6), (M3, 6), (M3, 6)], [True, False, False]),
+    "segment_sum one row each": (lambda x: T.segment_sum(x, [0, 2, 3], 5), [(M3, 3, 4)], [False]),
+    "segment_sum runs": (lambda x: T.segment_sum(x, [0, 0, 2, 2, 2, 4], 6), [(M3, 6, 4)], [False]),
+    "chain_attention": (lambda s, d, a0, a1: T.chain_attention(s, d, [a0, a1], [1, 2, 4], 0.2),
+                        [(M3, 5, 6), (M3, 5, 6), (M3, 3, 1), (M3, 3, 1)], [False] * 4),
+    "gather_rows": (lambda x: T.gather_rows(x, [2, 0, 2, 1]), [(M3, 4, 3)], [False]),
+    "concat_cols": (lambda x, y: T.concat_cols([x, y]), [(M3, 4, 2), (M3, 4, 3)], [False, False]),
+    "slice_cols": (lambda x: T.slice_cols(x, 1, 4), [(M3, 4, 5)], [False]),
+    "reshape": (lambda x: T.reshape(x, x.shape[:-2] + (10, 2)), [(M3, 4, 5)], [False]),
+    "transpose": (T.transpose, [(M3, 4, 5)], [False]),
+}
+
+
+class TestMemberAxis:
+    """Ops with a leading member axis compute, forward and backward, what
+    one call per member does, bit for bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", sorted(MEMBER_AXIS_CASES))
+    def test_bit_equal_to_one_call_per_member(self, case, dtype):
+        op, shapes, shared = MEMBER_AXIS_CASES[case]
+        rng = np.random.default_rng(len(case))
+        arrays = [rng.standard_normal(shape).astype(dtype) for shape in shapes]
+        got, want = stacked_and_sliced(op, arrays, shared, rng)
+        for g, w in zip(got, want):
+            assert g.dtype == dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+
+    def test_mismatched_leads_rejected(self):
+        with pytest.raises(T.ShapeError, match="leading"):
+            T.matmul(t64(np.ones((2, 3, 4))), t64(np.ones((3, 4, 5))))
+        with pytest.raises(T.ShapeError, match="leading"):
+            T.add_bias(t64(np.ones((2, 3, 4))), t64(np.ones((3, 4))))
+        with pytest.raises(T.ShapeError, match="attention vector"):
+            T.chain_attention(t64(np.ones((2, 3, 4))), t64(np.ones((2, 3, 4))),
+                              [t64(np.ones((4, 1)))], [1], 0.2)
+
+    def test_stack_params_shares_storage_with_members(self):
+        from psygat import model as M
+
+        cfg = M.ModelConfig(text_dim=12, hidden=16, heads=2, persona_dim=4, head_hidden=8)
+        members = [M.ModelParams(cfg, seed=k) for k in range(3)]
+        before = [m.snapshot() for m in members]
+        stacked = T.stack_params(members)
+        assert stacked.config is cfg and list(stacked.tensors) == list(members[0].tensors)
+        for name, t in stacked.named():
+            assert t.shape == (3,) + members[0][name].shape
+            for k, m in enumerate(members):
+                assert m[name].data.base is t.data
+                np.testing.assert_array_equal(m[name].data, before[k][name])
+        members[1]["text_w"].data *= 2.0
+        np.testing.assert_array_equal(stacked["text_w"].data[1], 2.0 * before[1]["text_w"])
+
+
 class TestConstantsAndNoGrad:
     def test_constant_gets_no_grad(self):
         # the constant is layer_norm's x and a mul operand; both skip its gradient

@@ -388,3 +388,125 @@ class TestFit:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+def tiny_checkpoint(seed, dtype=np.float32, persona_mode="on", **model_overrides):
+    from psygat import model as M
+
+    cfg = M.ModelConfig(text_dim=12, hidden=16, heads=2, persona_dim=4, head_hidden=8,
+                        **model_overrides)
+    return TR.Checkpoint(params=M.ModelParams(cfg, seed=seed, dtype=dtype),
+                         train_config=TR.TrainConfig(persona_mode=persona_mode),
+                         best_val_pr_auc=0.0, threshold=0.5, seed=seed, epoch=0)
+
+
+def tiny_graphs(count, seed=0):
+    """count graphs of 1 to 6 nodes, single-node ones among them."""
+    from psygat.verify import _tiny_graph
+
+    rng = np.random.default_rng(seed)
+    graphs = [_tiny_graph(rng, int(n)) for n in rng.integers(1, 7, count)]
+    graphs[0] = _tiny_graph(rng, 1)
+    for k, g in enumerate(graphs):
+        g.persona = k % 4
+    return graphs
+
+
+def member_mean(members, graphs):
+    """The ensemble mean as member-by-member predict_probs gives it."""
+    persona_on = members[0].train_config.persona_mode == "on"
+    return np.mean([TR.predict_probs(ck.params, graphs, persona_on) for ck in members], axis=0)
+
+
+class TestEnsembleStack:
+    @pytest.mark.parametrize("members", [1, 2, 5])
+    @pytest.mark.parametrize("count", [1, 16])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("persona_mode", ["on", "off"])
+    @pytest.mark.parametrize("readout", ["set2set", "mean"])
+    def test_bit_equal_to_member_by_member_mean(self, members, count, dtype, persona_mode,
+                                                readout):
+        ensemble = [tiny_checkpoint(k, dtype, persona_mode, readout=readout)
+                    for k in range(members)]
+        graphs = tiny_graphs(count, seed=members + count)
+        want = member_mean(ensemble, graphs)
+        got = TR.ensemble_probs(ensemble, graphs)
+        assert got.dtype == np.float64 and got.shape == (count,)
+        assert got.tobytes() == want.tobytes()
+        # and again from the cached stack, now that the members are views of it
+        assert TR.ensemble_probs(ensemble, graphs).tobytes() == want.tobytes()
+        assert member_mean(ensemble, graphs).tobytes() == want.tobytes()
+
+    def test_members_are_views_of_one_stack(self):
+        ensemble = [tiny_checkpoint(k) for k in range(3)]
+        TR.ensemble_probs(ensemble, tiny_graphs(2))
+        stacked = TR._stacked_params([ck.params for ck in ensemble])
+        assert stacked is TR._stacked_params([ck.params for ck in ensemble])
+        for name, t in stacked.named():
+            for k, ck in enumerate(ensemble):
+                assert ck.params[name].data.base is t.data
+                assert np.shares_memory(ck.params[name].data, t.data[k])
+
+    @pytest.mark.parametrize("change", ["in-place edit", "load_snapshot", "reordered", "subset",
+                                        "duplicates"])
+    def test_next_call_sees_the_members_as_they_are(self, change):
+        ensemble = [tiny_checkpoint(k) for k in range(3)]
+        graphs = tiny_graphs(5)
+        TR.ensemble_probs(ensemble, graphs)
+        if change == "in-place edit":
+            for _, p in ensemble[1].params.named():
+                p.data *= 1.5
+        elif change == "load_snapshot":
+            ensemble[2].params.load_snapshot(tiny_checkpoint(7).params.snapshot())
+        elif change == "reordered":
+            ensemble = ensemble[::-1]
+        elif change == "subset":
+            ensemble = ensemble[1:]
+        else:
+            ensemble = [ensemble[0], ensemble[1], ensemble[0]]
+        want = member_mean(ensemble, graphs)
+        for _ in range(2):  # the first call after the change, then one from the cache
+            assert TR.ensemble_probs(ensemble, graphs).tobytes() == want.tobytes()
+
+    def test_mixed_persona_modes_rejected(self):
+        ensemble = [tiny_checkpoint(0, persona_mode="on"), tiny_checkpoint(1, persona_mode="off")]
+        with pytest.raises(TR.ConfigError, match="persona modes"):
+            TR.ensemble_probs(ensemble, tiny_graphs(2))
+
+    def test_mixed_parameter_dtypes_rejected(self):
+        ensemble = [tiny_checkpoint(0), tiny_checkpoint(1, dtype=np.float64)]
+        with pytest.raises(TR.ConfigError, match="dtypes"):
+            TR.ensemble_probs(ensemble, tiny_graphs(2))
+
+    def test_mismatched_architectures_rejected(self):
+        ensemble = [tiny_checkpoint(0), tiny_checkpoint(1, readout="mean")]
+        with pytest.raises(TR.ConfigError, match="architectures"):
+            TR.ensemble_probs(ensemble, tiny_graphs(2))
+
+
+def test_ensemble_probs_match_pinned_digest():
+    """Ensemble probabilities of seeded members on the default corpus, pinned
+    to the bytes: persona on, persona off and a mean-readout ensemble, scored
+    in 16-graph chunks and one graph at a time."""
+    import hashlib
+
+    from psygat import model as M
+    from psygat.datagen import GenConfig, generate_corpus
+    from psygat.pipeline import graphs_from_sessions
+
+    corpus = generate_corpus(GenConfig(seed=0))
+    graphs = graphs_from_sessions([s for split in ("train", "val", "test") for s in corpus[split]])
+
+    def members(model_config, persona_mode):
+        return [TR.Checkpoint(params=M.ModelParams(model_config, seed=k),
+                              train_config=TR.TrainConfig(persona_mode=persona_mode),
+                              best_val_pr_auc=0.0, threshold=0.5, seed=k, epoch=0)
+                for k in range(5)]
+
+    h = hashlib.sha256()
+    for ensemble in (members(M.ModelConfig(), "on"), members(M.ModelConfig(), "off"),
+                     members(M.ModelConfig(readout="mean"), "on")):
+        h.update(TR.ensemble_probs(ensemble, graphs).tobytes())
+        h.update(np.array([TR.ensemble_predict(ensemble, g) for g in graphs[:20]]).tobytes())
+    assert len(graphs) == 200 and TR.PREDICT_CHUNK == 16
+    assert h.hexdigest() == "5b465b3b0b9d61b9dc6fe9df3b8c90d05fd64006a2acaa8cf10831b1ce1223a2"

@@ -12,7 +12,7 @@ def test_suite_covers_all_ops_and_model():
         "layer_norm", "segment_softmax", "segment_sum", "gather_rows", "chain_attention",
         "concat_cols", "concat_rows", "slice_cols", "reshape", "transpose",
         "tsum", "tmean", "l2_normalize_rows", "dropout", "focal", "full_model_forward",
-        "batched_model_forward",
+        "batched_model_forward", "stacked_model_forward",
     }
     assert expected <= names
 
@@ -28,4 +28,5 @@ def test_tolerances():
         rows[name] = tol
     assert rows["full_model_forward"] == 1e-3
     assert rows["batched_model_forward"] == 1e-3
+    assert rows["stacked_model_forward"] == 1e-3
     assert rows["matmul"] == 1e-4
