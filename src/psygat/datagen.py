@@ -10,7 +10,7 @@ depressed class) so they help in moderation and hurt when they dominate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,6 +26,9 @@ class PersonaProfile:
     prominence: tuple  # 8 non-negative weights, sum 1
     expressiveness: float  # in [0, 1]
     coping_bias: float  # in [-1, 1]
+    # cdf of the seven negative categories' renormalized weights, as
+    # Generator.choice(p=...) builds it; None when they sum to zero
+    negative_cdf: np.ndarray = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         w = np.asarray(self.prominence, dtype=float)
@@ -35,6 +38,11 @@ class PersonaProfile:
             raise ConfigError(f"persona {self.id}: expressiveness outside [0, 1]")
         if not -1.0 <= self.coping_bias <= 1.0:
             raise ConfigError(f"persona {self.id}: coping bias outside [-1, 1]")
+        negative = w[:COPING]
+        if negative.sum() > 0:
+            cdf = (negative / negative.sum()).cumsum()
+            cdf /= cdf[-1]
+            self.negative_cdf = cdf
 
 
 def _prom(*weights):
@@ -94,6 +102,8 @@ class GenConfig:
             raise ConfigError("bad utterance count range")
         if self.causal_lag_min < 1 or self.causal_lag_max < self.causal_lag_min:
             raise ConfigError("bad causal lag range")
+        if self.utterances_min <= self.causal_lag_min:
+            raise ConfigError("utterances_min must exceed causal_lag_min, or a session has no cause target")
         if self.persona_set not in ("default", "extended"):
             raise ConfigError(f"unknown persona set {self.persona_set!r}")
 
@@ -151,28 +161,25 @@ _SLOTS = {
 }
 
 
-def _filler(rng):
-    template = _FILLER_TEMPLATES[rng.integers(len(_FILLER_TEMPLATES))]
-    words = {k: v[rng.integers(len(v))] for k, v in _SLOTS.items()}
-    return template.format(**words)
+# Each template with positional fields, one per slot in _SLOTS order, and a
+# filler's bounded draws: its template, then every slot in that order.
+_FILLER_FORMATS = tuple(
+    t.format(**{name: "{%d}" % k for k, name in enumerate(_SLOTS)}) for t in _FILLER_TEMPLATES)
+_SLOT_WORDS = tuple(_SLOTS.values())
+_FILLER_BOUNDS = [len(_FILLER_TEMPLATES)] + [len(words) for words in _SLOT_WORDS]
+_FILLER_DRAWS = len(_FILLER_BOUNDS)
 
 
-def _phrase_sentence(phrase):
-    return phrase[0].upper() + phrase[1:] + "."
-
-
-def _pick_phrase(rng, category_idx, sign=1):
+def _phrase_table(category_idx, sign):
     entries = DEFAULT_LEXICON[CATEGORIES[category_idx]]
     if category_idx == COPING:
         entries = [p for p, s in entries if s == sign]
-        return entries[rng.integers(len(entries))]
-    return entries[rng.integers(len(entries))]
+    return tuple((p, p[0].upper() + p[1:] + ".") for p in entries)
 
 
-def _negative_category(rng, persona):
-    w = np.asarray(persona.prominence[:COPING], dtype=float)
-    w = w / w.sum()
-    return int(rng.choice(COPING, p=w))
+# (category, sign) -> ((phrase, sentence), ...), for every planted pair
+_PHRASES = {(c, 1): _phrase_table(c, 1) for c in range(COPING + 1)}
+_PHRASES[(COPING, -1)] = _phrase_table(COPING, -1)
 
 
 def generate_session(seed, persona, label, config=None, source="base", session_id=None):
@@ -192,32 +199,42 @@ def generate_session(seed, persona, label, config=None, source="base", session_i
     causes = []
 
     if label == 1:
+        cdf = persona.negative_cdf
+        if cdf is None:
+            raise ConfigError(f"persona {persona.id}: negative category weights sum to zero")
+
+        def negative_category():
+            # the inverse-cdf lookup Generator.choice(COPING, p=...) makes
+            return int(cdf.searchsorted(rng.random(), "right"))
+
+        lag_min = config.causal_lag_min
         rate = 0.70 if augmented else 0.15 + 0.5 * persona.expressiveness
         n_sym = max(1, round(T * rate))
-        n_sym = min(n_sym, T - 1)
-        targets = sorted(rng.choice(np.arange(1, T), size=n_sym, replace=False))
+        n_sym = min(n_sym, T - lag_min)
+        targets = sorted(rng.choice(np.arange(lag_min, T), size=n_sym, replace=False))
         for t in targets:
-            cat = _negative_category(rng, persona)
+            cat = negative_category()
             if not any(c == cat for c, _ in planted[t]):
                 planted[t].append((cat, 1))
             n_src = int(rng.integers(1, 3))
-            lags = rng.permutation(np.arange(config.causal_lag_min, config.causal_lag_max + 1))
+            lags = list(range(lag_min, config.causal_lag_max + 1))
+            rng.shuffle(lags)  # the draws of rng.permutation on the same range
             sources = []
             for lag in lags[:n_src]:
-                s = t - int(lag)
+                s = t - lag
                 if s >= 0:
                     sources.append(s)
             if not sources:
-                sources = [t - config.causal_lag_min]
+                sources = [t - lag_min]
             for s in sources:
-                scat = _negative_category(rng, persona)
+                scat = negative_category()
                 if not any(c == scat for c, _ in planted[s]):
                     planted[s].append((scat, 1))
             causes.append({"target": int(t), "category": CATEGORIES[cat], "sources": sorted(set(int(s) for s in sources))})
             if config.echo_rate > 0 and rng.random() < config.echo_rate:
                 e = t - int(rng.integers(config.causal_lag_max + 1, config.causal_lag_max + 4))
                 if e >= 0:
-                    ecat = _negative_category(rng, persona)
+                    ecat = negative_category()
                     if not any(c == ecat for c, _ in planted[e]):
                         planted[e].append((ecat, 1))
         if augmented:
@@ -256,19 +273,48 @@ def generate_session(seed, persona, label, config=None, source="base", session_i
     if not augmented and config.label_flip > 0 and rng.random() < config.label_flip:
         emitted_label = 1 - label
 
+    # Per utterance the stream holds the filler's template and ten slots,
+    # one pick per planted phrase, a shuffle of the utterance's sentences
+    # (skipped for a lone filler, where it draws nothing), then its question.
+    # Each run of bounded picks between two shuffles is one integers call:
+    # numpy draws an array of bounds element by element, exactly as
+    # successive scalar calls do. A shuffle's draws depend only on the list
+    # length, so shuffling sentence indices gives the order to apply later.
+    bounds, shuffles = [], []  # shuffles: (position in bounds, sentence count)
+    for items in planted:
+        bounds += _FILLER_BOUNDS
+        bounds += [len(_PHRASES[item]) for item in items]
+        if items:
+            shuffles.append((len(bounds), len(items) + 1))
+        bounds.append(len(QUESTIONS))
+    bounds = np.array(bounds)
+    picks, orders, start = [], [], 0
+    for cut, n in shuffles:
+        picks += rng.integers(bounds[start:cut]).tolist()
+        order = list(range(n))
+        rng.shuffle(order)
+        orders.append(order)
+        start = cut
+    picks += rng.integers(bounds[start:]).tolist()
+
     utterances = []
     annotations = []
-    for t in range(T):
-        sentences = [_filler(rng)]
+    orders = iter(orders)
+    k = 0
+    for t, items in enumerate(planted):
+        slots = picks[k + 1 : k + _FILLER_DRAWS]
+        sentences = [_FILLER_FORMATS[picks[k]].format(*[w[j] for w, j in zip(_SLOT_WORDS, slots)])]
+        k += _FILLER_DRAWS
         peu_entries = []
-        for cat, sign in planted[t]:
-            phrase = _pick_phrase(rng, cat, sign)
-            sentences.append(_phrase_sentence(phrase))
+        for cat, sign in items:
+            phrase, sentence = _PHRASES[(cat, sign)][picks[k]]
+            k += 1
+            sentences.append(sentence)
             peu_entries.append({"category": CATEGORIES[cat], "value": int(sign), "spans": [phrase]})
-        rng.shuffle(sentences)
-        utterances.append(
-            Utterance(t, QUESTIONS[int(rng.integers(len(QUESTIONS)))], " ".join(sentences))
-        )
+        if items:
+            sentences = [sentences[i] for i in next(orders)]
+        utterances.append(Utterance(t, QUESTIONS[picks[k]], " ".join(sentences)))
+        k += 1
         annotations.append({"utt": t, "peus": peu_entries})
 
     return Session(

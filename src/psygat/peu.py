@@ -45,6 +45,14 @@ class PeuVector:
             raise SchemaError(f"coping dim must be in -1/0/1, got {v[COPING]}")
         object.__setattr__(self, "values", v)
 
+    @classmethod
+    def _checked(cls, values, evidence):
+        """A PeuVector from a tuple of eight ints its caller has validated."""
+        vec = cls.__new__(cls)
+        vec.values = values
+        vec.evidence = evidence
+        return vec
+
     def __eq__(self, other):
         return isinstance(other, PeuVector) and self.values == other.values
 
@@ -97,7 +105,7 @@ def parse_annotations(record):
             values[idx] = value
         for span in entry.get("spans", []):
             evidence.append((name, span))
-    return PeuVector(tuple(values), evidence)
+    return PeuVector._checked(tuple(values), evidence)
 
 
 def emit_annotations(utt_index, vec):

@@ -38,6 +38,12 @@ class Session:
         for k, utt in enumerate(self.utterances):
             if utt.index != k:
                 raise CorpusError(f"session {self.id}: utterance indices not contiguous at {k}")
+        n = len(self.utterances)
+        for rec in self.causes:
+            for index in (rec["target"], *rec["sources"]):
+                if not 0 <= int(index) < n:
+                    raise CorpusError(
+                        f"session {self.id}: cause index {index} outside the {n} utterances")
 
     @property
     def T(self):

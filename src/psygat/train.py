@@ -320,6 +320,7 @@ def fit(train_graphs, val_graphs, config, model_config, seed=0):
     rng = np.random.default_rng(seed + 1)
     best_auc = -1.0
     best_snapshot = params.snapshot()
+    best_probs = None
     best_epoch = 0
     since_improve = 0
     plateau_wait = 0
@@ -334,6 +335,7 @@ def fit(train_graphs, val_graphs, config, model_config, seed=0):
         auc = pr_auc(probs, val_labels)
         if auc > best_auc + 1e-12:
             best_auc = auc
+            best_probs = probs  # the restored parameters score exactly these
             best_snapshot = params.snapshot()
             best_epoch = epoch
             since_improve = 0
@@ -348,8 +350,9 @@ def fit(train_graphs, val_graphs, config, model_config, seed=0):
                 break
 
     params.load_snapshot(best_snapshot)
-    probs = predict_probs(params, val_graphs, persona_on)
-    threshold = select_threshold(probs, val_labels, config.threshold_objective, config.min_precision)
+    if best_probs is None:  # max_epochs = 0
+        best_probs = predict_probs(params, val_graphs, persona_on)
+    threshold = select_threshold(best_probs, val_labels, config.threshold_objective, config.min_precision)
     return Checkpoint(
         params=params,
         train_config=config,

@@ -1,6 +1,9 @@
 """Procedural corpus generator: determinism, planted structure,
 noise knobs and split hygiene."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -23,6 +26,14 @@ class TestPersonaProfile:
         with pytest.raises(D.ConfigError):
             D.PersonaProfile(0, "x", D.DEFAULT_PERSONAS[0].prominence, 1.5, 0.0)
 
+    def test_zero_negative_weights_reject_depressed_sessions(self):
+        # all weight on coping: controls still generate, a depressed session
+        # has no negative category to draw
+        p = D.PersonaProfile(0, "x", (0,) * 7 + (1,), 0.5, 0.0)
+        assert D.generate_session(0, p, 0).causes == []
+        with pytest.raises(D.ConfigError, match="sum to zero"):
+            D.generate_session(0, p, 1)
+
 
 class TestGenConfig:
     def test_defaults_valid(self):
@@ -39,6 +50,11 @@ class TestGenConfig:
             D.GenConfig(utterances_min=1)
         with pytest.raises(D.ConfigError):
             D.GenConfig(causal_lag_min=2, causal_lag_max=1)
+
+    def test_lag_min_must_leave_a_cause_target(self):
+        with pytest.raises(D.ConfigError, match="causal_lag_min"):
+            D.GenConfig(utterances_min=3, causal_lag_min=3, causal_lag_max=4)
+        D.GenConfig(utterances_min=4, causal_lag_min=3, causal_lag_max=4)
 
     def test_json_round_trip(self):
         c = D.GenConfig(seed=5, augmentation_ratio=0.3, persona_set="extended")
@@ -83,6 +99,20 @@ class TestGenerateSession:
             for rec in s.causes:
                 for src in rec["sources"]:
                     assert 1 <= rec["target"] - src <= 3
+
+    @pytest.mark.parametrize("lag_min,lag_max", [(2, 2), (2, 3), (3, 3)])
+    def test_cause_indices_stay_inside_the_session_at_long_lags(self, lag_min, lag_max):
+        # targets come from [causal_lag_min, T), so a target's fallback source
+        # t - causal_lag_min is never negative
+        config = D.GenConfig(causal_lag_min=lag_min, causal_lag_max=lag_max,
+                             utterances_min=lag_min + 1, utterances_max=lag_min + 6)
+        for seed in range(200):
+            s = D.generate_session(seed, D.DEFAULT_PERSONAS[3], 1, config)
+            assert s.causes
+            for rec in s.causes:
+                assert lag_min <= rec["target"] < s.T
+                for src in rec["sources"]:
+                    assert 0 <= src and lag_min <= rec["target"] - src <= lag_max
 
     def test_text_round_trips_through_keyword_extraction(self):
         # planted annotations must be recoverable from the rendered text
@@ -185,3 +215,76 @@ class TestGenerateCorpus:
             s.source == "augmented" for s in splits["train"]
         )
         assert manifest["splits"]["test"]["augmented"] == 0
+
+
+def corpus_digest(splits):
+    h = hashlib.sha256()
+    for name in ("train", "val", "test"):
+        for s in splits[name]:
+            h.update((json.dumps(s.to_json(), sort_keys=True) + "\n").encode())
+    return h.hexdigest()
+
+
+# sha256 of every session's JSON line, train then val then test, as the
+# generator wrote them with one RNG call per draw
+@pytest.mark.parametrize("config,digest", [
+    (D.GenConfig(seed=0),
+     "f241ca2903b0026688d1cf9912c2891a449f65de6ebe43440a2a5d8a35f2ddda"),
+    (D.GenConfig(seed=0, n_sessions=120, utterances_min=40, utterances_max=56),
+     "d3eb89519036aa0923133d8e81d510ed1db4c289f5609ad5ee163d8af4e10f7b"),
+    (D.GenConfig(seed=1, n_sessions=100, augmentation_ratio=0.5, label_flip=0.1,
+                 peu_dropout=0.2, echo_rate=0.3, persona_set="extended", causal_lag_max=4),
+     "f92a420c2134a9be142321785d9d7b03f5886c9c2b755d9047080ebf8413105e"),
+], ids=["default", "screen_long", "every_knob"])
+def test_corpus_matches_pinned_digest(config, digest):
+    assert corpus_digest(D.generate_corpus(config)) == digest
+
+
+class TestDrawForms:
+    """The generator's batched draws against the calls they replace, so a
+    numpy change that breaks one fails here and not only at a digest.
+    Verified on numpy 2.4.6."""
+
+    def test_array_bounds_draw_like_successive_scalar_calls(self):
+        filler = D._FILLER_BOUNDS
+        phrases = sorted({len(t) for t in D._PHRASES.values()})
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            bounds = [int(b) for b in rng.choice(filler + phrases + [len(D.QUESTIONS)],
+                                                 size=int(rng.integers(1, 60)))]
+            scalar = np.random.default_rng(seed + 1000)
+            batched = np.random.default_rng(seed + 1000)
+            expected = [int(scalar.integers(b)) for b in bounds]
+            assert batched.integers(np.array(bounds)).tolist() == expected
+            # both streams stand at the same place afterwards
+            assert batched.random() == scalar.random()
+            assert batched.integers(7) == scalar.integers(7)
+
+    def test_inverse_cdf_draws_like_choice_with_weights(self):
+        for persona in D.EXTENDED_PERSONAS:
+            w = np.asarray(persona.prominence[:D.COPING], dtype=float)
+            w = w / w.sum()
+            for seed in range(100):
+                by_choice = np.random.default_rng(seed)
+                by_cdf = np.random.default_rng(seed)
+                for _ in range(20):
+                    expected = int(by_choice.choice(D.COPING, p=w))
+                    got = int(persona.negative_cdf.searchsorted(by_cdf.random(), "right"))
+                    assert got == expected, (persona.id, seed)
+                assert by_cdf.random() == by_choice.random()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
+    def test_list_shuffle_draws_like_permutation(self, n):
+        # lag orders shuffle a list, sentence orders shuffle indices; a
+        # one-item shuffle draws nothing, so the generator skips it
+        for seed in range(50):
+            by_permutation = np.random.default_rng(seed)
+            by_list = np.random.default_rng(seed)
+            order = list(range(n))
+            by_list.shuffle(order)
+            assert order == by_permutation.permutation(np.arange(n)).tolist()
+            assert by_list.integers(10) == by_permutation.integers(10)
+        untouched = np.random.default_rng(0)
+        skipped = np.random.default_rng(0)
+        skipped.shuffle(["only"])
+        assert skipped.random() == untouched.random()

@@ -1,5 +1,7 @@
 """Session records, JSONL round-trips, splits and the leakage guard."""
 
+import json
+
 import pytest
 
 from psygat import sessions as S
@@ -23,6 +25,16 @@ class TestSession:
         with pytest.raises(S.CorpusError):
             S.Session(id="x", persona=0, label=0,
                       utterances=[S.Utterance(0, "q", "a"), S.Utterance(2, "q", "b")])
+
+    @pytest.mark.parametrize("cause", [
+        {"target": 3, "category": "self_negativity", "sources": [1]},
+        {"target": 1, "category": "self_negativity", "sources": [-1]},
+        {"target": 2, "category": "self_negativity", "sources": [0, 5]},
+    ])
+    def test_cause_indices_outside_the_session_rejected(self, cause):
+        with pytest.raises(S.CorpusError, match="cause index"):
+            S.Session(id="x", persona=0, label=1,
+                      utterances=[S.Utterance(i, "q", "a") for i in range(3)], causes=[cause])
 
     def test_text_prepends_question(self):
         s = make_session()
@@ -51,6 +63,16 @@ class TestCorpusIo:
         S.write_sessions(p1, s)
         S.write_sessions(p2, s)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_negative_cause_source_fails_on_load(self, tmp_path):
+        # the record a generator with causal_lag_min >= 2 once wrote for an
+        # early target: source -1 would index the last utterance
+        record = make_session("early", n=4, label=1).to_json()
+        record["causes"] = [{"target": 1, "category": "self_negativity", "sources": [-1]}]
+        path = tmp_path / "old.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        with pytest.raises(S.CorpusError, match=":1:.*cause index -1"):
+            S.read_sessions(path)
 
     def test_bad_record_reports_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"

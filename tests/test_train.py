@@ -366,6 +366,39 @@ class TestFit:
         for name in marked:
             np.testing.assert_array_equal(marked[name], unmarked[name], err_msg=name)
 
+    @pytest.mark.parametrize("objective", ["f1", "recall_at_min_precision"])
+    @pytest.mark.parametrize("max_epochs", [0, 1, 6])
+    def test_threshold_and_auc_match_a_rescore_of_the_restored_params(self, monkeypatch,
+                                                                       objective, max_epochs):
+        # fit selects the threshold from the best epoch's validation
+        # probabilities instead of scoring validation once more after
+        # restoring that epoch's parameters
+        from psygat import model as M
+        from psygat.metrics import pr_auc
+        from psygat.verify import _tiny_graph
+
+        rng = np.random.default_rng(14)
+        graphs = [_tiny_graph(rng, int(n)) for n in rng.integers(1, 7, 14)]
+        for k, g in enumerate(graphs):
+            g.label, g.persona = k % 2, k % 4
+        train, val = graphs[:8], graphs[8:]
+        steps, scored = [], []
+        step, predict = TR._train_step, TR.predict_probs
+        monkeypatch.setattr(TR, "_train_step", lambda *a: steps.append(1) or step(*a))
+        monkeypatch.setattr(TR, "predict_probs", lambda *a: scored.append(1) or predict(*a))
+        cfg = M.ModelConfig(text_dim=12, hidden=16, heads=2, persona_dim=4, head_hidden=8)
+        config = TR.TrainConfig(lr=5e-3, max_epochs=max_epochs, early_stop_patience=2,
+                                seeds=(0,), batch_size=4, threshold_objective=objective)
+        ck = TR.fit(train, val, config, cfg, seed=0)
+        epochs = len(steps) // 2  # two minibatches of 4 per epoch
+        assert len(scored) == max(epochs, 1)  # one validation pass per epoch
+        assert max_epochs < 6 or 0 < ck.epoch < epochs  # the restored epoch is not the last
+        labels = np.array([g.label for g in val])
+        probs = predict(ck.params, val, True)
+        assert ck.threshold == TR.select_threshold(probs, labels, objective, config.min_precision)
+        if max_epochs:
+            assert ck.best_val_pr_auc == pr_auc(probs, labels)
+
     def test_step_graphs_leave_no_cyclic_garbage(self):
         # op closures capture only their parents, so refcounting alone frees
         # each step's autodiff graph; nothing is left for the cycle collector
