@@ -7,34 +7,19 @@ windowed star graphs, and prints ranked explanations with Hit@K / MRR.
 from psygat import causal
 from psygat.datagen import GenConfig, generate_corpus
 from psygat.model import ModelConfig
-from psygat.peu import build_peu_tensor
-from psygat.pipeline import graphs_from_sessions, peu_rows_by_session
+from psygat.pipeline import graphs_from_sessions
 from psygat.train import TrainConfig, fit
 
 splits = generate_corpus(GenConfig(seed=0, n_sessions=80))
 graphs = {name: graphs_from_sessions(split) for name, split in splits.items()}
 checkpoint = fit(graphs["train"], graphs["val"], TrainConfig(seeds=(0,)), ModelConfig())
 
-# frozen, detached node representations per session
-all_graphs = [g for split in graphs.values() for g in split]
-reps = {g.session_id: causal.session_node_reps(g, checkpoint.params) for g in all_graphs}
-sessions = splits["train"] + splits["val"] + splits["test"]
-peu_rows = peu_rows_by_session(sessions)
-
+# the scorer reads frozen, detached node representations of the train and
+# test sessions only
+graphs_by_id = {g.session_id: g for split in graphs.values() for g in split}
 config = causal.CausalConfig(window=3)
-
-
-def instances(split):
-    out = []
-    for s in split:
-        out += causal.extract_instances(s, build_peu_tensor(s), config.window)
-    return out
-
-
-scorer = causal.train_scorer(instances(splits["train"]), reps, peu_rows, config)
-report, explanations, skipped = causal.rank_and_evaluate(
-    instances(splits["test"]), reps, peu_rows, scorer
-)
+scorer, report, explanations, skipped = causal.explain(splits, graphs_by_id,
+                                                       checkpoint.params, config)
 print(f"instances {report.instances} (skipped {skipped} without annotated cause)")
 print(f"Hit@1 {report.hit_at[1]:.3f}  Hit@3 {report.hit_at[3]:.3f}  "
       f"Hit@5 {report.hit_at[5]:.3f}  MRR {report.mrr:.3f}")

@@ -17,7 +17,7 @@ from . import tensor as T
 from .errors import ConfigError, DataError
 from .graph import GraphBatch
 from .metrics import ranking_metrics
-from .peu import CATEGORIES, NUM_CATEGORIES
+from .peu import CATEGORIES, NUM_CATEGORIES, build_peu_tensor
 from .train import AdamW, focal_terms
 
 
@@ -252,3 +252,24 @@ def rank_and_evaluate(instances, reps_by_session, peus_by_session, scorer):
     if not ranked_labels:
         raise DataError("no instances with annotated causes to evaluate")
     return ranking_metrics(ranked_labels), explanations, skipped
+
+
+def explain(splits, graphs_by_id, params, config, seed=0):
+    """Fit the edge scorer on the train split and rank the evaluated split
+    (test, or val when test is empty) under a frozen session model.
+
+    Only those sessions are encoded, and each one's PEU tensor is built
+    once. Returns (scorer, RankingReport, explanation records, skipped count).
+    """
+    evaluated = splits["test"] or splits["val"]
+    read = splits["train"] + evaluated
+    reps = {s.id: session_node_reps(graphs_by_id[s.id], params) for s in read}
+    peus = {s.id: build_peu_tensor(s) for s in read}
+    peu_rows = {sid: p.as_array() for sid, p in peus.items()}
+
+    def instances(split):
+        return [inst for s in split
+                for inst in extract_instances(s, peus[s.id], config.window, config.past_only)]
+
+    scorer = train_scorer(instances(splits["train"]), reps, peu_rows, config, seed)
+    return (scorer, *rank_and_evaluate(instances(evaluated), reps, peu_rows, scorer))

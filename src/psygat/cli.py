@@ -26,7 +26,6 @@ from . import train as TR
 from . import verify
 from .errors import ConfigError, CorpusError, PsygatError
 from .metrics import classification_report
-from .peu import build_peu_tensor
 from .pipeline import graphs_from_sessions
 from .sessions import check_no_augmented_leakage, read_sessions, split_sessions, write_sessions
 
@@ -259,23 +258,9 @@ def cmd_explain(args):
             "corpus carries no causal annotations; regenerate it with the generate command"
         )
     causal_config = C.CausalConfig(window=args.window, past_only=args.past_only)
-    eval_split = splits["test"] or splits["val"]
-    # only the sessions the scorer trains or is evaluated on are encoded
-    read = splits["train"] + eval_split
     graph_by_id = {g.session_id: g for split in graphs.values() for g in split}
-    reps = {s.id: C.session_node_reps(graph_by_id[s.id], member.params) for s in read}
-    peus = {s.id: build_peu_tensor(s) for s in read}
-    peu_rows = {sid: p.as_array() for sid, p in peus.items()}
-
-    def instances_for(split_sessions_):
-        return [inst for s in split_sessions_
-                for inst in C.extract_instances(s, peus[s.id], causal_config.window,
-                                                causal_config.past_only)]
-
-    eval_instances = instances_for(eval_split)
-    scorer = C.train_scorer(instances_for(splits["train"]), reps, peu_rows,
-                            causal_config, seed=args.seed or 0)
-    report, explanations, skipped = C.rank_and_evaluate(eval_instances, reps, peu_rows, scorer)
+    scorer, report, explanations, skipped = C.explain(splits, graph_by_id, member.params,
+                                                      causal_config, seed=args.seed or 0)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     scorer_prefix = out_dir / "causal-scorer"

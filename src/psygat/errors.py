@@ -43,10 +43,6 @@ class EmptySessionError(DataError):
     pass
 
 
-class EmbeddingLookupError(DataError, KeyError):
-    pass
-
-
 class ShapeError(ValueError):
     pass
 

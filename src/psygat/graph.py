@@ -106,13 +106,17 @@ def peu_edge_attr(p_t, p_next, norm="range"):
 
 
 def build_graph(session, embeddings, peus, norm="range"):
-    """Assemble one SessionGraph from a session, its embeddings and PEUs."""
+    """Assemble one SessionGraph from a session, its PEUs and embeddings,
+    a dict of session id -> (T, d_s) block as embed.embed_sessions returns."""
     T = session.T
     if T == 0:
         raise EmptySessionError(f"session {session.id} has no participant utterances")
     if peus.T != T:
         raise DataError(f"session {session.id}: {peus.T} PEU rows for {T} utterances")
-    node_text = np.stack([embeddings.get(session.id, u.index) for u in session.utterances])
+    node_text = embeddings[session.id]
+    if node_text.shape[0] != T:
+        raise DataError(
+            f"session {session.id}: {node_text.shape[0]} embedding rows for {T} utterances")
     node_peu = peus.as_array(np.float32)
     return SessionGraph(
         session_id=session.id,

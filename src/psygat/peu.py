@@ -8,6 +8,7 @@ consumes just the 8-dim vector.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -129,16 +130,25 @@ def emit_annotations(utt_index, vec):
 def build_peu_tensor(session):
     """Stack per-utterance PeuVectors in timeline order.
 
-    Every participant utterance must carry an annotation record (an empty
-    one is fine); a gap is a data error, not a silent zero row.
+    Every participant utterance must carry exactly one annotation record
+    (an empty one is fine); a gap is a data error, not a silent zero row,
+    and a second record or one for a missing utterance is a schema error,
+    not a silently dropped one.
     """
     by_utt = {rec["utt"]: rec for rec in session.peus}
+    if len(by_utt) != len(session.peus):
+        dup = next(u for u, n in Counter(rec["utt"] for rec in session.peus).items() if n > 1)
+        raise SchemaError(f"session {session.id}: two PEU annotations for utterance {dup}")
     rows = []
     for utt in session.utterances:
         rec = by_utt.get(utt.index)
         if rec is None:
             raise DataError(f"session {session.id}: no PEU annotation for utterance {utt.index}")
         rows.append(parse_annotations(rec))
+    if len(by_utt) != len(rows):  # every utterance has its record, so the rest name none
+        extra = next(u for u in by_utt if u not in range(len(rows)))
+        raise SchemaError(f"session {session.id}: PEU annotation for utterance {extra}, "
+                          f"which the session does not have")
     return PeuTensor(rows)
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import CorpusError
+from .peu import CATEGORIES
 
 
 @dataclass
@@ -40,6 +41,8 @@ class Session:
                 raise CorpusError(f"session {self.id}: utterance indices not contiguous at {k}")
         n = len(self.utterances)
         for rec in self.causes:
+            if rec["category"] not in CATEGORIES:
+                raise CorpusError(f"session {self.id}: unknown cause category {rec['category']!r}")
             for index in (rec["target"], *rec["sources"]):
                 if not 0 <= int(index) < n:
                     raise CorpusError(

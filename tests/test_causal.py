@@ -284,18 +284,8 @@ def test_explain_outputs_match_pinned_digest():
     corpus = generate_corpus(GenConfig(seed=0))
     sessions = [s for split in ("train", "val", "test") for s in corpus[split]]
     params = M.ModelParams(M.ModelConfig(), seed=0)
-    config = C.CausalConfig(epochs=2)
-    read = corpus["train"] + corpus["test"]
     graphs = {g.session_id: g for g in graphs_from_sessions(sessions)}
-    reps = {s.id: C.session_node_reps(graphs[s.id], params) for s in read}
-    peus = {s.id: build_peu_tensor(s) for s in read}
-    rows = {sid: p.as_array() for sid, p in peus.items()}
-
-    def instances(split):
-        return [i for s in split for i in C.extract_instances(s, peus[s.id], config.window)]
-
-    scorer = C.train_scorer(instances(corpus["train"]), reps, rows, config, seed=0)
-    _, explanations, _ = C.rank_and_evaluate(instances(corpus["test"]), reps, rows, scorer)
+    scorer, _, explanations, _ = C.explain(corpus, graphs, params, C.CausalConfig(epochs=2))
     h = hashlib.sha256()
     for name, t in scorer.named():
         h.update(name.encode())

@@ -331,10 +331,10 @@ class TestExplain:
         from psygat.sessions import split_sessions
 
         encoded, annotated = [], []
-        reps, peus = cli.C.session_node_reps, cli.build_peu_tensor
+        reps, peus = cli.C.session_node_reps, cli.C.build_peu_tensor
         monkeypatch.setattr(cli.C, "session_node_reps",
                             lambda g, params: encoded.append(g.session_id) or reps(g, params))
-        monkeypatch.setattr(cli, "build_peu_tensor",
+        monkeypatch.setattr(cli.C, "build_peu_tensor",
                             lambda s: annotated.append(s.id) or peus(s))
         code = cli.main(["explain",
                          "--checkpoint", str(workspace["train_dir"] / "ckpt-seed0.json"),

@@ -40,10 +40,6 @@ def test_programming_errors_stay_outside_the_hierarchy():
         assert not issubclass(getattr(errors, name), errors.PsygatError)
 
 
-def test_embedding_lookup_error_is_a_key_error():
-    assert issubclass(errors.EmbeddingLookupError, KeyError)
-
-
 @pytest.mark.parametrize("cls", domain_errors(), ids=lambda cls: cls.__name__)
 def test_cli_maps_domain_errors_to_exit_codes(cls, monkeypatch, capsys):
     def fail(args):

@@ -92,6 +92,12 @@ class TestBuildGraph:
         with pytest.raises(ValueError, match="PEU rows"):
             G.build_graph(s, embed_sessions([s], dim=16), PeuTensor([]))
 
+    def test_embedding_row_count_mismatch_rejected(self):
+        s = make_session(3)
+        shorter = embed_sessions([make_session(2)], dim=16)  # same session id
+        with pytest.raises(G.DataError, match="2 embedding rows for 3 utterances"):
+            G.build_graph(s, shorter, build_peu_tensor(s))
+
 
 def reference_edge_attr(p_t, p_next, norm):
     """One edge's attribute computed on its own, as a frozen reference."""

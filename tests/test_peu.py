@@ -114,6 +114,18 @@ class TestBuildPeuTensor:
         with pytest.raises(peu.DataError, match="utterance 1"):
             peu.build_peu_tensor(s)
 
+    def test_duplicate_annotation_rejected(self):
+        sad = {"utt": 0, "peus": [{"category": "self_negativity", "value": 1, "spans": []}]}
+        s = self._session([sad, {"utt": 1, "peus": []}, {"utt": 0, "peus": []}])
+        with pytest.raises(peu.SchemaError, match="two PEU annotations for utterance 0"):
+            peu.build_peu_tensor(s)
+
+    def test_annotation_for_a_missing_utterance_rejected(self):
+        s = self._session([{"utt": 0, "peus": []}, {"utt": 1, "peus": []},
+                           {"utt": 7, "peus": []}])
+        with pytest.raises(peu.SchemaError, match="utterance 7"):
+            peu.build_peu_tensor(s)
+
     def test_empty_tensor_array_shape(self):
         assert peu.PeuTensor([]).as_array().shape == (0, 8)
 

@@ -36,6 +36,12 @@ class TestSession:
             S.Session(id="x", persona=0, label=1,
                       utterances=[S.Utterance(i, "q", "a") for i in range(3)], causes=[cause])
 
+    def test_unknown_cause_category_rejected(self):
+        cause = {"target": 2, "category": "sadness", "sources": [1]}
+        with pytest.raises(S.CorpusError, match="unknown cause category 'sadness'"):
+            S.Session(id="x", persona=0, label=1,
+                      utterances=[S.Utterance(i, "q", "a") for i in range(3)], causes=[cause])
+
     def test_text_prepends_question(self):
         s = make_session()
         assert s.text(1) == "Q: q1 A: answer 1"
