@@ -135,7 +135,10 @@ def build_peu_tensor(session):
     and a second record or one for a missing utterance is a schema error,
     not a silently dropped one.
     """
-    by_utt = {rec["utt"]: rec for rec in session.peus}
+    try:
+        by_utt = {rec["utt"]: rec for rec in session.peus}
+    except KeyError:
+        raise SchemaError(f"session {session.id}: a PEU annotation without an 'utt' key") from None
     if len(by_utt) != len(session.peus):
         dup = next(u for u, n in Counter(rec["utt"] for rec in session.peus).items() if n > 1)
         raise SchemaError(f"session {session.id}: two PEU annotations for utterance {dup}")

@@ -273,6 +273,56 @@ def test_session_node_reps_equal_forward_node_reps():
                                       M.forward(g, g.persona, params).node_reps.data)
 
 
+@pytest.fixture(scope="module")
+def small_explain_inputs():
+    from psygat import model as M
+    from psygat.datagen import GenConfig, generate_corpus
+    from psygat.pipeline import graphs_from_sessions
+
+    corpus = generate_corpus(GenConfig(seed=1, n_sessions=30))
+    sessions = [s for split in ("train", "val", "test") for s in corpus[split]]
+    graphs = {g.session_id: g for g in graphs_from_sessions(sessions)}
+    return corpus, graphs, M.ModelParams(M.ModelConfig(), seed=0)
+
+
+@pytest.mark.parametrize("evaluated", ["test", "val"])
+def test_explain_encodes_and_annotates_train_and_the_evaluated_split_once(
+        small_explain_inputs, evaluated, monkeypatch):
+    corpus, graphs, params = small_explain_inputs
+    splits = dict(corpus, test=corpus["test"] if evaluated == "test" else [])
+    encoded, annotated = [], []
+    reps, peus = C.session_node_reps, C.build_peu_tensor
+    monkeypatch.setattr(C, "session_node_reps",
+                        lambda g, p: encoded.append(g.session_id) or reps(g, p))
+    monkeypatch.setattr(C, "build_peu_tensor", lambda s: annotated.append(s.id) or peus(s))
+    _, _, explanations, _ = C.explain(splits, graphs, params, C.CausalConfig(epochs=1))
+    read = [s.id for s in corpus["train"] + corpus[evaluated]]
+    assert encoded == read
+    assert annotated == read
+    assert {rec["session"] for rec in explanations} <= {s.id for s in corpus[evaluated]}
+
+
+def test_explain_equals_its_components(small_explain_inputs):
+    corpus, graphs, params = small_explain_inputs
+    config = C.CausalConfig(epochs=1)
+    scorer, report, explanations, skipped = C.explain(corpus, graphs, params, config, seed=3)
+    read = corpus["train"] + corpus["test"]
+    reps = {s.id: C.session_node_reps(graphs[s.id], params) for s in read}
+    tensors = {s.id: build_peu_tensor(s) for s in read}
+    rows = {sid: t.as_array() for sid, t in tensors.items()}
+
+    def instances(split):
+        return [i for s in split
+                for i in C.extract_instances(s, tensors[s.id], config.window, config.past_only)]
+
+    want = C.train_scorer(instances(corpus["train"]), reps, rows, config, seed=3)
+    assert [n for n, _ in scorer.named()] == [n for n, _ in want.named()]
+    for (name, got), (_, ref) in zip(scorer.named(), want.named()):
+        assert got.data.tobytes() == ref.data.tobytes(), name
+    assert (report, explanations, skipped) == C.rank_and_evaluate(
+        instances(corpus["test"]), reps, rows, want)
+
+
 def test_explain_outputs_match_pinned_digest():
     """Scorer parameters and explanation probabilities of a seed-0 explain
     run, pinned to the bytes: the scorer's training must not move under a

@@ -165,6 +165,22 @@ class TestTrain:
         assert len(err.strip().splitlines()) == 1
         assert "no PEU annotation" in err and "Traceback" not in err
 
+    def test_annotation_without_utterance_index_exits_one_without_traceback(
+            self, workspace, tmp_path, capsys):
+        sessions = read_sessions(workspace["corpus"])
+        del sessions[0].peus[0]["utt"]
+        from psygat.sessions import write_sessions
+
+        bad = tmp_path / "no-utt.jsonl"
+        write_sessions(bad, sessions)
+        capsys.readouterr()
+        assert cli.main(["train", "--corpus", str(bad),
+                         "--config", str(workspace["train_cfg"]),
+                         "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "'utt'" in err and "Traceback" not in err
+
     def test_unparsable_epoch_count_exits_two_without_traceback(self, workspace, tmp_path,
                                                                capsys):
         bad = tmp_path / "bad.cfg"

@@ -77,6 +77,32 @@ def test_embed_sessions_covers_all_utterances():
     assert all(b.dtype == np.float32 for b in blocks.values())
 
 
+def test_a_block_does_not_depend_on_the_other_sessions_of_the_call():
+    # shared words and bigrams across sessions reuse one feature-code dict
+    sessions = [make_session("a", 4), make_session("b", 3)]
+    sessions[1].utterances[0].answer = "hello world hello world again"
+    together = embed.embed_sessions(sessions, dim=64, seed=2)
+    for s in sessions:
+        alone = embed.embed_sessions([s], dim=64, seed=2)
+        assert together[s.id].tobytes() == alone[s.id].tobytes()
+
+
+def test_question_embedded_only_when_prepended():
+    s = Session(id="q", persona=0, label=0,
+                utterances=[Utterance(0, "how are you", "fine"), Utterance(1, "", "fine")])
+    with_q = embed.embed_sessions([s], dim=64, prepend_question=True)["q"]
+    without = embed.embed_sessions([s], dim=64, prepend_question=False)["q"]
+    assert not np.array_equal(with_q[0], without[0])
+    np.testing.assert_array_equal(without[0], without[1])
+    # an empty question adds nothing, so the answer is embedded alone
+    np.testing.assert_array_equal(with_q[1], without[1])
+
+
+def test_session_without_utterances_gets_an_empty_block():
+    blocks = embed.embed_sessions([Session(id="e", persona=0, label=0, utterances=[])], dim=16)
+    assert blocks["e"].shape == (0, 16) and blocks["e"].dtype == np.float32
+
+
 EDGE_CASE_ANSWERS = (
     "",  # tokenless
     "?!., --",  # tokenless after tokenization

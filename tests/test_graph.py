@@ -98,6 +98,18 @@ class TestBuildGraph:
         with pytest.raises(G.DataError, match="2 embedding rows for 3 utterances"):
             G.build_graph(s, shorter, build_peu_tensor(s))
 
+    def test_node_text_is_the_session_embedding_block(self):
+        s = make_session(3)
+        blocks = embed_sessions([make_session(1, sid="other"), s], dim=16)
+        g = G.build_graph(s, blocks, build_peu_tensor(s))
+        assert g.node_text is blocks[s.id]
+
+    def test_session_without_an_embedding_block_rejected(self):
+        s = make_session(3)
+        with pytest.raises(KeyError, match=s.id):
+            G.build_graph(s, embed_sessions([make_session(3, sid="other")], dim=16),
+                          build_peu_tensor(s))
+
 
 def reference_edge_attr(p_t, p_next, norm):
     """One edge's attribute computed on its own, as a frozen reference."""

@@ -126,6 +126,11 @@ class TestBuildPeuTensor:
         with pytest.raises(peu.SchemaError, match="utterance 7"):
             peu.build_peu_tensor(s)
 
+    def test_annotation_without_utterance_index_rejected(self):
+        s = self._session([{"utt": 0, "peus": []}, {"peus": []}])
+        with pytest.raises(peu.SchemaError, match="without an 'utt' key"):
+            peu.build_peu_tensor(s)
+
     def test_empty_tensor_array_shape(self):
         assert peu.PeuTensor([]).as_array().shape == (0, 8)
 
