@@ -24,13 +24,12 @@ for utt in session.utterances[:4]:
         print(f"    -> {cat}: {span!r}")
 
 peus = build_peu_tensor(session)
-arr = peus.as_array()
 print("\nPEU tensor (rows = utterances, cols = categories):")
-print(arr.astype(int))
+print(peus.astype(int))
 print("column order:", ", ".join(c.split("_")[0] for c in CATEGORIES))
 
 # the extractor recovers the planted annotations exactly at zero noise
-assert all(keyword_extract(u.answer, DEFAULT_LEXICON) == peus.rows[u.index]
+assert all(np.array_equal(keyword_extract(u.answer, DEFAULT_LEXICON).as_array(), peus[u.index])
            for u in session.utterances)
 
 graph = build_graph(session, embed_sessions([session], dim=64), peus)

@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 from .datagen import GenConfig, PersonaProfile, generate_corpus, generate_session
 from .graph import SessionGraph, build_graph, peu_edge_attr
 from .model import ModelConfig, ModelParams, forward
-from .peu import CATEGORIES, PeuTensor, PeuVector, keyword_extract
+from .peu import CATEGORIES, PeuVector, keyword_extract
 from .train import Checkpoint, TrainConfig, fit, train_ensemble
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "ModelConfig",
     "ModelParams",
     "PersonaProfile",
-    "PeuTensor",
     "PeuVector",
     "SessionGraph",
     "TrainConfig",

@@ -68,7 +68,8 @@ class CausalInstance:
 
 
 def extract_instances(session, peus, window, past_only=False):
-    """One instance per (utterance, active PEU category) pair.
+    """One instance per (utterance, active PEU category) pair of the
+    session's (T, 8) PEU array.
 
     Candidates are the in-window utterances around the target; labels come
     from the session's causal annotations, defaulting to all-zero.
@@ -80,22 +81,23 @@ def extract_instances(session, peus, window, past_only=False):
         key = (int(rec["target"]), rec["category"])
         sources_by_key.setdefault(key, set()).update(int(s) for s in rec["sources"])
     instances = []
-    for t in range(peus.T):
-        for cat in peus.rows[t].active_categories():
-            hi = t if past_only else min(peus.T - 1, t + window)
-            candidates = [j for j in range(max(0, t - window), hi + 1) if j != t]
-            if not candidates:
-                continue
-            sources = sources_by_key.get((t, CATEGORIES[cat]), set())
-            instances.append(
-                CausalInstance(
-                    session_id=session.id,
-                    target_index=t,
-                    target_category=cat,
-                    candidate_indices=candidates,
-                    labels=[1 if j in sources else 0 for j in candidates],
-                )
+    last = len(peus) - 1
+    targets, categories = np.nonzero(peus)  # row-major: by utterance, then category
+    for t, cat in zip(targets.tolist(), categories.tolist()):
+        hi = t if past_only else min(last, t + window)
+        candidates = [j for j in range(max(0, t - window), hi + 1) if j != t]
+        if not candidates:
+            continue
+        sources = sources_by_key.get((t, CATEGORIES[cat]), set())
+        instances.append(
+            CausalInstance(
+                session_id=session.id,
+                target_index=t,
+                target_category=cat,
+                candidate_indices=candidates,
+                labels=[1 if j in sources else 0 for j in candidates],
             )
+        )
     return instances
 
 
@@ -265,11 +267,10 @@ def explain(splits, graphs_by_id, params, config, seed=0):
     read = splits["train"] + evaluated
     reps = {s.id: session_node_reps(graphs_by_id[s.id], params) for s in read}
     peus = {s.id: build_peu_tensor(s) for s in read}
-    peu_rows = {sid: p.as_array() for sid, p in peus.items()}
 
     def instances(split):
         return [inst for s in split
                 for inst in extract_instances(s, peus[s.id], config.window, config.past_only)]
 
-    scorer = train_scorer(instances(splits["train"]), reps, peu_rows, config, seed)
-    return (scorer, *rank_and_evaluate(instances(evaluated), reps, peu_rows, scorer))
+    scorer = train_scorer(instances(splits["train"]), reps, peus, config, seed)
+    return (scorer, *rank_and_evaluate(instances(evaluated), reps, peus, scorer))

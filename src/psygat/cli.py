@@ -106,9 +106,7 @@ def write_manifest(out_dir, command, config, seeds, outputs, started):
         },
     }
     path = Path(out_dir) / "run_manifest.json"
-    tmp = path.with_suffix(".tmp")
-    tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    tmp.replace(path)
+    _write_json(path, manifest)
     return path
 
 

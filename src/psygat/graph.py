@@ -105,24 +105,25 @@ def peu_edge_attr(p_t, p_next, norm="range"):
     return edge_attrs([p_t.values, p_next.values], norm)[0]
 
 
-def build_graph(session, embeddings, peus, norm="range"):
-    """Assemble one SessionGraph from a session, its PEUs and embeddings,
-    a dict of session id -> (T, d_s) block as embed.embed_sessions returns."""
+def build_graph(session, embeddings, peus):
+    """Assemble one SessionGraph from a session, its (T, 8) PEU array as
+    peu.build_peu_tensor returns, and embeddings, a dict of session id ->
+    (T, d_s) block as embed.embed_sessions returns. Edges are
+    range-normalized."""
     T = session.T
     if T == 0:
         raise EmptySessionError(f"session {session.id} has no participant utterances")
-    if peus.T != T:
-        raise DataError(f"session {session.id}: {peus.T} PEU rows for {T} utterances")
+    if peus.shape[0] != T:
+        raise DataError(f"session {session.id}: {peus.shape[0]} PEU rows for {T} utterances")
     node_text = embeddings[session.id]
     if node_text.shape[0] != T:
         raise DataError(
             f"session {session.id}: {node_text.shape[0]} embedding rows for {T} utterances")
-    node_peu = peus.as_array(np.float32)
     return SessionGraph(
         session_id=session.id,
         node_text=node_text,
-        node_peu=node_peu,
-        edge_attr=edge_attrs(node_peu, norm),
+        node_peu=peus,
+        edge_attr=edge_attrs(peus),
         persona=session.persona,
         label=session.label,
     )

@@ -2,12 +2,15 @@
 
 Eight categories in a fixed canonical order. The first seven are binary
 presence flags; the coping dimension is ternary (-1 mitigating, 0 absent,
-+1 positive). Evidence spans are kept for reporting only; the model
-consumes just the 8-dim vector.
++1 positive). A session's annotations become one float32 (T, 8) array,
+one row per utterance, and that array is all the model, the graph edges
+and the causal scorer read. The spans in the raw records stay in
+`Session.peus`; only `keyword_extract` returns evidence, for display.
 """
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -46,94 +49,44 @@ class PeuVector:
             raise SchemaError(f"coping dim must be in -1/0/1, got {v[COPING]}")
         object.__setattr__(self, "values", v)
 
-    @classmethod
-    def _checked(cls, values, evidence):
-        """A PeuVector from a tuple of eight ints its caller has validated."""
-        vec = cls.__new__(cls)
-        vec.values = values
-        vec.evidence = evidence
-        return vec
-
     def __eq__(self, other):
         return isinstance(other, PeuVector) and self.values == other.values
-
-    def is_zero(self):
-        return all(x == 0 for x in self.values)
-
-    def active_categories(self):
-        return [i for i, x in enumerate(self.values) if x != 0]
 
     def as_array(self, dtype=np.float32):
         return np.asarray(self.values, dtype=dtype)
 
 
-@dataclass
-class PeuTensor:
-    rows: list  # T PeuVectors in utterance order
+def _fill_row(row, rec, session_id, utt):
+    """Write one record's {"category", "value", "spans"} entries into row.
 
-    @property
-    def T(self):
-        return len(self.rows)
-
-    def as_array(self, dtype=np.float32):
-        return np.array([r.values for r in self.rows], dtype=dtype).reshape(-1, NUM_CATEGORIES)
-
-
-def parse_annotations(record):
-    """Build a PeuVector from one annotation record.
-
-    Record shape: {"utt": int, "peus": [{"category", "value", "spans"}]}.
-    Duplicate categories merge: spans concatenate, the value must agree.
+    A category listed twice must give the same value both times.
     """
-    values = [0] * NUM_CATEGORIES
-    evidence = []
     seen = {}
-    for entry in record.get("peus", []):
+    for entry in rec.get("peus", []):
         name = entry.get("category")
-        if name not in CATEGORY_INDEX:
+        if name not in CATEGORIES:
             raise SchemaError(f"unknown PEU category {name!r}")
         idx = CATEGORY_INDEX[name]
-        value = int(entry.get("value", 1))
+        value = entry.get("value", 1)
         if idx == COPING:
             if value not in (-1, 0, 1):
-                raise SchemaError(f"coping value {value} outside -1/0/1")
-        else:
-            if value not in (0, 1):
-                raise SchemaError(f"{name} value {value} outside 0/1")
-        if idx not in seen:
-            # duplicates merge evidence but never change the first value
-            seen[idx] = value
-            values[idx] = value
-        for span in entry.get("spans", []):
-            evidence.append((name, span))
-    return PeuVector._checked(tuple(values), evidence)
-
-
-def emit_annotations(utt_index, vec):
-    """Inverse of parse_annotations for a PeuVector."""
-    spans_by_cat = {}
-    for name, span in vec.evidence:
-        spans_by_cat.setdefault(name, []).append(span)
-    peus = []
-    for i, value in enumerate(vec.values):
-        if value != 0:
-            peus.append(
-                {
-                    "category": CATEGORIES[i],
-                    "value": value,
-                    "spans": spans_by_cat.get(CATEGORIES[i], []),
-                }
-            )
-    return {"utt": utt_index, "peus": peus}
+                raise SchemaError(f"coping value {value!r} outside -1/0/1")
+        elif value not in (0, 1):
+            raise SchemaError(f"{name} value {value!r} outside 0/1")
+        if seen.setdefault(idx, value) != value:
+            raise SchemaError(f"session {session_id}: utterance {utt} gives {name} "
+                              f"the values {seen[idx]} and {value}")
+        row[idx] = value
 
 
 def build_peu_tensor(session):
-    """Stack per-utterance PeuVectors in timeline order.
+    """float32 (T, 8) PEU values of a session, one row per utterance in
+    timeline order.
 
     Every participant utterance must carry exactly one annotation record
-    (an empty one is fine); a gap is a data error, not a silent zero row,
-    and a second record or one for a missing utterance is a schema error,
-    not a silently dropped one.
+    {"utt": int, "peus": [...]} (an empty one is fine); a gap is a data
+    error, not a silent zero row, and a second record or one for a
+    missing utterance is a schema error, not a silently dropped one.
     """
     try:
         by_utt = {rec["utt"]: rec for rec in session.peus}
@@ -142,24 +95,25 @@ def build_peu_tensor(session):
     if len(by_utt) != len(session.peus):
         dup = next(u for u, n in Counter(rec["utt"] for rec in session.peus).items() if n > 1)
         raise SchemaError(f"session {session.id}: two PEU annotations for utterance {dup}")
-    rows = []
+    rows = np.zeros((session.T, NUM_CATEGORIES), dtype=np.float32)
     for utt in session.utterances:
         rec = by_utt.get(utt.index)
         if rec is None:
             raise DataError(f"session {session.id}: no PEU annotation for utterance {utt.index}")
-        rows.append(parse_annotations(rec))
-    if len(by_utt) != len(rows):  # every utterance has its record, so the rest name none
-        extra = next(u for u in by_utt if u not in range(len(rows)))
+        _fill_row(rows[utt.index], rec, session.id, utt.index)
+    if len(by_utt) != session.T:  # every utterance has its record, so the rest name none
+        extra = next(u for u in by_utt if u not in range(session.T))
         raise SchemaError(f"session {session.id}: PEU annotation for utterance {extra}, "
                           f"which the session does not have")
-    return PeuTensor(rows)
+    return rows
 
 
 def keyword_extract(text, lexicon):
     """Deterministic lexicon matcher producing a PeuVector with evidence.
 
     lexicon: category name -> list of phrases, or for coping a list of
-    (phrase, sign) pairs. Matching is case-insensitive whole-phrase.
+    (phrase, sign) pairs. Matching is case-insensitive whole-phrase: a
+    phrase does not match inside a longer word.
     """
     low = text.lower()
     values = [0] * NUM_CATEGORIES
@@ -171,10 +125,10 @@ def keyword_extract(text, lexicon):
                 phrase, sign = entry
             else:
                 phrase, sign = entry, 1
-            pos = low.find(phrase.lower())
-            if pos >= 0:
+            found = re.search(rf"(?<!\w){re.escape(phrase.lower())}(?!\w)", low)
+            if found:
                 values[idx] = int(sign)
-                evidence.append((name, text[pos : pos + len(phrase)]))
+                evidence.append((name, text[found.start() : found.end()]))
     return PeuVector(tuple(values), evidence)
 
 

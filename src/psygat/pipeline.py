@@ -14,5 +14,5 @@ def graphs_from_sessions(sessions):
 
 
 def peu_rows_by_session(sessions):
-    """session id -> (T, 8) float array of PEU values."""
-    return {s.id: build_peu_tensor(s).as_array() for s in sessions}
+    """session id -> (T, 8) float32 array of PEU values."""
+    return {s.id: build_peu_tensor(s) for s in sessions}

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from psygat import causal as C
+from psygat.datagen import GenConfig, generate_corpus
 from psygat.peu import build_peu_tensor
 from psygat.sessions import Session, Utterance
 from psygat.train import AdamW
@@ -73,7 +74,7 @@ def planted_instances(config, sessions, hidden=8, n=8, target=4):
         reps = rng.standard_normal((n, hidden)).astype(np.float32) * 0.1
         reps[cause, :4] = 2.0  # planted signature
         reps_by[s.id] = reps
-        peus_by[s.id] = peus.as_array()
+        peus_by[s.id] = peus
         instances += C.extract_instances(s, peus, config.window)
     return instances, reps_by, peus_by
 
@@ -97,6 +98,20 @@ class TestExtractInstances:
         s = make_session({2: 1, 5: 3})
         instances = C.extract_instances(s, build_peu_tensor(s), window=3)
         assert [(i.target_index, i.target_category) for i in instances] == [(2, 1), (5, 3)]
+
+    def test_instances_follow_rows_then_categories_as_python_ints(self):
+        corpus = generate_corpus(GenConfig(seed=1, n_sessions=20))
+        sessions = [s for split in corpus.values() for s in split]
+        peus = {s.id: build_peu_tensor(s) for s in sessions}
+        assert max(np.count_nonzero(p, axis=1).max() for p in peus.values()) >= 2
+        for s in sessions:
+            rows = peus[s.id]
+            want = [(t, c) for t in range(s.T) for c in range(C.NUM_CATEGORIES)
+                    if rows[t, c] != 0 and s.T > 1]
+            got = [(i.target_index, i.target_category)
+                   for i in C.extract_instances(s, rows, window=3)]
+            assert got == want
+            assert all(type(x) is int for pair in got for x in pair)
 
     def test_candidates_are_window_neighbours_without_target(self):
         s = make_session({3: 0}, n=10)
@@ -138,12 +153,12 @@ class TestScorer:
         peus = build_peu_tensor(s)
         (inst,) = C.extract_instances(s, peus, window=2)
         reps = np.arange(6 * 4, dtype=np.float32).reshape(6, 4)
-        feats = C.instance_features(inst, reps, peus.as_array(), window=2)
+        feats = C.instance_features(inst, reps, peus, window=2)
         assert feats.shape == (4, 4 + 4 + 8 + 5)
         # first candidate is utterance 1, relative position -2
         np.testing.assert_array_equal(feats[0, :4], reps[3])
         np.testing.assert_array_equal(feats[0, 4:8], reps[1])
-        np.testing.assert_array_equal(feats[0, 8:16], peus.as_array()[3])
+        np.testing.assert_array_equal(feats[0, 8:16], peus[3])
         np.testing.assert_array_equal(feats[0, 16:], [1, 0, 0, 0, 0])
 
     @pytest.mark.parametrize("past_only", [False, True])
@@ -160,8 +175,8 @@ class TestScorer:
             clipped += sum(len(i.candidate_indices) < (window if past_only else 2 * window)
                            for i in instances)
             for inst in instances:
-                got = C.instance_features(inst, reps, peus.as_array(), window)
-                want = reference_instance_features(inst, reps, peus.as_array(), window)
+                got = C.instance_features(inst, reps, peus, window)
+                want = reference_instance_features(inst, reps, peus, window)
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
         assert clipped
@@ -172,8 +187,8 @@ class TestScorer:
         (inst,) = C.extract_instances(s, peus, window=2)
         reps = np.random.default_rng(0).standard_normal((6, 4))
         block = np.full((4, 4 + 4 + 8 + 5), np.nan, dtype=np.float32)
-        assert C.instance_features(inst, reps, peus.as_array(), 2, out=block) is block
-        want = reference_instance_features(inst, reps, peus.as_array(), 2).astype(np.float32)
+        assert C.instance_features(inst, reps, peus, 2, out=block) is block
+        want = reference_instance_features(inst, reps, peus, 2).astype(np.float32)
         assert block.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n_reps,message", [(3, "target utterance 3"),
@@ -183,7 +198,7 @@ class TestScorer:
         peus = build_peu_tensor(s)
         (inst,) = C.extract_instances(s, peus, window=2)
         with pytest.raises(C.DataError, match=message):
-            C.instance_features(inst, np.zeros((n_reps, 4), np.float32), peus.as_array(), 2)
+            C.instance_features(inst, np.zeros((n_reps, 4), np.float32), peus, 2)
 
     def test_score_edges_probabilities(self):
         s = make_session({3: 2}, n=6)
@@ -191,7 +206,7 @@ class TestScorer:
         (inst,) = C.extract_instances(s, peus, window=2)
         scorer = C.ScorerParams(C.CausalConfig(window=2), model_hidden=4, seed=0)
         probs = C.score_edges(inst, np.zeros((6, 4), dtype=np.float32),
-                              peus.as_array(), scorer)
+                              peus, scorer)
         assert probs.shape == (4,)
         assert np.all((probs > 0) & (probs < 1))
 
@@ -244,7 +259,7 @@ class TestScorer:
         instances = C.extract_instances(s, peus, window=3)
         scorer = C.ScorerParams(C.CausalConfig(window=3), model_hidden=4, seed=0)
         reps = {"c": np.zeros((8, 4), dtype=np.float32)}
-        rows = {"c": peus.as_array()}
+        rows = {"c": peus}
         report, explanations, skipped = C.rank_and_evaluate(instances, reps, rows, scorer)
         assert report.instances == 1
         assert skipped == 1
@@ -257,7 +272,7 @@ class TestScorer:
         scorer = C.ScorerParams(C.CausalConfig(window=3), model_hidden=4, seed=0)
         with pytest.raises(C.DataError):
             C.rank_and_evaluate(instances, {"c": np.zeros((6, 4), dtype=np.float32)},
-                                {"c": peus.as_array()}, scorer)
+                                {"c": peus}, scorer)
 
 
 def test_session_node_reps_equal_forward_node_reps():
@@ -308,12 +323,11 @@ def test_explain_equals_its_components(small_explain_inputs):
     scorer, report, explanations, skipped = C.explain(corpus, graphs, params, config, seed=3)
     read = corpus["train"] + corpus["test"]
     reps = {s.id: C.session_node_reps(graphs[s.id], params) for s in read}
-    tensors = {s.id: build_peu_tensor(s) for s in read}
-    rows = {sid: t.as_array() for sid, t in tensors.items()}
+    rows = {s.id: build_peu_tensor(s) for s in read}
 
     def instances(split):
         return [i for s in split
-                for i in C.extract_instances(s, tensors[s.id], config.window, config.past_only)]
+                for i in C.extract_instances(s, rows[s.id], config.window, config.past_only)]
 
     want = C.train_scorer(instances(corpus["train"]), reps, rows, config, seed=3)
     assert [n for n, _ in scorer.named()] == [n for n, _ in want.named()]

@@ -75,8 +75,7 @@ class TestGenerateSession:
     def test_depressed_sessions_carry_symptoms_and_causes(self):
         for seed in range(10):
             s = D.generate_session(seed, D.DEFAULT_PERSONAS[seed % 4], 1)
-            peus = build_peu_tensor(s)
-            negatives = peus.as_array()[:, :COPING].sum()
+            negatives = build_peu_tensor(s)[:, :COPING].sum()
             assert negatives >= 1
             assert s.causes
             for rec in s.causes:
@@ -87,7 +86,7 @@ class TestGenerateSession:
     def test_zero_noise_controls_have_no_negative_activations(self):
         for seed in range(10):
             s = D.generate_session(seed, D.DEFAULT_PERSONAS[seed % 4], 0)
-            peus = build_peu_tensor(s).as_array()
+            peus = build_peu_tensor(s)
             assert peus[:, :COPING].sum() == 0
             assert np.all(peus[:, COPING] >= 0)
             assert s.causes == []
@@ -121,14 +120,14 @@ class TestGenerateSession:
             planted = build_peu_tensor(s)
             for t, utt in enumerate(s.utterances):
                 extracted = keyword_extract(utt.answer, DEFAULT_LEXICON)
-                assert extracted == planted.rows[t], (seed, t)
+                assert np.array_equal(extracted.as_array(), planted[t]), (seed, t)
 
     def test_expressiveness_raises_symptom_density(self):
         def density(persona):
             total, n = 0, 0
             for seed in range(40):
                 s = D.generate_session(seed, persona, 1)
-                arr = build_peu_tensor(s).as_array()
+                arr = build_peu_tensor(s)
                 total += (arr[:, :COPING] != 0).any(axis=1).sum()
                 n += s.T
             return total / n
@@ -151,27 +150,27 @@ class TestGenerateSession:
     def test_peu_dropout_thins_annotations_and_prunes_causes(self):
         p = D.DEFAULT_PERSONAS[3]
         clean = sum(
-            build_peu_tensor(D.generate_session(s, p, 1)).as_array().sum()
+            build_peu_tensor(D.generate_session(s, p, 1)).sum()
             for s in range(20)
         )
         noisy_sessions = [
             D.generate_session(s, p, 1, D.GenConfig(peu_dropout=0.6)) for s in range(20)
         ]
-        noisy = sum(build_peu_tensor(s).as_array().sum() for s in noisy_sessions)
+        noisy = sum(build_peu_tensor(s).sum() for s in noisy_sessions)
         assert noisy < clean
         for s in noisy_sessions:
             planted = build_peu_tensor(s)
             for rec in s.causes:
                 cat = D.CATEGORIES.index(rec["category"])
-                assert planted.rows[rec["target"]].values[cat] != 0
+                assert planted[rec["target"], cat] != 0
                 for src in rec["sources"]:
-                    assert not planted.rows[src].is_zero()
+                    assert planted[src].any()
 
     def test_augmented_sessions_ignore_noise_knobs(self):
         config = D.GenConfig(label_flip=1.0, peu_dropout=1.0)
         s = D.generate_session(0, D.DEFAULT_PERSONAS[1], 1, config, source="augmented")
         assert s.label == 1
-        assert build_peu_tensor(s).as_array()[:, :COPING].sum() >= 1
+        assert build_peu_tensor(s)[:, :COPING].sum() >= 1
 
 
 class TestGenerateCorpus:

@@ -21,6 +21,16 @@ def run_demo(name):
     return done.stdout.splitlines()
 
 
+def test_autodiff_and_gradcheck_demo():
+    lines = run_demo("01_autodiff_and_gradcheck.py")
+    assert re.fullmatch(r"y = -?\d+\.\d{4}", lines[0])
+    suite = lines[lines.index("verification suite (10 trials per op):") + 1:]
+    rows = [re.fullmatch(r"  (PASS|FAIL)  (\w+) +\S+", line) for line in suite]
+    assert all(rows), suite
+    assert [r.group(2) for r in rows][-3:] == [
+        "full_model_forward", "batched_model_forward", "stacked_model_forward"]
+
+
 def test_sessions_and_graphs_demo():
     lines = run_demo("02_sessions_and_graphs.py")
     assert lines[0] == "session g42: 8 utterances, label=1, persona=3"
@@ -33,3 +43,13 @@ def test_causal_explanations_demo():
     (hits,) = [pattern.fullmatch(line) for line in lines if pattern.fullmatch(line)]
     h1, h3, h5, mrr = map(float, hits.groups())
     assert 0.0 <= h1 <= h3 <= h5 <= 1.0 and h1 <= mrr <= 1.0
+
+
+def test_train_and_evaluate_demo():
+    lines = run_demo("03_train_and_evaluate.py")
+    assert lines[0] == "{'train': 48, 'val': 16, 'test': 16}"
+    for headline in (r"seed 0: best val PR-AUC \S+ at epoch \d+",
+                     r"seed 1: best val PR-AUC \S+ at epoch \d+",
+                     r"ensemble threshold \(max-F1 on validation\): \S+",
+                     r"test macro-F1 \S+  PR-AUC \S+", r"persona off: test macro-F1 \S+"):
+        assert any(re.fullmatch(headline, line) for line in lines), headline

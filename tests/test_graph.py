@@ -8,7 +8,7 @@ import pytest
 from psygat import graph as G
 from psygat.datagen import GenConfig, generate_corpus
 from psygat.embed import embed_sessions
-from psygat.peu import COPING, PeuTensor, PeuVector, build_peu_tensor
+from psygat.peu import COPING, PeuVector, build_peu_tensor
 from psygat.pipeline import graphs_from_sessions
 from psygat.sessions import Session, Utterance
 
@@ -85,12 +85,12 @@ class TestBuildGraph:
     def test_empty_session_rejected(self):
         s = Session(id="e", persona=0, label=0, utterances=[])
         with pytest.raises(G.EmptySessionError):
-            G.build_graph(s, embed_sessions([s], dim=16), PeuTensor([]))
+            G.build_graph(s, embed_sessions([s], dim=16), build_peu_tensor(s))
 
     def test_peu_row_count_mismatch_rejected(self):
         s = make_session(3)
-        with pytest.raises(ValueError, match="PEU rows"):
-            G.build_graph(s, embed_sessions([s], dim=16), PeuTensor([]))
+        with pytest.raises(G.DataError, match="2 PEU rows for 3 utterances"):
+            G.build_graph(s, embed_sessions([s], dim=16), build_peu_tensor(make_session(2)))
 
     def test_embedding_row_count_mismatch_rejected(self):
         s = make_session(3)
@@ -142,15 +142,17 @@ def test_build_graph_edge_attr_equals_per_edge_rows(norm):
     table = embed_sessions(sessions, dim=16)
     for s in sessions:
         peus = build_peu_tensor(s)
-        g = G.build_graph(s, table, peus, norm)
-        assert g.edge_attr.dtype == np.float32 and g.edge_attr.shape == (s.T - 1, 8)
-        rows = [(peus.rows[t], peus.rows[t + 1]) for t in range(s.T - 1)]
+        rows = [(PeuVector(peus[t]), PeuVector(peus[t + 1])) for t in range(s.T - 1)]
         want = np.zeros((0, 8), np.float32) if not rows else np.stack(
             [reference_edge_attr(a, b, norm) for a, b in rows])
-        assert g.edge_attr.tobytes() == want.tobytes()
+        got = G.edge_attrs(peus, norm)
+        assert got.dtype == np.float32 and got.shape == (s.T - 1, 8)
+        assert got.tobytes() == want.tobytes()
         for t, (a, b) in enumerate(rows):
-            assert G.peu_edge_attr(a, b, norm).tobytes() == g.edge_attr[t].tobytes()
-        assert g.node_peu.tobytes() == np.stack([r.as_array() for r in peus.rows]).tobytes()
+            assert G.peu_edge_attr(a, b, norm).tobytes() == got[t].tobytes()
+        g = G.build_graph(s, table, peus)  # always range-normalized
+        assert g.node_peu is peus
+        assert g.edge_attr.tobytes() == G.edge_attrs(peus, "range").tobytes()
 
 
 def test_default_corpus_graphs_match_pinned_digest():

@@ -1,4 +1,4 @@
-"""PEU taxonomy, annotation parsing and the lexicon extractor."""
+"""PEU taxonomy, the per-session PEU array and the lexicon extractor."""
 
 import numpy as np
 import pytest
@@ -23,9 +23,7 @@ def test_category_order_is_fixed():
 
 class TestPeuVector:
     def test_defaults_to_all_zero(self):
-        v = peu.PeuVector()
-        assert v.is_zero()
-        assert v.active_categories() == []
+        assert peu.PeuVector().values == (0,) * 8
 
     def test_binary_dims_reject_other_values(self):
         with pytest.raises(peu.SchemaError):
@@ -52,45 +50,6 @@ class TestPeuVector:
         np.testing.assert_array_equal(v.as_array(), [1, 0, 1, 0, 0, 0, 0, -1])
 
 
-class TestParseAnnotations:
-    def test_round_trip_with_emit(self):
-        rec = {
-            "utt": 3,
-            "peus": [
-                {"category": "self_negativity", "value": 1, "spans": ["i am worthless"]},
-                {"category": "protective_positive_coping", "value": -1, "spans": ["i try but"]},
-            ],
-        }
-        v = peu.parse_annotations(rec)
-        assert v.values[2] == 1 and v.values[7] == -1
-        assert peu.parse_annotations(peu.emit_annotations(3, v)) == v
-
-    def test_unknown_category_fails(self):
-        with pytest.raises(peu.SchemaError):
-            peu.parse_annotations({"utt": 0, "peus": [{"category": "optimism", "value": 1}]})
-
-    def test_out_of_range_values_fail(self):
-        with pytest.raises(peu.SchemaError):
-            peu.parse_annotations({"utt": 0, "peus": [{"category": "self_negativity", "value": -1}]})
-        with pytest.raises(peu.SchemaError):
-            peu.parse_annotations(
-                {"utt": 0, "peus": [{"category": "protective_positive_coping", "value": 2}]}
-            )
-
-    def test_duplicate_category_keeps_first_value_merges_spans(self):
-        v = peu.parse_annotations(
-            {
-                "utt": 0,
-                "peus": [
-                    {"category": "self_negativity", "value": 1, "spans": ["a"]},
-                    {"category": "self_negativity", "value": 0, "spans": ["b"]},
-                ],
-            }
-        )
-        assert v.values[2] == 1
-        assert [s for _, s in v.evidence] == ["a", "b"]
-
-
 class TestBuildPeuTensor:
     def _session(self, peus):
         return Session(
@@ -99,15 +58,56 @@ class TestBuildPeuTensor:
             peus=peus,
         )
 
+    def _row(self, entries):
+        """Utterance 1's row when its record lists entries."""
+        return peu.build_peu_tensor(self._session([{"utt": 0, "peus": []},
+                                                   {"utt": 1, "peus": entries}]))[1]
+
+    def test_record_values_fill_its_row(self):
+        row = self._row([
+            {"category": "self_negativity", "value": 1, "spans": ["i am worthless"]},
+            {"category": "protective_positive_coping", "value": -1, "spans": ["i try but"]},
+        ])
+        assert row.dtype == np.float32
+        np.testing.assert_array_equal(row, [0, 0, 1, 0, 0, 0, 0, -1])
+
+    def test_unknown_category_fails(self):
+        with pytest.raises(peu.SchemaError, match="unknown PEU category 'optimism'"):
+            self._row([{"category": "optimism", "value": 1}])
+
+    def test_out_of_range_values_fail(self):
+        with pytest.raises(peu.SchemaError, match="self_negativity value -1 outside 0/1"):
+            self._row([{"category": "self_negativity", "value": -1}])
+        with pytest.raises(peu.SchemaError, match="coping value 2 outside -1/0/1"):
+            self._row([{"category": "protective_positive_coping", "value": 2}])
+
+    @pytest.mark.parametrize("value", ["yes", "1", 0.5, None])
+    def test_non_integer_value_rejected(self, value):
+        with pytest.raises(peu.SchemaError, match=f"self_negativity value {value!r} outside"):
+            self._row([{"category": "self_negativity", "value": value}])
+
+    def test_duplicate_category_with_conflicting_values_rejected(self):
+        conflict = "session s: utterance 1 gives self_negativity the values 1 and 0"
+        with pytest.raises(peu.SchemaError, match=conflict):
+            self._row([
+                {"category": "self_negativity", "value": 1, "spans": ["a"]},
+                {"category": "self_negativity", "value": 0, "spans": ["b"]},
+            ])
+
+    def test_duplicate_category_with_agreeing_values_accepted(self):
+        row = self._row([
+            {"category": "protective_positive_coping", "value": -1, "spans": ["a"]},
+            {"category": "protective_positive_coping", "value": -1, "spans": ["b"]},
+        ])
+        np.testing.assert_array_equal(row, [0] * 7 + [-1])
+
     def test_rows_follow_timeline_order(self):
         s = self._session([
             {"utt": 1, "peus": [{"category": "self_negativity", "value": 1, "spans": []}]},
             {"utt": 0, "peus": []},
         ])
-        t = peu.build_peu_tensor(s)
-        assert t.T == 2
-        assert t.rows[0].is_zero()
-        assert t.rows[1].values[2] == 1
+        np.testing.assert_array_equal(peu.build_peu_tensor(s),
+                                      [[0] * 8, [0, 0, 1, 0, 0, 0, 0, 0]])
 
     def test_missing_annotation_names_the_utterance(self):
         s = self._session([{"utt": 0, "peus": []}])
@@ -132,7 +132,8 @@ class TestBuildPeuTensor:
             peu.build_peu_tensor(s)
 
     def test_empty_tensor_array_shape(self):
-        assert peu.PeuTensor([]).as_array().shape == (0, 8)
+        rows = peu.build_peu_tensor(Session(id="e", persona=0, label=0, utterances=[]))
+        assert rows.shape == (0, 8) and rows.dtype == np.float32
 
 
 class TestKeywordExtract:
@@ -149,7 +150,17 @@ class TestKeywordExtract:
 
     def test_no_match_yields_zero_vector(self):
         v = peu.keyword_extract("The weather was ordinary.", peu.DEFAULT_LEXICON)
-        assert v.is_zero()
+        assert v.values == (0,) * 8 and v.evidence == []
+
+    @pytest.mark.parametrize("text", ["Chi am worthless", "i stopped going outsidework",
+                                      "i am worthlessness itself"])
+    def test_phrase_inside_a_longer_word_does_not_match(self, text):
+        v = peu.keyword_extract(text, peu.DEFAULT_LEXICON)
+        assert v.values == (0,) * 8 and v.evidence == []
+
+    def test_phrase_between_punctuation_matches(self):
+        v = peu.keyword_extract("(I am worthless)--really.", peu.DEFAULT_LEXICON)
+        assert v.evidence == [("self_negativity", "I am worthless")]
 
     def test_every_lexicon_phrase_round_trips(self):
         for name, phrases in peu.DEFAULT_LEXICON.items():
