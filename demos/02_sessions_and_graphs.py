@@ -5,12 +5,14 @@ expression units, re-extracts them from the rendered text with the
 keyword matcher, and assembles the temporal session graph.
 """
 
-import numpy as np
-
+# psygat first: importing it pins BLAS to one thread, which holds only
+# if numpy has not loaded yet
 from psygat.datagen import DEFAULT_PERSONAS, generate_session
 from psygat.embed import embed_sessions
 from psygat.graph import build_graph
 from psygat.peu import CATEGORIES, DEFAULT_LEXICON, build_peu_tensor, keyword_extract
+
+import numpy as np
 
 session = generate_session(seed=42, persona=DEFAULT_PERSONAS[3], label=1)
 print(f"session {session.id}: {session.T} utterances, label={session.label}, "

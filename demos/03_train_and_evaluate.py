@@ -5,13 +5,15 @@ persona-conditioned graph model, selects the decision threshold on
 validation and reports held-out metrics.
 """
 
-import numpy as np
-
+# psygat first: importing it pins BLAS to one thread, which holds only
+# if numpy has not loaded yet
 from psygat.datagen import GenConfig, generate_corpus
 from psygat.metrics import classification_report
 from psygat.model import ModelConfig
 from psygat.pipeline import graphs_from_sessions
 from psygat.train import TrainConfig, ensemble_probs, train_ensemble
+
+import numpy as np
 
 splits = generate_corpus(GenConfig(seed=0, n_sessions=80, peu_dropout=0.3))
 graphs = {name: graphs_from_sessions(split) for name, split in splits.items()}

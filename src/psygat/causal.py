@@ -18,7 +18,7 @@ from .errors import ConfigError, DataError
 from .graph import GraphBatch
 from .metrics import ranking_metrics
 from .peu import CATEGORIES, NUM_CATEGORIES, build_peu_tensor
-from .train import AdamW, focal_terms
+from .train import AdamW
 
 
 @dataclass
@@ -144,28 +144,27 @@ def instance_features(instance, node_reps, peu_rows, window, out=None):
 
 
 def edge_logits(features, scorer):
-    x = T.Tensor(features.astype(scorer.tensors["w1"].dtype, copy=False), requires_grad=False)
-    h = T.elu(T.add_bias(T.matmul(x, scorer.tensors["w1"]), scorer.tensors["b1"]))
-    out = T.add_bias(T.matmul(h, scorer.tensors["w2"]), scorer.tensors["b2"])
-    return T.reshape(out, (features.shape[0],))
+    """The scorer MLP, the one forward of training and ranking: one logit
+    per feature row, with the hidden activations h and the ELU's negative
+    part neg, which scorer_loss's backward reuses. The float operations
+    are those of tensor.matmul, add_bias and elu, some done in place."""
+    w = scorer.tensors
+    x = features.astype(w["w1"].dtype, copy=False)
+    z = x @ w["w1"].data
+    z += w["b1"].data
+    neg = np.minimum(z, 0.0)
+    np.exp(neg, out=neg)
+    neg -= 1.0
+    h = np.maximum(z, 0.0, out=z)
+    h += neg
+    out = h @ w["w2"].data + w["b2"].data
+    return out.reshape(features.shape[0]), h, neg
 
 
 def score_edges(instance, node_reps, peu_rows, scorer):
     """Independent causal probability per candidate edge."""
     feats = instance_features(instance, node_reps, peu_rows, scorer.config.window)
-    with T.no_grad():
-        logits = edge_logits(feats, scorer)
-    return T.stable_sigmoid(logits.data)
-
-
-def causal_loss(logits, labels, alpha=0.75, gamma=2.0):
-    """Mean over edges of alpha * (1 - p_t)^gamma * BCE, on logits for stability."""
-    dtype = logits.dtype
-    sign = np.where(np.asarray(labels) == 1, 1.0, -1.0).astype(dtype)
-    loss = T.tmean(focal_terms(T.mul(logits, T.Tensor(sign, requires_grad=False)), gamma))
-    if alpha != 1.0:
-        loss = T.mul(loss, T.Tensor(np.asarray(alpha, dtype=dtype), requires_grad=False))
-    return loss
+    return T.stable_sigmoid(edge_logits(feats, scorer)[0])
 
 
 def session_node_reps(graph, params):
@@ -194,12 +193,14 @@ def train_scorer(instances, reps_by_session, peus_by_session, config, seed=0):
         instance_features(i, reps_by_session[i.session_id], peus_by_session[i.session_id],
                           config.window, out=features[a:a + n])
         labels[a:a + n] = i.labels
+    sign = np.where(labels == 1, 1.0, -1.0).astype(features.dtype)
     for _ in range(config.epochs):
         order = rng.permutation(len(train_set))
         for start in range(0, len(order), config.batch_instances):
             batch = order[start : start + config.batch_instances]
             rows = _block_rows(starts[batch], counts[batch])
-            _scorer_step(scorer, opt, features[rows], labels[rows], config)
+            scorer_loss(scorer, features[rows], sign[rows], config.focal_alpha, config.focal_gamma)
+            opt.step(scorer.named())
     return scorer
 
 
@@ -209,12 +210,55 @@ def _block_rows(starts, counts):
     return np.arange(ends[-1]) + np.repeat(starts - (ends - counts), counts)
 
 
-def _scorer_step(scorer, opt, x, y, config):
-    """One AdamW step; the autodiff graph is freed when this call returns."""
-    scorer.zero_grad()
-    loss = causal_loss(edge_logits(x, scorer), y, config.focal_alpha, config.focal_gamma)
-    T.backward(loss)
-    opt.step(scorer.named())
+def scorer_loss(scorer, x, sign, alpha, gamma):
+    """Focal loss mean(alpha * (1 - p_t)^gamma * -log p_t) of the scorer on
+    the rows of x, with p_t = sigmoid(sign * logit) and sign +1 for a cause,
+    -1 otherwise. Writes the gradient to each parameter's .grad and returns
+    the loss.
+
+    This is what tensor.backward computes through edge_logits' ops,
+    train.focal_terms, tensor.tmean and a product with alpha, without that
+    graph of tensors and closures. Every value comes from the float
+    operations the composition computes it with, in the same order, so
+    results are bit-identical to it; a value the composition computes more
+    than once, such as exp(-|z|), is computed once here.
+    """
+    p = scorer.tensors
+    dtype = p["w1"].dtype
+    x, sign = x.astype(dtype, copy=False), sign.astype(dtype, copy=False)
+    logits, h, neg = edge_logits(x, scorer)
+    z = logits * sign
+    minus = np.asarray(-1.0, dtype=dtype)
+    t = z * minus
+    # tensor.stable_sigmoid of z and of t = -z, and softplus(t), share e
+    e = np.exp(-np.abs(z))
+    e1 = 1.0 + e
+    big, small = 1.0 / e1, e / e1
+    nll = np.maximum(t, 0.0) + np.log1p(e)
+    sigmoid_t = np.where(t >= 0, big, small)
+    scale = np.asarray(alpha, dtype=dtype)
+    g = scale / z.size  # d loss / d term, alike for every row
+    if gamma != 0.0:
+        s = np.where(z >= 0, big, small)
+        q = np.asarray(1.0, dtype=dtype) - s
+        w = q**gamma
+        terms = w * nll
+        g_q = g * nll * gamma * q ** (gamma - 1)
+        g_z = -g_q * s * q + g * w * sigmoid_t * minus
+    else:
+        terms = nll
+        g_z = g * sigmoid_t * minus
+    g_out = (g_z * sign).reshape(-1, 1)
+    p["b2"].grad = g_out.sum(axis=-2)
+    p["w2"].grad = h.T @ g_out
+    # each entry of g_out @ w2.T is one product, which matmul adds to a
+    # zero; 0.0 + product has the same bits, a -0.0 product included
+    g_z1 = neg
+    g_z1 += 1.0
+    g_z1 *= 0.0 + g_out * p["w2"].data.T
+    p["b1"].grad = g_z1.sum(axis=-2)
+    p["w1"].grad = x.T @ g_z1
+    return np.asarray(terms.mean(), dtype=dtype) * scale
 
 
 def rank_candidates(instance, probs):

@@ -61,8 +61,15 @@ def _fill_row(row, rec, session_id, utt):
 
     A category listed twice must give the same value both times.
     """
+    entries = rec.get("peus", [])
+    if not isinstance(entries, list):
+        raise SchemaError(f"session {session_id}: utterance {utt} has PEU entries "
+                          f"{entries!r}, not a list")
     seen = {}
-    for entry in rec.get("peus", []):
+    for entry in entries:
+        if not isinstance(entry, dict):
+            raise SchemaError(f"session {session_id}: utterance {utt} has PEU entry "
+                              f"{entry!r}, not a record")
         name = entry.get("category")
         if name not in CATEGORIES:
             raise SchemaError(f"unknown PEU category {name!r}")
@@ -88,6 +95,9 @@ def build_peu_tensor(session):
     error, not a silent zero row, and a second record or one for a
     missing utterance is a schema error, not a silently dropped one.
     """
+    for k, rec in enumerate(session.peus):
+        if not isinstance(rec, dict):
+            raise SchemaError(f"session {session.id}: PEU annotation {k} is {rec!r}, not a record")
     try:
         by_utt = {rec["utt"]: rec for rec in session.peus}
     except KeyError:

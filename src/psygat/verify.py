@@ -1,11 +1,13 @@
-"""Finite-difference verification of every differentiable operation and of
-the full session model, in float64.
+"""Finite-difference verification of every differentiable operation, of
+the full session model and of the causal scorer's hand-written backward,
+in float64.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import causal as C
 from . import model as M
 from . import tensor as T
 from .graph import GraphBatch, SessionGraph
@@ -228,9 +230,30 @@ def check_stacked(seed=0, sizes=(5, 1, 8, 3)):
     return _model_check(f, stacked, seed)
 
 
+def check_causal_scorer(seed=0):
+    """fd check of causal.scorer_loss, whose backward is written by hand:
+    the focal loss (gamma 2, alpha 0.75) of a small scorer over 12 rows of
+    random features, labels of both classes, every coordinate, float64."""
+    rng = np.random.default_rng(seed)
+    config = C.CausalConfig(window=1, hidden=5)
+    scorer = C.ScorerParams(config, model_hidden=3, seed=seed, dtype=np.float64)
+    x = rng.standard_normal((12, scorer.input_dim))
+    sign = np.where(np.arange(12) % 2 == 0, 1.0, -1.0)
+    leaves = list(scorer.tensors.values())
+
+    def f():
+        loss = C.scorer_loss(scorer, x, sign, config.focal_alpha, config.focal_gamma)
+        # scorer_loss has written every gradient already, so the loss node's
+        # backward has nothing left to pass on
+        return T.Tensor(loss, tuple(leaves), lambda g: None, dtype=np.float64)
+
+    return _check(f, leaves, max_coords=None)
+
+
 def run_suite(trials=100, seed=0):
     """(name, max_rel_err, tolerance, passed) rows for ops plus the full model,
-    on one graph, on a batch and with stacked members."""
+    on one graph, on a batch and with stacked members, then the causal
+    scorer's hand-written backward."""
     rows = []
     for name, err in sorted(check_ops(trials, seed).items()):
         rows.append((name, err, OP_TOL, err < OP_TOL))
@@ -238,4 +261,6 @@ def run_suite(trials=100, seed=0):
                       ("batched_model_forward", check_batch(seed)),
                       ("stacked_model_forward", check_stacked(seed))):
         rows.append((name, err, END_TO_END_TOL, err < END_TO_END_TOL))
+    err = check_causal_scorer(seed)
+    rows.append(("causal_scorer", err, OP_TOL, err < OP_TOL))
     return rows

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from psygat import causal as C
+from psygat import tensor as T
 from psygat.datagen import GenConfig, generate_corpus
+from psygat.errors import NumericalError
 from psygat.peu import build_peu_tensor
 from psygat.sessions import Session, Utterance
-from psygat.train import AdamW
+from psygat.train import AdamW, focal_terms
 
 
 def make_session(active, causes=(), n=8, sid="c"):
@@ -38,8 +40,34 @@ def reference_instance_features(instance, node_reps, peu_rows, window):
     return np.stack(rows)
 
 
+def reference_loss(logits, labels, alpha, gamma):
+    """The scorer's focal loss as an op composition over a logits Tensor:
+    mean(alpha * (1 - p_t)^gamma * -log p_t), p_t the sigmoid of the
+    logit signed by its label."""
+    dtype = logits.dtype
+    sign = np.where(np.asarray(labels) == 1, 1.0, -1.0).astype(dtype)
+    loss = T.tmean(focal_terms(T.mul(logits, T.Tensor(sign, requires_grad=False)), gamma))
+    if alpha != 1.0:
+        loss = T.mul(loss, T.Tensor(np.asarray(alpha, dtype=dtype), requires_grad=False))
+    return loss
+
+
+def reference_scorer_loss(scorer, x, labels, alpha, gamma):
+    """C.scorer_loss through the autodiff graph: the scorer MLP composed of
+    tensor ops, reference_loss, and tensor.backward into fresh gradients."""
+    p = scorer.tensors
+    scorer.zero_grad()
+    xt = T.Tensor(x.astype(p["w1"].dtype, copy=False), requires_grad=False)
+    h = T.elu(T.add_bias(T.matmul(xt, p["w1"]), p["b1"]))
+    logits = T.reshape(T.add_bias(T.matmul(h, p["w2"]), p["b2"]), (x.shape[0],))
+    loss = reference_loss(logits, labels, alpha, gamma)
+    T.backward(loss)
+    return loss.data
+
+
 def reference_train_scorer(instances, reps_by, peus_by, config, seed=0):
-    """train_scorer with each minibatch concatenated from per-instance blocks."""
+    """train_scorer with each minibatch concatenated from per-instance blocks
+    and stepped through reference_scorer_loss."""
     train_set = [i for i in instances if i.candidate_indices]
     scorer = C.ScorerParams(config, model_hidden=next(iter(reps_by.values())).shape[1],
                             seed=seed)
@@ -54,9 +82,7 @@ def reference_train_scorer(instances, reps_by, peus_by, config, seed=0):
             batch = [train_set[k] for k in order[start:start + config.batch_instances]]
             x = np.concatenate([feats[id(i)] for i in batch])
             y = np.concatenate([np.asarray(i.labels) for i in batch])
-            scorer.zero_grad()
-            C.T.backward(C.causal_loss(C.edge_logits(x, scorer), y, config.focal_alpha,
-                                       config.focal_gamma))
+            reference_scorer_loss(scorer, x, y, config.focal_alpha, config.focal_gamma)
             opt.step(scorer.named())
     return scorer
 
@@ -219,14 +245,63 @@ class TestScorer:
         assert [inst.candidate_indices[k] for k in order] == [2, 5, 1, 4]
 
     def test_causal_loss_focal_shape_and_identity(self):
-        logits = C.T.Tensor(np.array([2.0, -2.0, 0.0]), dtype=np.float64)
-        labels = [1, 0, 1]
-        plain = float(C.causal_loss(logits, labels, alpha=1.0, gamma=0.0).data)
+        # a one-unit scorer whose logits are x[:, 0] - 3: [2, -2, 0]
+        scorer = C.ScorerParams(C.CausalConfig(window=1, hidden=1), model_hidden=2,
+                                dtype=np.float64)
+        scorer["w1"].data[:] = 0.0
+        scorer["w1"].data[0, 0] = 1.0
+        scorer["w2"].data[:] = 1.0
+        scorer["b2"].data[:] = -3.0
+        x = np.zeros((3, scorer.input_dim))
+        x[:, 0] = [5.0, 1.0, 3.0]
+        labels = np.array([1, 0, 1])
+        sign = np.where(labels == 1, 1.0, -1.0)
+        logits = T.Tensor(np.array([2.0, -2.0, 0.0]), dtype=np.float64)
+        np.testing.assert_array_equal(C.edge_logits(x, scorer)[0], logits.data)
         probs = 1 / (1 + np.exp(-logits.data))
         ref = np.mean([-np.log(probs[0]), -np.log(1 - probs[1]), -np.log(probs[2])])
-        assert plain == pytest.approx(ref, rel=1e-9)
-        scaled = float(C.causal_loss(logits, labels, alpha=0.75, gamma=0.0).data)
-        assert scaled == pytest.approx(0.75 * plain, rel=1e-9)
+        for alpha in (1.0, 0.75):
+            got = float(C.scorer_loss(scorer, x, sign, alpha, gamma=0.0))
+            assert got == pytest.approx(alpha * ref, rel=1e-9)
+            assert got == float(reference_loss(logits, labels, alpha, gamma=0.0).data)
+
+    @pytest.mark.parametrize("saturated", [False, True])
+    @pytest.mark.parametrize("alpha", [1.0, 0.75])
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 2.0])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_scorer_loss_is_bit_equal_to_the_op_composition(self, dtype, gamma, alpha,
+                                                            saturated):
+        rng = np.random.default_rng(5)
+        config = C.CausalConfig(window=2, hidden=16)
+        got, want = (C.ScorerParams(config, model_hidden=8, seed=1, dtype=dtype)
+                     for _ in range(2))
+        # rows of both signs of logit and label
+        x = (rng.standard_normal((40, got.input_dim)) * rng.uniform(0.1, 4.0, (40, 1)))
+        labels = rng.integers(0, 2, 40)
+        if saturated:
+            # every row a cause with a logit near 50, so sigmoid rounds to
+            # 1: the gradient of each row is a signed zero for gamma 2 and
+            # NaN for gamma 0.5, whose (1 - p_t)^(gamma - 1) is then 1 / 0
+            for scorer in (got, want):
+                scorer["b2"].data[:] = 50.0
+            labels[:] = 1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            loss = C.scorer_loss(got, x.astype(dtype),
+                                 np.where(labels == 1, 1.0, -1.0).astype(dtype), alpha, gamma)
+            ref = reference_scorer_loss(want, x.astype(dtype), labels, alpha, gamma)
+        assert np.asarray(loss).dtype == ref.dtype == dtype
+        assert np.asarray(loss).tobytes() == ref.tobytes()
+        for (name, a), (_, b) in zip(got.named(), want.named()):
+            assert a.grad.dtype == b.grad.dtype and a.grad.shape == b.grad.shape, name
+            assert a.grad.tobytes() == b.grad.tobytes(), name
+
+    def test_non_finite_features_stop_training_naming_the_parameter(self):
+        config = C.CausalConfig(window=2, epochs=1, batch_instances=4, hidden=8)
+        instances, reps_by, peus_by = planted_instances(config, sessions=6)
+        reps_by["s0"][2, 0] = np.inf
+        with np.errstate(all="ignore"), pytest.raises(NumericalError,
+                                                      match="parameter w1"):
+            C.train_scorer(instances, reps_by, peus_by, config, seed=0)
 
     def test_training_learns_planted_signal(self):
         # candidates whose representation matches a fixed pattern are the
@@ -242,10 +317,13 @@ class TestScorer:
         for rec in explanations:
             assert rec["ranked"][0]["is_cause"]
 
-    @pytest.mark.parametrize("weight_decay", [0.0, 1e-3])
-    def test_trained_scorer_is_bit_equal_to_per_batch_concatenation(self, weight_decay):
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    @pytest.mark.parametrize("alpha", [1.0, 0.75])
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 2.0])
+    def test_trained_scorer_is_bit_equal_to_per_batch_concatenation(self, gamma, alpha,
+                                                                    weight_decay):
         config = C.CausalConfig(window=2, epochs=3, batch_instances=5, hidden=16,
-                                weight_decay=weight_decay)
+                                focal_alpha=alpha, focal_gamma=gamma, weight_decay=weight_decay)
         instances, reps_by, peus_by = planted_instances(config, sessions=12)
         got = C.train_scorer(instances, reps_by, peus_by, config, seed=3)
         want = reference_train_scorer(instances, reps_by, peus_by, config, seed=3)

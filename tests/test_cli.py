@@ -181,6 +181,27 @@ class TestTrain:
         assert len(err.strip().splitlines()) == 1
         assert "'utt'" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("malform,message", [
+        (lambda recs: recs[0].update(peus=["self_negativity"]), "not a record"),
+        (lambda recs: recs[0].update(peus="self_negativity"), "not a list"),
+        (lambda recs: recs.__setitem__(0, "self_negativity"), "not a record"),
+    ], ids=["entry", "entries", "record"])
+    def test_malformed_annotation_exits_one_without_traceback(self, workspace, tmp_path, capsys,
+                                                              malform, message):
+        sessions = read_sessions(workspace["corpus"])
+        malform(sessions[0].peus)
+        from psygat.sessions import write_sessions
+
+        bad = tmp_path / "malformed.jsonl"
+        write_sessions(bad, sessions)
+        capsys.readouterr()
+        assert cli.main(["train", "--corpus", str(bad),
+                         "--config", str(workspace["train_cfg"]),
+                         "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert message in err and f"session {sessions[0].id}" in err and "Traceback" not in err
+
     def test_unparsable_epoch_count_exits_two_without_traceback(self, workspace, tmp_path,
                                                                capsys):
         bad = tmp_path / "bad.cfg"

@@ -1,5 +1,6 @@
 """The narrative demos run to the end and print their headline line."""
 
+import ast
 import os
 import re
 import subprocess
@@ -21,14 +22,34 @@ def run_demo(name):
     return done.stdout.splitlines()
 
 
+def imported_packages(path):
+    """Top-level package of every import in a source file, in source order."""
+    nodes = [node for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, (ast.Import, ast.ImportFrom))]
+    packages = []
+    for node in sorted(nodes, key=lambda node: (node.lineno, node.col_offset)):
+        names = [a.name for a in node.names] if isinstance(node, ast.Import) else [node.module]
+        packages += [name.split(".")[0] for name in names]
+    return packages
+
+
+def test_demos_import_psygat_before_numpy():
+    # psygat's import pins BLAS to one thread, which holds only if numpy
+    # has not loaded yet; the suite's own pin would hide a late import here
+    for path in sorted((ROOT / "demos").glob("*.py")):
+        packages = imported_packages(path)
+        assert "psygat" in packages, path.name
+        assert "numpy" not in packages[:packages.index("psygat")], path.name
+
+
 def test_autodiff_and_gradcheck_demo():
     lines = run_demo("01_autodiff_and_gradcheck.py")
     assert re.fullmatch(r"y = -?\d+\.\d{4}", lines[0])
     suite = lines[lines.index("verification suite (10 trials per op):") + 1:]
     rows = [re.fullmatch(r"  (PASS|FAIL)  (\w+) +\S+", line) for line in suite]
     assert all(rows), suite
-    assert [r.group(2) for r in rows][-3:] == [
-        "full_model_forward", "batched_model_forward", "stacked_model_forward"]
+    assert [r.group(2) for r in rows][-4:] == [
+        "full_model_forward", "batched_model_forward", "stacked_model_forward", "causal_scorer"]
 
 
 def test_sessions_and_graphs_demo():

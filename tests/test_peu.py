@@ -131,6 +131,25 @@ class TestBuildPeuTensor:
         with pytest.raises(peu.SchemaError, match="without an 'utt' key"):
             peu.build_peu_tensor(s)
 
+    def test_entry_that_is_not_a_record_rejected(self):
+        with pytest.raises(peu.SchemaError,
+                           match="session s: utterance 1 has PEU entry 'self_negativity', "
+                                 "not a record"):
+            self._row(["self_negativity"])
+
+    @pytest.mark.parametrize("entries", ["self_negativity", {"category": "self_negativity"}, None])
+    def test_entries_that_are_not_a_list_rejected(self, entries):
+        with pytest.raises(peu.SchemaError,
+                           match=r"session s: utterance 1 has PEU entries .*, not a list"):
+            self._row(entries)
+
+    @pytest.mark.parametrize("record", ["utt 1", [1, []], 1])
+    def test_annotation_that_is_not_a_record_rejected(self, record):
+        s = self._session([{"utt": 0, "peus": []}, record])
+        with pytest.raises(peu.SchemaError,
+                           match=r"session s: PEU annotation 1 is .*, not a record"):
+            peu.build_peu_tensor(s)
+
     def test_empty_tensor_array_shape(self):
         rows = peu.build_peu_tensor(Session(id="e", persona=0, label=0, utterances=[]))
         assert rows.shape == (0, 8) and rows.dtype == np.float32

@@ -12,9 +12,12 @@ def test_suite_covers_all_ops_and_model():
         "layer_norm", "segment_softmax", "segment_sum", "gather_rows", "chain_attention",
         "concat_cols", "concat_rows", "slice_cols", "reshape", "transpose",
         "tsum", "tmean", "l2_normalize_rows", "dropout", "focal", "full_model_forward",
-        "batched_model_forward", "stacked_model_forward",
+        "batched_model_forward", "stacked_model_forward", "causal_scorer",
     }
     assert expected <= names
+    # the scorer row comes last, so adding it left every other row's draws alone
+    assert [name for name, *_ in rows][-4:] == [
+        "full_model_forward", "batched_model_forward", "stacked_model_forward", "causal_scorer"]
 
 
 def test_all_rows_within_tolerance():
@@ -30,3 +33,4 @@ def test_tolerances():
     assert rows["batched_model_forward"] == 1e-3
     assert rows["stacked_model_forward"] == 1e-3
     assert rows["matmul"] == 1e-4
+    assert rows["causal_scorer"] == 1e-4
