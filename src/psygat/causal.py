@@ -41,6 +41,8 @@ class CausalConfig:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.lr <= 0 or self.weight_decay < 0:
             raise ConfigError("learning rate must be positive, weight decay non-negative")
+        if self.focal_gamma < 0:
+            raise ConfigError(f"focal_gamma must be >= 0, got {self.focal_gamma}")
 
     @property
     def position_dim(self):
@@ -217,38 +219,19 @@ def scorer_loss(scorer, x, sign, alpha, gamma):
     the loss.
 
     This is what tensor.backward computes through edge_logits' ops,
-    train.focal_terms, tensor.tmean and a product with alpha, without that
+    tensor.focal, tensor.tmean and a product with alpha, without that
     graph of tensors and closures. Every value comes from the float
     operations the composition computes it with, in the same order, so
-    results are bit-identical to it; a value the composition computes more
-    than once, such as exp(-|z|), is computed once here.
+    results are bit-identical to it.
     """
     p = scorer.tensors
     dtype = p["w1"].dtype
     x, sign = x.astype(dtype, copy=False), sign.astype(dtype, copy=False)
     logits, h, neg = edge_logits(x, scorer)
-    z = logits * sign
-    minus = np.asarray(-1.0, dtype=dtype)
-    t = z * minus
-    # tensor.stable_sigmoid of z and of t = -z, and softplus(t), share e
-    e = np.exp(-np.abs(z))
-    e1 = 1.0 + e
-    big, small = 1.0 / e1, e / e1
-    nll = np.maximum(t, 0.0) + np.log1p(e)
-    sigmoid_t = np.where(t >= 0, big, small)
+    terms, focal_grad = T.focal_parts(logits * sign, gamma)
     scale = np.asarray(alpha, dtype=dtype)
-    g = scale / z.size  # d loss / d term, alike for every row
-    if gamma != 0.0:
-        s = np.where(z >= 0, big, small)
-        q = np.asarray(1.0, dtype=dtype) - s
-        w = q**gamma
-        terms = w * nll
-        g_q = g * nll * gamma * q ** (gamma - 1)
-        g_z = -g_q * s * q + g * w * sigmoid_t * minus
-    else:
-        terms = nll
-        g_z = g * sigmoid_t * minus
-    g_out = (g_z * sign).reshape(-1, 1)
+    # d loss / d term is alike for every row
+    g_out = (focal_grad(scale / terms.size) * sign).reshape(-1, 1)
     p["b2"].grad = g_out.sum(axis=-2)
     p["w2"].grad = h.T @ g_out
     # each entry of g_out @ w2.T is one product, which matmul adds to a

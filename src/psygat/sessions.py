@@ -41,6 +41,8 @@ class Session:
                 raise CorpusError(f"session {self.id}: utterance indices not contiguous at {k}")
         n = len(self.utterances)
         for rec in self.causes:
+            if not isinstance(rec, dict):
+                raise CorpusError(f"session {self.id}: cause record {rec!r} is not an object")
             if rec["category"] not in CATEGORIES:
                 raise CorpusError(f"session {self.id}: unknown cause category {rec['category']!r}")
             for index in (rec["target"], *rec["sources"]):
@@ -101,8 +103,11 @@ def read_sessions(path):
             if not line:
                 continue
             try:
-                sessions.append(Session.from_json(json.loads(line)))
-            except (KeyError, ValueError) as exc:
+                obj = json.loads(line)
+                if not isinstance(obj, dict):
+                    raise CorpusError(f"expected a JSON object, got {type(obj).__name__}")
+                sessions.append(Session.from_json(obj))
+            except (KeyError, TypeError, ValueError) as exc:
                 raise CorpusError(f"{path}:{lineno}: bad session record: {exc}") from exc
     return sessions
 

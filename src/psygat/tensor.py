@@ -103,32 +103,6 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    # -- operator sugar; rhs may be a python scalar --
-
-    def __add__(self, other):
-        return add(self, _wrap(other, self))
-
-    def __radd__(self, other):
-        return add(_wrap(other, self), self)
-
-    def __sub__(self, other):
-        return sub(self, _wrap(other, self))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other, self), self)
-
-    def __mul__(self, other):
-        return mul(self, _wrap(other, self))
-
-    def __rmul__(self, other):
-        return mul(_wrap(other, self), self)
-
-    def __neg__(self):
-        return mul(self, _wrap(-1.0, self))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, name={self.name})"
 
@@ -187,12 +161,6 @@ def stack_params(members):
             p[name].data = stack[k]
         clone.tensors[name] = Tensor(stack, name=name)
     return clone
-
-
-def _wrap(x, like):
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=like.dtype), requires_grad=False)
 
 
 def _check_elementwise(a, b, opname):
@@ -339,10 +307,17 @@ def elu(x):
     return Tensor(neg + np.maximum(x.data, 0.0), (x,), backward)
 
 
+def _sigmoid_halves(a):
+    """e = exp(-|a|) and the sigmoids of |a| and -|a|: 1 / (1 + e) and e / (1 + e)."""
+    e = np.exp(-np.abs(a))
+    e1 = 1.0 + e
+    return e, 1.0 / e1, e / e1
+
+
 def stable_sigmoid(a):
     """Elementwise 1 / (1 + e^-a) on a numpy array, overflow-free for any sign."""
-    e = np.exp(-np.abs(a))
-    return np.where(a >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    _, big, small = _sigmoid_halves(a)
+    return np.where(a >= 0, big, small)
 
 
 def sigmoid(x):
@@ -373,30 +348,49 @@ def softplus(x):
     return Tensor(y, (x,), backward)
 
 
-def focal(z, gamma):
-    """Elementwise (1 - sigmoid(z))^gamma * softplus(-z) as one op.
+def focal_parts(z, gamma):
+    """The focal loss (1 - sigmoid(z))^gamma * softplus(-z) of an array z of
+    signed logits, elementwise, and a function that maps an upstream
+    gradient g to the gradient in z. At gamma 0 it is the logistic loss
+    softplus(-z).
 
-    Forward and backward evaluate exactly the float operations, in the same
-    order, of composing mul(z, -1), softplus, sigmoid, sub from 1, pow_const
-    and mul, so results are bit-identical to that chain, with one tensor
-    instead of its eight.
+    exp(-|z|) is computed once, and both sigmoids and softplus(-z) come
+    from it. Every value is otherwise the float operations, in the same
+    order, of composing mul(z, -1), softplus, sigmoid, sub from 1,
+    pow_const and mul (at gamma 0, mul and softplus), so results are
+    bit-identical to that chain. One exception: where sigmoid(z) rounds to
+    1 and gamma < 1, the chain's factor (1 - sigmoid(z))^(gamma - 1) is
+    1 / 0 and its gradient NaN; here that factor is 0, its limit once
+    multiplied by 1 - sigmoid(z), and the gradient is zero.
     """
     minus = np.asarray(-1.0, dtype=z.dtype)
-    t = z.data * minus
-    nll = np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
-    s = stable_sigmoid(z.data)
+    t = z * minus
+    e, big, small = _sigmoid_halves(z)  # |t| is |z|
+    nll = np.maximum(t, 0.0) + np.log1p(e)
+    if gamma == 0.0:
+        return nll, lambda g: g * np.where(t >= 0, big, small) * minus
+    s = np.where(z >= 0, big, small)
     # an array even when z is 0-d, so ** takes ndarray's power path as
     # pow_const's does
     q = np.asarray(np.asarray(1.0, dtype=z.dtype) - s)
     w = q**gamma
 
-    def backward(g):
-        g_q = g * nll * gamma * q ** (gamma - 1)
-        g_sigmoid = -g_q * s * (1.0 - s)
-        g_softplus = g * w * stable_sigmoid(t) * minus
-        z.accumulate(g_sigmoid + g_softplus)
+    def grad(g):
+        if gamma < 1.0:
+            with np.errstate(divide="ignore"):
+                dw = np.where(q == 0.0, 0.0, q ** (gamma - 1))
+        else:
+            dw = q ** (gamma - 1)
+        g_q = g * nll * gamma * dw
+        return -g_q * s * q + g * w * np.where(t >= 0, big, small) * minus
 
-    return Tensor(w * nll, (z,), backward)
+    return w * nll, grad
+
+
+def focal(z, gamma):
+    """focal_parts as one op: elementwise (1 - sigmoid(z))^gamma * softplus(-z)."""
+    terms, grad = focal_parts(z.data, gamma)
+    return Tensor(terms, (z,), lambda g: z.accumulate(grad(g)))
 
 
 def log(x):

@@ -52,6 +52,10 @@ class TrainConfig:
             raise ConfigError("learning rate must be positive, weight decay non-negative")
         if self.early_stop_patience < 1 or self.plateau_patience < 1:
             raise ConfigError("patience must be >= 1")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.focal_gamma < 0:
+            raise ConfigError(f"focal_gamma must be >= 0, got {self.focal_gamma}")
         if self.contrastive_temperature <= 0:
             raise ConfigError("contrastive temperature must be positive")
         if self.loss not in ("focal", "bce"):
@@ -84,18 +88,6 @@ class Checkpoint:
     epoch: int
 
 
-def focal_terms(z, gamma):
-    """Elementwise (1 - p_t)^gamma * (-log p_t) for signed logits z, p_t = sigmoid(z).
-
-    z is the logit times +1 for a positive label and -1 for a negative one;
-    -log p_t is computed as softplus(-z) for stability, fused with the
-    focal weight into one op. gamma=0 leaves the plain logistic loss.
-    """
-    if gamma != 0.0:
-        return T.focal(z, gamma)
-    return T.softplus(T.mul(z, T.Tensor(np.asarray(-1.0, dtype=z.dtype), requires_grad=False)))
-
-
 def focal_loss(logit, y, gamma=2.0, alpha=1.0):
     """alpha * (1 - p_t)^gamma * (-log p_t), elementwise.
 
@@ -103,14 +95,10 @@ def focal_loss(logit, y, gamma=2.0, alpha=1.0):
     gamma=0, alpha=1 recovers plain BCE exactly.
     """
     sign = np.where(np.asarray(y) == 1, 1.0, -1.0).astype(logit.dtype)
-    out = focal_terms(T.mul(logit, T.Tensor(sign, requires_grad=False)), gamma)
+    out = T.focal(T.mul(logit, T.Tensor(sign, requires_grad=False)), gamma)
     if alpha != 1.0:
         out = T.mul(out, T.Tensor(np.asarray(alpha, dtype=logit.dtype), requires_grad=False))
     return out
-
-
-def bce_loss(logit, y):
-    return focal_loss(logit, y, gamma=0.0, alpha=1.0)
 
 
 def info_nce(session_reps, labels, temperature=0.2):
@@ -269,12 +257,6 @@ def select_threshold(probs, labels, objective="f1", min_precision=0.75):
     return best[1]
 
 
-def _graph_losses(logits, labels, config):
-    if config.loss == "bce":
-        return bce_loss(logits, labels)
-    return focal_loss(logits, labels, config.focal_gamma, config.focal_alpha)
-
-
 def _chunks(graphs):
     return [GraphBatch.from_graphs(graphs[i : i + PREDICT_CHUNK])
             for i in range(0, len(graphs), PREDICT_CHUNK)]
@@ -294,7 +276,10 @@ def _train_step(params, opt, batch, config, rng):
     persona_on = config.persona_mode == "on"
     params.zero_grad()
     out = M.forward(batch, None, params, train=True, rng=rng, persona_mode=persona_on)
-    loss = T.tmean(_graph_losses(out.logits, batch.labels, config))
+    # "bce" is the focal loss at gamma 0, alpha 1
+    gamma, alpha = ((0.0, 1.0) if config.loss == "bce"
+                    else (config.focal_gamma, config.focal_alpha))
+    loss = T.tmean(focal_loss(out.logits, batch.labels, gamma, alpha))
     if config.contrastive_enabled and batch.num_graphs >= 2:
         aux = info_nce(out.session_reps, batch.labels, config.contrastive_temperature)
         loss = T.add(

@@ -108,10 +108,11 @@ def _op_checks(rng):
     yield "chain_attention", *_chain_attention_check(rng)
 
     # signed logits of alternating sign, clear of saturation; an integer and
-    # a non-integer focusing exponent
+    # a non-integer focusing exponent, and gamma 0, the logistic loss that
+    # loss "bce" trains with
     sign = np.where(np.arange(m * n) % 2 == 0, 1.0, -1.0).reshape(m, n)
     zf = T.Tensor(sign * rng.uniform(0.1, 3.0, (m, n)), dtype=np.float64)
-    for gamma in (2.0, 0.7):
+    for gamma in (2.0, 0.7, 0.0):
         yield "focal", _fw(lambda gamma=gamma: T.focal(zf, gamma), rng), [zf]
 
 

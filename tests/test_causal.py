@@ -11,7 +11,7 @@ from psygat.datagen import GenConfig, generate_corpus
 from psygat.errors import NumericalError
 from psygat.peu import build_peu_tensor
 from psygat.sessions import Session, Utterance
-from psygat.train import AdamW, focal_terms
+from psygat.train import AdamW
 
 
 def make_session(active, causes=(), n=8, sid="c"):
@@ -43,12 +43,21 @@ def reference_instance_features(instance, node_reps, peu_rows, window):
 def reference_loss(logits, labels, alpha, gamma):
     """The scorer's focal loss as an op composition over a logits Tensor:
     mean(alpha * (1 - p_t)^gamma * -log p_t), p_t the sigmoid of the
-    logit signed by its label."""
+    logit signed by its label, -log p_t as softplus(-z) and the focal
+    weight, at gamma above 0, as pow_const(1 - sigmoid(z), gamma)."""
     dtype = logits.dtype
+
+    def const(value):
+        return T.Tensor(np.asarray(value, dtype=dtype), requires_grad=False)
+
     sign = np.where(np.asarray(labels) == 1, 1.0, -1.0).astype(dtype)
-    loss = T.tmean(focal_terms(T.mul(logits, T.Tensor(sign, requires_grad=False)), gamma))
+    z = T.mul(logits, const(sign))
+    terms = T.softplus(T.mul(z, const(-1.0)))
+    if gamma != 0.0:
+        terms = T.mul(T.pow_const(T.sub(const(1.0), T.sigmoid(z)), gamma), terms)
+    loss = T.tmean(terms)
     if alpha != 1.0:
-        loss = T.mul(loss, T.Tensor(np.asarray(alpha, dtype=dtype), requires_grad=False))
+        loss = T.mul(loss, const(alpha))
     return loss
 
 
@@ -108,7 +117,7 @@ def planted_instances(config, sessions, hidden=8, n=8, target=4):
 class TestCausalConfig:
     @pytest.mark.parametrize("change", [
         {"epochs": 0}, {"batch_instances": 0}, {"hidden": 0}, {"lr": 0.0}, {"lr": -1e-3},
-        {"weight_decay": -0.1},
+        {"weight_decay": -0.1}, {"focal_gamma": -0.5},
     ])
     def test_invalid_fields_rejected(self, change):
         with pytest.raises(C.ConfigError):
@@ -280,20 +289,43 @@ class TestScorer:
         labels = rng.integers(0, 2, 40)
         if saturated:
             # every row a cause with a logit near 50, so sigmoid rounds to
-            # 1: the gradient of each row is a signed zero for gamma 2 and
-            # NaN for gamma 0.5, whose (1 - p_t)^(gamma - 1) is then 1 / 0
+            # 1: the gradient of each row is a signed zero for gamma 2; for
+            # gamma 0.5 the composition's (1 - p_t)^(gamma - 1) is 1 / 0 and
+            # its gradient NaN, where scorer_loss's is zero
             for scorer in (got, want):
                 scorer["b2"].data[:] = 50.0
             labels[:] = 1
+        loss = C.scorer_loss(got, x.astype(dtype),
+                             np.where(labels == 1, 1.0, -1.0).astype(dtype), alpha, gamma)
         with np.errstate(divide="ignore", invalid="ignore"):
-            loss = C.scorer_loss(got, x.astype(dtype),
-                                 np.where(labels == 1, 1.0, -1.0).astype(dtype), alpha, gamma)
             ref = reference_scorer_loss(want, x.astype(dtype), labels, alpha, gamma)
         assert np.asarray(loss).dtype == ref.dtype == dtype
         assert np.asarray(loss).tobytes() == ref.tobytes()
+        nan_rows = saturated and gamma == 0.5
         for (name, a), (_, b) in zip(got.named(), want.named()):
             assert a.grad.dtype == b.grad.dtype and a.grad.shape == b.grad.shape, name
-            assert a.grad.tobytes() == b.grad.tobytes(), name
+            if nan_rows:
+                assert np.isnan(b.grad).all() and np.all(a.grad == 0.0), name
+            else:
+                assert a.grad.tobytes() == b.grad.tobytes(), name
+
+    def test_saturated_rows_train_below_gamma_one(self):
+        # features large enough that most rows' logits saturate the
+        # sigmoid; below gamma 1 their focal weight's derivative is 1 / 0,
+        # and a NaN gradient there would stop AdamW with NumericalError
+        config = C.CausalConfig(window=2, epochs=2, batch_instances=8, hidden=8,
+                                focal_gamma=0.5)
+        instances, reps_by, peus_by = planted_instances(config, sessions=10)
+        for reps in reps_by.values():
+            reps *= 1e3
+        scorer = C.train_scorer(instances, reps_by, peus_by, config, seed=0)
+        feats = np.concatenate([C.instance_features(i, reps_by[i.session_id],
+                                                    peus_by[i.session_id], config.window)
+                                for i in instances])
+        logits = C.edge_logits(feats, scorer)[0]
+        assert np.mean(np.abs(logits) > 40.0) > 0.5  # sigmoid rounds to 0 or 1
+        for name, t in scorer.named():
+            assert np.all(np.isfinite(t.data)), name
 
     def test_non_finite_features_stop_training_naming_the_parameter(self):
         config = C.CausalConfig(window=2, epochs=1, batch_instances=4, hidden=8)

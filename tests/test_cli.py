@@ -202,6 +202,35 @@ class TestTrain:
         assert len(err.strip().splitlines()) == 1
         assert message in err and f"session {sessions[0].id}" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("malform", [
+        lambda rec: [1, 2],
+        lambda rec: {**rec, "utterances": 5},
+        lambda rec: {**rec, "causes": ["x"]},
+    ], ids=["not-an-object", "utterances", "cause"])
+    def test_malformed_corpus_line_exits_one_naming_it(self, workspace, tmp_path, capsys,
+                                                       malform):
+        lines = workspace["corpus"].read_text(encoding="utf-8").splitlines()
+        lines[2] = json.dumps(malform(json.loads(lines[2])))
+        bad = tmp_path / "malformed.jsonl"
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert cli.main(["train", "--corpus", str(bad),
+                         "--config", str(workspace["train_cfg"]),
+                         "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert f"{bad}:3:" in err and "Traceback" not in err
+
+    def test_zero_batch_size_exits_two_without_traceback(self, workspace, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("max_epochs = 1\nseeds = 0\nbatch_size = 0\n")
+        capsys.readouterr()
+        assert cli.main(["train", "--corpus", str(workspace["corpus"]), "--config", str(bad),
+                         "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "batch_size" in err and "Traceback" not in err
+
     def test_unparsable_epoch_count_exits_two_without_traceback(self, workspace, tmp_path,
                                                                capsys):
         bad = tmp_path / "bad.cfg"

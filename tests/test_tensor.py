@@ -231,12 +231,39 @@ class TestFusedOpsMatchTheirReferences:
         rng = np.random.default_rng(int(gamma * 10))
         values = np.concatenate([self.LOGITS, 4.0 * rng.standard_normal(40)])
         weights = rng.standard_normal(values.shape)
-        with np.errstate(all="ignore"):  # 0 ** (gamma - 1) at saturated logits
-            for z in self.LOGITS:  # 0-d, as focal_loss sees one logit
-                assert (value_and_grad(lambda t: T.focal(t, gamma), z, dtype)
-                        == value_and_grad(lambda t: composed_focal(t, gamma), z, dtype))
-            assert (value_and_grad(lambda t: T.focal(t, gamma), values, dtype, weights)
-                    == value_and_grad(lambda t: composed_focal(t, gamma), values, dtype, weights))
+        cases = [(z, None) for z in self.LOGITS]  # 0-d, as focal_loss sees one logit
+        saw_nan = False
+        for z, w in cases + [(values, weights)]:
+            out, grad = value_and_grad(lambda t: T.focal(t, gamma), z, dtype, w)
+            # the chain's 0 ** (gamma - 1) at saturated logits
+            with np.errstate(all="ignore"):
+                want_out, want_grad = value_and_grad(lambda t: composed_focal(t, gamma), z,
+                                                     dtype, w)
+            assert out == want_out
+            grad, want_grad = np.frombuffer(grad, dtype), np.frombuffer(want_grad, dtype)
+            # below gamma 1 the chain's gradient is NaN where sigmoid(z)
+            # rounds to 1; focal's is zero there
+            nan = np.isnan(want_grad)
+            saw_nan |= nan.any()
+            assert np.all(grad[nan] == 0.0)
+            assert grad[~nan].tobytes() == want_grad[~nan].tobytes()
+        assert saw_nan == (gamma < 1.0)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_focal_at_gamma_zero_is_bit_equal_to_softplus_of_minus_z(self, dtype):
+        rng = np.random.default_rng(4)
+        values = np.concatenate([self.LOGITS, 4.0 * rng.standard_normal(40)])
+        weights = rng.standard_normal(values.shape)
+
+        def logistic(t):
+            return T.softplus(T.mul(t, T.Tensor(np.asarray(-1.0, dtype=dtype),
+                                                requires_grad=False)))
+
+        for z in self.LOGITS:
+            assert (value_and_grad(lambda t: T.focal(t, 0.0), z, dtype)
+                    == value_and_grad(logistic, z, dtype))
+        assert (value_and_grad(lambda t: T.focal(t, 0.0), values, dtype, weights)
+                == value_and_grad(logistic, values, dtype, weights))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_elu_is_bit_equal_to_the_where_form(self, dtype):

@@ -296,6 +296,10 @@ class TestTrainConfig:
             TR.TrainConfig(persona_mode="maybe")
         with pytest.raises(TR.ConfigError):
             TR.TrainConfig(contrastive_temperature=0.0)
+        with pytest.raises(TR.ConfigError, match="batch_size"):
+            TR.TrainConfig(batch_size=0)
+        with pytest.raises(TR.ConfigError, match="focal_gamma"):
+            TR.TrainConfig(focal_gamma=-0.5)
 
 
 class TestFit:
@@ -398,6 +402,27 @@ class TestFit:
         assert ck.threshold == TR.select_threshold(probs, labels, objective, config.min_precision)
         if max_epochs:
             assert ck.best_val_pr_auc == pr_auc(probs, labels)
+
+    def test_bce_fits_the_focal_loss_at_gamma_zero_alpha_one(self):
+        from psygat import model as M
+        from psygat.verify import _tiny_graph
+
+        rng = np.random.default_rng(4)
+        graphs = [_tiny_graph(rng, int(n)) for n in rng.integers(1, 6, 8)]
+        for k, g in enumerate(graphs):
+            g.label = k % 2
+        cfg = M.ModelConfig(text_dim=12, hidden=16, heads=2, persona_dim=4, head_hidden=8)
+
+        def fitted(**loss):
+            config = TR.TrainConfig(max_epochs=2, seeds=(0,), batch_size=3, **loss)
+            return TR.fit(graphs, graphs, config, cfg, seed=0).params.snapshot()
+
+        bce = fitted(loss="bce", focal_alpha=0.5)  # bce ignores the focal fields
+        focal_zero = fitted(focal_gamma=0.0, focal_alpha=1.0)
+        focal_two = fitted()
+        for name, value in bce.items():
+            assert value.tobytes() == focal_zero[name].tobytes(), name
+        assert any(value.tobytes() != focal_two[name].tobytes() for name, value in bce.items())
 
     def test_step_graphs_leave_no_cyclic_garbage(self):
         # op closures capture only their parents, so refcounting alone frees
