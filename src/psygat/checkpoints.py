@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -112,6 +113,12 @@ def load_checkpoint(prefix):
     train_config = _header_config(prefix, header, "train_config", TrainConfig)
     fields = {key: _header_field(prefix, header, key)
               for key in ("best_val_pr_auc", "threshold", "seed", "epoch")}
+    for key, value in fields.items():
+        kind, types = (("an integer", int) if key in ("seed", "epoch")
+                       else ("a finite number", (int, float)))
+        if (isinstance(value, bool) or not isinstance(value, types)
+                or isinstance(value, float) and not math.isfinite(value)):
+            raise CheckpointError(f"{prefix}: {key} {value!r} is not {kind}")
     params = ModelParams(model_config, seed=0)
     _load_arrays(params, arrays, prefix)
     return Checkpoint(params=params, train_config=train_config, **fields)

@@ -282,6 +282,8 @@ def cmd_explain(args):
 
 
 def cmd_gradcheck(args):
+    if args.trials < 1:
+        raise ConfigError(f"--trials must be >= 1, got {args.trials}")
     rows = verify.run_suite(trials=args.trials, seed=args.seed or 0)
     failed = 0
     for name, err, tol, ok in rows:

@@ -17,9 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, DataError, ShapeError, UsageError
-from .graph import GraphBatch, SessionGraph
+from .errors import ConfigError, DataError, UsageError
 from .peu import NUM_CATEGORIES
+
+LEAKY_SLOPE = 0.2  # negative slope of the GATv2 attention LeakyReLU
 
 
 @dataclass
@@ -33,17 +34,11 @@ class ModelConfig:
     persona_dim: int = 16
     head_hidden: int = 64
     dropout: float = 0.2
-    attn_dropout: bool = True
-    out_dropout: bool = True
-    readout: str = "set2set"  # or "mean"
-    leaky_slope: float = 0.2
 
     def __post_init__(self):
         if self.hidden % self.heads != 0:
             raise ConfigError(f"hidden {self.hidden} not divisible by heads {self.heads}")
-        if self.readout not in ("set2set", "mean"):
-            raise ConfigError(f"unknown readout {self.readout!r}")
-        if self.readout == "set2set" and self.set2set_iters < 1:
+        if self.set2set_iters < 1:
             raise ConfigError(f"set2set_iters must be >= 1, got {self.set2set_iters}")
 
     @property
@@ -52,7 +47,7 @@ class ModelConfig:
 
     @property
     def readout_dim(self):
-        return 2 * self.hidden if self.readout == "set2set" else self.hidden
+        return 2 * self.hidden
 
     def to_json(self):
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
@@ -96,10 +91,9 @@ class ModelParams(T.Params):
             for head in range(c.heads):
                 w(f"gat{layer}_attn{head}", c.head_dim, 1)
             const(f"gat{layer}_b", np.zeros(h))
-        if c.readout == "set2set":
-            w("s2s_wx", 2 * h, 4 * h)
-            w("s2s_wh", h, 4 * h)
-            const("s2s_b", np.zeros(4 * h))
+        w("s2s_wx", 2 * h, 4 * h)
+        w("s2s_wh", h, 4 * h)
+        const("s2s_b", np.zeros(4 * h))
         self.tensors["persona_table"] = T.Tensor(
             (rng.normal(0.0, 0.02, size=(c.persona_count, c.persona_dim))).astype(dtype),
             name="persona_table",
@@ -163,16 +157,16 @@ def gat_layer(h, batch, params, layer, draws=None):
         hp = h
 
     keep = None
-    if draws is not None and c.attn_dropout:
+    if draws is not None:
         keep = _attention_keep(batch, [next(draws) for _ in range(c.heads)], c.dropout, dtype)
     agg = T.chain_attention(
         T.matmul(hp, params[f"gat{layer}_w_src"]),
         T.matmul(hp, params[f"gat{layer}_w_dst"]),
         [params[f"gat{layer}_attn{head}"] for head in range(c.heads)],
-        batch.edge_dst, c.leaky_slope, keep,
+        batch.edge_dst, LEAKY_SLOPE, keep,
     )
     agg = T.elu(T.add_bias(agg, params[f"gat{layer}_b"]))
-    if draws is not None and c.out_dropout:
+    if draws is not None:
         agg = T.dropout(agg, c.dropout, train=True, uniform=next(draws))
     return T.add(agg, h)
 
@@ -217,12 +211,9 @@ def _dropout_draws(batch, config, rng):
     for n in batch.sizes:
         sites = []
         for _ in range(c.num_layers):
-            if c.attn_dropout:
-                sites += [rng.random(2 * n - 1) for _ in range(c.heads)]
-            if c.out_dropout:
-                sites.append(rng.random((n, c.hidden)))
-        if c.out_dropout:
-            sites.append(rng.random((1, c.head_hidden)))
+            sites += [rng.random(2 * n - 1) for _ in range(c.heads)]
+            sites.append(rng.random((n, c.hidden)))
+        sites.append(rng.random((1, c.head_hidden)))
         per_graph.append(sites)
     return [np.concatenate(site) for site in zip(*per_graph)]
 
@@ -279,33 +270,18 @@ def set2set_readout(node_reps, params, node_graph=None, num_graphs=1):
     return q_star
 
 
-def mean_readout(node_reps, node_graph=None, num_graphs=1):
-    """Per-graph mean of the node rows, as one (B, N) averaging matmul."""
-    n = node_reps.shape[-2]
-    if node_graph is None:
-        node_graph = np.zeros(n, dtype=np.int64)
-    member = (np.arange(num_graphs)[:, None] == node_graph[None, :]).astype(node_reps.dtype)
-    weights = member / member.sum(axis=1, keepdims=True)
-    return T.matmul(T.Tensor(weights, requires_grad=False), node_reps)
+def forward(batch, params, train=False, rng=None, persona_mode=True):
+    """Full pipeline from a GraphBatch to one depression logit per graph,
+    each graph conditioned on its own persona.
 
-
-def forward(batch, persona, params, train=False, rng=None, persona_mode=True):
-    """Full pipeline from a GraphBatch to one depression logit per graph.
-
-    A lone SessionGraph is run as a batch of one. persona gives the persona
-    id of a lone graph, or one id per graph of a batch; None takes each
-    graph's own. persona_mode=False swaps the persona rows for zero vectors
-    of the same width so head shapes match across modes. Stacked params
+    persona_mode=False swaps the persona rows for zero vectors of the same
+    width so head shapes match across modes. Stacked params
     (tensor.stack_params) score every member in this one forward.
     """
     c = params.config
     lead = params["head_b2"].shape[:-1]
-    if isinstance(batch, SessionGraph):
-        batch = GraphBatch.from_graphs([batch])
     b = batch.num_graphs
-    personas = batch.personas if persona is None else np.asarray(persona, dtype=np.int64).reshape(-1)
-    if personas.shape != (b,):
-        raise ShapeError(f"{personas.size} persona ids for a batch of {b} graphs")
+    personas = batch.personas
     if persona_mode and not np.all((personas >= 0) & (personas < c.persona_count)):
         raise DataError(f"persona ids {personas.tolist()} out of range [0, {c.persona_count})")
     draws = None
@@ -314,10 +290,7 @@ def forward(batch, persona, params, train=False, rng=None, persona_mode=True):
             raise UsageError("a training forward with dropout requires an rng")
         draws = iter(_dropout_draws(batch, c, rng))
     node_reps = encode(batch, params, draws)
-    if c.readout == "set2set":
-        session_reps = set2set_readout(node_reps, params, batch.node_graph, b)
-    else:
-        session_reps = mean_readout(node_reps, batch.node_graph, b)
+    session_reps = set2set_readout(node_reps, params, batch.node_graph, b)
     if persona_mode:
         z = T.gather_rows(params["persona_table"], personas)
     else:
@@ -325,7 +298,7 @@ def forward(batch, persona, params, train=False, rng=None, persona_mode=True):
                      requires_grad=False)
     cond = T.concat_cols([session_reps, z])
     hidden = T.elu(T.add_bias(T.matmul(cond, params["head_w1"]), params["head_b1"]))
-    if draws is not None and c.out_dropout:
+    if draws is not None:
         hidden = T.dropout(hidden, c.dropout, train=True, uniform=next(draws))
     logits = T.reshape(T.add_bias(T.matmul(hidden, params["head_w2"]), params["head_b2"]),
                        lead + (b,))

@@ -36,9 +36,15 @@ class Session:
     source: str = "base"
 
     def __post_init__(self):
+        if type(self.label) is not int or self.label not in (0, 1):  # True and 1.0 equal 1
+            raise CorpusError(f"session {self.id}: label {self.label!r} is not 0 or 1")
         for k, utt in enumerate(self.utterances):
             if utt.index != k:
                 raise CorpusError(f"session {self.id}: utterance indices not contiguous at {k}")
+            if not (isinstance(utt.question, str) and isinstance(utt.answer, str)):
+                raise CorpusError(f"session {self.id}: utterance {k} has a non-string q or a")
+        if not isinstance(self.peus, list):
+            raise CorpusError(f"session {self.id}: peus {self.peus!r} is not a list")
         n = len(self.utterances)
         for rec in self.causes:
             if not isinstance(rec, dict):
@@ -77,7 +83,7 @@ class Session:
         return cls(
             id=str(obj["id"]),
             persona=int(obj["persona"]),
-            label=int(obj["label"]),
+            label=obj["label"],
             utterances=[Utterance(int(u["i"]), u.get("q", ""), u.get("a", "")) for u in obj["utterances"]],
             peus=obj.get("peus", []),
             causes=obj.get("causes", []),

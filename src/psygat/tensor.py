@@ -115,10 +115,7 @@ def xavier(rng, fan_in, fan_out, dtype, shape=None):
 
 class Params:
     """Named leaf tensors in a fixed creation order (the checkpoint order).
-
-    Subclasses fill self.tensors; any other attributes they set carry over
-    to the clone astype returns.
-    """
+    Subclasses fill self.tensors."""
 
     def __getitem__(self, name):
         return self.tensors[name]
@@ -129,11 +126,6 @@ class Params:
     def zero_grad(self):
         for t in self.tensors.values():
             t.zero_grad()
-
-    def astype(self, dtype):
-        clone = copy.copy(self)
-        clone.tensors = {name: Tensor(t.data.astype(dtype), name=name) for name, t in self.named()}
-        return clone
 
     def snapshot(self):
         return {name: t.data.copy() for name, t in self.named()}

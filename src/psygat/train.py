@@ -5,7 +5,7 @@ seed ensembling and decision-threshold selection.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -265,7 +265,7 @@ def _chunks(graphs):
 def predict_probs(params, graphs, persona_mode=True):
     """Eval-mode probabilities, one batched forward per PREDICT_CHUNK graphs."""
     with T.no_grad():
-        probs = [M.forward(b, None, params, persona_mode=persona_mode).probs
+        probs = [M.forward(b, params, persona_mode=persona_mode).probs
                  for b in _chunks(graphs)]
     return np.concatenate(probs) if probs else np.zeros(0)
 
@@ -275,7 +275,7 @@ def _train_step(params, opt, batch, config, rng):
     call, so refcounting frees it on return."""
     persona_on = config.persona_mode == "on"
     params.zero_grad()
-    out = M.forward(batch, None, params, train=True, rng=rng, persona_mode=persona_on)
+    out = M.forward(batch, params, train=True, rng=rng, persona_mode=persona_on)
     # "bce" is the focal loss at gamma 0, alpha 1
     gamma, alpha = ((0.0, 1.0) if config.loss == "bce"
                     else (config.focal_gamma, config.focal_alpha))
@@ -397,7 +397,7 @@ def ensemble_probs(checkpoints, graphs):
     distinct = list({id(p): p for p in params}.values())
     stacked = _stacked_params(distinct)
     with T.no_grad():
-        chunks = [M.forward(b, None, stacked, persona_mode=persona_on).probs
+        chunks = [M.forward(b, stacked, persona_mode=persona_on).probs
                   for b in _chunks(graphs)]
     probs = np.concatenate(chunks, axis=1) if chunks else np.zeros((len(distinct), 0))
     if len(distinct) < len(params):
@@ -406,10 +406,8 @@ def ensemble_probs(checkpoints, graphs):
     return probs.mean(axis=0)
 
 
-def ensemble_predict(checkpoints, graph, persona=None):
-    """ensemble_probs of one graph, optionally scored under another persona."""
-    if persona is not None:
-        graph = replace(graph, persona=persona)
+def ensemble_predict(checkpoints, graph):
+    """ensemble_probs of one graph."""
     return float(ensemble_probs(checkpoints, [graph])[0])
 
 

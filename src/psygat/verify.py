@@ -192,8 +192,8 @@ def check_model(seed=0, n_nodes=4):
     """End-to-end fd check of the full forward on a small graph, float64."""
     rng = np.random.default_rng(seed)
     params = _tiny_params(seed)
-    graph = _tiny_graph(rng, n_nodes, params.config.text_dim)
-    return _model_check(lambda: T.tsum(M.forward(graph, 1, params).logits), params, seed)
+    batch = GraphBatch.from_graphs([_tiny_graph(rng, n_nodes, params.config.text_dim)])
+    return _model_check(lambda: T.tsum(M.forward(batch, params).logits), params, seed)
 
 
 def check_batch(seed=0, sizes=(5, 1, 8, 3)):
@@ -210,7 +210,7 @@ def check_batch(seed=0, sizes=(5, 1, 8, 3)):
     for k, g in enumerate(graphs):
         g.persona = k % params.config.persona_count
     batch = GraphBatch.from_graphs(graphs)
-    f = _fw(lambda: M.forward(batch, None, params).logits, rng)
+    f = _fw(lambda: M.forward(batch, params).logits, rng)
     return _model_check(f, params, seed)
 
 
@@ -227,7 +227,7 @@ def check_stacked(seed=0, sizes=(5, 1, 8, 3)):
     for k, g in enumerate(graphs):
         g.persona = k % stacked.config.persona_count
     batch = GraphBatch.from_graphs(graphs)
-    f = _fw(lambda: M.forward(batch, None, stacked).logits, rng)
+    f = _fw(lambda: M.forward(batch, stacked).logits, rng)
     return _model_check(f, stacked, seed)
 
 

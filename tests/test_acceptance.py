@@ -101,11 +101,11 @@ def test_attention_normalization():
             n = int(rng.integers(1, 12))
             peu = rng.integers(0, 2, (n, 8)).astype(np.float32)
             peu[:, 7] = rng.integers(-1, 2, n)
-            from psygat.graph import SessionGraph
+            from psygat.graph import GraphBatch, SessionGraph
 
             g = SessionGraph("a", rng.standard_normal((n, 32)).astype(np.float32),
                              peu, np.diff(peu, axis=0), persona=0, label=1)
-            M.forward(g, 0, params)
+            M.forward(GraphBatch.from_graphs([g]), params)
     finally:
         T.segment_softmax = original
 

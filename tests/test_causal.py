@@ -387,7 +387,7 @@ class TestScorer:
 
 def test_session_node_reps_equal_forward_node_reps():
     from psygat import model as M
-    from tests.test_model import make_graph, small_config
+    from tests.test_model import make_graph, run, small_config
 
     rng = np.random.default_rng(0)
     cfg = small_config()
@@ -395,7 +395,7 @@ def test_session_node_reps_equal_forward_node_reps():
     for n in (1, 2, 9):
         g = make_graph(rng, n, cfg)
         np.testing.assert_array_equal(C.session_node_reps(g, params),
-                                      M.forward(g, g.persona, params).node_reps.data)
+                                      run(g, params).node_reps.data)
 
 
 @pytest.fixture(scope="module")

@@ -122,6 +122,9 @@ class TestSessionModelCheckpoints:
     @pytest.mark.parametrize("key,change", [
         ("model_config", {"width": 3}),  # unknown key
         ("model_config", {"hidden": 7}),  # not divisible by heads
+        # as written before the readout, dropout-site and slope switches went
+        ("model_config", {"attn_dropout": True, "leaky_slope": 0.2, "out_dropout": True,
+                          "readout": "set2set"}),
         ("train_config", {"optimizer": "sgd"}),
         ("train_config", {"lr": -1.0}),
     ])
@@ -130,6 +133,31 @@ class TestSessionModelCheckpoints:
         edit_header(tmp_path / "ckpt.json", lambda header: header[key].update(change))
         with pytest.raises(CK.CheckpointError, match=f"invalid {key}"):
             CK.load_checkpoint(tmp_path / "ckpt")
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("threshold", "abc", "not a finite number"),
+        ("threshold", float("nan"), "not a finite number"),
+        ("threshold", None, "not a finite number"),
+        ("best_val_pr_auc", float("inf"), "not a finite number"),
+        ("best_val_pr_auc", True, "not a finite number"),
+        ("best_val_pr_auc", [0.5], "not a finite number"),
+        ("seed", 1.0, "not an integer"),
+        ("seed", "0", "not an integer"),
+        ("epoch", True, "not an integer"),
+        ("epoch", None, "not an integer"),
+    ])
+    def test_header_scalar_of_the_wrong_kind_rejected(self, tmp_path, key, value, message):
+        CK.save_checkpoint(tmp_path / "ckpt", small_checkpoint())
+        edit_header(tmp_path / "ckpt.json", lambda header: header.update({key: value}))
+        with pytest.raises(CK.CheckpointError, match=f"{key} .* is {message}"):
+            CK.load_checkpoint(tmp_path / "ckpt")
+
+    def test_integral_scores_accepted(self, tmp_path):
+        CK.save_checkpoint(tmp_path / "ckpt", small_checkpoint())
+        edit_header(tmp_path / "ckpt.json", lambda header: header.update(
+            threshold=0, best_val_pr_auc=1))
+        loaded = CK.load_checkpoint(tmp_path / "ckpt")
+        assert (loaded.threshold, loaded.best_val_pr_auc) == (0, 1)
 
     def test_config_that_is_not_an_object_rejected(self, tmp_path):
         CK.save_checkpoint(tmp_path / "ckpt", small_checkpoint())

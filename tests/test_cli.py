@@ -206,7 +206,11 @@ class TestTrain:
         lambda rec: [1, 2],
         lambda rec: {**rec, "utterances": 5},
         lambda rec: {**rec, "causes": ["x"]},
-    ], ids=["not-an-object", "utterances", "cause"])
+        lambda rec: {**rec, "label": 2},
+        lambda rec: {**rec, "peus": 5},
+        lambda rec: {**rec, "utterances": [{**rec["utterances"][0], "q": "", "a": 5},
+                                           *rec["utterances"][1:]]},
+    ], ids=["not-an-object", "utterances", "cause", "label", "peus", "text"])
     def test_malformed_corpus_line_exits_one_naming_it(self, workspace, tmp_path, capsys,
                                                        malform):
         lines = workspace["corpus"].read_text(encoding="utf-8").splitlines()
@@ -289,6 +293,20 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
         assert "header has no threshold" in err and "Traceback" not in err
+
+    def test_checkpoint_header_with_a_bad_threshold_exits_one(self, workspace, tmp_path, capsys):
+        for suffix in (".json", ".bin"):
+            shutil.copy(workspace["train_dir"] / f"ckpt-seed0{suffix}", tmp_path / f"c{suffix}")
+        header = json.loads((tmp_path / "c.json").read_text())
+        header["threshold"] = "abc"
+        (tmp_path / "c.json").write_text(json.dumps(header))
+        capsys.readouterr()
+        code = cli.main(["evaluate", "--checkpoint", str(tmp_path / "c.json"),
+                         "--corpus", str(workspace["corpus"]), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "threshold 'abc' is not a finite number" in err and "Traceback" not in err
 
     def test_missing_corpus_exits_one_without_traceback(self, workspace, tmp_path, capsys):
         capsys.readouterr()
@@ -440,3 +458,11 @@ class TestGradcheck:
         assert "PASS" in out and "FAIL" not in out
         assert "full_model_forward" in out
         assert "batched_model_forward" in out
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_fewer_than_one_trial_exits_two(self, capsys, trials):
+        capsys.readouterr()
+        assert cli.main(["gradcheck", "--trials", trials]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: --trials must be >= 1, got {trials}\n"

@@ -1,6 +1,8 @@
 """Session classifier: configuration, shapes, attention structure,
 readout invariance and persona conditioning."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,13 @@ def make_graph(rng, n=5, config=None, persona=1, label=1):
         persona=persona,
         label=label,
     )
+
+
+def run(graph, params, persona=None, **kwargs):
+    """forward over a batch of the one graph, under another persona if given."""
+    if persona is not None:
+        graph = replace(graph, persona=persona)
+    return M.forward(GraphBatch.from_graphs([graph]), params, **kwargs)
 
 
 def attention_edges(batch):
@@ -66,23 +75,22 @@ class TestConfig:
         with pytest.raises(M.ConfigError):
             small_config(hidden=15, heads=2)
 
-    def test_unknown_readout_rejected(self):
-        with pytest.raises(M.ConfigError):
-            small_config(readout="max")
+    def test_fields(self):
+        assert list(M.ModelConfig.__dataclass_fields__) == [
+            "text_dim", "hidden", "heads", "num_layers", "set2set_iters", "persona_count",
+            "persona_dim", "head_hidden", "dropout"]
 
     def test_set2set_needs_an_iteration(self):
         with pytest.raises(M.ConfigError, match="set2set_iters"):
             small_config(set2set_iters=0)
-        assert small_config(readout="mean", set2set_iters=0).readout == "mean"
 
     def test_derived_dims(self):
         c = small_config()
         assert c.head_dim == 8
         assert c.readout_dim == 32
-        assert small_config(readout="mean").readout_dim == 16
 
     def test_json_round_trip(self):
-        c = small_config(readout="mean", dropout=0.1)
+        c = small_config(hidden=32, dropout=0.1)
         assert M.ModelConfig.from_json(c.to_json()) == c
 
 
@@ -106,17 +114,13 @@ class TestParams:
         p.load_snapshot(snap)
         np.testing.assert_array_equal(p["text_w"].data, snap["text_w"])
 
-    def test_mean_readout_has_no_lstm_params(self):
-        p = M.ModelParams(small_config(readout="mean"), seed=0)
-        assert "s2s_wx" not in p.tensors
-
 
 class TestForward:
     def test_output_shapes(self):
         rng = np.random.default_rng(0)
         cfg = small_config()
         params = M.ModelParams(cfg, seed=0)
-        out = M.forward(make_graph(rng, 6, cfg), 1, params)
+        out = run(make_graph(rng, 6, cfg), params)
         assert out.logits.shape == (1,)
         assert out.probs.shape == (1,) and 0.0 < out.probs[0] < 1.0
         assert out.node_reps.shape == (6, 16)
@@ -126,28 +130,28 @@ class TestForward:
     def test_single_node_graph_works(self):
         rng = np.random.default_rng(0)
         cfg = small_config()
-        out = M.forward(make_graph(rng, 1, cfg), 0, M.ModelParams(cfg, seed=0))
+        out = run(make_graph(rng, 1, cfg, persona=0), M.ModelParams(cfg, seed=0))
         assert np.all(np.isfinite(out.logits.data))
 
     def test_prob_matches_logit(self):
         rng = np.random.default_rng(1)
         cfg = small_config()
-        out = M.forward(make_graph(rng, 4, cfg), 2, M.ModelParams(cfg, seed=1))
+        out = run(make_graph(rng, 4, cfg, persona=2), M.ModelParams(cfg, seed=1))
         assert out.probs[0] == pytest.approx(1 / (1 + np.exp(-float(out.logits.data[0]))), rel=1e-6)
 
     def test_persona_out_of_range_rejected(self):
         rng = np.random.default_rng(0)
         cfg = small_config()
         with pytest.raises(M.DataError):
-            M.forward(make_graph(rng, 3, cfg), 4, M.ModelParams(cfg, seed=0))
+            run(make_graph(rng, 3, cfg, persona=4), M.ModelParams(cfg, seed=0))
 
     def test_persona_off_ignores_persona_id(self):
         rng = np.random.default_rng(0)
         cfg = small_config()
         params = M.ModelParams(cfg, seed=0)
         g = make_graph(rng, 5, cfg)
-        a = M.forward(g, 0, params, persona_mode=False)
-        b = M.forward(g, 3, params, persona_mode=False)
+        a = run(g, params, 0, persona_mode=False)
+        b = run(g, params, 3, persona_mode=False)
         np.testing.assert_array_equal(a.logits.data, b.logits.data)
         # off mode zero-pads, so conditioned width matches on mode
         assert a.conditioned_reps.shape == (1, 36)
@@ -158,21 +162,20 @@ class TestForward:
         cfg = small_config()
         params = M.ModelParams(cfg, seed=0)
         g = make_graph(rng, 5, cfg)
-        probs = {p: M.forward(g, p, params).probs[0] for p in range(4)}
+        probs = {p: run(g, params, p).probs[0] for p in range(4)}
         assert len(set(probs.values())) > 1
 
     def test_text_dim_mismatch_rejected(self):
         rng = np.random.default_rng(0)
         with pytest.raises(M.ConfigError):
-            M.forward(make_graph(rng, 3, small_config(text_dim=10)), 0,
-                      M.ModelParams(small_config(), seed=0))
+            run(make_graph(rng, 3, small_config(text_dim=10)), M.ModelParams(small_config(), seed=0))
 
     def test_deterministic_in_eval_mode(self):
         rng = np.random.default_rng(0)
         cfg = small_config(dropout=0.5)
         params = M.ModelParams(cfg, seed=0)
         g = make_graph(rng, 5, cfg)
-        assert M.forward(g, 1, params).probs[0] == M.forward(g, 1, params).probs[0]
+        assert run(g, params).probs[0] == run(g, params).probs[0]
 
 
 class TestAttentionStructure:
@@ -194,7 +197,7 @@ class TestAttentionStructure:
         src_proj = T.matmul(h, params["gat0_w_src"])
         dst_proj = T.matmul(h, params["gat0_w_dst"])
         pre = T.leaky_relu(T.add(T.gather_rows(src_proj, srcs), T.gather_rows(dst_proj, dsts)),
-                           cfg.leaky_slope)
+                           M.LEAKY_SLOPE)
         for head in range(cfg.heads):
             lo, hi = head * cfg.head_dim, (head + 1) * cfg.head_dim
             logits = T.reshape(T.matmul(T.slice_cols(pre, lo, hi),
@@ -211,9 +214,9 @@ class TestAttentionStructure:
         cfg = small_config()
         params = M.ModelParams(cfg, seed=3)
         g = make_graph(rng, 5, cfg)
-        before = M.forward(g, 1, params).node_reps.data[0].copy()
+        before = run(g, params).node_reps.data[0].copy()
         g.node_text[4] += 10.0
-        after = M.forward(g, 1, params).node_reps.data[0]
+        after = run(g, params).node_reps.data[0]
         np.testing.assert_allclose(before, after, atol=1e-6)
 
 
@@ -304,18 +307,6 @@ class TestReadouts:
         out_p = M.set2set_readout(T.Tensor(reps.data[perm]), params)
         np.testing.assert_allclose(out.data, out_p.data, atol=1e-5)
 
-    def test_mean_readout_matches_numpy(self):
-        rng = np.random.default_rng(5)
-        reps = T.Tensor(rng.standard_normal((4, 6)).astype(np.float32))
-        np.testing.assert_allclose(M.mean_readout(reps).data, reps.data.mean(0, keepdims=True),
-                                   atol=1e-6)
-
-    def test_mean_readout_config_path(self):
-        rng = np.random.default_rng(6)
-        cfg = small_config(readout="mean")
-        out = M.forward(make_graph(rng, 5, cfg), 0, M.ModelParams(cfg, seed=0))
-        assert out.session_reps.shape == (1, 16)
-
 
 def reference_set2set(node_reps, params, node_graph=None, num_graphs=1):
     """Set2Set with every iteration run through the full LSTM cell, the first
@@ -359,7 +350,7 @@ class TestSet2SetFirstStep:
     @pytest.mark.parametrize("iters", [1, 3])
     def test_output_and_gradients_bit_equal_to_the_full_loop(self, sizes, dtype, iters):
         rng = np.random.default_rng(sum(sizes) + iters)
-        params = M.ModelParams(small_config(set2set_iters=iters), seed=iters).astype(dtype)
+        params = M.ModelParams(small_config(set2set_iters=iters), seed=iters, dtype=dtype)
         # a trained bias, so the first step's gates are not all zero
         params["s2s_b"].data = rng.standard_normal(params["s2s_b"].shape).astype(dtype)
         node_graph = np.repeat(np.arange(len(sizes)), sizes)
@@ -408,7 +399,7 @@ def test_gradients_flow_to_every_parameter():
     cfg = small_config()
     params = M.ModelParams(cfg, seed=7)
     g = make_graph(rng, 5, cfg)
-    out = M.forward(g, 1, params)
+    out = run(g, params)
     T.backward(T.tsum(out.logits))
     dead = [name for name, t in params.named()
             if t.grad is None or not np.any(t.grad)]
@@ -468,14 +459,13 @@ class TestBatching:
         with pytest.raises(M.DataError):
             GraphBatch.from_graphs([])
 
-    @pytest.mark.parametrize("readout", ["set2set", "mean"])
-    def test_batched_logits_match_per_graph(self, readout):
+    def test_batched_logits_match_per_graph(self):
         rng = np.random.default_rng(8)
-        cfg = small_config(readout=readout, dropout=0.3)
+        cfg = small_config(dropout=0.3)
         params = M.ModelParams(cfg, seed=8)
         graphs = self.graphs(rng, cfg)
-        batched = M.forward(GraphBatch.from_graphs(graphs), None, params)
-        single = [M.forward(g, g.persona, params) for g in graphs]
+        batched = M.forward(GraphBatch.from_graphs(graphs), params)
+        single = [run(g, params) for g in graphs]
         np.testing.assert_allclose(batched.logits.data,
                                    [o.logits.data[0] for o in single], atol=1e-5)
         np.testing.assert_allclose(batched.node_reps.data,
@@ -486,11 +476,11 @@ class TestBatching:
         cfg = small_config()
         params = M.ModelParams(cfg, seed=9)
         graphs = self.graphs(rng, cfg)
-        before = M.forward(GraphBatch.from_graphs(graphs), None, params).logits.data.copy()
+        before = M.forward(GraphBatch.from_graphs(graphs), params).logits.data.copy()
         for k in range(len(graphs)):
             graphs[k].node_text += 3.0
             graphs[k].node_peu[-1, 0] = 1.0 - graphs[k].node_peu[-1, 0]
-            after = M.forward(GraphBatch.from_graphs(graphs), None, params).logits.data
+            after = M.forward(GraphBatch.from_graphs(graphs), params).logits.data
             others = [j for j in range(len(graphs)) if j != k]
             np.testing.assert_array_equal(after[others], before[others])
             assert after[k] != before[k]
@@ -502,20 +492,19 @@ class TestBatching:
         params = M.ModelParams(cfg, seed=13)
         graphs = self.graphs(rng, cfg)
         batch_stream, stream = np.random.default_rng(5), np.random.default_rng(5)
-        batched = M.forward(GraphBatch.from_graphs(graphs), None, params, train=True,
-                            rng=batch_stream)
-        single = [M.forward(g, g.persona, params, train=True, rng=stream).logits.data[0]
+        batched = M.forward(GraphBatch.from_graphs(graphs), params, train=True, rng=batch_stream)
+        single = [run(g, params, train=True, rng=stream).logits.data[0]
                   for g in graphs]
         np.testing.assert_allclose(batched.logits.data, single, atol=1e-5)
         assert batch_stream.random() == stream.random()  # both took the same draws
-        eval_logits = M.forward(GraphBatch.from_graphs(graphs), None, params).logits.data
+        eval_logits = M.forward(GraphBatch.from_graphs(graphs), params).logits.data
         assert not np.allclose(batched.logits.data, eval_logits)
 
     def test_training_forward_with_dropout_needs_rng(self):
         rng = np.random.default_rng(14)
         cfg = small_config(dropout=0.4)
         with pytest.raises(M.UsageError):
-            M.forward(make_graph(rng, 3, cfg), 1, M.ModelParams(cfg, seed=14), train=True)
+            run(make_graph(rng, 3, cfg), M.ModelParams(cfg, seed=14), train=True)
 
     def test_batch_of_single_node_graphs(self):
         rng = np.random.default_rng(10)
@@ -524,22 +513,24 @@ class TestBatching:
         graphs = [make_graph(rng, 1, cfg), make_graph(rng, 1, cfg)]
         batch = GraphBatch.from_graphs(graphs)
         assert batch.edge_attr.shape == (0, 8)
-        out = M.forward(batch, None, params)
+        out = M.forward(batch, params)
         assert out.logits.shape == (2,)
-        single = [M.forward(g, g.persona, params).logits.data[0] for g in graphs]
+        single = [run(g, params).logits.data[0] for g in graphs]
         np.testing.assert_allclose(out.logits.data, single, atol=1e-5)
 
-    def test_persona_override_per_graph(self):
+    def test_each_graph_is_conditioned_on_its_own_persona(self):
         rng = np.random.default_rng(11)
         cfg = small_config()
         params = M.ModelParams(cfg, seed=11)
         graphs = self.graphs(rng, cfg)
-        batch = GraphBatch.from_graphs(graphs)
-        out = M.forward(batch, [3] * len(graphs), params)
-        single = [M.forward(g, 3, params).logits.data[0] for g in graphs]
-        np.testing.assert_allclose(out.logits.data, single, atol=1e-5)
-        with pytest.raises(M.ShapeError):
-            M.forward(batch, [0, 1], params)
+        own = M.forward(GraphBatch.from_graphs(graphs), params).logits.data
+        moved = [replace(g, persona=3) for g in graphs]
+        out = M.forward(GraphBatch.from_graphs(moved), params).logits.data
+        single = [run(g, params, 3).logits.data[0] for g in graphs]
+        np.testing.assert_allclose(out, single, atol=1e-5)
+        changed = np.array([g.persona != 3 for g in graphs])
+        assert np.all(out[changed] != own[changed])
+        np.testing.assert_array_equal(out[~changed], own[~changed])
 
     def test_encode_matches_forward_node_reps(self):
         rng = np.random.default_rng(12)
@@ -547,4 +538,4 @@ class TestBatching:
         params = M.ModelParams(cfg, seed=12)
         batch = GraphBatch.from_graphs(self.graphs(rng, cfg))
         np.testing.assert_array_equal(M.encode(batch, params).data,
-                                      M.forward(batch, None, params).node_reps.data)
+                                      M.forward(batch, params).node_reps.data)

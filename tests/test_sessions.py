@@ -42,6 +42,20 @@ class TestSession:
             S.Session(id="x", persona=0, label=1,
                       utterances=[S.Utterance(i, "q", "a") for i in range(3)], causes=[cause])
 
+    @pytest.mark.parametrize("label", [2, -1, 0.7, 1.0, True, "1"])
+    def test_label_other_than_zero_or_one_rejected(self, label):
+        with pytest.raises(S.CorpusError, match=f"label {label!r} is not 0 or 1"):
+            make_session(label=label)
+
+    @pytest.mark.parametrize("question,answer", [("", 5), (None, "a")])
+    def test_non_string_utterance_text_rejected(self, question, answer):
+        with pytest.raises(S.CorpusError, match="utterance 0 has a non-string q or a"):
+            S.Session(id="x", persona=0, label=0, utterances=[S.Utterance(0, question, answer)])
+
+    def test_peus_that_are_not_a_list_rejected(self):
+        with pytest.raises(S.CorpusError, match="peus 5 is not a list"):
+            S.Session(id="x", persona=0, label=0, utterances=[], peus=5)
+
     def test_text_prepends_question(self):
         s = make_session()
         assert s.text(1) == "Q: q1 A: answer 1"

@@ -323,13 +323,14 @@ class TestFit:
 
     def test_predict_probs_match_per_graph_forward_across_chunks(self, monkeypatch):
         from psygat import model as M
+        from psygat.graph import GraphBatch
         from psygat.verify import _tiny_graph
 
         rng = np.random.default_rng(2)
         graphs = [_tiny_graph(rng, int(n)) for n in rng.integers(1, 7, 9)]
         cfg = M.ModelConfig(text_dim=12, hidden=16, heads=2, persona_dim=4, head_hidden=8)
         params = M.ModelParams(cfg, seed=2)
-        single = [M.forward(g, g.persona, params).probs[0] for g in graphs]
+        single = [M.forward(GraphBatch.from_graphs([g]), params).probs[0] for g in graphs]
         monkeypatch.setattr(TR, "PREDICT_CHUNK", 4)
         np.testing.assert_allclose(TR.predict_probs(params, graphs), single, atol=1e-6)
         assert TR.predict_probs(params, []).shape == (0,)
@@ -451,8 +452,8 @@ class TestFit:
 def tiny_checkpoint(seed, dtype=np.float32, persona_mode="on", **model_overrides):
     from psygat import model as M
 
-    cfg = M.ModelConfig(text_dim=12, hidden=16, heads=2, persona_dim=4, head_hidden=8,
-                        **model_overrides)
+    base = dict(text_dim=12, hidden=16, heads=2, persona_dim=4, head_hidden=8)
+    cfg = M.ModelConfig(**{**base, **model_overrides})
     return TR.Checkpoint(params=M.ModelParams(cfg, seed=seed, dtype=dtype),
                          train_config=TR.TrainConfig(persona_mode=persona_mode),
                          best_val_pr_auc=0.0, threshold=0.5, seed=seed, epoch=0)
@@ -481,11 +482,8 @@ class TestEnsembleStack:
     @pytest.mark.parametrize("count", [1, 16])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("persona_mode", ["on", "off"])
-    @pytest.mark.parametrize("readout", ["set2set", "mean"])
-    def test_bit_equal_to_member_by_member_mean(self, members, count, dtype, persona_mode,
-                                                readout):
-        ensemble = [tiny_checkpoint(k, dtype, persona_mode, readout=readout)
-                    for k in range(members)]
+    def test_bit_equal_to_member_by_member_mean(self, members, count, dtype, persona_mode):
+        ensemble = [tiny_checkpoint(k, dtype, persona_mode) for k in range(members)]
         graphs = tiny_graphs(count, seed=members + count)
         want = member_mean(ensemble, graphs)
         got = TR.ensemble_probs(ensemble, graphs)
@@ -537,15 +535,15 @@ class TestEnsembleStack:
             TR.ensemble_probs(ensemble, tiny_graphs(2))
 
     def test_mismatched_architectures_rejected(self):
-        ensemble = [tiny_checkpoint(0), tiny_checkpoint(1, readout="mean")]
+        ensemble = [tiny_checkpoint(0), tiny_checkpoint(1, hidden=32)]
         with pytest.raises(TR.ConfigError, match="architectures"):
             TR.ensemble_probs(ensemble, tiny_graphs(2))
 
 
 def test_ensemble_probs_match_pinned_digest():
     """Ensemble probabilities of seeded members on the default corpus, pinned
-    to the bytes: persona on, persona off and a mean-readout ensemble, scored
-    in 16-graph chunks and one graph at a time."""
+    to the bytes: persona on and persona off, scored in 16-graph chunks and
+    one graph at a time."""
     import hashlib
 
     from psygat import model as M
@@ -562,9 +560,8 @@ def test_ensemble_probs_match_pinned_digest():
                 for k in range(5)]
 
     h = hashlib.sha256()
-    for ensemble in (members(M.ModelConfig(), "on"), members(M.ModelConfig(), "off"),
-                     members(M.ModelConfig(readout="mean"), "on")):
+    for ensemble in (members(M.ModelConfig(), "on"), members(M.ModelConfig(), "off")):
         h.update(TR.ensemble_probs(ensemble, graphs).tobytes())
         h.update(np.array([TR.ensemble_predict(ensemble, g) for g in graphs[:20]]).tobytes())
     assert len(graphs) == 200 and TR.PREDICT_CHUNK == 16
-    assert h.hexdigest() == "5b465b3b0b9d61b9dc6fe9df3b8c90d05fd64006a2acaa8cf10831b1ce1223a2"
+    assert h.hexdigest() == "a9f030e2051fc47eda75eb7dbc9a2b32c5a2d5ab564e19cd5cb7d2ec66b02fb0"
