@@ -21,8 +21,8 @@ print(f"session {session.id}: {session.T} utterances, label={session.label}, "
 for utt in session.utterances[:4]:
     print(f"\n[{utt.index}] Q: {utt.question}")
     print(f"    A: {utt.answer}")
-    extracted = keyword_extract(utt.answer, DEFAULT_LEXICON)
-    for cat, span in extracted.evidence:
+    _, evidence = keyword_extract(utt.answer, DEFAULT_LEXICON)
+    for cat, span in evidence:
         print(f"    -> {cat}: {span!r}")
 
 peus = build_peu_tensor(session)
@@ -31,7 +31,7 @@ print(peus.astype(int))
 print("column order:", ", ".join(c.split("_")[0] for c in CATEGORIES))
 
 # the extractor recovers the planted annotations exactly at zero noise
-assert all(np.array_equal(keyword_extract(u.answer, DEFAULT_LEXICON).as_array(), peus[u.index])
+assert all(np.array_equal(keyword_extract(u.answer, DEFAULT_LEXICON)[0], peus[u.index])
            for u in session.utterances)
 
 graph = build_graph(session, embed_sessions([session], dim=64), peus)

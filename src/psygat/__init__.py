@@ -14,9 +14,9 @@ for _var in BLAS_THREAD_VARS:
 __version__ = "0.1.0"
 
 from .datagen import GenConfig, PersonaProfile, generate_corpus, generate_session
-from .graph import SessionGraph, build_graph, peu_edge_attr
+from .graph import SessionGraph, build_graph
 from .model import ModelConfig, ModelParams, forward
-from .peu import CATEGORIES, PeuVector, keyword_extract
+from .peu import CATEGORIES, keyword_extract
 from .train import Checkpoint, TrainConfig, fit, train_ensemble
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "ModelConfig",
     "ModelParams",
     "PersonaProfile",
-    "PeuVector",
     "SessionGraph",
     "TrainConfig",
     "build_graph",
@@ -35,6 +34,5 @@ __all__ = [
     "generate_corpus",
     "generate_session",
     "keyword_extract",
-    "peu_edge_attr",
     "train_ensemble",
 ]

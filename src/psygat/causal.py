@@ -17,7 +17,7 @@ from . import tensor as T
 from .errors import ConfigError, DataError
 from .graph import GraphBatch
 from .metrics import ranking_metrics
-from .peu import CATEGORIES, NUM_CATEGORIES, build_peu_tensor
+from .peu import CATEGORIES, NUM_CATEGORIES
 from .train import AdamW
 
 
@@ -80,8 +80,7 @@ def extract_instances(session, peus, window, past_only=False):
         raise DataError(f"window must be >= 1, got {window}")
     sources_by_key = {}
     for rec in session.causes:
-        key = (int(rec["target"]), rec["category"])
-        sources_by_key.setdefault(key, set()).update(int(s) for s in rec["sources"])
+        sources_by_key.setdefault((rec["target"], rec["category"]), set()).update(rec["sources"])
     instances = []
     last = len(peus) - 1
     targets, categories = np.nonzero(peus)  # row-major: by utterance, then category
@@ -287,13 +286,14 @@ def explain(splits, graphs_by_id, params, config, seed=0):
     """Fit the edge scorer on the train split and rank the evaluated split
     (test, or val when test is empty) under a frozen session model.
 
-    Only those sessions are encoded, and each one's PEU tensor is built
-    once. Returns (scorer, RankingReport, explanation records, skipped count).
+    Only those sessions are encoded; their PEU rows are the graphs'
+    node_peu arrays. Returns (scorer, RankingReport, explanation records,
+    skipped count).
     """
     evaluated = splits["test"] or splits["val"]
     read = splits["train"] + evaluated
     reps = {s.id: session_node_reps(graphs_by_id[s.id], params) for s in read}
-    peus = {s.id: build_peu_tensor(s) for s in read}
+    peus = {s.id: graphs_by_id[s.id].node_peu for s in read}
 
     def instances(split):
         return [inst for s in split

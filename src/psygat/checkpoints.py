@@ -69,10 +69,14 @@ def _read_pair(prefix, kind):
             raise CheckpointError(
                 f"{prefix}: blob holds {len(raw)} bytes, index expects {4 * total}")
         for entry in header["params"]:
+            shape = entry["shape"]
+            if not isinstance(shape, list) or any(type(d) is not int or d < 0 for d in shape):
+                raise CheckpointError(f"{prefix}: index entry {entry['name']} has shape "
+                                      f"{shape!r}, not a list of non-negative ints")
             a, b = entry["offset"], entry["offset"] + entry["size"]
-            if a < 0 or b > blob.size or entry["size"] != int(np.prod(entry["shape"])):
+            if a < 0 or b > blob.size or entry["size"] != int(np.prod(shape)):
                 raise CheckpointError(f"{prefix}: index entry {entry['name']} does not fit the blob")
-            arrays[entry["name"]] = blob[a:b].reshape(entry["shape"])
+            arrays[entry["name"]] = blob[a:b].reshape(shape)
     except (KeyError, TypeError) as exc:
         raise CheckpointError(f"{prefix}: malformed parameter index: {exc!r}") from exc
     return header, arrays

@@ -10,10 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, EmptySessionError
+from .errors import DataError, EmptySessionError
 from .peu import COPING
-
-EDGE_NORMS = ("range", "l2", "none")
 
 
 @dataclass
@@ -28,10 +26,6 @@ class SessionGraph:
     @property
     def T(self):
         return self.node_text.shape[0]
-
-    @property
-    def edges(self):
-        return [(t, t + 1) for t in range(self.T - 1)]
 
 
 @dataclass
@@ -77,32 +71,14 @@ class GraphBatch:
         return self.sizes.shape[0]
 
 
-def edge_attrs(peu_rows, norm="range"):
+def edge_attrs(peu_rows):
     """(T - 1, 8) float32 changes between consecutive rows of a (T, 8) PEU
-    array, each normalized into [-1, 1].
-
-    The coping dim is ternary so its raw difference spans [-2, 2]; range
-    normalization halves it. "l2" rescales each row to unit norm (zero
-    rows stay zero); "none" returns the raw differences. PEU values are
-    small integers, so every row's norm is exact.
-    """
-    if norm not in EDGE_NORMS:
-        raise ConfigError(f"unknown edge norm {norm!r}, expected one of {EDGE_NORMS}")
+    array, each normalized into [-1, 1] by its range: the coping dim is
+    ternary, so its raw difference spans [-2, 2] and is halved."""
     vals = np.asarray(peu_rows, dtype=np.float64)
     diff = vals[1:] - vals[:-1]
-    if norm == "range":
-        diff[:, COPING] /= 2.0
-    elif norm == "l2":
-        n = np.sqrt((diff * diff).sum(axis=1))
-        nonzero = n > 0
-        diff[nonzero] /= n[nonzero, None]
+    diff[:, COPING] /= 2.0
     return diff.astype(np.float32)
-
-
-def peu_edge_attr(p_t, p_next, norm="range"):
-    """Componentwise change p_next - p_t of two PeuVectors, normalized as
-    edge_attrs normalizes each row."""
-    return edge_attrs([p_t.values, p_next.values], norm)[0]
 
 
 def build_graph(session, embeddings, peus):

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,29 +30,6 @@ CATEGORIES = (
 NUM_CATEGORIES = 8
 COPING = NUM_CATEGORIES - 1
 CATEGORY_INDEX = {name: i for i, name in enumerate(CATEGORIES)}
-
-
-@dataclass
-class PeuVector:
-    values: tuple = (0,) * NUM_CATEGORIES
-    evidence: list = field(default_factory=list)  # (category name, verbatim span)
-
-    def __post_init__(self):
-        v = tuple(int(x) for x in self.values)
-        if len(v) != NUM_CATEGORIES:
-            raise SchemaError(f"expected {NUM_CATEGORIES} dims, got {len(v)}")
-        for i, x in enumerate(v[:COPING]):
-            if x not in (0, 1):
-                raise SchemaError(f"dim {i} ({CATEGORIES[i]}) must be 0/1, got {x}")
-        if v[COPING] not in (-1, 0, 1):
-            raise SchemaError(f"coping dim must be in -1/0/1, got {v[COPING]}")
-        object.__setattr__(self, "values", v)
-
-    def __eq__(self, other):
-        return isinstance(other, PeuVector) and self.values == other.values
-
-    def as_array(self, dtype=np.float32):
-        return np.asarray(self.values, dtype=dtype)
 
 
 def _fill_row(row, rec, session_id, utt):
@@ -119,14 +95,15 @@ def build_peu_tensor(session):
 
 
 def keyword_extract(text, lexicon):
-    """Deterministic lexicon matcher producing a PeuVector with evidence.
+    """Deterministic lexicon matcher: (float32 (8,) PEU row, evidence), the
+    evidence a list of (category name, verbatim span) pairs.
 
     lexicon: category name -> list of phrases, or for coping a list of
     (phrase, sign) pairs. Matching is case-insensitive whole-phrase: a
     phrase does not match inside a longer word.
     """
     low = text.lower()
-    values = [0] * NUM_CATEGORIES
+    row = np.zeros(NUM_CATEGORIES, dtype=np.float32)
     evidence = []
     for name, phrases in lexicon.items():
         idx = CATEGORY_INDEX[name]
@@ -137,9 +114,9 @@ def keyword_extract(text, lexicon):
                 phrase, sign = entry, 1
             found = re.search(rf"(?<!\w){re.escape(phrase.lower())}(?!\w)", low)
             if found:
-                values[idx] = int(sign)
+                row[idx] = sign
                 evidence.append((name, text[found.start() : found.end()]))
-    return PeuVector(tuple(values), evidence)
+    return row, evidence
 
 
 # Small built-in lexicon: enough for the procedural generator and for

@@ -36,9 +36,14 @@ class Session:
     source: str = "base"
 
     def __post_init__(self):
-        if type(self.label) is not int or self.label not in (0, 1):  # True and 1.0 equal 1
+        # types are checked, not converted: True and 1.0 equal 1, int(2.9) is 2
+        if type(self.label) is not int or self.label not in (0, 1):
             raise CorpusError(f"session {self.id}: label {self.label!r} is not 0 or 1")
+        if type(self.persona) is not int:
+            raise CorpusError(f"session {self.id}: persona {self.persona!r} is not an int")
         for k, utt in enumerate(self.utterances):
+            if type(utt.index) is not int:
+                raise CorpusError(f"session {self.id}: utterance index {utt.index!r} is not an int")
             if utt.index != k:
                 raise CorpusError(f"session {self.id}: utterance indices not contiguous at {k}")
             if not (isinstance(utt.question, str) and isinstance(utt.answer, str)):
@@ -51,8 +56,13 @@ class Session:
                 raise CorpusError(f"session {self.id}: cause record {rec!r} is not an object")
             if rec["category"] not in CATEGORIES:
                 raise CorpusError(f"session {self.id}: unknown cause category {rec['category']!r}")
+            if not isinstance(rec["sources"], list):
+                raise CorpusError(f"session {self.id}: cause sources {rec['sources']!r} "
+                                  f"is not a list")
             for index in (rec["target"], *rec["sources"]):
-                if not 0 <= int(index) < n:
+                if type(index) is not int:
+                    raise CorpusError(f"session {self.id}: cause index {index!r} is not an int")
+                if not 0 <= index < n:
                     raise CorpusError(
                         f"session {self.id}: cause index {index} outside the {n} utterances")
 
@@ -82,9 +92,9 @@ class Session:
     def from_json(cls, obj):
         return cls(
             id=str(obj["id"]),
-            persona=int(obj["persona"]),
+            persona=obj["persona"],
             label=obj["label"],
-            utterances=[Utterance(int(u["i"]), u.get("q", ""), u.get("a", "")) for u in obj["utterances"]],
+            utterances=[Utterance(u["i"], u.get("q", ""), u.get("a", "")) for u in obj["utterances"]],
             peus=obj.get("peus", []),
             causes=obj.get("causes", []),
             split=obj.get("split", "train"),

@@ -622,30 +622,6 @@ def chain_attention(src_proj, dst_proj, attn_heads, edge_dst, slope, keep=None):
     return Tensor(out, (src_proj, dst_proj, *attn_heads), backward)
 
 
-def _scatter_add_rows(out, idx, g):
-    """out[..., idx[k], :] += g[..., k, :] for every k, summing each row's
-    entries in k order.
-
-    Entries get their occurrence rank among equal indices from a stable
-    argsort; one fancy-indexed += per rank then touches every row at most
-    once, so there are no collisions, and each row sums in the order
-    np.add.at would, bit for bit.
-    """
-    n = idx.shape[0]
-    if n == 0:
-        return out
-    order = np.argsort(idx, kind="stable")
-    sorted_idx = idx[order]
-    first = np.ones(n, dtype=bool)
-    first[1:] = sorted_idx[1:] != sorted_idx[:-1]
-    positions = np.arange(n)
-    rank = positions - np.maximum.accumulate(np.where(first, positions, 0))
-    for r in range(int(rank.max()) + 1):
-        k = order[rank == r]
-        out[..., idx[k], :] += g[..., k, :]
-    return out
-
-
 def gather_rows(x, indices):
     """Rows indices of (..., n, d): (..., len(indices), d)."""
     if x.data.ndim < 2:
@@ -653,7 +629,9 @@ def gather_rows(x, indices):
     idx = np.asarray(indices, dtype=np.int64)
 
     def backward(g):
-        x.accumulate(_scatter_add_rows(np.zeros_like(x.data), idx, g))
+        gx = np.zeros_like(x.data)
+        np.add.at(gx, (..., idx, slice(None)), g)
+        x.accumulate(gx)
 
     return Tensor(x.data[..., idx, :], (x,), backward)
 

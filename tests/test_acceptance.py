@@ -17,9 +17,9 @@ from psygat import tensor as T
 from psygat import train as TR
 from psygat import verify
 from psygat.datagen import GenConfig, generate_corpus
-from psygat.graph import peu_edge_attr
+from psygat.graph import edge_attrs
 from psygat.metrics import classification_report
-from psygat.peu import NUM_CATEGORIES, PeuVector, build_peu_tensor
+from psygat.peu import NUM_CATEGORIES, build_peu_tensor
 from psygat.pipeline import graphs_from_sessions, peu_rows_by_session
 from psygat.sessions import CorpusError, check_no_augmented_leakage
 
@@ -31,7 +31,7 @@ def report_line(name, ok, detail):
 
 
 def random_peu(rng):
-    return PeuVector(tuple(rng.integers(0, 2, 7)) + (int(rng.integers(-1, 2)),))
+    return np.array([*rng.integers(0, 2, 7), rng.integers(-1, 2)], dtype=np.float32)
 
 
 # -- 1: gradient fidelity ---------------------------------------------------
@@ -139,17 +139,14 @@ def test_edge_attr_antisymmetry_and_telescoping():
     cases = 1000
     for _ in range(cases):
         a, b = random_peu(rng), random_peu(rng)
-        for norm in ("range", "l2", "none"):
-            fwd = peu_edge_attr(a, b, norm)
-            bwd = peu_edge_attr(b, a, norm)
-            np.testing.assert_allclose(fwd, -bwd, atol=1e-7)
+        fwd = edge_attrs([a, b])[0]
+        bwd = edge_attrs([b, a])[0]
+        np.testing.assert_allclose(fwd, -bwd, atol=1e-7)
     for _ in range(cases):
         chain = [random_peu(rng) for _ in range(int(rng.integers(2, 9)))]
-        for norm in ("range", "none"):
-            total = sum(peu_edge_attr(chain[i], chain[i + 1], norm)
-                        for i in range(len(chain) - 1))
-            direct = peu_edge_attr(chain[0], chain[-1], norm)
-            np.testing.assert_allclose(total, direct, atol=1e-6)
+        total = sum(edge_attrs(chain))
+        direct = edge_attrs([chain[0], chain[-1]])[0]
+        np.testing.assert_allclose(total, direct, atol=1e-6)
     report_line("edge-attr antisymmetry and telescoping", True,
                 f"{cases} antisymmetry + {cases} telescoping cases")
 

@@ -415,15 +415,24 @@ def test_explain_encodes_and_annotates_train_and_the_evaluated_split_once(
         small_explain_inputs, evaluated, monkeypatch):
     corpus, graphs, params = small_explain_inputs
     splits = dict(corpus, test=corpus["test"] if evaluated == "test" else [])
-    encoded, annotated = [], []
-    reps, peus = C.session_node_reps, C.build_peu_tensor
+    from psygat import peu, pipeline
+
+    encoded, annotated, scored_peus = [], [], []
+    reps, peus, train = C.session_node_reps, peu.build_peu_tensor, C.train_scorer
     monkeypatch.setattr(C, "session_node_reps",
                         lambda g, p: encoded.append(g.session_id) or reps(g, p))
-    monkeypatch.setattr(C, "build_peu_tensor", lambda s: annotated.append(s.id) or peus(s))
+    for owner in (peu, pipeline):
+        monkeypatch.setattr(owner, "build_peu_tensor", lambda s: annotated.append(s.id) or peus(s))
+    monkeypatch.setattr(C, "train_scorer", lambda insts, reps_by, peus_by, *rest:
+                        scored_peus.append(peus_by) or train(insts, reps_by, peus_by, *rest))
     _, _, explanations, _ = C.explain(splits, graphs, params, C.CausalConfig(epochs=1))
     read = [s.id for s in corpus["train"] + corpus[evaluated]]
     assert encoded == read
-    assert annotated == read
+    # the PEU rows are the graphs' own arrays, not a second parse
+    assert annotated == []
+    (peus_by,) = scored_peus
+    assert list(peus_by) == read
+    assert all(peus_by[sid] is graphs[sid].node_peu for sid in read)
     assert {rec["session"] for rec in explanations} <= {s.id for s in corpus[evaluated]}
 
 

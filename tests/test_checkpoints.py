@@ -101,6 +101,13 @@ class TestSessionModelCheckpoints:
         with pytest.raises(CK.CheckpointError):
             CK.load_checkpoint(tmp_path / "ckpt")
 
+    @pytest.mark.parametrize("shape", [[-1, -12], [-3, 4], [2.0, 6], [True, 12], "12", 12, None])
+    def test_index_entry_with_a_malformed_shape_rejected(self, tmp_path, shape):
+        CK.save_checkpoint(tmp_path / "ckpt", small_checkpoint())
+        edit_header(tmp_path / "ckpt.json", lambda header: header["params"][0].update(shape=shape))
+        with pytest.raises(CK.CheckpointError, match="not a list of non-negative ints"):
+            CK.load_checkpoint(tmp_path / "ckpt")
+
     def test_index_entry_without_offset_rejected(self, tmp_path):
         CK.save_checkpoint(tmp_path / "ckpt", small_checkpoint())
         path = tmp_path / "ckpt.json"

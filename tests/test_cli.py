@@ -210,7 +210,16 @@ class TestTrain:
         lambda rec: {**rec, "peus": 5},
         lambda rec: {**rec, "utterances": [{**rec["utterances"][0], "q": "", "a": 5},
                                            *rec["utterances"][1:]]},
-    ], ids=["not-an-object", "utterances", "cause", "label", "peus", "text"])
+        lambda rec: {**rec, "persona": 2.9},
+        lambda rec: {**rec, "persona": True},
+        lambda rec: {**rec, "utterances": [{**rec["utterances"][0], "i": 0.6},
+                                           *rec["utterances"][1:]]},
+        lambda rec: {**rec, "causes": [{"target": 1.7, "category": "self_negativity",
+                                        "sources": [0]}]},
+        lambda rec: {**rec, "causes": [{"target": 1, "category": "self_negativity",
+                                        "sources": [0.2]}]},
+    ], ids=["not-an-object", "utterances", "cause", "label", "peus", "text", "persona",
+            "persona-bool", "utterance-index", "cause-target", "cause-source"])
     def test_malformed_corpus_line_exits_one_naming_it(self, workspace, tmp_path, capsys,
                                                        malform):
         lines = workspace["corpus"].read_text(encoding="utf-8").splitlines()
@@ -307,6 +316,21 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
         assert "threshold 'abc' is not a finite number" in err and "Traceback" not in err
+
+    def test_checkpoint_index_with_a_negative_shape_exits_one(self, workspace, tmp_path, capsys):
+        for suffix in (".json", ".bin"):
+            shutil.copy(workspace["train_dir"] / f"ckpt-seed0{suffix}", tmp_path / f"c{suffix}")
+        header = json.loads((tmp_path / "c.json").read_text())
+        entry = header["params"][0]
+        entry["shape"] = [-1, -entry["size"]]
+        (tmp_path / "c.json").write_text(json.dumps(header))
+        capsys.readouterr()
+        code = cli.main(["evaluate", "--checkpoint", str(tmp_path / "c.json"),
+                         "--corpus", str(workspace["corpus"]), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert f"index entry {entry['name']} has shape" in err and "Traceback" not in err
 
     def test_missing_corpus_exits_one_without_traceback(self, workspace, tmp_path, capsys):
         capsys.readouterr()
@@ -414,12 +438,26 @@ class TestExplain:
                                                               monkeypatch):
         from psygat.sessions import split_sessions
 
-        encoded, annotated = [], []
-        reps, peus = cli.C.session_node_reps, cli.C.build_peu_tensor
+        from psygat import peu, pipeline
+
+        # explain reads the PEU rows its graphs hold: no annotation is parsed
+        # again once the graphs are built
+        encoded, annotated, explaining = [], [], []
+        reps, peus, explain = cli.C.session_node_reps, peu.build_peu_tensor, cli.C.explain
         monkeypatch.setattr(cli.C, "session_node_reps",
                             lambda g, params: encoded.append(g.session_id) or reps(g, params))
-        monkeypatch.setattr(cli.C, "build_peu_tensor",
-                            lambda s: annotated.append(s.id) or peus(s))
+        for owner in (peu, pipeline):
+            monkeypatch.setattr(owner, "build_peu_tensor",
+                                lambda s: (explaining and annotated.append(s.id)) or peus(s))
+
+        def tracked_explain(*args, **kwargs):
+            explaining.append(True)
+            try:
+                return explain(*args, **kwargs)
+            finally:
+                explaining.clear()
+
+        monkeypatch.setattr(cli.C, "explain", tracked_explain)
         code = cli.main(["explain",
                          "--checkpoint", str(workspace["train_dir"] / "ckpt-seed0.json"),
                          "--corpus", str(workspace["corpus"]), "--out", str(tmp_path / "o")])
@@ -428,7 +466,7 @@ class TestExplain:
         assert splits["val"] and splits["test"]
         read = [s.id for s in splits["train"] + splits["test"]]
         assert encoded == read
-        assert annotated == read
+        assert annotated == []
 
     def test_corpus_without_causes_exits_one(self, workspace, tmp_path):
         sessions = read_sessions(workspace["corpus"])

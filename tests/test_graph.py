@@ -8,48 +8,31 @@ import pytest
 from psygat import graph as G
 from psygat.datagen import GenConfig, generate_corpus
 from psygat.embed import embed_sessions
-from psygat.peu import COPING, PeuVector, build_peu_tensor
+from psygat.peu import COPING, build_peu_tensor
 from psygat.pipeline import graphs_from_sessions
 from psygat.sessions import Session, Utterance
 
 
-def vec(*values):
-    return PeuVector(tuple(values))
+def rows(*peus):
+    return np.array(peus, dtype=np.float32)
 
 
 class TestEdgeAttr:
     def test_difference_with_coping_halved(self):
-        a = vec(1, 0, 0, 0, 0, 0, 0, -1)
-        b = vec(0, 1, 0, 0, 0, 0, 0, 1)
-        diff = G.peu_edge_attr(a, b, "range")
-        np.testing.assert_allclose(diff, [-1, 1, 0, 0, 0, 0, 0, 1.0])
+        diff = G.edge_attrs(rows([1, 0, 0, 0, 0, 0, 0, -1], [0, 1, 0, 0, 0, 0, 0, 1]))
+        assert diff.dtype == np.float32
+        np.testing.assert_array_equal(diff, [[-1, 1, 0, 0, 0, 0, 0, 1.0]])
 
     def test_range_norm_stays_within_unit_interval(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
-            va = vec(*rng.integers(0, 2, 7), rng.integers(-1, 2))
-            vb = vec(*rng.integers(0, 2, 7), rng.integers(-1, 2))
-            d = G.peu_edge_attr(va, vb, "range")
-            assert np.all(np.abs(d) <= 1.0)
+            va = [*rng.integers(0, 2, 7), rng.integers(-1, 2)]
+            vb = [*rng.integers(0, 2, 7), rng.integers(-1, 2)]
+            assert np.all(np.abs(G.edge_attrs(rows(va, vb))) <= 1.0)
 
-    def test_l2_norm_rescales_to_unit(self):
-        a = vec(0, 0, 0, 0, 0, 0, 0, 0)
-        b = vec(1, 1, 0, 0, 0, 0, 0, 0)
-        d = G.peu_edge_attr(a, b, "l2")
-        assert np.linalg.norm(d) == pytest.approx(1.0, abs=1e-6)
-
-    def test_l2_norm_keeps_zero_at_zero(self):
-        z = vec(0, 0, 0, 0, 0, 0, 0, 0)
-        np.testing.assert_array_equal(G.peu_edge_attr(z, z, "l2"), np.zeros(8))
-
-    def test_none_norm_returns_raw_difference(self):
-        a = vec(0, 0, 0, 0, 0, 0, 0, -1)
-        b = vec(0, 0, 0, 0, 0, 0, 0, 1)
-        np.testing.assert_allclose(G.peu_edge_attr(a, b, "none"), [0] * 7 + [2.0])
-
-    def test_unknown_norm_rejected(self):
-        with pytest.raises(ValueError):
-            G.peu_edge_attr(vec(*[0] * 8), vec(*[0] * 8), "zscore")
+    def test_one_row_has_no_edges(self):
+        diff = G.edge_attrs(rows([1, 0, 0, 0, 0, 0, 0, -1]))
+        assert diff.dtype == np.float32 and diff.shape == (0, 8)
 
 
 def make_session(n=3, sid="g"):
@@ -74,13 +57,11 @@ class TestBuildGraph:
         assert g.node_peu.shape == (4, 8)
         assert g.edge_attr.shape == (3, 8)
         assert g.persona == 2 and g.label == 1
-        assert g.edges == [(0, 1), (1, 2), (2, 3)]
 
     def test_single_utterance_has_no_edges(self):
         s = make_session(1)
         g = G.build_graph(s, embed_sessions([s], dim=16), build_peu_tensor(s))
         assert g.edge_attr.shape == (0, 8)
-        assert g.edges == []
 
     def test_empty_session_rejected(self):
         s = Session(id="e", persona=0, label=0, utterances=[])
@@ -111,15 +92,10 @@ class TestBuildGraph:
                           build_peu_tensor(s))
 
 
-def reference_edge_attr(p_t, p_next, norm):
+def reference_edge_attr(p_t, p_next):
     """One edge's attribute computed on its own, as a frozen reference."""
-    diff = p_next.as_array(np.float64) - p_t.as_array(np.float64)
-    if norm == "range":
-        diff[COPING] /= 2.0
-    elif norm == "l2":
-        n = np.linalg.norm(diff)
-        if n > 0:
-            diff = diff / n
+    diff = p_next.astype(np.float64) - p_t.astype(np.float64)
+    diff[COPING] /= 2.0
     return diff.astype(np.float32)
 
 
@@ -131,28 +107,26 @@ def peu_session(rows, sid="p"):
                          for i, row in enumerate(rows)])
 
 
-@pytest.mark.parametrize("norm", G.EDGE_NORMS)
-def test_build_graph_edge_attr_equals_per_edge_rows(norm):
+def test_build_graph_edge_attr_equals_per_edge_rows():
     corpus = generate_corpus(GenConfig(seed=3, n_sessions=10, utterances_min=2, utterances_max=6))
     sessions = [s for split in corpus.values() for s in split]
     sad = [("self_negativity", 1), ("protective_positive_coping", -1)]
-    # repeated rows give zero differences, which l2 must leave at zero
+    # repeated rows give zero differences
     sessions += [peu_session([sad]), peu_session([sad, sad, [], [], sad], "r")]
     assert {1, 2, 5} <= {s.T for s in sessions}
     table = embed_sessions(sessions, dim=16)
     for s in sessions:
         peus = build_peu_tensor(s)
-        rows = [(PeuVector(peus[t]), PeuVector(peus[t + 1])) for t in range(s.T - 1)]
-        want = np.zeros((0, 8), np.float32) if not rows else np.stack(
-            [reference_edge_attr(a, b, norm) for a, b in rows])
-        got = G.edge_attrs(peus, norm)
+        want = np.zeros((0, 8), np.float32) if s.T == 1 else np.stack(
+            [reference_edge_attr(peus[t], peus[t + 1]) for t in range(s.T - 1)])
+        got = G.edge_attrs(peus)
         assert got.dtype == np.float32 and got.shape == (s.T - 1, 8)
         assert got.tobytes() == want.tobytes()
-        for t, (a, b) in enumerate(rows):
-            assert G.peu_edge_attr(a, b, norm).tobytes() == got[t].tobytes()
-        g = G.build_graph(s, table, peus)  # always range-normalized
+        for t in range(s.T - 1):
+            assert G.edge_attrs(peus[t:t + 2]).tobytes() == got[t].tobytes()
+        g = G.build_graph(s, table, peus)
         assert g.node_peu is peus
-        assert g.edge_attr.tobytes() == G.edge_attrs(peus, "range").tobytes()
+        assert g.edge_attr.tobytes() == got.tobytes()
 
 
 def test_default_corpus_graphs_match_pinned_digest():

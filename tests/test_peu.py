@@ -21,35 +21,6 @@ def test_category_order_is_fixed():
     assert peu.COPING == 7
 
 
-class TestPeuVector:
-    def test_defaults_to_all_zero(self):
-        assert peu.PeuVector().values == (0,) * 8
-
-    def test_binary_dims_reject_other_values(self):
-        with pytest.raises(peu.SchemaError):
-            peu.PeuVector((2, 0, 0, 0, 0, 0, 0, 0))
-        with pytest.raises(peu.SchemaError):
-            peu.PeuVector((-1, 0, 0, 0, 0, 0, 0, 0))
-
-    def test_coping_dim_is_ternary(self):
-        assert peu.PeuVector((0,) * 7 + (-1,)).values[7] == -1
-        with pytest.raises(peu.SchemaError):
-            peu.PeuVector((0,) * 7 + (2,))
-
-    def test_wrong_length_rejected(self):
-        with pytest.raises(peu.SchemaError):
-            peu.PeuVector((0,) * 7)
-
-    def test_equality_ignores_evidence(self):
-        a = peu.PeuVector((1, 0, 0, 0, 0, 0, 0, 0), [("cognitive_distortions", "x")])
-        b = peu.PeuVector((1, 0, 0, 0, 0, 0, 0, 0), [])
-        assert a == b
-
-    def test_as_array(self):
-        v = peu.PeuVector((1, 0, 1, 0, 0, 0, 0, -1))
-        np.testing.assert_array_equal(v.as_array(), [1, 0, 1, 0, 0, 0, 0, -1])
-
-
 class TestBuildPeuTensor:
     def _session(self, peus):
         return Session(
@@ -156,36 +127,41 @@ class TestBuildPeuTensor:
 
 
 class TestKeywordExtract:
+    def test_returns_a_float32_row(self):
+        row, _ = peu.keyword_extract("I am worthless.", peu.DEFAULT_LEXICON)
+        assert row.dtype == np.float32 and row.shape == (8,)
+
     def test_case_insensitive_match_with_verbatim_evidence(self):
-        v = peu.keyword_extract("Honestly, I Am Worthless these days.", peu.DEFAULT_LEXICON)
-        assert v.values[2] == 1
-        assert ("self_negativity", "I Am Worthless") in v.evidence
+        row, evidence = peu.keyword_extract("Honestly, I Am Worthless these days.",
+                                            peu.DEFAULT_LEXICON)
+        assert row[2] == 1
+        assert ("self_negativity", "I Am Worthless") in evidence
 
     def test_coping_sign_from_lexicon(self):
-        pos = peu.keyword_extract("talking to my sister helps.", peu.DEFAULT_LEXICON)
-        neg = peu.keyword_extract("i try but it never helps.", peu.DEFAULT_LEXICON)
-        assert pos.values[7] == 1
-        assert neg.values[7] == -1
+        pos, _ = peu.keyword_extract("talking to my sister helps.", peu.DEFAULT_LEXICON)
+        neg, _ = peu.keyword_extract("i try but it never helps.", peu.DEFAULT_LEXICON)
+        assert pos[7] == 1
+        assert neg[7] == -1
 
     def test_no_match_yields_zero_vector(self):
-        v = peu.keyword_extract("The weather was ordinary.", peu.DEFAULT_LEXICON)
-        assert v.values == (0,) * 8 and v.evidence == []
+        row, evidence = peu.keyword_extract("The weather was ordinary.", peu.DEFAULT_LEXICON)
+        assert not row.any() and evidence == []
 
     @pytest.mark.parametrize("text", ["Chi am worthless", "i stopped going outsidework",
                                       "i am worthlessness itself"])
     def test_phrase_inside_a_longer_word_does_not_match(self, text):
-        v = peu.keyword_extract(text, peu.DEFAULT_LEXICON)
-        assert v.values == (0,) * 8 and v.evidence == []
+        row, evidence = peu.keyword_extract(text, peu.DEFAULT_LEXICON)
+        assert not row.any() and evidence == []
 
     def test_phrase_between_punctuation_matches(self):
-        v = peu.keyword_extract("(I am worthless)--really.", peu.DEFAULT_LEXICON)
-        assert v.evidence == [("self_negativity", "I am worthless")]
+        _, evidence = peu.keyword_extract("(I am worthless)--really.", peu.DEFAULT_LEXICON)
+        assert evidence == [("self_negativity", "I am worthless")]
 
     def test_every_lexicon_phrase_round_trips(self):
         for name, phrases in peu.DEFAULT_LEXICON.items():
             idx = peu.CATEGORY_INDEX[name]
             for entry in phrases:
                 phrase, sign = entry if idx == peu.COPING else (entry, 1)
-                v = peu.keyword_extract(f"Filler before. {phrase}. Filler after.",
-                                        {name: phrases})
-                assert v.values[idx] == sign, (name, phrase)
+                row, _ = peu.keyword_extract(f"Filler before. {phrase}. Filler after.",
+                                             {name: phrases})
+                assert row[idx] == sign, (name, phrase)

@@ -47,6 +47,33 @@ class TestSession:
         with pytest.raises(S.CorpusError, match=f"label {label!r} is not 0 or 1"):
             make_session(label=label)
 
+    @pytest.mark.parametrize("persona", [2.9, 1.0, True, "2", None])
+    def test_persona_that_is_not_an_int_rejected(self, persona):
+        with pytest.raises(S.CorpusError, match=f"persona {persona!r} is not an int"):
+            make_session(persona=persona)
+
+    @pytest.mark.parametrize("index", [0.6, 1.0, True, "1"])
+    def test_utterance_index_that_is_not_an_int_rejected(self, index):
+        with pytest.raises(S.CorpusError, match=f"utterance index {index!r} is not an int"):
+            S.Session(id="x", persona=0, label=0,
+                      utterances=[S.Utterance(0, "q", "a"), S.Utterance(index, "q", "b")])
+
+    @pytest.mark.parametrize("target,sources,bad", [
+        (1.7, [0], 1.7), (True, [0], True), (2, [0.2], 0.2), (2, [0, False], False),
+        (2, ["1"], "1"),
+    ])
+    def test_cause_index_that_is_not_an_int_rejected(self, target, sources, bad):
+        cause = {"target": target, "category": "self_negativity", "sources": sources}
+        with pytest.raises(S.CorpusError, match=f"cause index {bad!r} is not an int"):
+            S.Session(id="x", persona=0, label=1,
+                      utterances=[S.Utterance(i, "q", "a") for i in range(3)], causes=[cause])
+
+    def test_cause_sources_that_are_not_a_list_rejected(self):
+        cause = {"target": 2, "category": "self_negativity", "sources": "01"}
+        with pytest.raises(S.CorpusError, match="cause sources '01' is not a list"):
+            S.Session(id="x", persona=0, label=1,
+                      utterances=[S.Utterance(i, "q", "a") for i in range(3)], causes=[cause])
+
     @pytest.mark.parametrize("question,answer", [("", 5), (None, "a")])
     def test_non_string_utterance_text_rejected(self, question, answer):
         with pytest.raises(S.CorpusError, match="utterance 0 has a non-string q or a"):

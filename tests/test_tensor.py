@@ -110,15 +110,19 @@ class TestHandGradients:
         [1] * 6, [2] * 6, [3] * 6, [4] * 6, [5] * 6, [1, 2, 3, 4, 5, 0], [],
     ])
     def test_gather_rows_backward_is_bit_equal_to_add_at(self, counts):
-        # float32 sums depend on their order, so equality pins np.add.at's
+        # float32 sums depend on their order, so equality pins the in-order
+        # sum that np.add.at makes, with and without a leading axis
         rng = np.random.default_rng(len(counts) + sum(counts))
         idx = rng.permutation(np.repeat(np.arange(len(counts)), counts).astype(np.int64))
-        x = T.Tensor(rng.standard_normal((len(counts) + 2, 5)).astype(np.float32))
-        w = (rng.standard_normal((idx.size, 5)) * 10.0 ** rng.integers(-3, 4, (idx.size, 1)))
-        T.backward(T.tsum(T.mul(T.gather_rows(x, idx), T.Tensor(w.astype(np.float32)))))
-        ref = np.zeros_like(x.data)
-        np.add.at(ref, idx, w.astype(np.float32))
-        np.testing.assert_array_equal(x.grad, ref)
+        for lead in ((), (3,)):
+            x = T.Tensor(rng.standard_normal(lead + (len(counts) + 2, 5)).astype(np.float32))
+            w = (rng.standard_normal(lead + (idx.size, 5))
+                 * 10.0 ** rng.integers(-3, 4, lead + (idx.size, 1))).astype(np.float32)
+            T.backward(T.tsum(T.mul(T.gather_rows(x, idx), T.Tensor(w))))
+            ref = np.zeros_like(x.data)
+            for k in range(idx.size):
+                ref[..., idx[k], :] += w[..., k, :]
+            np.testing.assert_array_equal(x.grad, ref)
 
     def test_sigmoid_at_zero(self):
         out = T.sigmoid(t64(np.zeros((1, 1))))
