@@ -32,8 +32,8 @@ print(f"test macro-F1 {report.macro_f1:.3f}  PR-AUC {report.pr_auc:.3f}")
 print("confusion:", report.counts)
 
 # persona ablation on the same corpus: swap the embedding for zeros
-off = TrainConfig(seeds=(0, 1), max_epochs=20, persona_mode="off")
-members_off, thr_off = train_ensemble(graphs["train"], graphs["val"], off, ModelConfig())
+members_off, thr_off = train_ensemble(graphs["train"], graphs["val"], config,
+                                      ModelConfig(persona=False))
 probs_off = ensemble_probs(members_off, graphs["test"])
 rep_off = classification_report(probs_off, labels, thr_off)
 print(f"persona off: test macro-F1 {rep_off.macro_f1:.3f}")

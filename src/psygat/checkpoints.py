@@ -1,5 +1,8 @@
 """Checkpoint persistence: a JSON header plus a raw little-endian float32
 parameter blob, with an ordered parameter index in the header.
+
+Every header carries FORMAT_VERSION. A header of another version, or of
+none, is rejected rather than read with the current defaults.
 """
 
 from __future__ import annotations
@@ -15,6 +18,10 @@ from .causal import CausalConfig, ScorerParams
 from .errors import CheckpointError
 from .model import ModelConfig, ModelParams
 from .train import Checkpoint, TrainConfig
+
+# Changes whenever the meaning of a header changes. Headers written before
+# it existed, persona use then in train_config, carry none.
+FORMAT_VERSION = 1
 
 
 def _load_arrays(params, arrays, prefix):
@@ -39,7 +46,7 @@ def _write_pair(prefix, header, arrays):
         index.append({"name": name, "shape": list(arr.shape), "offset": offset, "size": flat.size})
         offset += flat.size
         chunks.append(flat.tobytes())
-    header = dict(header, params=index)
+    header = dict(header, format_version=FORMAT_VERSION, params=index)
     tmp_json = prefix.with_suffix(".json.tmp")
     tmp_bin = prefix.with_suffix(".bin.tmp")
     tmp_json.write_text(json.dumps(header, indent=2, sort_keys=True) + "\n", encoding="utf-8")
@@ -58,6 +65,9 @@ def _read_pair(prefix, kind):
         raise CheckpointError(f"{prefix}: header is not valid JSON: {exc}") from exc
     if not isinstance(header, dict) or "params" not in header:
         raise CheckpointError(f"{prefix}: header has no parameter index")
+    version = header.get("format_version")
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise CheckpointError(f"{prefix}: format version {version!r}, expected {FORMAT_VERSION}")
     if header.get("kind") != kind:
         raise CheckpointError(f"{prefix}: not a {kind.replace('_', '-')} checkpoint")
     raw = prefix.with_suffix(".bin").read_bytes()

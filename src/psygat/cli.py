@@ -26,6 +26,7 @@ from . import train as TR
 from . import verify
 from .errors import ConfigError, CorpusError, PsygatError
 from .metrics import classification_report
+from .model import ModelConfig
 from .pipeline import graphs_from_sessions
 from .sessions import check_no_augmented_leakage, read_sessions, split_sessions, write_sessions
 
@@ -55,11 +56,7 @@ def _coerce(cls, values):
             if key not in cls.__dataclass_fields__:
                 raise ConfigError(f"unknown {cls.__name__} field {key!r}")
             current = getattr(defaults, key)
-            if isinstance(current, bool):
-                if raw.lower() not in ("true", "false"):
-                    raise ConfigError(f"field {key!r}: expected true/false, got {raw!r}")
-                kwargs[key] = raw.lower() == "true"
-            elif isinstance(current, int):
+            if isinstance(current, int):
                 kwargs[key] = int(raw)
             elif isinstance(current, float):
                 kwargs[key] = float(raw)
@@ -89,10 +86,12 @@ def _git_describe():
         return "unknown"
 
 
-def write_manifest(out_dir, command, config, seeds, outputs, started):
+def write_manifest(out_dir, command, seeds, outputs, started, **configs):
+    """run_manifest.json: one command's resolved configs (each a top-level
+    entry), seeds, outputs and the environment its timings depend on."""
     manifest = {
         "command": command,
-        "config": config,
+        **configs,
         "seeds": list(seeds),
         "git": _git_describe(),
         "wall_clock_s": round(time.time() - started, 3),
@@ -130,8 +129,8 @@ def cmd_generate(args):
     write_sessions(corpus_path, sessions)
     manifest_path = out_dir / "corpus_manifest.json"
     _write_json(manifest_path, D.corpus_manifest(config, splits))
-    write_manifest(out_dir, "generate", config.to_json(), [config.seed],
-                   [corpus_path, manifest_path], started)
+    write_manifest(out_dir, "generate", [config.seed], [corpus_path, manifest_path], started,
+                   config=config.to_json())
     print(f"wrote {len(sessions)} sessions to {corpus_path}")
     return 0
 
@@ -154,23 +153,14 @@ def _report(probs, labels, threshold):
 def cmd_train(args):
     started = time.time()
     config = load_config(args.config, TR.TrainConfig) if args.config else TR.TrainConfig()
-    overrides = {}
-    if args.persona_mode:
-        overrides["persona_mode"] = args.persona_mode
-    if args.threshold_objective:
-        overrides["threshold_objective"] = args.threshold_objective
     if args.seed is not None:
-        overrides["seeds"] = [args.seed]
-    if overrides:
-        config = TR.TrainConfig.from_json({**config.to_json(), **overrides})
+        config = TR.TrainConfig.from_json({**config.to_json(), "seeds": [args.seed]})
+    model_config = ModelConfig(persona=args.persona_mode == "on")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     sessions, splits, graphs = _load_graphs(args.corpus)
     if not splits["train"] or not splits["val"]:
         raise ConfigError("corpus must provide train and val splits")
-    from .model import ModelConfig
-
-    model_config = ModelConfig()
     members, threshold = TR.train_ensemble(graphs["train"], graphs["val"], config, model_config)
     outputs = []
     for member in members:
@@ -192,7 +182,8 @@ def cmd_train(args):
     report_path = out_dir / "report.json"
     _write_json(report_path, report)
     outputs.append(report_path)
-    write_manifest(out_dir, "train", config.to_json(), config.seeds, outputs, started)
+    write_manifest(out_dir, "train", config.seeds, outputs, started,
+                   config=config.to_json(), model_config=model_config.to_json())
     print(f"trained {len(members)} members; val macro-F1 "
           f"{report['metrics']['macro_f1']:.4f} at threshold {threshold:.4f}")
     return 0
@@ -239,8 +230,8 @@ def cmd_evaluate(args):
     out_dir.mkdir(parents=True, exist_ok=True)
     report_path = out_dir / f"eval-{args.split}.json"
     _write_json(report_path, report)
-    write_manifest(out_dir, "evaluate", {"threshold": threshold},
-                   [m.seed for m in members], [report_path], started)
+    write_manifest(out_dir, "evaluate", [m.seed for m in members], [report_path], started,
+                   config={"threshold": threshold})
     print(f"{args.split} macro-F1 {report['metrics']['macro_f1']:.4f}")
     return 0
 
@@ -273,9 +264,9 @@ def cmd_explain(args):
     _write_json(report_path, {**report.to_json(), "instances_without_cause": skipped})
     if ckpt.checkpoint_hash(prefix) != hash_before:
         raise RuntimeError("session checkpoint changed during explain; this is a bug")
-    write_manifest(out_dir, "explain", causal_config.to_json(), [args.seed or 0],
+    write_manifest(out_dir, "explain", [args.seed or 0],
                    [scorer_prefix.with_suffix(".json"), scorer_prefix.with_suffix(".bin"),
-                    explain_path, report_path], started)
+                    explain_path, report_path], started, config=causal_config.to_json())
     print(f"Hit@1 {report.hit_at[1]:.3f} Hit@3 {report.hit_at[3]:.3f} "
           f"Hit@5 {report.hit_at[5]:.3f} MRR {report.mrr:.3f}")
     return 0
@@ -308,9 +299,7 @@ def build_parser():
     t.add_argument("--config", default=None)
     t.add_argument("--seed", type=int, default=None)
     t.add_argument("--out", required=True)
-    t.add_argument("--persona-mode", choices=("on", "off"), default=None)
-    t.add_argument("--threshold-objective",
-                   choices=("f1", "f0.5", "recall_at_min_precision"), default=None)
+    t.add_argument("--persona-mode", choices=("on", "off"), default="on")
     t.set_defaults(func=cmd_train)
 
     e = sub.add_parser("evaluate", help="evaluate checkpoints on a split")

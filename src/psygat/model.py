@@ -34,12 +34,15 @@ class ModelConfig:
     persona_dim: int = 16
     head_hidden: int = 64
     dropout: float = 0.2
+    persona: bool = True  # False: the head reads zeros in place of the persona row
 
     def __post_init__(self):
         if self.hidden % self.heads != 0:
             raise ConfigError(f"hidden {self.hidden} not divisible by heads {self.heads}")
         if self.set2set_iters < 1:
             raise ConfigError(f"set2set_iters must be >= 1, got {self.set2set_iters}")
+        if not isinstance(self.persona, bool):
+            raise ConfigError(f"persona must be true or false, got {self.persona!r}")
 
     @property
     def head_dim(self):
@@ -270,19 +273,19 @@ def set2set_readout(node_reps, params, node_graph=None, num_graphs=1):
     return q_star
 
 
-def forward(batch, params, train=False, rng=None, persona_mode=True):
+def forward(batch, params, train=False, rng=None):
     """Full pipeline from a GraphBatch to one depression logit per graph,
     each graph conditioned on its own persona.
 
-    persona_mode=False swaps the persona rows for zero vectors of the same
-    width so head shapes match across modes. Stacked params
+    A config with persona=False swaps the persona rows for zero vectors of
+    the same width, so both configs share one parameter set. Stacked params
     (tensor.stack_params) score every member in this one forward.
     """
     c = params.config
     lead = params["head_b2"].shape[:-1]
     b = batch.num_graphs
     personas = batch.personas
-    if persona_mode and not np.all((personas >= 0) & (personas < c.persona_count)):
+    if c.persona and not np.all((personas >= 0) & (personas < c.persona_count)):
         raise DataError(f"persona ids {personas.tolist()} out of range [0, {c.persona_count})")
     draws = None
     if train and c.dropout > 0.0:
@@ -291,7 +294,7 @@ def forward(batch, params, train=False, rng=None, persona_mode=True):
         draws = iter(_dropout_draws(batch, c, rng))
     node_reps = encode(batch, params, draws)
     session_reps = set2set_readout(node_reps, params, batch.node_graph, b)
-    if persona_mode:
+    if c.persona:
         z = T.gather_rows(params["persona_table"], personas)
     else:
         z = T.Tensor(np.zeros(lead + (b, c.persona_dim), dtype=session_reps.dtype),

@@ -51,11 +51,10 @@ def _fill_row(row, rec, session_id, utt):
             raise SchemaError(f"unknown PEU category {name!r}")
         idx = CATEGORY_INDEX[name]
         value = entry.get("value", 1)
-        if idx == COPING:
-            if value not in (-1, 0, 1):
-                raise SchemaError(f"coping value {value!r} outside -1/0/1")
-        elif value not in (0, 1):
-            raise SchemaError(f"{name} value {value!r} outside 0/1")
+        allowed = (-1, 0, 1) if idx == COPING else (0, 1)
+        if type(value) is not int or value not in allowed:  # rejects True and 1.0 too
+            label = "coping" if idx == COPING else name
+            raise SchemaError(f"{label} value {value!r} outside {'/'.join(map(str, allowed))}")
         if seen.setdefault(idx, value) != value:
             raise SchemaError(f"session {session_id}: utterance {utt} gives {name} "
                               f"the values {seen[idx]} and {value}")
@@ -69,15 +68,19 @@ def build_peu_tensor(session):
     Every participant utterance must carry exactly one annotation record
     {"utt": int, "peus": [...]} (an empty one is fine); a gap is a data
     error, not a silent zero row, and a second record or one for a
-    missing utterance is a schema error, not a silently dropped one.
+    missing utterance is a schema error, not a silently dropped one. An
+    utt or entry value that is not an int (a bool or float) is a schema
+    error, not a silently rounded one.
     """
     for k, rec in enumerate(session.peus):
         if not isinstance(rec, dict):
             raise SchemaError(f"session {session.id}: PEU annotation {k} is {rec!r}, not a record")
-    try:
-        by_utt = {rec["utt"]: rec for rec in session.peus}
-    except KeyError:
-        raise SchemaError(f"session {session.id}: a PEU annotation without an 'utt' key") from None
+        if "utt" not in rec:
+            raise SchemaError(f"session {session.id}: a PEU annotation without an 'utt' key")
+        if type(rec["utt"]) is not int:  # 0.0 and True would index rows 0 and 1
+            raise SchemaError(f"session {session.id}: PEU annotation {k} has utt "
+                              f"{rec['utt']!r}, not an int")
+    by_utt = {rec["utt"]: rec for rec in session.peus}
     if len(by_utt) != len(session.peus):
         dup = next(u for u, n in Counter(rec["utt"] for rec in session.peus).items() if n > 1)
         raise SchemaError(f"session {session.id}: two PEU annotations for utterance {dup}")

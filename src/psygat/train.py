@@ -13,7 +13,7 @@ from . import model as M
 from . import tensor as T
 from .errors import ConfigError, DataError, NumericalError
 from .graph import GraphBatch
-from .metrics import pr_auc
+from .metrics import _prf, pr_auc
 
 log = logging.getLogger(__name__)
 
@@ -35,35 +35,36 @@ class TrainConfig:
     plateau_factor: float = 0.5
     plateau_patience: int = 2
     clip_norm: float = 1.0
-    loss: str = "focal"  # or "bce"
-    focal_gamma: float = 2.0
+    focal_gamma: float = 2.0  # gamma 0, alpha 1 is plain BCE
     focal_alpha: float = 1.0
-    contrastive_enabled: bool = True
-    contrastive_weight: float = 0.1
+    contrastive_weight: float = 0.1  # 0 turns InfoNCE off
     contrastive_temperature: float = 0.2
     seeds: tuple = (0, 1, 2, 3, 4)
-    threshold_objective: str = "f1"  # f1 | f0.5 | recall_at_min_precision
-    min_precision: float = 0.75
     batch_size: int = 8
-    persona_mode: str = "on"
 
     def __post_init__(self):
         if self.lr <= 0 or self.weight_decay < 0:
             raise ConfigError("learning rate must be positive, weight decay non-negative")
+        if self.max_epochs < 0:
+            raise ConfigError(f"max_epochs must be >= 0, got {self.max_epochs}")
         if self.early_stop_patience < 1 or self.plateau_patience < 1:
             raise ConfigError("patience must be >= 1")
+        if not 0 < self.plateau_factor <= 1:
+            raise ConfigError(f"plateau_factor must be in (0, 1], got {self.plateau_factor}")
+        if self.clip_norm <= 0:
+            raise ConfigError(f"clip_norm must be positive, got {self.clip_norm}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.focal_gamma < 0:
             raise ConfigError(f"focal_gamma must be >= 0, got {self.focal_gamma}")
+        if self.focal_alpha <= 0:
+            raise ConfigError(f"focal_alpha must be positive, got {self.focal_alpha}")
+        if self.contrastive_weight < 0:
+            raise ConfigError(f"contrastive_weight must be >= 0, got {self.contrastive_weight}")
         if self.contrastive_temperature <= 0:
             raise ConfigError("contrastive temperature must be positive")
-        if self.loss not in ("focal", "bce"):
-            raise ConfigError(f"unknown loss {self.loss!r}")
-        if self.threshold_objective not in ("f1", "f0.5", "recall_at_min_precision"):
-            raise ConfigError(f"unknown threshold objective {self.threshold_objective!r}")
-        if self.persona_mode not in ("on", "off"):
-            raise ConfigError(f"persona_mode must be on/off, got {self.persona_mode!r}")
+        if not self.seeds:
+            raise ConfigError("seeds must name at least one seed")
 
     def to_json(self):
         d = {k: getattr(self, k) for k in self.__dataclass_fields__}
@@ -210,48 +211,22 @@ def clip_gradients(named_params, max_norm):
     return norm
 
 
-def _fbeta(p, r, beta):
-    b2 = beta * beta
-    denom = b2 * p + r
-    return (1 + b2) * p * r / denom if denom else 0.0
-
-
-def _threshold_stats(probs, labels, thr):
-    pred = probs >= thr
-    tp = int(np.sum(pred & (labels == 1)))
-    fp = int(np.sum(pred & (labels == 0)))
-    fn = int(np.sum(~pred & (labels == 1)))
-    p = tp / (tp + fp) if tp + fp else 0.0
-    r = tp / (tp + fn) if tp + fn else 0.0
-    return p, r
-
-
-def select_threshold(probs, labels, objective="f1", min_precision=0.75):
-    """Scan midpoints of sorted unique probs plus {0, 1}; lowest threshold wins ties."""
+def select_threshold(probs, labels):
+    """The threshold of highest positive-class F1 (metrics._prf). Scans
+    midpoints of sorted unique probs plus {0, 1}; lowest threshold wins ties."""
     probs = np.asarray(probs, dtype=float)
     labels = np.asarray(labels, dtype=int)
     if labels.sum() in (0, labels.size):
         raise DataError("threshold selection needs both classes in validation")
     uniq = np.unique(probs)
     candidates = [0.0] + [(a + b) / 2 for a, b in zip(uniq, uniq[1:])] + [1.0]
-    if objective == "recall_at_min_precision":
-        best = None
-        for thr in candidates:
-            p, r = _threshold_stats(probs, labels, thr)
-            if p >= min_precision:
-                key = (r, -thr)
-                if best is None or key > best[0]:
-                    best = (key, thr)
-        if best is not None:
-            return best[1]
-        log.warning("no threshold reaches precision %.2f; falling back to max-F1", min_precision)
-        objective = "f1"
-    beta = 1.0 if objective == "f1" else 0.5
     best = None
     for thr in candidates:
-        p, r = _threshold_stats(probs, labels, thr)
-        score = _fbeta(p, r, beta)
-        key = (score, -thr)
+        pred = probs >= thr
+        tp = int(np.sum(pred & (labels == 1)))
+        fp = int(np.sum(pred & (labels == 0)))
+        fn = int(np.sum(~pred & (labels == 1)))
+        key = (_prf(tp, fp, fn)[2], -thr)
         if best is None or key > best[0]:
             best = (key, thr)
     return best[1]
@@ -262,25 +237,20 @@ def _chunks(graphs):
             for i in range(0, len(graphs), PREDICT_CHUNK)]
 
 
-def predict_probs(params, graphs, persona_mode=True):
+def predict_probs(params, graphs):
     """Eval-mode probabilities, one batched forward per PREDICT_CHUNK graphs."""
     with T.no_grad():
-        probs = [M.forward(b, params, persona_mode=persona_mode).probs
-                 for b in _chunks(graphs)]
+        probs = [M.forward(b, params).probs for b in _chunks(graphs)]
     return np.concatenate(probs) if probs else np.zeros(0)
 
 
 def _train_step(params, opt, batch, config, rng):
     """One AdamW step on a GraphBatch. The autodiff graph is local to this
     call, so refcounting frees it on return."""
-    persona_on = config.persona_mode == "on"
     params.zero_grad()
-    out = M.forward(batch, params, train=True, rng=rng, persona_mode=persona_on)
-    # "bce" is the focal loss at gamma 0, alpha 1
-    gamma, alpha = ((0.0, 1.0) if config.loss == "bce"
-                    else (config.focal_gamma, config.focal_alpha))
-    loss = T.tmean(focal_loss(out.logits, batch.labels, gamma, alpha))
-    if config.contrastive_enabled and batch.num_graphs >= 2:
+    out = M.forward(batch, params, train=True, rng=rng)
+    loss = T.tmean(focal_loss(out.logits, batch.labels, config.focal_gamma, config.focal_alpha))
+    if config.contrastive_weight > 0 and batch.num_graphs >= 2:
         aux = info_nce(out.session_reps, batch.labels, config.contrastive_temperature)
         loss = T.add(
             loss,
@@ -299,7 +269,6 @@ def fit(train_graphs, val_graphs, config, model_config, seed=0):
     val_labels = np.array([g.label for g in val_graphs])
     if val_labels.sum() in (0, val_labels.size):
         raise ConfigError("validation split must contain both classes")
-    persona_on = config.persona_mode == "on"
     params = M.ModelParams(model_config, seed=seed)
     opt = AdamW(config.lr, config.weight_decay)
     rng = np.random.default_rng(seed + 1)
@@ -316,7 +285,7 @@ def fit(train_graphs, val_graphs, config, model_config, seed=0):
             batch = [train_graphs[i] for i in order[start : start + config.batch_size]]
             _train_step(params, opt, GraphBatch.from_graphs(batch), config, rng)
 
-        probs = predict_probs(params, val_graphs, persona_on)
+        probs = predict_probs(params, val_graphs)
         auc = pr_auc(probs, val_labels)
         if auc > best_auc + 1e-12:
             best_auc = auc
@@ -336,8 +305,8 @@ def fit(train_graphs, val_graphs, config, model_config, seed=0):
 
     params.load_snapshot(best_snapshot)
     if best_probs is None:  # max_epochs = 0
-        best_probs = predict_probs(params, val_graphs, persona_on)
-    threshold = select_threshold(best_probs, val_labels, config.threshold_objective, config.min_precision)
+        best_probs = predict_probs(params, val_graphs)
+    threshold = select_threshold(best_probs, val_labels)
     return Checkpoint(
         params=params,
         train_config=config,
@@ -379,26 +348,21 @@ def ensemble_probs(checkpoints, graphs):
 
     All members run in one forward per chunk, over parameters stacked along
     a member axis; a member listed twice is scored once. Members must share
-    architecture, persona mode and parameter dtype.
+    model config (persona use included) and parameter dtype.
     """
     if not checkpoints:
         raise ConfigError("ensemble needs at least one checkpoint")
-    first = checkpoints[0]
-    arch = first.params.config.to_json()
+    arch = checkpoints[0].params.config.to_json()
     for ck in checkpoints[1:]:
         if ck.params.config.to_json() != arch:
             raise ConfigError("ensemble members have mismatched architectures")
-        if ck.train_config.persona_mode != first.train_config.persona_mode:
-            raise ConfigError("ensemble members have mixed persona modes")
     if len({t.dtype for ck in checkpoints for _, t in ck.params.named()}) > 1:
         raise ConfigError("ensemble members have mixed parameter dtypes")
-    persona_on = first.train_config.persona_mode == "on"
     params = [ck.params for ck in checkpoints]
     distinct = list({id(p): p for p in params}.values())
     stacked = _stacked_params(distinct)
     with T.no_grad():
-        chunks = [M.forward(b, stacked, persona_mode=persona_on).probs
-                  for b in _chunks(graphs)]
+        chunks = [M.forward(b, stacked).probs for b in _chunks(graphs)]
     probs = np.concatenate(chunks, axis=1) if chunks else np.zeros((len(distinct), 0))
     if len(distinct) < len(params):
         slot = {id(p): k for k, p in enumerate(distinct)}
@@ -416,5 +380,5 @@ def train_ensemble(train_graphs, val_graphs, config, model_config):
     members = [fit(train_graphs, val_graphs, config, model_config, seed=s) for s in config.seeds]
     val_probs = ensemble_probs(members, val_graphs)
     val_labels = np.array([g.label for g in val_graphs])
-    threshold = select_threshold(val_probs, val_labels, config.threshold_objective, config.min_precision)
+    threshold = select_threshold(val_probs, val_labels)
     return members, threshold

@@ -109,7 +109,7 @@ def _op_checks(rng):
 
     # signed logits of alternating sign, clear of saturation; an integer and
     # a non-integer focusing exponent, and gamma 0, the logistic loss that
-    # loss "bce" trains with
+    # focal_gamma = 0, focal_alpha = 1 trains with
     sign = np.where(np.arange(m * n) % 2 == 0, 1.0, -1.0).reshape(m, n)
     zf = T.Tensor(sign * rng.uniform(0.1, 3.0, (m, n)), dtype=np.float64)
     for gamma in (2.0, 0.7, 0.0):

@@ -177,16 +177,17 @@ def test_learning_sanity():
 
 
 def test_persona_effect_direction():
-    def run(corpus_seed, persona_mode):
+    def run(corpus_seed, persona):
         _, g = build_graph_splits(GenConfig(seed=corpus_seed, n_sessions=100,
                                             peu_dropout=0.5))
-        cfg = TR.TrainConfig(seeds=(0, 1, 2), persona_mode=persona_mode)
-        members, thr = TR.train_ensemble(g["train"], g["val"], cfg, M.ModelConfig())
+        cfg = TR.TrainConfig(seeds=(0, 1, 2))
+        members, thr = TR.train_ensemble(g["train"], g["val"], cfg,
+                                         M.ModelConfig(persona=persona))
         probs = np.array([TR.ensemble_predict(members, x) for x in g["test"]])
         labels = np.array([x.label for x in g["test"]])
         return classification_report(probs, labels, thr).macro_f1
 
-    diffs = [run(cs, "on") - run(cs, "off") for cs in range(5)]
+    diffs = [run(cs, True) - run(cs, False) for cs in range(5)]
     mean = float(np.mean(diffs))
     ok = mean > 0
     report_line("persona effect direction", ok,
@@ -344,7 +345,7 @@ def test_reproducibility_and_hygiene(tmp_path):
     except CorpusError:
         leaked = True
 
-    from tests.test_train import brute_force_threshold, threshold_score
+    from tests.test_train import brute_force_f1, f1_at
 
     rng = np.random.default_rng(5)
     thr_ok = True
@@ -354,9 +355,8 @@ def test_reproducibility_and_hygiene(tmp_path):
         if labels.sum() in (0, n):
             labels[0] = 1 - labels[0]
         probs = np.round(rng.random(n), 3)
-        thr = TR.select_threshold(probs, labels, "f1")
-        _, oracle = brute_force_threshold(probs, labels, "f1")
-        if abs(threshold_score(probs, labels, thr, "f1") - oracle) > 1e-9:
+        thr = TR.select_threshold(probs, labels)
+        if abs(f1_at(probs, labels, thr) - brute_force_f1(probs, labels)) > 1e-9:
             thr_ok = False
             break
 

@@ -1,6 +1,7 @@
 """Checkpoint persistence: round-trips, validation and hashing."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -45,6 +46,15 @@ class TestSessionModelCheckpoints:
             assert n1 == n2
             np.testing.assert_array_equal(t1.data, t2.data)
 
+    def test_persona_off_round_trips_through_model_config(self, tmp_path):
+        ck = small_checkpoint()
+        ck.params.config = replace(ck.params.config, persona=False)
+        CK.save_checkpoint(tmp_path / "ckpt", ck)
+        header = json.loads((tmp_path / "ckpt.json").read_text())
+        assert header["model_config"]["persona"] is False
+        assert "persona_mode" not in header["train_config"]
+        assert CK.load_checkpoint(tmp_path / "ckpt").params.config.persona is False
+
     def test_loaded_parameters_are_writable_copies_of_the_blob(self, tmp_path):
         ck = small_checkpoint()
         CK.save_checkpoint(tmp_path / "ckpt", ck)
@@ -69,6 +79,22 @@ class TestSessionModelCheckpoints:
         CK.save_scorer(tmp_path / "s", scorer)
         with pytest.raises(CK.CheckpointError):
             CK.load_checkpoint(tmp_path / "s")
+
+    @pytest.mark.parametrize("version", ["missing", CK.FORMAT_VERSION + 1, "1", True, 1.0])
+    def test_other_format_version_rejected(self, tmp_path, version):
+        # a header from before the version, persona use then in train_config,
+        # fails here and never loads as a persona-on model
+        CK.save_checkpoint(tmp_path / "ckpt", small_checkpoint())
+        edit_header(tmp_path / "ckpt.json", lambda header: header.pop("format_version")
+                    if version == "missing" else header.update(format_version=version))
+        with pytest.raises(CK.CheckpointError, match="format version .*, expected 1") as info:
+            CK.load_checkpoint(tmp_path / "ckpt")
+        assert len(str(info.value).splitlines()) == 1
+
+    def test_header_records_the_format_version(self, tmp_path):
+        CK.save_checkpoint(tmp_path / "ckpt", small_checkpoint())
+        header = json.loads((tmp_path / "ckpt.json").read_text())
+        assert header["format_version"] == CK.FORMAT_VERSION == 1
 
     def test_blob_is_float32_little_endian(self, tmp_path):
         ck = small_checkpoint()
@@ -134,6 +160,10 @@ class TestSessionModelCheckpoints:
                           "readout": "set2set"}),
         ("train_config", {"optimizer": "sgd"}),
         ("train_config", {"lr": -1.0}),
+        ("model_config", {"persona": "off"}),
+        # keys that moved or went: persona use now lives in model_config
+        ("train_config", {"persona_mode": "off"}),
+        ("train_config", {"loss": "bce"}),
     ])
     def test_config_rejected_by_its_dataclass(self, tmp_path, key, change):
         CK.save_checkpoint(tmp_path / "ckpt", small_checkpoint())
@@ -203,6 +233,15 @@ class TestScorerCheckpoints:
         with pytest.raises(CK.CheckpointError, match=message):
             CK.load_scorer(tmp_path / "s")
 
+
+    @pytest.mark.parametrize("version", ["missing", CK.FORMAT_VERSION + 1])
+    def test_other_format_version_rejected(self, tmp_path, version):
+        CK.save_scorer(tmp_path / "s", ScorerParams(CausalConfig(), model_hidden=8))
+        assert json.loads((tmp_path / "s.json").read_text())["format_version"] == 1
+        edit_header(tmp_path / "s.json", lambda header: header.pop("format_version")
+                    if version == "missing" else header.update(format_version=version))
+        with pytest.raises(CK.CheckpointError, match="format version .*, expected 1"):
+            CK.load_scorer(tmp_path / "s")
 
     @pytest.mark.parametrize("key", ["causal_config", "model_hidden"])
     def test_missing_header_field_rejected(self, tmp_path, key):

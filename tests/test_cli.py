@@ -20,8 +20,8 @@ from psygat.train import TrainConfig
 
 class TestConfigParsing:
     def test_key_value_with_comments(self):
-        values = cli.parse_config_text("# header\nlr = 0.001\n\nloss = bce  # inline\n")
-        assert values == {"lr": "0.001", "loss": "bce"}
+        values = cli.parse_config_text("# header\nlr = 0.001\n\nfocal_gamma = 0  # inline\n")
+        assert values == {"lr": "0.001", "focal_gamma": "0"}
 
     def test_malformed_line_rejected(self):
         with pytest.raises(cli.ConfigError, match="line 1"):
@@ -29,22 +29,23 @@ class TestConfigParsing:
 
     def test_coercion_onto_field_types(self):
         config = cli._coerce(TrainConfig, {
-            "lr": "0.01", "max_epochs": "3", "contrastive_enabled": "false",
-            "seeds": "0,1", "loss": "bce",
+            "lr": "0.01", "max_epochs": "3", "contrastive_weight": "0", "seeds": "0,1",
         })
         assert config.lr == 0.01
         assert config.max_epochs == 3
-        assert config.contrastive_enabled is False
+        assert config.contrastive_weight == 0.0
         assert config.seeds == (0, 1)
-        assert config.loss == "bce"
 
     def test_unknown_field_rejected(self):
         with pytest.raises(cli.ConfigError, match="unknown"):
             cli._coerce(GenConfig, {"sessions": "10"})
 
-    def test_bad_bool_rejected(self):
-        with pytest.raises(cli.ConfigError):
-            cli._coerce(TrainConfig, {"contrastive_enabled": "yes"})
+    @pytest.mark.parametrize("key,value", [("loss", "bce"), ("contrastive_enabled", "false"),
+                                           ("persona_mode", "off"), ("threshold_objective", "f1"),
+                                           ("min_precision", "0.75")])
+    def test_removed_train_keys_rejected(self, key, value):
+        with pytest.raises(cli.ConfigError, match=f"unknown TrainConfig field '{key}'"):
+            cli._coerce(TrainConfig, {key: value})
 
     def test_invalid_value_becomes_config_error(self):
         with pytest.raises(cli.ConfigError):
@@ -98,6 +99,25 @@ class TestGenerate:
                   "--out", str(out)])
         assert (out / "sessions.jsonl").read_bytes() == workspace["corpus"].read_bytes()
 
+    GEN_LINES = {
+        "seed": ("7", 7), "n_sessions": ("30", 30), "class_balance": ("0.4", 0.4),
+        "utterances_min": ("5", 5), "utterances_max": ("7", 7), "val_fraction": ("0.25", 0.25),
+        "test_fraction": ("0.3", 0.3), "augmentation_ratio": ("0.1", 0.1),
+        "label_flip": ("0.05", 0.05), "peu_dropout": ("0.2", 0.2), "causal_lag_min": ("2", 2),
+        "causal_lag_max": ("3", 3), "echo_rate": ("0.1", 0.1),
+        "persona_set": ("extended", "extended"), "model_persona_count": ("12", 12),
+    }
+
+    def test_every_config_field_set_from_a_config_line(self, tmp_path):
+        assert set(self.GEN_LINES) == set(GenConfig.__dataclass_fields__)
+        config = tmp_path / "gen.cfg"
+        config.write_text("".join(f"{k} = {raw}\n" for k, (raw, _) in self.GEN_LINES.items()))
+        out = tmp_path / "corpus"
+        assert cli.main(["generate", "--config", str(config), "--out", str(out)]) == 0
+        run = json.loads((out / "run_manifest.json").read_text())
+        want = {key: value for key, (_, value) in self.GEN_LINES.items()}
+        assert run["config"] == want and run["seeds"] == [7]
+
     def test_bad_config_exits_two(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("n_sessions = 4\n")
@@ -126,6 +146,43 @@ class TestTrain:
         run = json.loads((out / "run_manifest.json").read_text())
         assert run["environment"]["blas_threads"] == {
             "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "3", "MKL_NUM_THREADS": "1"}
+
+    # every TrainConfig field, a non-default value as a config line gives it
+    TRAIN_LINES = {
+        "lr": ("0.001", 0.001), "weight_decay": ("0.0005", 0.0005), "max_epochs": ("1", 1),
+        "early_stop_patience": ("3", 3), "plateau_factor": ("0.25", 0.25),
+        "plateau_patience": ("4", 4), "clip_norm": ("2.5", 2.5), "focal_gamma": ("0", 0.0),
+        "focal_alpha": ("0.75", 0.75), "contrastive_weight": ("0", 0.0),
+        "contrastive_temperature": ("0.5", 0.5), "seeds": ("3,4", (3, 4)),
+        "batch_size": ("5", 5),
+    }
+
+    def test_every_config_field_survives_the_checkpoint(self, workspace, tmp_path):
+        from psygat import checkpoints
+
+        assert set(self.TRAIN_LINES) == set(TrainConfig.__dataclass_fields__)
+        config = tmp_path / "train.cfg"
+        config.write_text("".join(f"{k} = {raw}\n" for k, (raw, _) in self.TRAIN_LINES.items()))
+        out = tmp_path / "run"
+        assert cli.main(["train", "--corpus", str(workspace["corpus"]), "--config", str(config),
+                         "--out", str(out)]) == 0
+        for seed in (3, 4):
+            loaded = checkpoints.load_checkpoint(out / f"ckpt-seed{seed}").train_config
+            for key, (_, value) in self.TRAIN_LINES.items():
+                assert getattr(loaded, key) == value and type(getattr(loaded, key)) is type(value)
+
+    def test_manifest_records_the_model_config(self, workspace, tmp_path):
+        out = tmp_path / "off"
+        assert cli.main(["train", "--corpus", str(workspace["corpus"]),
+                         "--config", str(workspace["train_cfg"]), "--persona-mode", "off",
+                         "--out", str(out)]) == 0
+        run = json.loads((out / "run_manifest.json").read_text())
+        assert run["model_config"]["persona"] is False
+        assert run["config"] == TrainConfig(max_epochs=2, seeds=(0,)).to_json()
+        on = json.loads((workspace["train_dir"] / "run_manifest.json").read_text())
+        assert on["model_config"]["persona"] is True
+        header = json.loads((out / "ckpt-seed0.json").read_text())
+        assert header["model_config"] == run["model_config"]
 
     def test_checkpoints_and_report_written(self, workspace):
         d = workspace["train_dir"]
@@ -185,7 +242,8 @@ class TestTrain:
         (lambda recs: recs[0].update(peus=["self_negativity"]), "not a record"),
         (lambda recs: recs[0].update(peus="self_negativity"), "not a list"),
         (lambda recs: recs.__setitem__(0, "self_negativity"), "not a record"),
-    ], ids=["entry", "entries", "record"])
+        (lambda recs: recs[0].update(utt=0.0), "has utt 0.0, not an int"),
+    ], ids=["entry", "entries", "record", "utt-float"])
     def test_malformed_annotation_exits_one_without_traceback(self, workspace, tmp_path, capsys,
                                                               malform, message):
         sessions = read_sessions(workspace["corpus"])
@@ -400,9 +458,9 @@ class TestEvaluate:
 
         on = workspace["train_dir"] / "ckpt-seed0"
         member = checkpoints.load_checkpoint(on)
+        member.params.config = replace(member.params.config, persona=False)
         off = tmp_path / "ckpt-off"
-        checkpoints.save_checkpoint(off, replace(
-            member, train_config=replace(member.train_config, persona_mode="off")))
+        checkpoints.save_checkpoint(off, member)
         capsys.readouterr()
         code = cli.main(["evaluate", "--checkpoint", f"{on}.json", f"{off}.json",
                          "--corpus", str(workspace["corpus"]), "--threshold", "0.5",
@@ -410,7 +468,29 @@ class TestEvaluate:
         assert code == 2
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
-        assert "persona modes" in err and "Traceback" not in err
+        assert "mismatched architectures" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("version", ["missing", 2])
+    def test_checkpoint_of_another_format_version_exits_one(self, workspace, tmp_path, capsys,
+                                                             version):
+        # a header written before the version, persona use then in
+        # train_config, is refused rather than scored as a persona-on model
+        for suffix in (".json", ".bin"):
+            shutil.copy(workspace["train_dir"] / f"ckpt-seed0{suffix}", tmp_path / f"c{suffix}")
+        header = json.loads((tmp_path / "c.json").read_text())
+        if version == "missing":
+            del header["format_version"]
+            header["train_config"]["persona_mode"] = "off"
+        else:
+            header["format_version"] = version
+        (tmp_path / "c.json").write_text(json.dumps(header))
+        capsys.readouterr()
+        code = cli.main(["evaluate", "--checkpoint", str(tmp_path / "c.json"),
+                         "--corpus", str(workspace["corpus"]), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "format version" in err and "expected 1" in err and "Traceback" not in err
 
 
 class TestExplain:

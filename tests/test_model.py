@@ -78,7 +78,12 @@ class TestConfig:
     def test_fields(self):
         assert list(M.ModelConfig.__dataclass_fields__) == [
             "text_dim", "hidden", "heads", "num_layers", "set2set_iters", "persona_count",
-            "persona_dim", "head_hidden", "dropout"]
+            "persona_dim", "head_hidden", "dropout", "persona"]
+
+    @pytest.mark.parametrize("value", ["off", 0, None])
+    def test_persona_must_be_a_bool(self, value):
+        with pytest.raises(M.ConfigError, match="persona must be true or false"):
+            small_config(persona=value)
 
     def test_set2set_needs_an_iteration(self):
         with pytest.raises(M.ConfigError, match="set2set_iters"):
@@ -147,15 +152,23 @@ class TestForward:
 
     def test_persona_off_ignores_persona_id(self):
         rng = np.random.default_rng(0)
-        cfg = small_config()
+        cfg = small_config(persona=False)
         params = M.ModelParams(cfg, seed=0)
         g = make_graph(rng, 5, cfg)
-        a = run(g, params, 0, persona_mode=False)
-        b = run(g, params, 3, persona_mode=False)
+        a = run(g, params, 0)
+        b = run(g, params, 3)
         np.testing.assert_array_equal(a.logits.data, b.logits.data)
         # off mode zero-pads, so conditioned width matches on mode
         assert a.conditioned_reps.shape == (1, 36)
         np.testing.assert_array_equal(a.conditioned_reps.data[:, 32:], np.zeros((1, 4)))
+
+    def test_persona_off_draws_the_persona_on_parameters(self):
+        # one parameter set for both configs, so a seed's blob is the same
+        on = M.ModelParams(small_config(), seed=5).snapshot()
+        off = M.ModelParams(small_config(persona=False), seed=5).snapshot()
+        assert on.keys() == off.keys()
+        for name, value in on.items():
+            assert value.tobytes() == off[name].tobytes(), name
 
     def test_persona_on_changes_output(self):
         rng = np.random.default_rng(0)

@@ -57,6 +57,25 @@ class TestBuildPeuTensor:
         with pytest.raises(peu.SchemaError, match=f"self_negativity value {value!r} outside"):
             self._row([{"category": "self_negativity", "value": value}])
 
+    @pytest.mark.parametrize("utt,value,message", [
+        (0.0, 1, "PEU annotation 0 has utt 0.0, not an int"),
+        (True, 1, "PEU annotation 0 has utt True, not an int"),
+        (0, True, "self_negativity value True outside 0/1"),
+        (0, 1.0, "self_negativity value 1.0 outside 0/1"),
+        (0, 0.0, "self_negativity value 0.0 outside 0/1"),
+    ], ids=["utt-float", "utt-bool", "value-bool", "value-float", "value-zero-float"])
+    def test_utt_and_value_must_be_ints(self, utt, value, message):
+        # equal values of another type once filled rows silently
+        s = self._session([{"utt": utt, "peus": [{"category": "self_negativity", "value": value}]},
+                           {"utt": 1, "peus": []}])
+        with pytest.raises(peu.SchemaError, match=message):
+            peu.build_peu_tensor(s)
+
+    @pytest.mark.parametrize("value", [True, -1.0])
+    def test_coping_value_must_be_an_int(self, value):
+        with pytest.raises(peu.SchemaError, match=f"coping value {value!r} outside -1/0/1"):
+            self._row([{"category": "protective_positive_coping", "value": value}])
+
     def test_duplicate_category_with_conflicting_values_rejected(self):
         conflict = "session s: utterance 1 gives self_negativity the values 1 and 0"
         with pytest.raises(peu.SchemaError, match=conflict):

@@ -187,33 +187,7 @@ class TestClipGradients:
         assert b.grad[0] == pytest.approx(0.8, rel=1e-5)
 
 
-def brute_force_threshold(probs, labels, objective="f1", min_precision=0.75):
-    """Dense-grid enumeration used as an oracle for select_threshold."""
-    probs = np.asarray(probs)
-    labels = np.asarray(labels)
-    grid = np.linspace(0.0, 1.0, 10_001)
-    best_thr, best_score = None, None
-    for thr in grid:
-        pred = probs >= thr
-        tp = np.sum(pred & (labels == 1))
-        fp = np.sum(pred & (labels == 0))
-        fn = np.sum(~pred & (labels == 1))
-        p = tp / (tp + fp) if tp + fp else 0.0
-        r = tp / (tp + fn) if tp + fn else 0.0
-        if objective == "recall_at_min_precision":
-            if p < min_precision:
-                continue
-            score = r
-        else:
-            beta = 1.0 if objective == "f1" else 0.5
-            b2 = beta * beta
-            score = (1 + b2) * p * r / (b2 * p + r) if p + r else 0.0
-        if best_score is None or score > best_score + 1e-12:
-            best_thr, best_score = thr, score
-    return best_thr, best_score
-
-
-def threshold_score(probs, labels, thr, objective="f1"):
+def f1_at(probs, labels, thr):
     pred = np.asarray(probs) >= thr
     labels = np.asarray(labels)
     tp = np.sum(pred & (labels == 1))
@@ -221,9 +195,13 @@ def threshold_score(probs, labels, thr, objective="f1"):
     fn = np.sum(~pred & (labels == 1))
     p = tp / (tp + fp) if tp + fp else 0.0
     r = tp / (tp + fn) if tp + fn else 0.0
-    beta = 1.0 if objective == "f1" else 0.5
-    b2 = beta * beta
-    return (1 + b2) * p * r / (b2 * p + r) if p + r else 0.0
+    return 2 * p * r / (p + r) if p + r else 0.0
+
+
+def brute_force_f1(probs, labels):
+    """Best positive-class F1 over a dense threshold grid: an oracle for
+    select_threshold."""
+    return max(f1_at(probs, labels, thr) for thr in np.linspace(0.0, 1.0, 10_001))
 
 
 class TestSelectThreshold:
@@ -235,48 +213,35 @@ class TestSelectThreshold:
             if labels.sum() in (0, n):
                 labels[0] = 1 - labels[0]
             probs = np.round(rng.random(n), 3)
-            thr = TR.select_threshold(probs, labels, "f1")
-            _, oracle = brute_force_threshold(probs, labels, "f1")
-            assert threshold_score(probs, labels, thr, "f1") == pytest.approx(oracle, abs=1e-9)
+            thr = TR.select_threshold(probs, labels)
+            assert f1_at(probs, labels, thr) == pytest.approx(brute_force_f1(probs, labels),
+                                                              abs=1e-9)
 
     def test_ties_resolve_to_lowest_threshold(self):
         # any threshold in (0.4, 0.6) gives the same confusion; the scan
         # must return the lowest candidate achieving the best score
         probs = np.array([0.2, 0.4, 0.6, 0.8])
         labels = np.array([0, 0, 1, 1])
-        thr = TR.select_threshold(probs, labels, "f1")
+        thr = TR.select_threshold(probs, labels)
         assert thr == pytest.approx(0.5)
 
-    def test_f_half_objective(self):
+    def test_selected_threshold_reports_the_best_positive_f1(self):
+        # select_threshold and classification_report share one F1
+        from psygat.metrics import classification_report
+
         rng = np.random.default_rng(1)
         labels = rng.integers(0, 2, 30)
-        labels[0] = 1
-        labels[1] = 0
+        labels[:2] = (1, 0)
         probs = np.round(rng.random(30), 3)
-        thr = TR.select_threshold(probs, labels, "f0.5")
-        _, oracle = brute_force_threshold(probs, labels, "f0.5")
-        assert threshold_score(probs, labels, thr, "f0.5") == pytest.approx(oracle, abs=1e-9)
-
-    def test_recall_at_min_precision(self):
-        probs = np.array([0.9, 0.8, 0.7, 0.6, 0.3])
-        labels = np.array([1, 1, 0, 1, 0])
-        thr = TR.select_threshold(probs, labels, "recall_at_min_precision", min_precision=0.75)
-        pred = probs >= thr
-        tp = np.sum(pred & (labels == 1))
-        fp = np.sum(pred & (labels == 0))
-        assert tp / (tp + fp) >= 0.75
-        # recall 3/3 is reachable at precision 0.75 by taking the top four
-        assert tp == 3
-
-    def test_recall_objective_falls_back_when_unreachable(self):
-        probs = np.array([0.9, 0.8, 0.2, 0.1])
-        labels = np.array([0, 0, 1, 1])  # precision 0.75 unreachable
-        thr = TR.select_threshold(probs, labels, "recall_at_min_precision", min_precision=0.75)
-        assert 0.0 <= thr <= 1.0
+        thr = TR.select_threshold(probs, labels)
+        uniq = np.unique(probs)
+        best = max(classification_report(probs, labels, t).f1[1]
+                   for t in [0.0, *((uniq[1:] + uniq[:-1]) / 2), 1.0])
+        assert classification_report(probs, labels, thr).f1[1] == best
 
     def test_single_class_rejected(self):
         with pytest.raises(TR.DataError):
-            TR.select_threshold(np.array([0.1, 0.9]), np.array([1, 1]), "f1")
+            TR.select_threshold(np.array([0.1, 0.9]), np.array([1, 1]))
 
 
 class TestTrainConfig:
@@ -291,15 +256,31 @@ class TestTrainConfig:
         with pytest.raises(TR.ConfigError):
             TR.TrainConfig(lr=0)
         with pytest.raises(TR.ConfigError):
-            TR.TrainConfig(loss="hinge")
-        with pytest.raises(TR.ConfigError):
-            TR.TrainConfig(persona_mode="maybe")
-        with pytest.raises(TR.ConfigError):
             TR.TrainConfig(contrastive_temperature=0.0)
         with pytest.raises(TR.ConfigError, match="batch_size"):
             TR.TrainConfig(batch_size=0)
         with pytest.raises(TR.ConfigError, match="focal_gamma"):
             TR.TrainConfig(focal_gamma=-0.5)
+
+
+    def test_fields(self):
+        assert list(TR.TrainConfig.__dataclass_fields__) == [
+            "lr", "weight_decay", "max_epochs", "early_stop_patience", "plateau_factor",
+            "plateau_patience", "clip_norm", "focal_gamma", "focal_alpha", "contrastive_weight",
+            "contrastive_temperature", "seeds", "batch_size"]
+
+    @pytest.mark.parametrize("field,value", [
+        ("contrastive_weight", -1.0), ("clip_norm", -1.0), ("clip_norm", 0.0),
+        ("focal_alpha", -1.0), ("focal_alpha", 0.0), ("plateau_factor", 2.0),
+        ("plateau_factor", 0.0), ("max_epochs", -3), ("seeds", ()),
+    ])
+    def test_values_that_invert_or_freeze_training_rejected(self, field, value):
+        with pytest.raises(TR.ConfigError, match=field) as info:
+            TR.TrainConfig(**{field: value})
+        assert len(str(info.value).splitlines()) == 1
+
+    def test_boundary_values_accepted(self):
+        TR.TrainConfig(contrastive_weight=0.0, plateau_factor=1.0, max_epochs=0, seeds=(3,))
 
 
 class TestFit:
@@ -371,10 +352,9 @@ class TestFit:
         for name in marked:
             np.testing.assert_array_equal(marked[name], unmarked[name], err_msg=name)
 
-    @pytest.mark.parametrize("objective", ["f1", "recall_at_min_precision"])
     @pytest.mark.parametrize("max_epochs", [0, 1, 6])
     def test_threshold_and_auc_match_a_rescore_of_the_restored_params(self, monkeypatch,
-                                                                       objective, max_epochs):
+                                                                       max_epochs):
         # fit selects the threshold from the best epoch's validation
         # probabilities instead of scoring validation once more after
         # restoring that epoch's parameters
@@ -393,37 +373,16 @@ class TestFit:
         monkeypatch.setattr(TR, "predict_probs", lambda *a: scored.append(1) or predict(*a))
         cfg = M.ModelConfig(text_dim=12, hidden=16, heads=2, persona_dim=4, head_hidden=8)
         config = TR.TrainConfig(lr=5e-3, max_epochs=max_epochs, early_stop_patience=2,
-                                seeds=(0,), batch_size=4, threshold_objective=objective)
+                                seeds=(0,), batch_size=4)
         ck = TR.fit(train, val, config, cfg, seed=0)
         epochs = len(steps) // 2  # two minibatches of 4 per epoch
         assert len(scored) == max(epochs, 1)  # one validation pass per epoch
         assert max_epochs < 6 or 0 < ck.epoch < epochs  # the restored epoch is not the last
         labels = np.array([g.label for g in val])
-        probs = predict(ck.params, val, True)
-        assert ck.threshold == TR.select_threshold(probs, labels, objective, config.min_precision)
+        probs = predict(ck.params, val)
+        assert ck.threshold == TR.select_threshold(probs, labels)
         if max_epochs:
             assert ck.best_val_pr_auc == pr_auc(probs, labels)
-
-    def test_bce_fits_the_focal_loss_at_gamma_zero_alpha_one(self):
-        from psygat import model as M
-        from psygat.verify import _tiny_graph
-
-        rng = np.random.default_rng(4)
-        graphs = [_tiny_graph(rng, int(n)) for n in rng.integers(1, 6, 8)]
-        for k, g in enumerate(graphs):
-            g.label = k % 2
-        cfg = M.ModelConfig(text_dim=12, hidden=16, heads=2, persona_dim=4, head_hidden=8)
-
-        def fitted(**loss):
-            config = TR.TrainConfig(max_epochs=2, seeds=(0,), batch_size=3, **loss)
-            return TR.fit(graphs, graphs, config, cfg, seed=0).params.snapshot()
-
-        bce = fitted(loss="bce", focal_alpha=0.5)  # bce ignores the focal fields
-        focal_zero = fitted(focal_gamma=0.0, focal_alpha=1.0)
-        focal_two = fitted()
-        for name, value in bce.items():
-            assert value.tobytes() == focal_zero[name].tobytes(), name
-        assert any(value.tobytes() != focal_two[name].tobytes() for name, value in bce.items())
 
     def test_step_graphs_leave_no_cyclic_garbage(self):
         # op closures capture only their parents, so refcounting alone frees
@@ -449,13 +408,13 @@ class TestFit:
             gc.enable()
 
 
-def tiny_checkpoint(seed, dtype=np.float32, persona_mode="on", **model_overrides):
+def tiny_checkpoint(seed, dtype=np.float32, **model_overrides):
     from psygat import model as M
 
     base = dict(text_dim=12, hidden=16, heads=2, persona_dim=4, head_hidden=8)
     cfg = M.ModelConfig(**{**base, **model_overrides})
     return TR.Checkpoint(params=M.ModelParams(cfg, seed=seed, dtype=dtype),
-                         train_config=TR.TrainConfig(persona_mode=persona_mode),
+                         train_config=TR.TrainConfig(),
                          best_val_pr_auc=0.0, threshold=0.5, seed=seed, epoch=0)
 
 
@@ -473,17 +432,16 @@ def tiny_graphs(count, seed=0):
 
 def member_mean(members, graphs):
     """The ensemble mean as member-by-member predict_probs gives it."""
-    persona_on = members[0].train_config.persona_mode == "on"
-    return np.mean([TR.predict_probs(ck.params, graphs, persona_on) for ck in members], axis=0)
+    return np.mean([TR.predict_probs(ck.params, graphs) for ck in members], axis=0)
 
 
 class TestEnsembleStack:
     @pytest.mark.parametrize("members", [1, 2, 5])
     @pytest.mark.parametrize("count", [1, 16])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("persona_mode", ["on", "off"])
-    def test_bit_equal_to_member_by_member_mean(self, members, count, dtype, persona_mode):
-        ensemble = [tiny_checkpoint(k, dtype, persona_mode) for k in range(members)]
+    @pytest.mark.parametrize("persona", [True, False], ids=["on", "off"])
+    def test_bit_equal_to_member_by_member_mean(self, members, count, dtype, persona):
+        ensemble = [tiny_checkpoint(k, dtype, persona=persona) for k in range(members)]
         graphs = tiny_graphs(count, seed=members + count)
         want = member_mean(ensemble, graphs)
         got = TR.ensemble_probs(ensemble, graphs)
@@ -525,8 +483,8 @@ class TestEnsembleStack:
             assert TR.ensemble_probs(ensemble, graphs).tobytes() == want.tobytes()
 
     def test_mixed_persona_modes_rejected(self):
-        ensemble = [tiny_checkpoint(0, persona_mode="on"), tiny_checkpoint(1, persona_mode="off")]
-        with pytest.raises(TR.ConfigError, match="persona modes"):
+        ensemble = [tiny_checkpoint(0), tiny_checkpoint(1, persona=False)]
+        with pytest.raises(TR.ConfigError, match="architectures"):
             TR.ensemble_probs(ensemble, tiny_graphs(2))
 
     def test_mixed_parameter_dtypes_rejected(self):
@@ -553,14 +511,14 @@ def test_ensemble_probs_match_pinned_digest():
     corpus = generate_corpus(GenConfig(seed=0))
     graphs = graphs_from_sessions([s for split in ("train", "val", "test") for s in corpus[split]])
 
-    def members(model_config, persona_mode):
+    def members(model_config):
         return [TR.Checkpoint(params=M.ModelParams(model_config, seed=k),
-                              train_config=TR.TrainConfig(persona_mode=persona_mode),
+                              train_config=TR.TrainConfig(),
                               best_val_pr_auc=0.0, threshold=0.5, seed=k, epoch=0)
                 for k in range(5)]
 
     h = hashlib.sha256()
-    for ensemble in (members(M.ModelConfig(), "on"), members(M.ModelConfig(), "off")):
+    for ensemble in (members(M.ModelConfig()), members(M.ModelConfig(persona=False))):
         h.update(TR.ensemble_probs(ensemble, graphs).tobytes())
         h.update(np.array([TR.ensemble_predict(ensemble, g) for g in graphs[:20]]).tobytes())
     assert len(graphs) == 200 and TR.PREDICT_CHUNK == 16
