@@ -14,6 +14,7 @@ import numpy as np
 
 from . import model as M
 from . import tensor as T
+from .config import Config
 from .errors import ConfigError, DataError
 from .graph import GraphBatch
 from .metrics import ranking_metrics
@@ -22,7 +23,7 @@ from .train import AdamW
 
 
 @dataclass
-class CausalConfig:
+class CausalConfig(Config):
     window: int = 3
     past_only: bool = False
     hidden: int = 64
@@ -34,26 +35,14 @@ class CausalConfig:
     batch_instances: int = 32
 
     def __post_init__(self):
-        if self.window < 1:
-            raise DataError(f"window must be >= 1, got {self.window}")
-        for name in ("epochs", "batch_instances", "hidden"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.lr <= 0 or self.weight_decay < 0:
-            raise ConfigError("learning rate must be positive, weight decay non-negative")
-        if self.focal_gamma < 0:
-            raise ConfigError(f"focal_gamma must be >= 0, got {self.focal_gamma}")
+        super().__post_init__()
+        self._check(lambda v: v >= 1, ">= 1", "window", "epochs", "batch_instances", "hidden")
+        self._check(lambda v: v > 0, "positive", "lr")
+        self._check(lambda v: v >= 0, ">= 0", "weight_decay", "focal_gamma")
 
     @property
     def position_dim(self):
         return 2 * self.window + 1
-
-    def to_json(self):
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(**obj)
 
 
 @dataclass

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from pathlib import Path
 
 import numpy as np
 
 from .causal import CausalConfig, ScorerParams
+from .config import KINDS
 from .errors import CheckpointError
 from .model import ModelConfig, ModelParams
 from .train import Checkpoint, TrainConfig
@@ -25,7 +25,8 @@ FORMAT_VERSION = 1
 
 
 def _load_arrays(params, arrays, prefix):
-    """Set every tensor of params from name -> array, checking names and shapes."""
+    """Set every tensor of params from name -> array, checking names and
+    shapes; an array the config does not create is rejected, not ignored."""
     for name, t in params.named():
         if name not in arrays:
             raise CheckpointError(f"{prefix}: missing parameter {name}")
@@ -34,6 +35,10 @@ def _load_arrays(params, arrays, prefix):
                 f"{prefix}: shape mismatch for {name}: {arrays[name].shape} vs {t.data.shape}"
             )
         t.data = arrays[name].astype(t.data.dtype)  # a copy, never a view of the blob
+    for name in arrays:
+        if name not in params.tensors:
+            raise CheckpointError(f"{prefix}: unexpected parameter {name}; "
+                                  "the config does not create it")
 
 
 def _write_pair(prefix, header, arrays):
@@ -128,11 +133,9 @@ def load_checkpoint(prefix):
     fields = {key: _header_field(prefix, header, key)
               for key in ("best_val_pr_auc", "threshold", "seed", "epoch")}
     for key, value in fields.items():
-        kind, types = (("an integer", int) if key in ("seed", "epoch")
-                       else ("a finite number", (int, float)))
-        if (isinstance(value, bool) or not isinstance(value, types)
-                or isinstance(value, float) and not math.isfinite(value)):
-            raise CheckpointError(f"{prefix}: {key} {value!r} is not {kind}")
+        accepts, must_be, _ = KINDS["int" if key in ("seed", "epoch") else "float"]
+        if not accepts(value):
+            raise CheckpointError(f"{prefix}: {key} {value!r} is not {must_be}")
     params = ModelParams(model_config, seed=0)
     _load_arrays(params, arrays, prefix)
     return Checkpoint(params=params, train_config=train_config, **fields)

@@ -8,6 +8,7 @@ BLAS thread-count variables.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import platform
@@ -34,45 +35,8 @@ EXIT_DATA = 1
 EXIT_CONFIG = 2
 
 
-def parse_config_text(text):
-    values = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, val = (part.strip() for part in line.split("=", 1))
-        values[key] = val
-    return values
-
-
-def _coerce(cls, values):
-    """Coerce string values onto a dataclass's field types."""
-    kwargs = {}
-    defaults = cls()
-    try:
-        for key, raw in values.items():
-            if key not in cls.__dataclass_fields__:
-                raise ConfigError(f"unknown {cls.__name__} field {key!r}")
-            current = getattr(defaults, key)
-            if isinstance(current, int):
-                kwargs[key] = int(raw)
-            elif isinstance(current, float):
-                kwargs[key] = float(raw)
-            elif isinstance(current, tuple):
-                kwargs[key] = tuple(int(x) for x in raw.split(","))
-            else:
-                kwargs[key] = raw
-        return cls(**kwargs)
-    except ConfigError:
-        raise
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def load_config(path, cls):
-    return _coerce(cls, parse_config_text(Path(path).read_text(encoding="utf-8")))
+    return cls.from_text(Path(path).read_text(encoding="utf-8"))
 
 
 def _git_describe():
@@ -120,7 +84,7 @@ def cmd_generate(args):
     started = time.time()
     config = load_config(args.config, D.GenConfig) if args.config else D.GenConfig()
     if args.seed is not None:
-        config = D.GenConfig.from_json({**config.to_json(), "seed": args.seed})
+        config = dataclasses.replace(config, seed=args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     splits = D.generate_corpus(config)
@@ -154,7 +118,7 @@ def cmd_train(args):
     started = time.time()
     config = load_config(args.config, TR.TrainConfig) if args.config else TR.TrainConfig()
     if args.seed is not None:
-        config = TR.TrainConfig.from_json({**config.to_json(), "seeds": [args.seed]})
+        config = dataclasses.replace(config, seeds=(args.seed,))
     model_config = ModelConfig(persona=args.persona_mode == "on")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -253,7 +217,7 @@ def cmd_explain(args):
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     scorer_prefix = out_dir / "causal-scorer"
-    ckpt.save_scorer(scorer_prefix, scorer, extra={"session_checkpoint": str(prefix)})
+    ckpt.save_scorer(scorer_prefix, scorer, extra={"session_checkpoint_sha256": hash_before})
     explain_path = out_dir / "explanations.jsonl"
     tmp = explain_path.with_suffix(".tmp")
     with tmp.open("w", encoding="utf-8") as f:
@@ -266,7 +230,8 @@ def cmd_explain(args):
         raise RuntimeError("session checkpoint changed during explain; this is a bug")
     write_manifest(out_dir, "explain", [args.seed or 0],
                    [scorer_prefix.with_suffix(".json"), scorer_prefix.with_suffix(".bin"),
-                    explain_path, report_path], started, config=causal_config.to_json())
+                    explain_path, report_path], started, config=causal_config.to_json(),
+                   session_checkpoint=str(prefix))
     print(f"Hit@1 {report.hit_at[1]:.3f} Hit@3 {report.hit_at[3]:.3f} "
           f"Hit@5 {report.hit_at[5]:.3f} MRR {report.mrr:.3f}")
     return 0

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import Config
 from .errors import ConfigError
 from .peu import CATEGORIES, COPING, DEFAULT_LEXICON
 from .sessions import Session, Utterance
@@ -71,7 +72,7 @@ EXTENDED_PERSONAS = DEFAULT_PERSONAS + (
 
 
 @dataclass
-class GenConfig:
+class GenConfig(Config):
     seed: int = 0
     n_sessions: int = 200
     class_balance: float = 0.5
@@ -91,13 +92,10 @@ class GenConfig:
     model_persona_count: int = 4
 
     def __post_init__(self):
-        for name in ("class_balance", "val_fraction", "test_fraction", "augmentation_ratio",
-                     "label_flip", "peu_dropout", "echo_rate"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ConfigError(f"{name}={v} outside [0, 1]")
-        if self.augmentation_ratio >= 1.0:
-            raise ConfigError("augmentation_ratio must be < 1")
+        super().__post_init__()
+        self._check(lambda v: 0 <= v <= 1, "in [0, 1]", "class_balance", "val_fraction",
+                    "test_fraction", "label_flip", "peu_dropout", "echo_rate")
+        self._check(lambda v: 0 <= v < 1, "in [0, 1)", "augmentation_ratio")
         if self.utterances_min < 2 or self.utterances_max < self.utterances_min:
             raise ConfigError("bad utterance count range")
         if self.causal_lag_min < 1 or self.causal_lag_max < self.causal_lag_min:
@@ -109,13 +107,6 @@ class GenConfig:
 
     def personas(self):
         return DEFAULT_PERSONAS if self.persona_set == "default" else EXTENDED_PERSONAS
-
-    def to_json(self):
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(**obj)
 
 
 QUESTIONS = (

@@ -12,11 +12,12 @@ nodes and features from the last axes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import tensor as T
+from .config import Config
 from .errors import ConfigError, DataError, UsageError
 from .peu import NUM_CATEGORIES
 
@@ -24,7 +25,7 @@ LEAKY_SLOPE = 0.2  # negative slope of the GATv2 attention LeakyReLU
 
 
 @dataclass
-class ModelConfig:
+class ModelConfig(Config):
     text_dim: int = 384
     hidden: int = 128
     heads: int = 2
@@ -37,12 +38,11 @@ class ModelConfig:
     persona: bool = True  # False: the head reads zeros in place of the persona row
 
     def __post_init__(self):
+        super().__post_init__()
+        self._check(lambda v: v >= 1, ">= 1", *(f.name for f in fields(self) if f.type == "int"))
+        self._check(lambda v: 0 <= v < 1, "in [0, 1)", "dropout")
         if self.hidden % self.heads != 0:
             raise ConfigError(f"hidden {self.hidden} not divisible by heads {self.heads}")
-        if self.set2set_iters < 1:
-            raise ConfigError(f"set2set_iters must be >= 1, got {self.set2set_iters}")
-        if not isinstance(self.persona, bool):
-            raise ConfigError(f"persona must be true or false, got {self.persona!r}")
 
     @property
     def head_dim(self):
@@ -51,13 +51,6 @@ class ModelConfig:
     @property
     def readout_dim(self):
         return 2 * self.hidden
-
-    def to_json(self):
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(**obj)
 
 
 class ModelParams(T.Params):

@@ -11,6 +11,7 @@ import numpy as np
 
 from . import model as M
 from . import tensor as T
+from .config import Config
 from .errors import ConfigError, DataError, NumericalError
 from .graph import GraphBatch
 from .metrics import _prf, pr_auc
@@ -27,7 +28,7 @@ PREDICT_CHUNK = 16
 
 
 @dataclass
-class TrainConfig:
+class TrainConfig(Config):
     lr: float = 2e-4
     weight_decay: float = 2e-4
     max_epochs: int = 50
@@ -43,40 +44,16 @@ class TrainConfig:
     batch_size: int = 8
 
     def __post_init__(self):
-        if self.lr <= 0 or self.weight_decay < 0:
-            raise ConfigError("learning rate must be positive, weight decay non-negative")
-        if self.max_epochs < 0:
-            raise ConfigError(f"max_epochs must be >= 0, got {self.max_epochs}")
-        if self.early_stop_patience < 1 or self.plateau_patience < 1:
-            raise ConfigError("patience must be >= 1")
-        if not 0 < self.plateau_factor <= 1:
-            raise ConfigError(f"plateau_factor must be in (0, 1], got {self.plateau_factor}")
-        if self.clip_norm <= 0:
-            raise ConfigError(f"clip_norm must be positive, got {self.clip_norm}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.focal_gamma < 0:
-            raise ConfigError(f"focal_gamma must be >= 0, got {self.focal_gamma}")
-        if self.focal_alpha <= 0:
-            raise ConfigError(f"focal_alpha must be positive, got {self.focal_alpha}")
-        if self.contrastive_weight < 0:
-            raise ConfigError(f"contrastive_weight must be >= 0, got {self.contrastive_weight}")
-        if self.contrastive_temperature <= 0:
-            raise ConfigError("contrastive temperature must be positive")
+        super().__post_init__()
+        self._check(lambda v: v > 0, "positive",
+                    "lr", "clip_norm", "focal_alpha", "contrastive_temperature")
+        self._check(lambda v: v >= 0, ">= 0",
+                    "weight_decay", "max_epochs", "focal_gamma", "contrastive_weight")
+        self._check(lambda v: v >= 1, ">= 1",
+                    "early_stop_patience", "plateau_patience", "batch_size")
+        self._check(lambda v: 0 < v <= 1, "in (0, 1]", "plateau_factor")
         if not self.seeds:
             raise ConfigError("seeds must name at least one seed")
-
-    def to_json(self):
-        d = {k: getattr(self, k) for k in self.__dataclass_fields__}
-        d["seeds"] = list(self.seeds)
-        return d
-
-    @classmethod
-    def from_json(cls, obj):
-        obj = dict(obj)
-        if "seeds" in obj:
-            obj["seeds"] = tuple(obj["seeds"])
-        return cls(**obj)
 
 
 @dataclass
@@ -352,9 +329,9 @@ def ensemble_probs(checkpoints, graphs):
     """
     if not checkpoints:
         raise ConfigError("ensemble needs at least one checkpoint")
-    arch = checkpoints[0].params.config.to_json()
+    arch = checkpoints[0].params.config
     for ck in checkpoints[1:]:
-        if ck.params.config.to_json() != arch:
+        if ck.params.config != arch:
             raise ConfigError("ensemble members have mismatched architectures")
     if len({t.dtype for ck in checkpoints for _, t in ck.params.named()}) > 1:
         raise ConfigError("ensemble members have mixed parameter dtypes")

@@ -10,7 +10,7 @@ import numpy as np
 from . import causal as C
 from . import model as M
 from . import tensor as T
-from .graph import GraphBatch, SessionGraph
+from .graph import GraphBatch, SessionGraph, edge_attrs
 
 OP_TOL = 1e-4
 END_TO_END_TOL = 1e-3
@@ -163,13 +163,11 @@ def check_ops(trials=100, seed=0):
 def _tiny_graph(rng, n_nodes=4, text_dim=12):
     peu = rng.integers(0, 2, (n_nodes, 8)).astype(np.float64)
     peu[:, 7] = rng.integers(-1, 2, n_nodes)
-    edge = np.diff(peu, axis=0)
-    edge[:, 7] /= 2.0
     return SessionGraph(
         session_id="gc",
         node_text=rng.standard_normal((n_nodes, text_dim)),
         node_peu=peu,
-        edge_attr=edge,
+        edge_attr=edge_attrs(peu).astype(np.float64),  # exact: halves of small ints
         persona=1,
         label=1,
     )

@@ -123,8 +123,8 @@ class TestCausalConfig:
         with pytest.raises(C.ConfigError):
             C.CausalConfig(**change)
 
-    def test_bad_window_is_a_data_error(self):
-        with pytest.raises(C.DataError):
+    def test_bad_window_is_a_config_error(self):
+        with pytest.raises(C.ConfigError, match="window must be >= 1"):
             C.CausalConfig(window=0)
 
 

@@ -31,6 +31,16 @@ def edit_header(path, change):
     path.write_text(json.dumps(header))
 
 
+def append_entry(prefix, name):
+    """Add a one-value parameter the config does not create to a saved pair."""
+    header = json.loads(prefix.with_suffix(".json").read_text())
+    offset = sum(entry["size"] for entry in header["params"])
+    header["params"].append({"name": name, "shape": [1], "offset": offset, "size": 1})
+    prefix.with_suffix(".json").write_text(json.dumps(header))
+    with prefix.with_suffix(".bin").open("ab") as f:
+        f.write(np.zeros(1, dtype="<f4").tobytes())
+
+
 class TestSessionModelCheckpoints:
     def test_round_trip_preserves_everything(self, tmp_path):
         ck = small_checkpoint()
@@ -196,6 +206,22 @@ class TestSessionModelCheckpoints:
         loaded = CK.load_checkpoint(tmp_path / "ckpt")
         assert (loaded.threshold, loaded.best_val_pr_auc) == (0, 1)
 
+    def test_blob_of_a_deeper_model_rejected(self, tmp_path):
+        ck = small_checkpoint()
+        ck.params = ModelParams(replace(ck.params.config, num_layers=2), seed=0)
+        CK.save_checkpoint(tmp_path / "ckpt", ck)
+        edit_header(tmp_path / "ckpt.json", lambda header: header["model_config"].update(
+            num_layers=1))
+        with pytest.raises(CK.CheckpointError, match="unexpected parameter gat1_.*the config "
+                                                     "does not create it"):
+            CK.load_checkpoint(tmp_path / "ckpt")
+
+    def test_extra_index_entry_rejected(self, tmp_path):
+        CK.save_checkpoint(tmp_path / "ckpt", small_checkpoint())
+        append_entry(tmp_path / "ckpt", "stray")
+        with pytest.raises(CK.CheckpointError, match="unexpected parameter stray"):
+            CK.load_checkpoint(tmp_path / "ckpt")
+
     def test_config_that_is_not_an_object_rejected(self, tmp_path):
         CK.save_checkpoint(tmp_path / "ckpt", small_checkpoint())
         edit_header(tmp_path / "ckpt.json", lambda header: header.update(model_config=[1, 2]))
@@ -206,7 +232,7 @@ class TestSessionModelCheckpoints:
 class TestScorerCheckpoints:
     def test_round_trip(self, tmp_path):
         scorer = ScorerParams(CausalConfig(window=5, hidden=32), model_hidden=16, seed=3)
-        CK.save_scorer(tmp_path / "s", scorer, extra={"session_checkpoint": "x"})
+        CK.save_scorer(tmp_path / "s", scorer, extra={"session_checkpoint_sha256": "x"})
         loaded = CK.load_scorer(tmp_path / "s")
         assert loaded.config == scorer.config
         assert loaded.model_hidden == 16
@@ -233,6 +259,12 @@ class TestScorerCheckpoints:
         with pytest.raises(CK.CheckpointError, match=message):
             CK.load_scorer(tmp_path / "s")
 
+
+    def test_extra_index_entry_rejected(self, tmp_path):
+        CK.save_scorer(tmp_path / "s", ScorerParams(CausalConfig(hidden=32), model_hidden=8))
+        append_entry(tmp_path / "s", "w3")
+        with pytest.raises(CK.CheckpointError, match="unexpected parameter w3"):
+            CK.load_scorer(tmp_path / "s")
 
     @pytest.mark.parametrize("version", ["missing", CK.FORMAT_VERSION + 1])
     def test_other_format_version_rejected(self, tmp_path, version):

@@ -1,6 +1,6 @@
-"""Command-line surface: config parsing, subcommands, artifacts and
-exit codes. Training here uses a deliberately tiny corpus and epoch
-budget; learning quality is covered elsewhere."""
+"""Command-line surface: subcommands, artifacts and exit codes. Training
+here uses a deliberately tiny corpus and epoch budget; learning quality
+is covered elsewhere."""
 
 import json
 import os
@@ -16,45 +16,6 @@ from psygat import cli
 from psygat.datagen import GenConfig
 from psygat.sessions import read_sessions
 from psygat.train import TrainConfig
-
-
-class TestConfigParsing:
-    def test_key_value_with_comments(self):
-        values = cli.parse_config_text("# header\nlr = 0.001\n\nfocal_gamma = 0  # inline\n")
-        assert values == {"lr": "0.001", "focal_gamma": "0"}
-
-    def test_malformed_line_rejected(self):
-        with pytest.raises(cli.ConfigError, match="line 1"):
-            cli.parse_config_text("just words\n")
-
-    def test_coercion_onto_field_types(self):
-        config = cli._coerce(TrainConfig, {
-            "lr": "0.01", "max_epochs": "3", "contrastive_weight": "0", "seeds": "0,1",
-        })
-        assert config.lr == 0.01
-        assert config.max_epochs == 3
-        assert config.contrastive_weight == 0.0
-        assert config.seeds == (0, 1)
-
-    def test_unknown_field_rejected(self):
-        with pytest.raises(cli.ConfigError, match="unknown"):
-            cli._coerce(GenConfig, {"sessions": "10"})
-
-    @pytest.mark.parametrize("key,value", [("loss", "bce"), ("contrastive_enabled", "false"),
-                                           ("persona_mode", "off"), ("threshold_objective", "f1"),
-                                           ("min_precision", "0.75")])
-    def test_removed_train_keys_rejected(self, key, value):
-        with pytest.raises(cli.ConfigError, match=f"unknown TrainConfig field '{key}'"):
-            cli._coerce(TrainConfig, {key: value})
-
-    def test_invalid_value_becomes_config_error(self):
-        with pytest.raises(cli.ConfigError):
-            cli._coerce(TrainConfig, {"lr": "-1.0"})
-
-    @pytest.mark.parametrize("key,raw", [("max_epochs", "abc"), ("lr", "fast"), ("seeds", "0,x")])
-    def test_unparsable_number_becomes_config_error(self, key, raw):
-        with pytest.raises(cli.ConfigError):
-            cli._coerce(TrainConfig, {key: raw})
 
 
 @pytest.fixture(scope="module")
@@ -302,6 +263,20 @@ class TestTrain:
         assert len(err.strip().splitlines()) == 1
         assert "batch_size" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("line", ["clip_norm = nan", "contrastive_weight = nan",
+                                      "lr = inf"])
+    def test_non_finite_value_exits_two_without_traceback(self, workspace, tmp_path, capsys,
+                                                          line):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"max_epochs = 1\nseeds = 0\n{line}\n")
+        capsys.readouterr()
+        assert cli.main(["train", "--corpus", str(workspace["corpus"]), "--config", str(bad),
+                         "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "must be a finite number" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_unparsable_epoch_count_exits_two_without_traceback(self, workspace, tmp_path,
                                                                capsys):
         bad = tmp_path / "bad.cfg"
@@ -389,6 +364,29 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
         assert f"index entry {entry['name']} has shape" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("hidden", 128.0, "hidden must be an integer"),
+        ("text_dim", "384", "text_dim must be an integer"),
+        ("heads", 0, "heads must be >= 1"),
+        ("hidden", -2, "hidden must be >= 1"),
+        # a 2-layer blob under a 1-layer config: its second layer is not ignored
+        ("num_layers", 1, "unexpected parameter gat1_"),
+    ])
+    def test_checkpoint_model_config_it_cannot_build_exits_one(self, workspace, tmp_path,
+                                                               capsys, key, value, message):
+        for suffix in (".json", ".bin"):
+            shutil.copy(workspace["train_dir"] / f"ckpt-seed0{suffix}", tmp_path / f"c{suffix}")
+        header = json.loads((tmp_path / "c.json").read_text())
+        header["model_config"][key] = value
+        (tmp_path / "c.json").write_text(json.dumps(header))
+        capsys.readouterr()
+        code = cli.main(["evaluate", "--checkpoint", str(tmp_path / "c.json"),
+                         "--corpus", str(workspace["corpus"]), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert message in err and "Traceback" not in err
 
     def test_missing_corpus_exits_one_without_traceback(self, workspace, tmp_path, capsys):
         capsys.readouterr()
@@ -560,6 +558,36 @@ class TestExplain:
                          "--checkpoint", str(workspace["train_dir"] / "ckpt-seed0.json"),
                          "--corpus", str(bare), "--out", str(tmp_path / "o")])
         assert code == 1
+
+    def test_scorer_header_does_not_depend_on_the_working_directory(self, workspace, tmp_path,
+                                                                     monkeypatch):
+        from psygat.checkpoints import checkpoint_hash
+
+        prefix = workspace["train_dir"] / "ckpt-seed0"
+        headers = []
+        for cwd, given in ((workspace["root"], prefix.relative_to(workspace["root"])),
+                           (tmp_path, prefix)):
+            monkeypatch.chdir(cwd)
+            out = tmp_path / f"x{len(headers)}"
+            assert cli.main(["explain", "--checkpoint", str(given),
+                             "--corpus", str(workspace["corpus"]), "--out", str(out)]) == 0
+            headers.append((out / "causal-scorer.json").read_bytes())
+            run = json.loads((out / "run_manifest.json").read_text())
+            assert run["session_checkpoint"] == str(given)
+        assert headers[0] == headers[1]
+        header = json.loads(headers[0])
+        assert header["session_checkpoint_sha256"] == checkpoint_hash(prefix)
+        assert "session_checkpoint" not in header
+
+    @pytest.mark.parametrize("window", ["0", "-1"])
+    def test_window_below_one_exits_two(self, workspace, tmp_path, capsys, window):
+        capsys.readouterr()
+        code = cli.main(["explain",
+                         "--checkpoint", str(workspace["train_dir"] / "ckpt-seed0.json"),
+                         "--corpus", str(workspace["corpus"]), "--window", window,
+                         "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == f"config error: window must be >= 1, got {window}\n"
 
     def test_second_checkpoint_exits_two(self, workspace, tmp_path):
         ck = str(workspace["train_dir"] / "ckpt-seed0.json")
