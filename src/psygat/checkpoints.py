@@ -20,8 +20,9 @@ from .model import ModelConfig, ModelParams
 from .train import Checkpoint, TrainConfig
 
 # Changes whenever the meaning of a header changes. Headers written before
-# it existed, persona use then in train_config, carry none.
-FORMAT_VERSION = 1
+# it existed, persona use then in train_config, carry none; version-1 headers
+# index each attention head as its own gat{l}_attn{h} entry.
+FORMAT_VERSION = 2
 
 
 def _load_arrays(params, arrays, prefix):
@@ -154,8 +155,11 @@ def save_scorer(prefix, scorer, extra=None):
 
 def load_scorer(prefix):
     header, arrays = _read_pair(prefix, "causal_scorer")
-    scorer = ScorerParams(_header_config(prefix, header, "causal_config", CausalConfig),
-                          model_hidden=_header_field(prefix, header, "model_hidden"), seed=0)
+    config = _header_config(prefix, header, "causal_config", CausalConfig)
+    model_hidden = _header_field(prefix, header, "model_hidden")
+    if not KINDS["int"][0](model_hidden) or model_hidden < 1:
+        raise CheckpointError(f"{prefix}: model_hidden {model_hidden!r} is not an integer >= 1")
+    scorer = ScorerParams(config, model_hidden=model_hidden, seed=0)
     _load_arrays(scorer, arrays, prefix)
     return scorer
 

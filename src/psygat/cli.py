@@ -200,8 +200,16 @@ def cmd_evaluate(args):
     return 0
 
 
+def _check_seed(args):
+    """Reject a negative --seed, which numpy's generators refuse, before
+    any file is read."""
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+
+
 def cmd_explain(args):
     started = time.time()
+    _check_seed(args)
     prefix = Path(args.checkpoint).with_suffix("")
     hash_before = ckpt.checkpoint_hash(prefix)
     member = ckpt.load_checkpoint(prefix)
@@ -240,6 +248,7 @@ def cmd_explain(args):
 def cmd_gradcheck(args):
     if args.trials < 1:
         raise ConfigError(f"--trials must be >= 1, got {args.trials}")
+    _check_seed(args)
     rows = verify.run_suite(trials=args.trials, seed=args.seed or 0)
     failed = 0
     for name, err, tol, ok in rows:

@@ -96,6 +96,7 @@ class GenConfig(Config):
         self._check(lambda v: 0 <= v <= 1, "in [0, 1]", "class_balance", "val_fraction",
                     "test_fraction", "label_flip", "peu_dropout", "echo_rate")
         self._check(lambda v: 0 <= v < 1, "in [0, 1)", "augmentation_ratio")
+        self._check(lambda v: v >= 0, ">= 0", "seed")
         if self.utterances_min < 2 or self.utterances_max < self.utterances_min:
             raise ConfigError("bad utterance count range")
         if self.causal_lag_min < 1 or self.causal_lag_max < self.causal_lag_min:

@@ -84,8 +84,8 @@ class ModelParams(T.Params):
             const(f"gat{layer}_edge_b", np.zeros(h))
             w(f"gat{layer}_w_src", h, h)
             w(f"gat{layer}_w_dst", h, h)
-            for head in range(c.heads):
-                w(f"gat{layer}_attn{head}", c.head_dim, 1)
+            # the GATv2 score vectors, one row per head
+            w(f"gat{layer}_attn", c.head_dim, 1, shape=(c.heads, c.head_dim))
             const(f"gat{layer}_b", np.zeros(h))
         w("s2s_wx", 2 * h, 4 * h)
         w("s2s_wh", h, 4 * h)
@@ -140,49 +140,26 @@ def gat_layer(h, batch, params, layer, draws=None):
     _dropout_draws).
     """
     c = params.config
-    n = h.shape[-2]
     dtype = h.dtype
-    if batch.edge_attr.shape[0] > 0:
-        inj = T.add_bias(
-            T.matmul(T.Tensor(batch.edge_attr.astype(dtype, copy=False), requires_grad=False),
-                     params[f"gat{layer}_edge_w"]),
-            params[f"gat{layer}_edge_b"],
-        )
-        hp = T.add(h, T.segment_sum(inj, batch.edge_dst, n))
-    else:
-        hp = h
-
+    inj = T.add_bias(
+        T.matmul(T.Tensor(batch.edge_attr.astype(dtype, copy=False), requires_grad=False),
+                 params[f"gat{layer}_edge_w"]),
+        params[f"gat{layer}_edge_b"],
+    )
+    hp = T.add(h, T.segment_sum(inj, batch.edge_dst, h.shape[-2]))
     keep = None
     if draws is not None:
-        keep = _attention_keep(batch, [next(draws) for _ in range(c.heads)], c.dropout, dtype)
+        scale = np.asarray(1.0 / (1.0 - c.dropout), dtype=dtype)
+        keep = tuple((next(draws) >= c.dropout).astype(dtype) * scale for _ in range(2))
     agg = T.chain_attention(
         T.matmul(hp, params[f"gat{layer}_w_src"]),
         T.matmul(hp, params[f"gat{layer}_w_dst"]),
-        [params[f"gat{layer}_attn{head}"] for head in range(c.heads)],
-        batch.edge_dst, LEAKY_SLOPE, keep,
+        params[f"gat{layer}_attn"], batch.edge_dst, LEAKY_SLOPE, keep,
     )
     agg = T.elu(T.add_bias(agg, params[f"gat{layer}_b"]))
     if draws is not None:
         agg = T.dropout(agg, c.dropout, train=True, uniform=next(draws))
     return T.add(agg, h)
-
-
-def _attention_keep(batch, uniforms, p, dtype):
-    """Self and predecessor dropout multipliers, (N, heads) each, from each
-    head's N + E draws. The draws cover the attention edges destination by
-    destination, self edge before predecessor edge, so node j of graph k
-    has its self draw at 2j - k - 1 (2j - k at a chain head) and its
-    predecessor draw at 2j - k. A seed thus drops the same attention
-    weights as T.dropout over that edge list."""
-    if not (0.0 <= p < 1.0):
-        raise UsageError(f"dropout probability {p} outside [0, 1)")
-    keep = (np.stack(uniforms, axis=1) >= p).astype(dtype) * np.asarray(1.0 / (1.0 - p), dtype=dtype)
-    pred = 2 * batch.edge_dst - batch.node_graph[batch.edge_dst]
-    self_at = 2 * np.arange(batch.node_graph.shape[0]) - batch.node_graph
-    self_at[batch.edge_dst] = pred - 1
-    keep_pred = np.zeros((self_at.shape[0], len(uniforms)), dtype=dtype)
-    keep_pred[batch.edge_dst] = keep[pred]
-    return keep[self_at], keep_pred
 
 
 def encode(batch, params, draws=None):
@@ -197,17 +174,24 @@ def _dropout_draws(batch, config, rng):
     """U[0, 1) draws for every dropout site of one training forward.
 
     Each graph takes its draws in turn, site by site in forward order (per
-    layer each attention head, then the layer output; the MLP head last);
-    each site then joins its graphs' draws in batch order. A batch thus
-    drops exactly what forwards of its graphs one at a time, in order,
-    would drop, so batching leaves a seed's masks unchanged.
+    layer the attention, then the layer output; the MLP head last); each
+    site then joins its graphs' draws in batch order. A batch thus drops
+    exactly what forwards of its graphs one at a time, in order, would
+    drop, so batching leaves a seed's masks unchanged.
+
+    Attention draws one number per edge of the self-plus-predecessor edge
+    list, head by head (row 0 the chain head's self edge, rows 2i - 1 and
+    2i node i's self and predecessor edges), split into (n, heads) self and
+    predecessor sites; the chain head's predecessor row is a filler that
+    meets an exact-zero attention weight.
     """
     c = config
     per_graph = []
     for n in batch.sizes:
         sites = []
         for _ in range(c.num_layers):
-            sites += [rng.random(2 * n - 1) for _ in range(c.heads)]
+            u = np.stack([rng.random(2 * n - 1) for _ in range(c.heads)], axis=1)
+            sites += [np.concatenate((u[:1], u[1::2])), u[::2]]
             sites.append(rng.random((n, c.hidden)))
         sites.append(rng.random((1, c.head_hidden)))
         per_graph.append(sites)

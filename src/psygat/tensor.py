@@ -273,11 +273,9 @@ def scale_rows(x, s):
 
 
 def _leaky(z, slope):
-    """LeakyReLU of an array. For 0 <= slope <= 1 it is the larger of z and
-    slope * z, the same values at a fraction of np.where's cost."""
-    if 0.0 <= slope <= 1.0:
-        return np.maximum(z, slope * z)
-    return np.where(z > 0, z, slope * z)
+    """LeakyReLU of an array for 0 <= slope <= 1: the larger of z and
+    slope * z, the same values as np.where at a fraction of its cost."""
+    return np.maximum(z, slope * z)
 
 
 def leaky_relu(x, slope=0.2):
@@ -525,14 +523,14 @@ def segment_sum(x, segment_ids, num_segments):
     return Tensor(y, (x,), backward)
 
 
-def chain_attention(src_proj, dst_proj, attn_heads, edge_dst, slope, keep=None):
+def chain_attention(src_proj, dst_proj, attn, edge_dst, slope, keep=None):
     """GATv2 attention on chains: every node attends to itself and, if it
     has one, to its predecessor i - 1.
 
-    src_proj and dst_proj are (..., N, H * D); attn_heads holds one
-    (..., D, 1) score vector per head, with the projections' lead; edge_dst
-    lists, strictly increasing, the nodes that have a predecessor. Head h
-    scores edge j -> i as leaky_relu(src[j] + dst[i]) . a_h over its D
+    src_proj and dst_proj are (..., N, H * D); attn is (..., H, D), one
+    score vector per head, with the projections' lead; edge_dst lists,
+    strictly increasing, the nodes that have a predecessor. Head h scores
+    edge j -> i as leaky_relu(src[j] + dst[i]) . attn[h] over its D
     columns and softmaxes each node's (at most two) scores in
     segment_softmax's order: max, exp, then self + predecessor. The output
     holds alpha_self * src[i] + alpha_pred * src[i - 1] for each head, heads
@@ -547,17 +545,13 @@ def chain_attention(src_proj, dst_proj, attn_heads, edge_dst, slope, keep=None):
     do not matter.
     """
     src, dst = src_proj.data, dst_proj.data
-    heads = len(attn_heads)
-    if src.ndim < 2 or dst.shape != src.shape or heads == 0 or src.shape[-1] % heads:
-        raise ShapeError(f"chain_attention: projections {src_proj.shape}/{dst_proj.shape} "
-                         f"for {heads} heads")
     lead = src.shape[:-2]
+    if (src.ndim < 2 or dst.shape != src.shape or attn.data.ndim != src.ndim
+            or attn.shape[:-2] != lead or attn.shape[-2] * attn.shape[-1] != src.shape[-1]):
+        raise ShapeError(f"chain_attention: attention vectors {attn.shape} for projections "
+                         f"{src_proj.shape}/{dst_proj.shape}")
     n, width = src.shape[-2:]
-    d = width // heads
-    for a in attn_heads:
-        if a.shape != lead + (d, 1):
-            raise ShapeError(f"chain_attention: attention vector {a.shape}, "
-                             f"expected {lead + (d, 1)}")
+    heads, d = attn.shape[-2:]
     edge_dst = np.asarray(edge_dst, dtype=np.int64)
     if edge_dst.ndim != 1 or (edge_dst.size and (
             edge_dst[0] < 1 or edge_dst[-1] >= n or np.any(np.diff(edge_dst) <= 0))):
@@ -567,9 +561,10 @@ def chain_attention(src_proj, dst_proj, attn_heads, edge_dst, slope, keep=None):
                          f"expected {(n, heads)}")
 
     # block-diagonal (..., H * D, H): one matmul scores every head
+    rows = np.arange(width)
+    diag = (..., rows, rows // d)
     blocks = np.zeros(lead + (width, heads), dtype=src.dtype)
-    for h, a in enumerate(attn_heads):
-        blocks[..., h * d:(h + 1) * d, h] = a.data[..., 0]
+    blocks[diag] = attn.data.reshape(lead + (width,))
     # row i of the self arrays is edge i -> i; row i - 1 of the predecessor
     # arrays is edge i - 1 -> i
     z_self = src + dst
@@ -601,12 +596,10 @@ def chain_attention(src_proj, dst_proj, attn_heads, edge_dst, slope, keep=None):
         dot = gw_self * a_self + gw_pred * a_pred
         gs_self = a_self * (gw_self - dot)
         gs_pred = (a_pred * (gw_pred - dot))[..., 1:, :]
-        if any(a.requires_grad for a in attn_heads):
+        if attn.requires_grad:
             g_blocks = (np.swapaxes(pre_self, -1, -2) @ gs_self
                         + np.swapaxes(pre_pred, -1, -2) @ gs_pred)
-            for h, a in enumerate(attn_heads):
-                if a.requires_grad:
-                    a.accumulate(g_blocks[..., h * d:(h + 1) * d, h:h + 1])
+            attn.accumulate(g_blocks[diag].reshape(attn.shape))
         blocks_t = np.swapaxes(blocks, -1, -2)
         gz_self = (gs_self @ blocks_t) * np.where(z_self > 0, 1.0, slope).astype(src.dtype)
         gz_pred = (gs_pred @ blocks_t) * np.where(z_pred > 0, 1.0, slope).astype(src.dtype)
@@ -619,7 +612,7 @@ def chain_attention(src_proj, dst_proj, attn_heads, edge_dst, slope, keep=None):
             gz_self[..., 1:, :] += gz_pred
             dst_proj.accumulate(gz_self)
 
-    return Tensor(out, (src_proj, dst_proj, *attn_heads), backward)
+    return Tensor(out, (src_proj, dst_proj, attn), backward)
 
 
 def gather_rows(x, indices):

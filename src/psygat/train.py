@@ -52,6 +52,7 @@ class TrainConfig(Config):
         self._check(lambda v: v >= 1, ">= 1",
                     "early_stop_patience", "plateau_patience", "batch_size")
         self._check(lambda v: 0 < v <= 1, "in (0, 1]", "plateau_factor")
+        self._check(lambda v: all(s >= 0 for s in v), "all >= 0", "seeds")
         if not self.seeds:
             raise ConfigError("seeds must name at least one seed")
 

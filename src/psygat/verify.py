@@ -136,10 +136,10 @@ def _chain_attention_check(rng):
     sign = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)[:, None]
     src = T.Tensor(sign * rng.uniform(0.5, 1.0, (n, heads * d)), dtype=np.float64)
     dst = T.Tensor(rng.uniform(-0.25, 0.25, (n, heads * d)), dtype=np.float64)
-    attn = [T.Tensor(0.5 * rng.standard_normal((d, 1)), dtype=np.float64) for _ in range(heads)]
+    attn = T.Tensor(0.5 * rng.standard_normal((heads, d)), dtype=np.float64)
     keep = tuple(np.where(rng.random((n, heads)) >= 0.3, 1.0 / 0.7, 0.0) for _ in range(2))
     f = _fw(lambda: T.chain_attention(src, dst, attn, edge_dst, 0.2, keep), rng)
-    return f, [src, dst, *attn]
+    return f, [src, dst, attn]
 
 
 def check_ops(trials=100, seed=0):

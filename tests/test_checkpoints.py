@@ -90,21 +90,22 @@ class TestSessionModelCheckpoints:
         with pytest.raises(CK.CheckpointError):
             CK.load_checkpoint(tmp_path / "s")
 
-    @pytest.mark.parametrize("version", ["missing", CK.FORMAT_VERSION + 1, "1", True, 1.0])
+    @pytest.mark.parametrize("version", ["missing", 1, CK.FORMAT_VERSION + 1, "2", True, 2.0])
     def test_other_format_version_rejected(self, tmp_path, version):
         # a header from before the version, persona use then in train_config,
-        # fails here and never loads as a persona-on model
+        # fails here and never loads as a persona-on model; nor does a
+        # version-1 header, which indexed each attention head on its own
         CK.save_checkpoint(tmp_path / "ckpt", small_checkpoint())
         edit_header(tmp_path / "ckpt.json", lambda header: header.pop("format_version")
                     if version == "missing" else header.update(format_version=version))
-        with pytest.raises(CK.CheckpointError, match="format version .*, expected 1") as info:
+        with pytest.raises(CK.CheckpointError, match="format version .*, expected 2") as info:
             CK.load_checkpoint(tmp_path / "ckpt")
         assert len(str(info.value).splitlines()) == 1
 
     def test_header_records_the_format_version(self, tmp_path):
         CK.save_checkpoint(tmp_path / "ckpt", small_checkpoint())
         header = json.loads((tmp_path / "ckpt.json").read_text())
-        assert header["format_version"] == CK.FORMAT_VERSION == 1
+        assert header["format_version"] == CK.FORMAT_VERSION == 2
 
     def test_blob_is_float32_little_endian(self, tmp_path):
         ck = small_checkpoint()
@@ -266,13 +267,13 @@ class TestScorerCheckpoints:
         with pytest.raises(CK.CheckpointError, match="unexpected parameter w3"):
             CK.load_scorer(tmp_path / "s")
 
-    @pytest.mark.parametrize("version", ["missing", CK.FORMAT_VERSION + 1])
+    @pytest.mark.parametrize("version", ["missing", 1, CK.FORMAT_VERSION + 1])
     def test_other_format_version_rejected(self, tmp_path, version):
         CK.save_scorer(tmp_path / "s", ScorerParams(CausalConfig(), model_hidden=8))
-        assert json.loads((tmp_path / "s.json").read_text())["format_version"] == 1
+        assert json.loads((tmp_path / "s.json").read_text())["format_version"] == 2
         edit_header(tmp_path / "s.json", lambda header: header.pop("format_version")
                     if version == "missing" else header.update(format_version=version))
-        with pytest.raises(CK.CheckpointError, match="format version .*, expected 1"):
+        with pytest.raises(CK.CheckpointError, match="format version .*, expected 2"):
             CK.load_scorer(tmp_path / "s")
 
     @pytest.mark.parametrize("key", ["causal_config", "model_hidden"])
@@ -281,6 +282,15 @@ class TestScorerCheckpoints:
         edit_header(tmp_path / "s.json", lambda header: header.pop(key))
         with pytest.raises(CK.CheckpointError, match=f"header has no {key}"):
             CK.load_scorer(tmp_path / "s")
+
+    @pytest.mark.parametrize("value", [8.0, "8", True, 0, -2])
+    def test_model_hidden_not_a_positive_int_rejected(self, tmp_path, value):
+        # a missing model_hidden is test_missing_header_field_rejected's case
+        CK.save_scorer(tmp_path / "s", ScorerParams(CausalConfig(), model_hidden=8))
+        edit_header(tmp_path / "s.json", lambda header: header.update(model_hidden=value))
+        with pytest.raises(CK.CheckpointError, match="model_hidden .* is not an integer >= 1") as info:
+            CK.load_scorer(tmp_path / "s")
+        assert len(str(info.value).splitlines()) == 1
 
     @pytest.mark.parametrize("change", [
         {"depth": 2}, {"window": 0}, {"epochs": 0}, {"batch_instances": 0}, {"hidden": 0},

@@ -89,6 +89,12 @@ class TestGenerate:
         bad.write_text("sessions = 40\n")
         assert cli.main(["generate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
 
+    def test_negative_seed_exits_two_without_traceback(self, tmp_path, capsys):
+        capsys.readouterr()
+        assert cli.main(["generate", "--seed", "-1", "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "config error: seed must be >= 0, got -1\n"
+        assert not (tmp_path / "o").exists()
+
 
 class TestTrain:
     def test_blas_defaults_to_one_thread_unless_the_caller_sets_it(self, workspace, tmp_path):
@@ -275,6 +281,18 @@ class TestTrain:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
         assert "must be a finite number" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("args", [["--config", "seeds.cfg"], ["--seed", "-1"]])
+    def test_negative_seed_exits_two_without_traceback(self, workspace, tmp_path, capsys, args):
+        (tmp_path / "seeds.cfg").write_text("max_epochs = 1\nseeds = 2, -1\n")
+        args = [str(tmp_path / a) if a.endswith(".cfg") else a for a in args]
+        capsys.readouterr()
+        assert cli.main(["train", "--corpus", str(workspace["corpus"]), *args,
+                         "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "seeds must be all >= 0" in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
     def test_unparsable_epoch_count_exits_two_without_traceback(self, workspace, tmp_path,
@@ -468,11 +486,12 @@ class TestEvaluate:
         assert len(err.strip().splitlines()) == 1
         assert "mismatched architectures" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("version", ["missing", 2])
+    @pytest.mark.parametrize("version", ["missing", 1, 3])
     def test_checkpoint_of_another_format_version_exits_one(self, workspace, tmp_path, capsys,
                                                              version):
         # a header written before the version, persona use then in
-        # train_config, is refused rather than scored as a persona-on model
+        # train_config, is refused rather than scored as a persona-on model;
+        # so is a version-1 header, which indexed each attention head alone
         for suffix in (".json", ".bin"):
             shutil.copy(workspace["train_dir"] / f"ckpt-seed0{suffix}", tmp_path / f"c{suffix}")
         header = json.loads((tmp_path / "c.json").read_text())
@@ -488,7 +507,7 @@ class TestEvaluate:
         assert code == 1
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
-        assert "format version" in err and "expected 1" in err and "Traceback" not in err
+        assert "format version" in err and "expected 2" in err and "Traceback" not in err
 
 
 class TestExplain:
@@ -589,6 +608,16 @@ class TestExplain:
         assert code == 2
         assert capsys.readouterr().err == f"config error: window must be >= 1, got {window}\n"
 
+    def test_negative_seed_exits_two_before_reading_a_file(self, tmp_path, capsys):
+        # neither the checkpoint nor the corpus exists: the seed is refused first
+        capsys.readouterr()
+        code = cli.main(["explain", "--checkpoint", str(tmp_path / "none.json"),
+                         "--corpus", str(tmp_path / "none.jsonl"), "--seed", "-3",
+                         "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == "config error: --seed must be >= 0, got -3\n"
+        assert not (tmp_path / "o").exists()
+
     def test_second_checkpoint_exits_two(self, workspace, tmp_path):
         ck = str(workspace["train_dir"] / "ckpt-seed0.json")
         with pytest.raises(SystemExit) as exc:
@@ -612,3 +641,10 @@ class TestGradcheck:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"config error: --trials must be >= 1, got {trials}\n"
+
+    def test_negative_seed_exits_two(self, capsys):
+        capsys.readouterr()
+        assert cli.main(["gradcheck", "--trials", "1", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "config error: --seed must be >= 0, got -1\n"

@@ -60,16 +60,6 @@ def attention_edges(batch):
     return np.array(src), np.array(dst)
 
 
-def reference_attention_keep(batch, uniforms, p, dtype):
-    """Self and predecessor dropout multipliers read off the edge list."""
-    src, dst = attention_edges(batch)
-    is_self = src == dst
-    keep = (np.stack(uniforms, axis=1) >= p).astype(dtype) * np.asarray(1.0 / (1.0 - p), dtype=dtype)
-    keep_pred = np.zeros((len(batch.node_graph), len(uniforms)), dtype=dtype)
-    keep_pred[dst[~is_self]] = keep[~is_self]
-    return keep[is_self], keep_pred
-
-
 class TestConfig:
     def test_hidden_must_divide_by_heads(self):
         with pytest.raises(M.ConfigError):
@@ -211,10 +201,11 @@ class TestAttentionStructure:
         dst_proj = T.matmul(h, params["gat0_w_dst"])
         pre = T.leaky_relu(T.add(T.gather_rows(src_proj, srcs), T.gather_rows(dst_proj, dsts)),
                            M.LEAKY_SLOPE)
+        attn_t = T.transpose(params["gat0_attn"])
         for head in range(cfg.heads):
             lo, hi = head * cfg.head_dim, (head + 1) * cfg.head_dim
             logits = T.reshape(T.matmul(T.slice_cols(pre, lo, hi),
-                                        params[f"gat0_attn{head}"]), (len(srcs),))
+                                        T.slice_cols(attn_t, head, head + 1)), (len(srcs),))
             alpha = M.T.segment_softmax(logits, dsts)
             sums = np.zeros(6)
             np.add.at(sums, dsts, alpha.data)
@@ -233,24 +224,38 @@ class TestAttentionStructure:
         np.testing.assert_allclose(before, after, atol=1e-6)
 
 
-def composed_attention(src_proj, dst_proj, attn_heads, batch, slope, uniforms=None, p=0.0):
+def composed_attention(src_proj, dst_proj, attn, batch, slope, uniforms=None, p=0.0):
     """The generic message-passing form of chain_attention, over the explicit
     self-plus-chain edge list: gathers, a segment softmax per head, optional
     dropout of the weights, a segment sum per head."""
     srcs, dsts = attention_edges(batch)
     n = dst_proj.shape[0]
-    d = src_proj.shape[1] // len(attn_heads)
+    d = attn.shape[1]
     e_src = T.gather_rows(src_proj, srcs)
     pre = T.leaky_relu(T.add(e_src, T.gather_rows(dst_proj, dsts)), slope)
+    attn_t = T.transpose(attn)
     out = []
-    for head, a in enumerate(attn_heads):
+    for head in range(attn.shape[0]):
         lo, hi = head * d, (head + 1) * d
+        a = T.slice_cols(attn_t, head, head + 1)
         alpha = T.segment_softmax(T.reshape(T.matmul(T.slice_cols(pre, lo, hi), a), (len(srcs),)),
                                   dsts)
         if uniforms is not None:
             alpha = T.dropout(alpha, p, train=True, uniform=uniforms[head])
         out.append(T.segment_sum(T.scale_rows(T.slice_cols(e_src, lo, hi), alpha), dsts, n))
     return T.concat_cols(out)
+
+
+def node_keep(batch, uniforms, p, dtype):
+    """Self and predecessor dropout multipliers, (N, heads) each, from each
+    head's draws over the edge list. Graph by graph, as
+    model._dropout_draws splits them: a graph's rows 0, 1, 3, 5, ... are its
+    self edges and rows 0, 2, 4, ... its predecessor edges, row 0 standing
+    in for the chain head, which has none."""
+    per_graph = np.split(np.stack(uniforms, axis=1), np.cumsum(2 * batch.sizes - 1)[:-1])
+    draws = (np.concatenate([np.concatenate((u[:1], u[1::2])) for u in per_graph]),
+             np.concatenate([u[::2] for u in per_graph]))
+    return tuple((u >= p).astype(dtype) * np.asarray(1.0 / (1.0 - p), dtype=dtype) for u in draws)
 
 
 class TestChainAttention:
@@ -264,25 +269,25 @@ class TestChainAttention:
         def leaf(*shape):
             return T.Tensor(rng.standard_normal(shape), dtype=dtype)
 
-        return (rng, batch, leaf(n, heads * d), leaf(n, heads * d),
-                [leaf(d, 1) for _ in range(heads)])
+        return rng, batch, leaf(n, heads * d), leaf(n, heads * d), leaf(heads, d)
 
     @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-6)])
     @pytest.mark.parametrize("train", [False, True])
     def test_matches_composed_message_passing(self, dtype, tol, train):
         rng, batch, src, dst, attn = self.inputs(dtype)
         p = 0.3
-        uniforms = [rng.random(len(attention_edges(batch)[1])) for _ in attn] if train else None
-        keep = M._attention_keep(batch, uniforms, p, src.dtype) if train else None
+        uniforms = ([rng.random(len(attention_edges(batch)[1])) for _ in range(attn.shape[0])]
+                    if train else None)
+        keep = node_keep(batch, uniforms, p, src.dtype) if train else None
         weights = rng.standard_normal(src.shape).astype(dtype)
         results = []
         for run in (lambda: T.chain_attention(src, dst, attn, batch.edge_dst, 0.2, keep),
                     lambda: composed_attention(src, dst, attn, batch, 0.2, uniforms, p)):
-            for t in (src, dst, *attn):
+            for t in (src, dst, attn):
                 t.zero_grad()
             out = run()
             T.backward(T.tsum(T.mul(out, T.Tensor(weights, requires_grad=False))))
-            results.append([out.data] + [t.grad.copy() for t in (src, dst, *attn)])
+            results.append([out.data] + [t.grad.copy() for t in (src, dst, attn)])
         for fused, composed in zip(*results):
             assert fused.dtype == composed.dtype == dtype
             np.testing.assert_allclose(fused, composed, rtol=tol, atol=tol)
@@ -307,6 +312,13 @@ class TestChainAttention:
         _, _, src, dst, attn = self.inputs(np.float64)
         with pytest.raises(T.ShapeError):
             T.chain_attention(src, dst, attn, edge_dst, 0.2)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (4, 4), (8,), (1, 2, 4)])
+    def test_attention_that_does_not_fit_the_projections_rejected(self, shape):
+        # H * D must be the projections' width (8 here), and the lead theirs
+        _, batch, src, dst, _ = self.inputs(np.float64)
+        with pytest.raises(T.ShapeError, match="attention vectors"):
+            T.chain_attention(src, dst, T.Tensor(np.ones(shape)), batch.edge_dst, 0.2)
 
 
 class TestReadouts:
@@ -448,19 +460,6 @@ class TestBatching:
         ref_src, ref_dst = attention_edges(batch)
         np.testing.assert_array_equal(ref_dst, dst)
         np.testing.assert_array_equal(ref_src, src)
-
-    @pytest.mark.parametrize("sizes", [(1,), (7,), (1, 1, 2), (5, 1, 8, 3)])
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_attention_keep_matches_the_edge_list(self, sizes, dtype):
-        rng = np.random.default_rng(len(sizes))
-        batch = GraphBatch.from_graphs([make_graph(rng, n) for n in sizes])
-        uniforms = [rng.random(2 * sum(sizes) - len(sizes)) for _ in range(2)]
-        for p in (0.0, 0.5):
-            got = M._attention_keep(batch, uniforms, p, dtype)
-            want = reference_attention_keep(batch, uniforms, p, dtype)
-            for g, w in zip(got, want):
-                assert g.dtype == dtype and g.shape == (sum(sizes), 2)
-                assert g.tobytes() == w.tobytes()
 
     def test_unlabeled_graph_leaves_batch_unlabeled(self):
         rng = np.random.default_rng(0)

@@ -319,8 +319,8 @@ MEMBER_AXIS_CASES = {
     "layer_norm shared input": (T.layer_norm, [(4, 6), (M3, 6), (M3, 6)], [True, False, False]),
     "segment_sum one row each": (lambda x: T.segment_sum(x, [0, 2, 3], 5), [(M3, 3, 4)], [False]),
     "segment_sum runs": (lambda x: T.segment_sum(x, [0, 0, 2, 2, 2, 4], 6), [(M3, 6, 4)], [False]),
-    "chain_attention": (lambda s, d, a0, a1: T.chain_attention(s, d, [a0, a1], [1, 2, 4], 0.2),
-                        [(M3, 5, 6), (M3, 5, 6), (M3, 3, 1), (M3, 3, 1)], [False] * 4),
+    "chain_attention": (lambda s, d, a: T.chain_attention(s, d, a, [1, 2, 4], 0.2),
+                        [(M3, 5, 6), (M3, 5, 6), (M3, 2, 3)], [False] * 3),
     "gather_rows": (lambda x: T.gather_rows(x, [2, 0, 2, 1]), [(M3, 4, 3)], [False]),
     "concat_cols": (lambda x, y: T.concat_cols([x, y]), [(M3, 4, 2), (M3, 4, 3)], [False, False]),
     "slice_cols": (lambda x: T.slice_cols(x, 1, 4), [(M3, 4, 5)], [False]),
@@ -349,9 +349,9 @@ class TestMemberAxis:
             T.matmul(t64(np.ones((2, 3, 4))), t64(np.ones((3, 4, 5))))
         with pytest.raises(T.ShapeError, match="leading"):
             T.add_bias(t64(np.ones((2, 3, 4))), t64(np.ones((3, 4))))
-        with pytest.raises(T.ShapeError, match="attention vector"):
+        with pytest.raises(T.ShapeError, match="attention vectors"):
             T.chain_attention(t64(np.ones((2, 3, 4))), t64(np.ones((2, 3, 4))),
-                              [t64(np.ones((4, 1)))], [1], 0.2)
+                              t64(np.ones((3, 1, 4))), [1], 0.2)
 
     def test_stack_params_shares_storage_with_members(self):
         from psygat import model as M

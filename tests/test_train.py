@@ -523,3 +523,22 @@ def test_ensemble_probs_match_pinned_digest():
         h.update(np.array([TR.ensemble_predict(ensemble, g) for g in graphs[:20]]).tobytes())
     assert len(graphs) == 200 and TR.PREDICT_CHUNK == 16
     assert h.hexdigest() == "a9f030e2051fc47eda75eb7dbc9a2b32c5a2d5ab564e19cd5cb7d2ec66b02fb0"
+
+
+def test_trained_parameters_match_pinned_digest():
+    """A 2-epoch single-seed fit on the default corpus, every trained
+    parameter pinned to the bytes in creation order: the dropout draws, the
+    attention layout and every update step must leave them unchanged."""
+    import hashlib
+
+    from psygat import model as M
+    from psygat.datagen import GenConfig, generate_corpus
+    from psygat.pipeline import graphs_from_sessions
+
+    corpus = generate_corpus(GenConfig(seed=0))
+    train, val = (graphs_from_sessions(corpus[split]) for split in ("train", "val"))
+    member = TR.fit(train, val, TR.TrainConfig(max_epochs=2, seeds=(0,)), M.ModelConfig(), seed=0)
+    h = hashlib.sha256()
+    for _, t in member.params.named():
+        h.update(t.data.tobytes())
+    assert h.hexdigest() == "86767c48721155686a9047411324ff52ca67a4369e28e14b2c9f583c5da95829"
