@@ -9,7 +9,7 @@ keyword matcher, and assembles the temporal session graph.
 # if numpy has not loaded yet
 from psygat.datagen import DEFAULT_PERSONAS, generate_session
 from psygat.embed import embed_sessions
-from psygat.graph import build_graph
+from psygat.graph import build_graph, edge_attrs
 from psygat.peu import CATEGORIES, DEFAULT_LEXICON, build_peu_tensor, keyword_extract
 
 import numpy as np
@@ -35,10 +35,11 @@ assert all(np.array_equal(keyword_extract(u.answer, DEFAULT_LEXICON)[0], peus[u.
            for u in session.utterances)
 
 graph = build_graph(session, embed_sessions([session], dim=64), peus)
-print(f"\ngraph: {graph.T} nodes, text {graph.node_text.shape}, "
-      f"edges {graph.edge_attr.shape}")
+# a graph holds node data only; batches derive its edges from node_peu
+edges = edge_attrs(graph.node_peu)
+print(f"\ngraph: {graph.T} nodes, text {graph.node_text.shape}, edges {edges.shape}")
 print("first edge attribute (PEU change between turns 0 and 1):")
-print(np.round(graph.edge_attr[0], 2))
+print(np.round(edges[0], 2))
 
 print("\ncausal ground truth:")
 for rec in session.causes[:3]:

@@ -26,7 +26,7 @@ from . import datagen as D
 from . import train as TR
 from . import verify
 from .errors import ConfigError, CorpusError, PsygatError
-from .metrics import classification_report
+from .metrics import HIT_KS, classification_report
 from .model import ModelConfig
 from .pipeline import graphs_from_sessions
 from .sessions import check_no_augmented_leakage, read_sessions, split_sessions, write_sessions
@@ -177,6 +177,9 @@ def _ensemble_threshold(paths, members):
 
 def cmd_evaluate(args):
     started = time.time()
+    # before any file is read; NaN would also write invalid JSON reports
+    if args.threshold is not None and not 0.0 <= args.threshold <= 1.0:
+        raise ConfigError(f"--threshold must be in [0, 1], got {args.threshold}")
     members = _load_members(args.checkpoint)
     if args.threshold is not None:
         threshold = args.threshold
@@ -240,8 +243,7 @@ def cmd_explain(args):
                    [scorer_prefix.with_suffix(".json"), scorer_prefix.with_suffix(".bin"),
                     explain_path, report_path], started, config=causal_config.to_json(),
                    session_checkpoint=str(prefix))
-    print(f"Hit@1 {report.hit_at[1]:.3f} Hit@3 {report.hit_at[3]:.3f} "
-          f"Hit@5 {report.hit_at[5]:.3f} MRR {report.mrr:.3f}")
+    print(*(f"Hit@{k} {report.hit_at[k]:.3f}" for k in HIT_KS), f"MRR {report.mrr:.3f}")
     return 0
 
 

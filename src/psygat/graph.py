@@ -1,7 +1,8 @@
 """Directed temporal session graphs and their disjoint-union minibatches.
 
 Nodes are participant utterances carrying semantic and PEU features;
-edges are the adjacent-utterance chain with PEU-difference attributes.
+edges are the adjacent-utterance chain, whose attributes are the PEU
+differences of their endpoints, derived per batch from node_peu.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ class SessionGraph:
     session_id: str
     node_text: np.ndarray  # (T, d_s)
     node_peu: np.ndarray  # (T, 8)
-    edge_attr: np.ndarray  # (T-1, 8)
     persona: int
     label: int | None = None
 
@@ -34,7 +34,8 @@ class GraphBatch:
 
     Node rows are concatenated graph by graph, so every index array below
     is global and non-decreasing. Chain edge k runs from node edge_dst[k] - 1
-    to edge_dst[k].
+    to edge_dst[k]; its attributes are edge_attrs of the concatenated PEU
+    rows at that pair, the same rows each graph's own node_peu gives.
     """
 
     node_text: np.ndarray  # (N, d_s)
@@ -55,11 +56,13 @@ class GraphBatch:
         head = np.zeros(n, dtype=bool)
         head[np.cumsum(sizes) - sizes] = True
         labels = [g.label for g in graphs]
+        node_peu = np.concatenate([g.node_peu for g in graphs])
+        edge_dst = np.flatnonzero(~head)
         return cls(
             node_text=np.concatenate([g.node_text for g in graphs]),
-            node_peu=np.concatenate([g.node_peu for g in graphs]),
-            edge_attr=np.concatenate([g.edge_attr for g in graphs]),
-            edge_dst=np.flatnonzero(~head),
+            node_peu=node_peu,
+            edge_attr=edge_attrs(node_peu)[edge_dst - 1],
+            edge_dst=edge_dst,
             node_graph=np.repeat(np.arange(len(graphs)), sizes),
             sizes=sizes,
             personas=np.array([g.persona for g in graphs], dtype=np.int64),
@@ -84,8 +87,7 @@ def edge_attrs(peu_rows):
 def build_graph(session, embeddings, peus):
     """Assemble one SessionGraph from a session, its (T, 8) PEU array as
     peu.build_peu_tensor returns, and embeddings, a dict of session id ->
-    (T, d_s) block as embed.embed_sessions returns. Edges are
-    range-normalized."""
+    (T, d_s) block as embed.embed_sessions returns."""
     T = session.T
     if T == 0:
         raise EmptySessionError(f"session {session.id} has no participant utterances")
@@ -99,7 +101,6 @@ def build_graph(session, embeddings, peus):
         session_id=session.id,
         node_text=node_text,
         node_peu=peus,
-        edge_attr=edge_attrs(peus),
         persona=session.persona,
         label=session.label,
     )

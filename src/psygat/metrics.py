@@ -12,6 +12,8 @@ import numpy as np
 
 from .errors import DataError
 
+HIT_KS = (1, 3, 5)  # the Hit@K cut-offs every ranking report carries
+
 
 @dataclass
 class ClassificationReport:
@@ -37,18 +39,13 @@ class ClassificationReport:
 
 @dataclass
 class RankingReport:
-    hit_at: dict  # k -> float
+    hit_at: dict  # k in HIT_KS -> float
     mrr: float
     instances: int
 
     def to_json(self):
-        return {
-            "hit@1": self.hit_at[1],
-            "hit@3": self.hit_at[3],
-            "hit@5": self.hit_at[5],
-            "mrr": self.mrr,
-            "instances": self.instances,
-        }
+        return {**{f"hit@{k}": self.hit_at[k] for k in HIT_KS},
+                "mrr": self.mrr, "instances": self.instances}
 
 
 def _prf(tp, fp, fn):
@@ -112,8 +109,9 @@ def pr_auc(probs, labels):
     return ap
 
 
-def ranking_metrics(ranked_labels, ks=(1, 3, 5)):
-    """Hit@K and MRR from per-instance candidate label lists, best rank first.
+def ranking_metrics(ranked_labels):
+    """Hit@K for K in HIT_KS and MRR from per-instance candidate label lists,
+    best rank first.
 
     Each list must be non-empty and is expected to contain at least one
     true label (instances without a true cause are filtered upstream).
@@ -129,5 +127,5 @@ def ranking_metrics(ranked_labels, ks=(1, 3, 5)):
             raise DataError(f"instance {i} has no true candidate")
         ranks.append(rank)
     ranks = np.asarray(ranks, dtype=float)
-    hit_at = {k: float(np.mean(ranks <= k)) for k in ks}
+    hit_at = {k: float(np.mean(ranks <= k)) for k in HIT_KS}
     return RankingReport(hit_at=hit_at, mrr=float(np.mean(1.0 / ranks)), instances=len(ranks))

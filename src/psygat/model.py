@@ -18,7 +18,7 @@ import numpy as np
 
 from . import tensor as T
 from .config import Config
-from .errors import ConfigError, DataError, UsageError
+from .errors import ConfigError, DataError
 from .peu import NUM_CATEGORIES
 
 LEAKY_SLOPE = 0.2  # negative slope of the GATv2 attention LeakyReLU
@@ -158,7 +158,7 @@ def gat_layer(h, batch, params, layer, draws=None):
     )
     agg = T.elu(T.add_bias(agg, params[f"gat{layer}_b"]))
     if draws is not None:
-        agg = T.dropout(agg, c.dropout, train=True, uniform=next(draws))
+        agg = T.dropout(agg, c.dropout, next(draws))
     return T.add(agg, h)
 
 
@@ -250,9 +250,12 @@ def set2set_readout(node_reps, params, node_graph=None, num_graphs=1):
     return q_star
 
 
-def forward(batch, params, train=False, rng=None):
+def forward(batch, params, rng=None):
     """Full pipeline from a GraphBatch to one depression logit per graph,
     each graph conditioned on its own persona.
+
+    Given an rng, a training forward, every dropout site draws from it
+    (_dropout_draws); without one nothing is dropped.
 
     A config with persona=False swaps the persona rows for zero vectors of
     the same width, so both configs share one parameter set. Stacked params
@@ -265,9 +268,7 @@ def forward(batch, params, train=False, rng=None):
     if c.persona and not np.all((personas >= 0) & (personas < c.persona_count)):
         raise DataError(f"persona ids {personas.tolist()} out of range [0, {c.persona_count})")
     draws = None
-    if train and c.dropout > 0.0:
-        if rng is None:
-            raise UsageError("a training forward with dropout requires an rng")
+    if rng is not None and c.dropout > 0.0:
         draws = iter(_dropout_draws(batch, c, rng))
     node_reps = encode(batch, params, draws)
     session_reps = set2set_readout(node_reps, params, batch.node_graph, b)
@@ -279,7 +280,7 @@ def forward(batch, params, train=False, rng=None):
     cond = T.concat_cols([session_reps, z])
     hidden = T.elu(T.add_bias(T.matmul(cond, params["head_w1"]), params["head_b1"]))
     if draws is not None:
-        hidden = T.dropout(hidden, c.dropout, train=True, uniform=next(draws))
+        hidden = T.dropout(hidden, c.dropout, next(draws))
     logits = T.reshape(T.add_bias(T.matmul(hidden, params["head_w2"]), params["head_b2"]),
                        lead + (b,))
     return ForwardOutput(

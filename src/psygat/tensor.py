@@ -406,20 +406,12 @@ def pow_const(x, p):
     return Tensor(x.data**p, (x,), backward)
 
 
-def dropout(x, p, rng=None, train=False, uniform=None):
-    """Inverted dropout: keep where a U[0, 1) draw is >= p, scale by 1 / (1 - p).
-
-    The draws come from rng unless given as uniform, an array of x's shape.
-    """
+def dropout(x, p, uniform):
+    """Inverted dropout: keep where uniform, an array of U[0, 1) draws of
+    x's shape, is >= p, and scale by 1 / (1 - p)."""
     if not (0.0 <= p < 1.0):
         raise UsageError(f"dropout probability {p} outside [0, 1)")
-    if not train or p == 0.0:
-        return x
-    if uniform is None:
-        if rng is None:
-            raise UsageError("dropout in train mode requires an rng or uniform draws")
-        uniform = rng.random(x.shape)
-    elif uniform.shape != x.shape:
+    if uniform.shape != x.shape:
         raise ShapeError(f"dropout draws of shape {uniform.shape} for input {x.shape}")
     keep = (uniform >= p).astype(x.dtype)
     scale = np.asarray(1.0 / (1.0 - p), dtype=x.dtype)

@@ -226,7 +226,7 @@ def _train_step(params, opt, batch, config, rng):
     """One AdamW step on a GraphBatch. The autodiff graph is local to this
     call, so refcounting frees it on return."""
     params.zero_grad()
-    out = M.forward(batch, params, train=True, rng=rng)
+    out = M.forward(batch, params, rng=rng)
     loss = T.tmean(focal_loss(out.logits, batch.labels, config.focal_gamma, config.focal_alpha))
     if config.contrastive_weight > 0 and batch.num_graphs >= 2:
         aux = info_nce(out.session_reps, batch.labels, config.contrastive_temperature)

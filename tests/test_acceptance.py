@@ -104,7 +104,7 @@ def test_attention_normalization():
             from psygat.graph import GraphBatch, SessionGraph
 
             g = SessionGraph("a", rng.standard_normal((n, 32)).astype(np.float32),
-                             peu, np.diff(peu, axis=0), persona=0, label=1)
+                             peu, persona=0, label=1)
             M.forward(GraphBatch.from_graphs([g]), params)
     finally:
         T.segment_softmax = original

@@ -95,6 +95,20 @@ class TestGenerate:
         assert capsys.readouterr().err == "config error: seed must be >= 0, got -1\n"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("lines,message", [
+        ("n_sessions = 20\nval_fraction = 0.05\n", "split fractions leave too few"),
+        ("n_sessions = 20\nclass_balance = 0.0\n", "class balance infeasible"),
+    ])
+    def test_infeasible_splits_exit_two_without_traceback(self, tmp_path, capsys, lines,
+                                                          message):
+        cfg = tmp_path / "gen.cfg"
+        cfg.write_text(lines)
+        capsys.readouterr()
+        assert cli.main(["generate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert message in err and "Traceback" not in err
+
 
 class TestTrain:
     def test_blas_defaults_to_one_thread_unless_the_caller_sets_it(self, workspace, tmp_path):
@@ -306,6 +320,29 @@ class TestTrain:
         assert len(err.strip().splitlines()) == 1
         assert "abc" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("change,message", [
+        ("drop_val", "config error: corpus must provide train and val splits"),
+        ("one_class_val", "config error: validation split must contain both classes"),
+    ])
+    def test_unusable_validation_split_exits_two(self, workspace, tmp_path, capsys, change,
+                                                 message):
+        from psygat.sessions import write_sessions
+
+        sessions = read_sessions(workspace["corpus"])
+        if change == "drop_val":
+            sessions = [s for s in sessions if s.split != "val"]
+        else:
+            for s in sessions:
+                if s.split == "val":
+                    s.label = 1
+        corpus = tmp_path / "corpus.jsonl"
+        write_sessions(corpus, sessions)
+        capsys.readouterr()
+        assert cli.main(["train", "--corpus", str(corpus),
+                         "--config", str(workspace["train_cfg"]),
+                         "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == message + "\n"
+
 
 class TestEvaluate:
     def test_report_written(self, workspace, tmp_path):
@@ -330,6 +367,34 @@ class TestEvaluate:
                   "--split", "val", "--threshold", "0.25", "--out", str(out)])
         report = json.loads((out / "eval-val.json").read_text())
         assert report["metrics"]["threshold"] == 0.25
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.1", "7"])
+    def test_threshold_outside_unit_interval_exits_two_before_reading_a_file(
+            self, tmp_path, capsys, value):
+        # neither the checkpoint nor the corpus exists: the threshold is refused first
+        capsys.readouterr()
+        code = cli.main(["evaluate", "--checkpoint", str(tmp_path / "none.json"),
+                         "--corpus", str(tmp_path / "none.jsonl"), "--threshold", value,
+                         "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"config error: --threshold must be in [0, 1], got {float(value)}\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_empty_split_exits_one(self, workspace, tmp_path, capsys):
+        from psygat.sessions import write_sessions
+
+        corpus = tmp_path / "no-test.jsonl"
+        write_sessions(corpus, [s for s in read_sessions(workspace["corpus"])
+                                if s.split != "test"])
+        capsys.readouterr()
+        code = cli.main(["evaluate",
+                         "--checkpoint", str(workspace["train_dir"] / "ckpt-seed0.json"),
+                         "--corpus", str(corpus), "--split", "test",
+                         "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: corpus has no sessions in split 'test'\n"
+        assert not (tmp_path / "o").exists()
 
     def test_missing_checkpoint_exits_one_without_traceback(self, workspace, tmp_path, capsys):
         capsys.readouterr()

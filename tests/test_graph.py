@@ -55,13 +55,13 @@ class TestBuildGraph:
         assert g.T == 4
         assert g.node_text.shape == (4, 16)
         assert g.node_peu.shape == (4, 8)
-        assert g.edge_attr.shape == (3, 8)
+        assert G.GraphBatch.from_graphs([g]).edge_attr.shape == (3, 8)
         assert g.persona == 2 and g.label == 1
 
     def test_single_utterance_has_no_edges(self):
         s = make_session(1)
         g = G.build_graph(s, embed_sessions([s], dim=16), build_peu_tensor(s))
-        assert g.edge_attr.shape == (0, 8)
+        assert G.GraphBatch.from_graphs([g]).edge_attr.shape == (0, 8)
 
     def test_empty_session_rejected(self):
         s = Session(id="e", persona=0, label=0, utterances=[])
@@ -126,18 +126,54 @@ def test_build_graph_edge_attr_equals_per_edge_rows():
             assert G.edge_attrs(peus[t:t + 2]).tobytes() == got[t].tobytes()
         g = G.build_graph(s, table, peus)
         assert g.node_peu is peus
-        assert g.edge_attr.tobytes() == got.tobytes()
+        assert G.GraphBatch.from_graphs([g]).edge_attr.tobytes() == got.tobytes()
 
 
 def test_default_corpus_graphs_match_pinned_digest():
     """Every graph input of the default corpus, pinned to the bytes: hash
-    embedding, PEU rows and edge attributes must not move under a refactor."""
+    embedding, PEU rows and the edge attributes batches derive from them
+    must not move under a refactor."""
     corpus = generate_corpus(GenConfig(seed=0))
     sessions = [s for split in ("train", "val", "test") for s in corpus[split]]
     h = hashlib.sha256()
     for g in graphs_from_sessions(sessions):
-        for a in (g.node_text, g.node_peu, g.edge_attr):
+        for a in (g.node_text, g.node_peu, G.edge_attrs(g.node_peu)):
             h.update(f"{a.dtype.str}{a.shape}".encode())
             h.update(a.tobytes())
     assert len(sessions) == 200
     assert h.hexdigest() == "d546c030f5f51404caa2c09d9d0639139b91dcdbbd3cc39763d1370ddc354393"
+
+
+class TestBatchEdges:
+    """A batch derives its edges from its concatenated PEU rows; they must be
+    each graph's own edge_attrs(node_peu), concatenated, to the bit."""
+
+    def graph(self, peu):
+        return G.SessionGraph("b", np.zeros((peu.shape[0], 4), np.float32), peu, persona=0)
+
+    def check(self, graphs):
+        batch = G.GraphBatch.from_graphs(graphs)
+        want = np.concatenate([G.edge_attrs(g.node_peu) for g in graphs])
+        assert batch.edge_attr.dtype == np.float32
+        assert batch.edge_attr.shape == (sum(g.T for g in graphs) - len(graphs), 8)
+        assert batch.edge_attr.tobytes() == want.tobytes()
+
+    def test_mixed_sizes_with_one_node_graphs(self):
+        rng = np.random.default_rng(0)
+        sizes = (1, 5, 1, 1, 3, 2, 1)
+        peus = []
+        for n in sizes:
+            peu = rng.integers(0, 2, (n, 8)).astype(np.float32)
+            peu[:, COPING] = rng.integers(-1, 2, n)
+            peus.append(peu)
+        self.check([self.graph(p) for p in peus])
+
+    def test_only_one_node_graphs_have_no_edges(self):
+        self.check([self.graph(rows([1, 0, 0, 0, 0, 0, 0, -1])) for _ in range(3)])
+
+    def test_float64_rows_alone_and_mixed_with_float32(self):
+        rng = np.random.default_rng(1)
+        wide = [rng.standard_normal((n, 8)) for n in (4, 1, 6)]
+        self.check([self.graph(p) for p in wide])
+        narrow = [self.graph(rng.standard_normal((n, 8)).astype(np.float32)) for n in (3, 2)]
+        self.check([narrow[0], self.graph(wide[0]), narrow[1], self.graph(wide[2])])

@@ -100,3 +100,12 @@ class TestRankingMetrics:
             MX.ranking_metrics([[]])
         with pytest.raises(MX.DataError):
             MX.ranking_metrics([[0, 0, 0]])
+
+    def test_every_report_carries_exactly_the_hit_cut_offs(self):
+        # one constant feeds ranking_metrics, to_json and the explain summary
+        rep = MX.ranking_metrics([[0, 1], [1, 0]])
+        assert tuple(rep.hit_at) == MX.HIT_KS
+        assert rep.to_json() == {**{f"hit@{k}": 1.0 if k > 1 else 0.5 for k in MX.HIT_KS},
+                                 "mrr": 0.75, "instances": 2}
+        with pytest.raises(TypeError):
+            MX.ranking_metrics([[1]], ks=(1, 10))

@@ -24,13 +24,10 @@ def make_graph(rng, n=5, config=None, persona=1, label=1):
     config = config or small_config()
     peu = rng.integers(0, 2, (n, 8)).astype(np.float32)
     peu[:, 7] = rng.integers(-1, 2, n)
-    edge = np.diff(peu, axis=0)
-    edge[:, 7] /= 2.0
     return SessionGraph(
         session_id="t",
         node_text=rng.standard_normal((n, config.text_dim)).astype(np.float32),
         node_peu=peu,
-        edge_attr=edge,
         persona=persona,
         label=label,
     )
@@ -241,7 +238,7 @@ def composed_attention(src_proj, dst_proj, attn, batch, slope, uniforms=None, p=
         alpha = T.segment_softmax(T.reshape(T.matmul(T.slice_cols(pre, lo, hi), a), (len(srcs),)),
                                   dsts)
         if uniforms is not None:
-            alpha = T.dropout(alpha, p, train=True, uniform=uniforms[head])
+            alpha = T.dropout(alpha, p, uniforms[head])
         out.append(T.segment_sum(T.scale_rows(T.slice_cols(e_src, lo, hi), alpha), dsts, n))
     return T.concat_cols(out)
 
@@ -504,19 +501,22 @@ class TestBatching:
         params = M.ModelParams(cfg, seed=13)
         graphs = self.graphs(rng, cfg)
         batch_stream, stream = np.random.default_rng(5), np.random.default_rng(5)
-        batched = M.forward(GraphBatch.from_graphs(graphs), params, train=True, rng=batch_stream)
-        single = [run(g, params, train=True, rng=stream).logits.data[0]
-                  for g in graphs]
+        batched = M.forward(GraphBatch.from_graphs(graphs), params, rng=batch_stream)
+        single = [run(g, params, rng=stream).logits.data[0] for g in graphs]
         np.testing.assert_allclose(batched.logits.data, single, atol=1e-5)
         assert batch_stream.random() == stream.random()  # both took the same draws
         eval_logits = M.forward(GraphBatch.from_graphs(graphs), params).logits.data
         assert not np.allclose(batched.logits.data, eval_logits)
 
-    def test_training_forward_with_dropout_needs_rng(self):
+    def test_an_rng_at_zero_dropout_draws_nothing(self):
         rng = np.random.default_rng(14)
-        cfg = small_config(dropout=0.4)
-        with pytest.raises(M.UsageError):
-            run(make_graph(rng, 3, cfg), M.ModelParams(cfg, seed=14), train=True)
+        cfg = small_config(dropout=0.0)
+        params = M.ModelParams(cfg, seed=14)
+        graph = make_graph(rng, 3, cfg)
+        stream = np.random.default_rng(3)
+        np.testing.assert_array_equal(run(graph, params, rng=stream).logits.data,
+                                      run(graph, params).logits.data)
+        assert stream.random() == np.random.default_rng(3).random()
 
     def test_batch_of_single_node_graphs(self):
         rng = np.random.default_rng(10)

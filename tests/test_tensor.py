@@ -432,33 +432,25 @@ class TestShapePolicy:
 
 
 class TestDropout:
-    def test_eval_mode_is_identity(self):
-        x = t64(np.ones((5, 5)))
-        assert T.dropout(x, 0.5, train=False) is x
-
     def test_train_mode_zeroes_and_rescales(self):
         rng = np.random.default_rng(0)
         x = t64(np.ones((200, 200)))
-        out = T.dropout(x, 0.25, rng, train=True)
+        out = T.dropout(x, 0.25, rng.random(x.shape))
         vals = np.unique(out.data)
         assert set(np.round(vals, 6)) <= {0.0, np.round(1 / 0.75, 6)}
         assert abs(out.data.mean() - 1.0) < 0.02
 
-    def test_train_mode_without_rng_fails(self):
-        with pytest.raises(T.UsageError):
-            T.dropout(t64(np.ones((2, 2))), 0.5, train=True)
-
     def test_invalid_probability(self):
         with pytest.raises(T.UsageError):
-            T.dropout(t64(np.ones((2, 2))), 1.0, train=True)
+            T.dropout(t64(np.ones((2, 2))), 1.0, np.zeros((2, 2)))
 
     def test_given_draws_match_the_rng_they_came_from(self):
         x = t64(np.arange(12.0).reshape(3, 4))
-        drawn = T.dropout(x, 0.4, np.random.default_rng(1), train=True)
-        given = T.dropout(x, 0.4, train=True, uniform=np.random.default_rng(1).random((3, 4)))
-        np.testing.assert_array_equal(drawn.data, given.data)
+        u = np.random.default_rng(1).random((3, 4))
+        given = T.dropout(x, 0.4, u)
+        np.testing.assert_array_equal(given.data, x.data * (u >= 0.4) * (1.0 / 0.6))
         with pytest.raises(T.ShapeError):
-            T.dropout(x, 0.4, train=True, uniform=np.zeros(12))
+            T.dropout(x, 0.4, np.zeros(12))
 
 
 class TestGradCheck:

@@ -243,6 +243,14 @@ class TestSelectThreshold:
         with pytest.raises(TR.DataError):
             TR.select_threshold(np.array([0.1, 0.9]), np.array([1, 1]))
 
+    def test_tie_between_different_cuts_resolves_to_the_lowest(self):
+        # calling all four positive and only the top one positive both score
+        # F1 2/3; the 0.0 cut must win over 0.7
+        probs = np.array([0.2, 0.4, 0.6, 0.8])
+        labels = np.array([1, 0, 0, 1])
+        assert f1_at(probs, labels, 0.0) == f1_at(probs, labels, 0.7) == pytest.approx(2 / 3)
+        assert TR.select_threshold(probs, labels) == 0.0
+
 
 class TestTrainConfig:
     def test_defaults_are_valid(self):
@@ -406,6 +414,73 @@ class TestFit:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+class TestSchedule:
+    """fit's epoch schedule against a scripted validation PR-AUC. One
+    minibatch per epoch, so the recorded learning rates are one per epoch."""
+
+    def fit(self, monkeypatch, aucs, n_train=4, **overrides):
+        from psygat import model as M
+        from psygat.verify import _tiny_graph
+
+        rng = np.random.default_rng(4)
+        graphs = [_tiny_graph(rng, 2) for _ in range(n_train)]
+        for k, g in enumerate(graphs):
+            g.label = k % 2
+        script = iter(aucs)
+        monkeypatch.setattr(TR, "pr_auc", lambda probs, labels: next(script))
+        lrs = []
+
+        class Recording(TR.AdamW):
+            def step(self, named_params):
+                lrs.append(self.lr)
+                super().step(named_params)
+
+        monkeypatch.setattr(TR, "AdamW", Recording)
+        cfg = M.ModelConfig(text_dim=12, hidden=8, heads=2, num_layers=1, set2set_iters=1,
+                            persona_dim=2, head_hidden=4)
+        settings = dict(lr=1e-3, max_epochs=len(aucs), early_stop_patience=50,
+                        plateau_patience=50, seeds=(0,), batch_size=4)
+        ck = TR.fit(graphs, graphs[:2], TR.TrainConfig(**{**settings, **overrides}), cfg)
+        return ck, lrs
+
+    def test_early_stop_after_exactly_patience_epochs_without_gain(self, monkeypatch):
+        ck, lrs = self.fit(monkeypatch, [0.5] * 10, early_stop_patience=3)
+        assert len(lrs) == 4  # the improving epoch, then three without gain
+        assert ck.epoch == 1
+
+    def test_plateau_scales_lr_after_exactly_patience_epochs_without_gain(self, monkeypatch):
+        ck, lrs = self.fit(monkeypatch, [0.5] * 8, plateau_patience=2)
+        assert lrs == [1e-3] * 3 + [5e-4] * 2 + [2.5e-4] * 2 + [1.25e-4]
+
+    def test_an_improvement_just_above_rounding_counts(self, monkeypatch):
+        aucs = [0.5 + 1e-9 * k for k in range(6)]
+        ck, lrs = self.fit(monkeypatch, aucs, early_stop_patience=1, plateau_patience=1)
+        assert ck.epoch == 6 and ck.best_val_pr_auc == aucs[-1]
+        assert lrs == [1e-3] * 6
+
+    def test_a_two_graph_remainder_batch_gets_the_contrastive_term(self, monkeypatch):
+        sizes = []
+        nce = TR.info_nce
+        monkeypatch.setattr(TR, "info_nce",
+                            lambda reps, *a: sizes.append(reps.shape[0]) or nce(reps, *a))
+        self.fit(monkeypatch, [0.5], n_train=10, batch_size=8)
+        assert sorted(sizes) == [2, 8]
+
+    def test_empty_split_and_single_class_validation_rejected(self):
+        from psygat import model as M
+
+        graphs = tiny_graphs(4)
+        cfg = M.ModelConfig(text_dim=12, hidden=8, heads=2, persona_dim=2, head_hidden=4)
+        config = TR.TrainConfig(max_epochs=1, seeds=(0,))
+        for train, val in ((graphs, []), ([], graphs)):
+            with pytest.raises(TR.ConfigError, match="non-empty train and validation"):
+                TR.fit(train, val, config, cfg)
+        for g in graphs:
+            g.label = 1
+        with pytest.raises(TR.ConfigError, match="both classes"):
+            TR.fit(graphs, graphs, config, cfg)
 
 
 def tiny_checkpoint(seed, dtype=np.float32, **model_overrides):
