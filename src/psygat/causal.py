@@ -107,12 +107,10 @@ class ScorerParams(T.Params):
         }
 
 
-def instance_features(instance, node_reps, peu_rows, window, out=None):
-    """Feature matrix, one row per candidate edge:
+def instance_features(instance, node_reps, peu_rows, window, out):
+    """Write the instance's feature rows into out, a (candidates, input_dim)
+    block, and return it: one row per candidate edge,
     [h_target, h_candidate, target PEU, one-hot relative position].
-
-    Written into out, a (candidates, input_dim) array, when given; otherwise
-    into a new array in node_reps' dtype.
     """
     t = instance.target_index
     n_nodes, hidden = node_reps.shape
@@ -124,8 +122,6 @@ def instance_features(instance, node_reps, peu_rows, window, out=None):
         raise DataError(f"no node representation for candidate utterance {bad}")
     peu = np.asarray(peu_rows[t])
     pos = 2 * hidden + peu.shape[0]
-    if out is None:
-        out = np.empty((cand.size, pos + 2 * window + 1), dtype=node_reps.dtype)
     out[:, :hidden] = node_reps[t]
     out[:, hidden:2 * hidden] = node_reps[cand]
     out[:, 2 * hidden:pos] = peu
@@ -151,12 +147,6 @@ def edge_logits(features, scorer):
     return out.reshape(features.shape[0]), h, neg
 
 
-def score_edges(instance, node_reps, peu_rows, scorer):
-    """Independent causal probability per candidate edge."""
-    feats = instance_features(instance, node_reps, peu_rows, scorer.config.window)
-    return T.stable_sigmoid(edge_logits(feats, scorer)[0])
-
-
 def session_node_reps(graph, params):
     """Detached per-utterance representations from a frozen session model:
     the encoder that forward shares, without readout or head."""
@@ -173,16 +163,9 @@ def train_scorer(instances, reps_by_session, peus_by_session, config, seed=0):
                           seed=seed)
     opt = AdamW(config.lr, config.weight_decay)
     rng = np.random.default_rng(seed)
-    # every instance's rows in one matrix, filled in place: building it from
-    # per-instance blocks would hold the features twice at its peak
-    counts = np.array([len(i.candidate_indices) for i in train_set])
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    features = np.empty((int(counts.sum()), scorer.input_dim), dtype=scorer.tensors["w1"].dtype)
-    labels = np.empty(features.shape[0], dtype=np.int64)
-    for i, a, n in zip(train_set, starts, counts):
-        instance_features(i, reps_by_session[i.session_id], peus_by_session[i.session_id],
-                          config.window, out=features[a:a + n])
-        labels[a:a + n] = i.labels
+    features, starts, counts = _feature_block(train_set, reps_by_session, peus_by_session,
+                                              scorer)
+    labels = np.concatenate([i.labels for i in train_set])
     sign = np.where(labels == 1, 1.0, -1.0).astype(features.dtype)
     for _ in range(config.epochs):
         order = rng.permutation(len(train_set))
@@ -192,6 +175,19 @@ def train_scorer(instances, reps_by_session, peus_by_session, config, seed=0):
             scorer_loss(scorer, features[rows], sign[rows], config.focal_alpha, config.focal_gamma)
             opt.step(scorer.named())
     return scorer
+
+
+def _feature_block(instances, reps_by_session, peus_by_session, scorer):
+    """Every instance's rows in one matrix in the scorer dtype, filled in
+    place (per-instance blocks joined afterwards would hold the features
+    twice at the peak), with each instance's first row and row count."""
+    counts = np.array([len(i.candidate_indices) for i in instances], dtype=np.int64)
+    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    features = np.empty((int(counts.sum()), scorer.input_dim), dtype=scorer.tensors["w1"].dtype)
+    for i, a, n in zip(instances, starts, counts):
+        instance_features(i, reps_by_session[i.session_id], peus_by_session[i.session_id],
+                          scorer.config.window, features[a:a + n])
+    return features, starts, counts
 
 
 def _block_rows(starts, counts):
@@ -246,9 +242,12 @@ def rank_and_evaluate(instances, reps_by_session, peus_by_session, scorer):
     ranked_labels = []
     explanations = []
     skipped = 0
-    for inst in instances:
-        probs = score_edges(inst, reps_by_session[inst.session_id],
-                            peus_by_session[inst.session_id], scorer)
+    features, starts, counts = _feature_block(instances, reps_by_session, peus_by_session,
+                                              scorer)
+    for inst, a, n in zip(instances, starts, counts):
+        # each instance on its own rows: the logits then have the bits of a
+        # matmul over that instance alone
+        probs = T.stable_sigmoid(edge_logits(features[a:a + n], scorer)[0])
         order = rank_candidates(inst, probs)
         explanations.append(
             {

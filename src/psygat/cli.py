@@ -29,7 +29,8 @@ from .errors import ConfigError, CorpusError, PsygatError
 from .metrics import HIT_KS, classification_report
 from .model import ModelConfig
 from .pipeline import graphs_from_sessions
-from .sessions import check_no_augmented_leakage, read_sessions, split_sessions, write_sessions
+from .sessions import (check_no_augmented_leakage, read_sessions, split_sessions, write_jsonl,
+                       write_sessions)
 
 EXIT_DATA = 1
 EXIT_CONFIG = 2
@@ -85,10 +86,10 @@ def cmd_generate(args):
     config = load_config(args.config, D.GenConfig) if args.config else D.GenConfig()
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     splits = D.generate_corpus(config)
     sessions = splits["train"] + splits["val"] + splits["test"]
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     corpus_path = out_dir / "sessions.jsonl"
     write_sessions(corpus_path, sessions)
     manifest_path = out_dir / "corpus_manifest.json"
@@ -110,22 +111,18 @@ def _load_graphs(corpus_path):
     return sessions, splits, graphs
 
 
-def _report(probs, labels, threshold):
-    return classification_report(probs, labels, threshold).to_json()
-
-
 def cmd_train(args):
     started = time.time()
     config = load_config(args.config, TR.TrainConfig) if args.config else TR.TrainConfig()
     if args.seed is not None:
         config = dataclasses.replace(config, seeds=(args.seed,))
     model_config = ModelConfig(persona=args.persona_mode == "on")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     sessions, splits, graphs = _load_graphs(args.corpus)
     if not splits["train"] or not splits["val"]:
         raise ConfigError("corpus must provide train and val splits")
     members, threshold = TR.train_ensemble(graphs["train"], graphs["val"], config, model_config)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
     for member in members:
         prefix = out_dir / f"ckpt-seed{member.seed}"
@@ -141,7 +138,7 @@ def cmd_train(args):
              "threshold": m.threshold, "epoch": m.epoch}
             for m in members
         ],
-        "metrics": _report(val_probs, val_labels, threshold),
+        "metrics": classification_report(val_probs, val_labels, threshold).to_json(),
     }
     report_path = out_dir / "report.json"
     _write_json(report_path, report)
@@ -151,11 +148,6 @@ def cmd_train(args):
     print(f"trained {len(members)} members; val macro-F1 "
           f"{report['metrics']['macro_f1']:.4f} at threshold {threshold:.4f}")
     return 0
-
-
-def _load_members(paths):
-    members = [ckpt.load_checkpoint(Path(p).with_suffix("")) for p in paths]
-    return members
 
 
 def _ensemble_threshold(paths, members):
@@ -180,7 +172,7 @@ def cmd_evaluate(args):
     # before any file is read; NaN would also write invalid JSON reports
     if args.threshold is not None and not 0.0 <= args.threshold <= 1.0:
         raise ConfigError(f"--threshold must be in [0, 1], got {args.threshold}")
-    members = _load_members(args.checkpoint)
+    members = [ckpt.load_checkpoint(Path(p).with_suffix("")) for p in args.checkpoint]
     if args.threshold is not None:
         threshold = args.threshold
     elif len(members) == 1:
@@ -192,7 +184,8 @@ def cmd_evaluate(args):
         raise CorpusError(f"corpus has no sessions in split {args.split!r}")
     probs = TR.ensemble_probs(members, graphs[args.split])
     labels = np.array([g.label for g in graphs[args.split]])
-    report = {"split": args.split, "metrics": _report(probs, labels, threshold)}
+    report = {"split": args.split,
+              "metrics": classification_report(probs, labels, threshold).to_json()}
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     report_path = out_dir / f"eval-{args.split}.json"
@@ -230,11 +223,7 @@ def cmd_explain(args):
     scorer_prefix = out_dir / "causal-scorer"
     ckpt.save_scorer(scorer_prefix, scorer, extra={"session_checkpoint_sha256": hash_before})
     explain_path = out_dir / "explanations.jsonl"
-    tmp = explain_path.with_suffix(".tmp")
-    with tmp.open("w", encoding="utf-8") as f:
-        for rec in explanations:
-            f.write(json.dumps(rec, sort_keys=True) + "\n")
-    tmp.replace(explain_path)
+    write_jsonl(explain_path, explanations)
     report_path = out_dir / "ranking_report.json"
     _write_json(report_path, {**report.to_json(), "instances_without_cause": skipped})
     if ckpt.checkpoint_hash(prefix) != hash_before:

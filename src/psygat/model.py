@@ -204,9 +204,9 @@ def set2set_readout(node_reps, params, node_graph=None, num_graphs=1):
     node_graph maps each node row to its graph (non-decreasing; all zeros
     when omitted). Every graph's query scores all N nodes in one (B, N)
     matmul; nodes of other graphs are masked out before the per-graph
-    softmax, so their attention weight is exactly zero. With a member
-    axis, each member's graphs are separate softmax segments of one
-    segment_softmax.
+    softmax, so their attention weight is exactly zero (a one-graph mask
+    is all +0.0). With a member axis, each member's graphs are separate
+    softmax segments of one segment_softmax.
     """
     c = params.config
     lead = node_reps.shape[:-2]
@@ -214,11 +214,12 @@ def set2set_readout(node_reps, params, node_graph=None, num_graphs=1):
     h = c.hidden
     b = num_graphs
     m = math.prod(lead)
+    if node_graph is None:
+        node_graph = np.zeros(n, dtype=np.int64)
     rows = np.repeat(np.arange(m * b), n)
-    if b > 1:
-        mask = np.where(np.arange(b)[:, None] == node_graph[None, :], 0.0, -np.inf)
-        mask = T.Tensor(np.tile(mask.astype(node_reps.dtype).reshape(b * n), m),
-                        requires_grad=False)
+    mask = np.where(np.arange(b)[:, None] == node_graph[None, :], 0.0, -np.inf)
+    mask = T.Tensor(np.tile(mask.astype(node_reps.dtype).reshape(b * n), m),
+                    requires_grad=False)
     reps_t = T.transpose(node_reps)
     zeros = T.Tensor(np.zeros((b, 4 * h), dtype=node_reps.dtype), requires_grad=False)
     cell = q_star = None
@@ -241,9 +242,7 @@ def set2set_readout(node_reps, params, node_graph=None, num_graphs=1):
             f = T.sigmoid(T.slice_cols(gates, h, 2 * h))
             cell = T.add(T.mul(f, cell), T.mul(i, g))
         q = T.mul(o, T.tanh(cell))
-        scores = T.reshape(T.matmul(q, reps_t), (m * b * n,))
-        if b > 1:
-            scores = T.add(scores, mask)
+        scores = T.add(T.reshape(T.matmul(q, reps_t), (m * b * n,)), mask)
         alpha = T.segment_softmax(scores, rows)
         r = T.matmul(T.reshape(alpha, lead + (b, n)), node_reps)
         q_star = T.concat_cols([q, r])

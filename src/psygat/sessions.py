@@ -102,13 +102,19 @@ class Session:
         )
 
 
-def write_sessions(path, sessions):
+def write_jsonl(path, records):
+    """One sorted-key JSON line per record, written to a temporary file
+    that then replaces path."""
     path = Path(path)
     tmp = path.with_suffix(path.suffix + ".tmp")
     with tmp.open("w", encoding="utf-8") as f:
-        for s in sessions:
-            f.write(json.dumps(s.to_json(), sort_keys=True) + "\n")
+        for rec in records:
+            f.write(json.dumps(rec, sort_keys=True) + "\n")
     tmp.replace(path)
+
+
+def write_sessions(path, sessions):
+    write_jsonl(path, (s.to_json() for s in sessions))
 
 
 def read_sessions(path):

@@ -4,7 +4,6 @@ seed ensembling and decision-threshold selection.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,8 +14,6 @@ from .config import Config
 from .errors import ConfigError, DataError, NumericalError
 from .graph import GraphBatch
 from .metrics import _prf, pr_auc
-
-log = logging.getLogger(__name__)
 
 # Graphs per eval-mode forward in predict_probs. Scoring 40 default-corpus
 # graphs took the same time at 8 to 40 graphs per forward (3.4x faster than
@@ -75,9 +72,7 @@ def focal_loss(logit, y, gamma=2.0, alpha=1.0):
     """
     sign = np.where(np.asarray(y) == 1, 1.0, -1.0).astype(logit.dtype)
     out = T.focal(T.mul(logit, T.Tensor(sign, requires_grad=False)), gamma)
-    if alpha != 1.0:
-        out = T.mul(out, T.Tensor(np.asarray(alpha, dtype=logit.dtype), requires_grad=False))
-    return out
+    return T.mul(out, T.Tensor(np.asarray(alpha, dtype=logit.dtype), requires_grad=False))
 
 
 def info_nce(session_reps, labels, temperature=0.2):
@@ -88,9 +83,6 @@ def info_nce(session_reps, labels, temperature=0.2):
     """
     labels = np.asarray(labels, dtype=int)
     B = session_reps.shape[0]
-    if B < 2:
-        log.warning("info_nce: batch of %d has no pairs, contributing 0", B)
-        return T.Tensor(np.asarray(0.0, dtype=session_reps.dtype), requires_grad=False)
     same = labels[:, None] == labels[None, :]
     np.fill_diagonal(same, False)
     pos_counts = same.sum(axis=1)

@@ -40,6 +40,13 @@ def reference_instance_features(instance, node_reps, peu_rows, window):
     return np.stack(rows)
 
 
+def block(instance, node_reps, window):
+    """An uninitialised (candidates, input_dim) block for instance_features,
+    in node_reps' dtype."""
+    width = 2 * node_reps.shape[1] + C.NUM_CATEGORIES + 2 * window + 1
+    return np.empty((len(instance.candidate_indices), width), dtype=node_reps.dtype)
+
+
 def reference_loss(logits, labels, alpha, gamma):
     """The scorer's focal loss as an op composition over a logits Tensor:
     mean(alpha * (1 - p_t)^gamma * -log p_t), p_t the sigmoid of the
@@ -188,7 +195,7 @@ class TestScorer:
         peus = build_peu_tensor(s)
         (inst,) = C.extract_instances(s, peus, window=2)
         reps = np.arange(6 * 4, dtype=np.float32).reshape(6, 4)
-        feats = C.instance_features(inst, reps, peus, window=2)
+        feats = C.instance_features(inst, reps, peus, 2, block(inst, reps, 2))
         assert feats.shape == (4, 4 + 4 + 8 + 5)
         # first candidate is utterance 1, relative position -2
         np.testing.assert_array_equal(feats[0, :4], reps[3])
@@ -210,7 +217,7 @@ class TestScorer:
             clipped += sum(len(i.candidate_indices) < (window if past_only else 2 * window)
                            for i in instances)
             for inst in instances:
-                got = C.instance_features(inst, reps, peus, window)
+                got = C.instance_features(inst, reps, peus, window, block(inst, reps, window))
                 want = reference_instance_features(inst, reps, peus, window)
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
@@ -232,18 +239,35 @@ class TestScorer:
         s = make_session({3: 2}, n=6)
         peus = build_peu_tensor(s)
         (inst,) = C.extract_instances(s, peus, window=2)
+        reps = np.zeros((n_reps, 4), np.float32)
         with pytest.raises(C.DataError, match=message):
-            C.instance_features(inst, np.zeros((n_reps, 4), np.float32), peus, 2)
+            C.instance_features(inst, reps, peus, 2, block(inst, reps, 2))
 
-    def test_score_edges_probabilities(self):
-        s = make_session({3: 2}, n=6)
-        peus = build_peu_tensor(s)
-        (inst,) = C.extract_instances(s, peus, window=2)
-        scorer = C.ScorerParams(C.CausalConfig(window=2), model_hidden=4, seed=0)
-        probs = C.score_edges(inst, np.zeros((6, 4), dtype=np.float32),
-                              peus, scorer)
-        assert probs.shape == (4,)
-        assert np.all((probs > 0) & (probs < 1))
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_ranked_probabilities_are_each_instance_scored_alone(self, dtype):
+        # rank_and_evaluate scores each instance on its own rows of one
+        # block; every probability has the bits of scoring that instance's
+        # features by themselves, a single candidate included
+        rng = np.random.default_rng(2)
+        window = 2
+        scorer = C.ScorerParams(C.CausalConfig(window=window), model_hidden=4, seed=0)
+        instances, reps_by, peus_by = [], {}, {}
+        for sid in ("a", "b"):
+            s = make_session({1: 2, 4: 0, 5: 1},
+                             [{"target": 4, "category": C.CATEGORIES[0], "sources": [3]}],
+                             n=6, sid=sid)
+            peus_by[sid] = build_peu_tensor(s)
+            reps_by[sid] = rng.standard_normal((6, 4)).astype(dtype)
+            instances += C.extract_instances(s, peus_by[sid], window, past_only=True)
+        assert [len(i.candidate_indices) for i in instances] == [1, 2, 2] * 2
+        _, explanations, _ = C.rank_and_evaluate(instances, reps_by, peus_by, scorer)
+        for inst, rec in zip(instances, explanations):
+            reps = reps_by[inst.session_id]
+            feats = C.instance_features(inst, reps, peus_by[inst.session_id], window,
+                                        block(inst, reps, window))
+            want = T.stable_sigmoid(C.edge_logits(feats, scorer)[0])
+            got = {r["utt"]: r["prob"] for r in rec["ranked"]}
+            assert [got[j] for j in inst.candidate_indices] == want.tolist()
 
     def test_rank_candidates_ties_prefer_earlier_utterance(self):
         s = make_session({3: 2}, n=6)
@@ -320,7 +344,8 @@ class TestScorer:
             reps *= 1e3
         scorer = C.train_scorer(instances, reps_by, peus_by, config, seed=0)
         feats = np.concatenate([C.instance_features(i, reps_by[i.session_id],
-                                                    peus_by[i.session_id], config.window)
+                                                    peus_by[i.session_id], config.window,
+                                                    block(i, reps_by[i.session_id], config.window))
                                 for i in instances])
         logits = C.edge_logits(feats, scorer)[0]
         assert np.mean(np.abs(logits) > 40.0) > 0.5  # sigmoid rounds to 0 or 1

@@ -2,6 +2,7 @@
 here uses a deliberately tiny corpus and epoch budget; learning quality
 is covered elsewhere."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -108,6 +109,7 @@ class TestGenerate:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert message in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
 
 class TestTrain:
@@ -342,6 +344,7 @@ class TestTrain:
                          "--config", str(workspace["train_cfg"]),
                          "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == message + "\n"
+        assert not (tmp_path / "o").exists()
 
 
 class TestEvaluate:
@@ -630,6 +633,25 @@ class TestExplain:
         assert encoded == read
         assert annotated == []
 
+    def test_checkpoint_rewritten_during_explain_is_a_bug(self, workspace, tmp_path,
+                                                          monkeypatch):
+        for suffix in (".json", ".bin"):
+            shutil.copy(workspace["train_dir"] / f"ckpt-seed0{suffix}", tmp_path / f"c{suffix}")
+        blob = tmp_path / "c.bin"
+        explain = cli.C.explain
+
+        def rewriting_explain(*args, **kwargs):
+            result = explain(*args, **kwargs)
+            data = bytearray(blob.read_bytes())
+            data[0] ^= 1
+            blob.write_bytes(bytes(data))
+            return result
+
+        monkeypatch.setattr(cli.C, "explain", rewriting_explain)
+        with pytest.raises(RuntimeError, match="session checkpoint changed during explain"):
+            cli.main(["explain", "--checkpoint", str(tmp_path / "c.json"),
+                      "--corpus", str(workspace["corpus"]), "--out", str(tmp_path / "o")])
+
     def test_corpus_without_causes_exits_one(self, workspace, tmp_path):
         sessions = read_sessions(workspace["corpus"])
         for s in sessions:
@@ -689,6 +711,34 @@ class TestExplain:
             cli.main(["explain", "--checkpoint", ck, ck,
                       "--corpus", str(workspace["corpus"]), "--out", str(tmp_path / "o")])
         assert exc.value.code == 2
+
+
+def test_same_seed_artifacts_match_pinned_digest(tmp_path):
+    """generate -> train -> evaluate -> explain at fixed seeds, pinned to
+    the bytes of every output but the run manifests, which record
+    wall-clock time and paths."""
+    config = tmp_path / "train.cfg"
+    config.write_text("max_epochs = 2\nseeds = 0,1\n")
+    corpus = str(tmp_path / "corpus" / "sessions.jsonl")
+    members = [str(tmp_path / "train" / f"ckpt-seed{s}.json") for s in (0, 1)]
+    for argv in (["generate", "--seed", "0", "--out", "corpus"],
+                 ["train", "--corpus", corpus, "--config", str(config), "--out", "train"],
+                 ["evaluate", "--checkpoint", *members, "--corpus", corpus, "--out", "eval"],
+                 ["explain", "--checkpoint", members[0], "--corpus", corpus, "--window", "3",
+                  "--out", "explain"]):
+        argv[-1] = str(tmp_path / argv[-1])
+        assert cli.main(argv) == 0
+    h = hashlib.sha256()
+    outputs = sorted(p for p in tmp_path.glob("*/*") if p.name != "run_manifest.json")
+    assert [p.relative_to(tmp_path).as_posix() for p in outputs] == [
+        "corpus/corpus_manifest.json", "corpus/sessions.jsonl", "eval/eval-test.json",
+        "explain/causal-scorer.bin", "explain/causal-scorer.json", "explain/explanations.jsonl",
+        "explain/ranking_report.json", "train/ckpt-seed0.bin", "train/ckpt-seed0.json",
+        "train/ckpt-seed1.bin", "train/ckpt-seed1.json", "train/report.json"]
+    for p in outputs:
+        h.update(p.relative_to(tmp_path).as_posix().encode())
+        h.update(p.read_bytes())
+    assert h.hexdigest() == "feaa607cfbc562dd1b63c1aaf0a94f4440e329cb6ca1ed3d3e09c350901d80b3"
 
 
 class TestGradcheck:

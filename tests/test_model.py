@@ -396,9 +396,11 @@ class TestSet2SetFirstStep:
     @pytest.mark.parametrize("iters", [1, 3])
     def test_first_step_makes_seven_fewer_ops(self, iters):
         # no matmuls of the zero q and q_star, no add of their products, no
-        # forget gate (slice and sigmoid), no f * cell and no add to i * g
+        # forget gate (slice and sigmoid), no f * cell and no add to i * g;
+        # two graphs, so the reference adds the cross-graph mask as well
         params = M.ModelParams(small_config(set2set_iters=iters), seed=0)
         reps = T.Tensor(np.random.default_rng(0).standard_normal((5, 16)), dtype=np.float32)
+        graphs = (np.array([0, 0, 1, 1, 1]), 2)
 
         def graph_nodes(out):
             seen, stack = {}, [out]
@@ -409,10 +411,11 @@ class TestSet2SetFirstStep:
                     stack.extend(t.parents)
             return seen.values()
 
-        ops = [sum(1 for t in graph_nodes(readout(reps, params)) if t.parents)
+        ops = [sum(1 for t in graph_nodes(readout(reps, params, *graphs)) if t.parents)
                for readout in (M.set2set_readout, reference_set2set)]
         assert ops[1] - ops[0] == 7
-        leaves = [t for t in graph_nodes(M.set2set_readout(reps, params)) if not t.parents]
+        leaves = [t for t in graph_nodes(M.set2set_readout(reps, params, *graphs))
+                  if not t.parents]
         assert any(t is params["s2s_wx"] for t in leaves) == (iters > 1)
 
 
