@@ -43,7 +43,7 @@ def load_config(path, cls):
 def _git_describe():
     try:
         out = subprocess.run(
-            ["git", "describe", "--always", "--dirty"],
+            ["git", "describe", "--always", "--dirty"], cwd=Path(__file__).parent,
             capture_output=True, text=True, timeout=5, check=False,
         )
         return out.stdout.strip() or "unknown"
@@ -79,6 +79,16 @@ def _write_json(path, obj):
     tmp = path.with_suffix(".tmp")
     tmp.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     tmp.replace(path)
+
+
+def _check_out(out):
+    """Refuse an --out that cannot become a directory: it, or its nearest
+    existing ancestor, exists and is not one. Creates nothing."""
+    path = Path(out).absolute()
+    while not os.path.lexists(path):
+        path = path.parent
+    if not path.is_dir():
+        raise NotADirectoryError(f"--out {out}: {path} exists and is not a directory")
 
 
 def cmd_generate(args):
@@ -218,6 +228,8 @@ def cmd_explain(args):
     graph_by_id = {g.session_id: g for split in graphs.values() for g in split}
     scorer, report, explanations, skipped = C.explain(splits, graph_by_id, member.params,
                                                       causal_config, seed=args.seed or 0)
+    if ckpt.checkpoint_hash(prefix) != hash_before:
+        raise RuntimeError("session checkpoint changed during explain; this is a bug")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     scorer_prefix = out_dir / "causal-scorer"
@@ -226,8 +238,6 @@ def cmd_explain(args):
     write_jsonl(explain_path, explanations)
     report_path = out_dir / "ranking_report.json"
     _write_json(report_path, {**report.to_json(), "instances_without_cause": skipped})
-    if ckpt.checkpoint_hash(prefix) != hash_before:
-        raise RuntimeError("session checkpoint changed during explain; this is a bug")
     write_manifest(out_dir, "explain", [args.seed or 0],
                    [scorer_prefix.with_suffix(".json"), scorer_prefix.with_suffix(".bin"),
                     explain_path, report_path], started, config=causal_config.to_json(),
@@ -295,6 +305,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if "out" in args:
+            _check_out(args.out)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

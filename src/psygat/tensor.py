@@ -115,7 +115,9 @@ def xavier(rng, fan_in, fan_out, dtype, shape=None):
 
 class Params:
     """Named leaf tensors in a fixed creation order (the checkpoint order).
-    Subclasses fill self.tensors."""
+    Subclasses fill self.tensors; stack_params sets stacked."""
+
+    stacked = None
 
     def __getitem__(self, name):
         return self.tensors[name]
@@ -131,27 +133,39 @@ class Params:
         return {name: t.data.copy() for name, t in self.named()}
 
     def load_snapshot(self, snap):
+        """In place, so a stack the tensors are slices of holds it too."""
         for name, t in self.named():
-            t.data = snap[name].astype(t.data.dtype).reshape(t.data.shape)
+            t.data[...] = snap[name].reshape(t.data.shape)
 
 
 def stack_params(members):
     """A clone of members[0] whose tensors hold all members' same-named
     tensors along a new leading axis, for one forward over every member.
 
-    Each member tensor is re-pointed at its slice of the stack, so members
-    and stack share one copy of the weights: an in-place update of either
-    shows in both. Rebinding a member tensor's data breaks the link. The
-    members must be distinct, with equal tensor names, shapes and dtypes.
+    Each member tensor is re-pointed at its slice k of the stack, and the
+    member is tagged stacked = (stack, k), so members and stack share one
+    copy of the weights: an in-place update of either shows in both. While
+    the members are, in order, every slice of one stack, a call returns
+    that stack; a rebound member tensor, or another order, subset or
+    repeat of the members, stacks afresh. Members must have equal tensor
+    names, shapes and dtypes.
     """
+    kept = members[0].stacked and members[0].stacked[0]
+    tags = [(kept, k) for k in range(len(members))]
+    if kept and [p.stacked for p in members] == tags and all(
+            len(t.data) == len(members) and all(p[name].data.base is t.data for p in members)
+            for name, t in kept.named()):
+        return kept
     clone = copy.copy(members[0])
-    clone.tensors = {}
+    clone.stacked, clone.tensors = None, {}
     for name, t in members[0].named():
         stack = np.empty((len(members),) + t.data.shape, dtype=t.data.dtype)
         for k, p in enumerate(members):
             stack[k] = p[name].data
             p[name].data = stack[k]
         clone.tensors[name] = Tensor(stack, name=name)
+    for k, p in enumerate(members):
+        p.stacked = (clone, k)
     return clone
 
 

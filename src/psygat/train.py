@@ -50,6 +50,7 @@ class TrainConfig(Config):
                     "early_stop_patience", "plateau_patience", "batch_size")
         self._check(lambda v: 0 < v <= 1, "in (0, 1]", "plateau_factor")
         self._check(lambda v: all(s >= 0 for s in v), "all >= 0", "seeds")
+        self._check(lambda v: len(set(v)) == len(v), "distinct", "seeds")
         if not self.seeds:
             raise ConfigError("seeds must name at least one seed")
 
@@ -287,38 +288,12 @@ def fit(train_graphs, val_graphs, config, model_config, seed=0):
     )
 
 
-# The last ensemble's stacked Params, with the (tensor, data) pairs of its
-# members once re-pointed at the stack. A module-level slot because callers
-# pass a plain list of checkpoints, which has nowhere to keep it; one slot
-# holds at most one ensemble's stack, and the identity check makes a stale
-# entry harmless.
-_stack_cache = None
-
-
-def _stacked_params(members):
-    """Stacked Params of distinct member params. The cached stack serves
-    while the members' tensors, in order, are the ones stacked and still
-    hold their slices; a rebound tensor (load_snapshot, a checkpoint load)
-    or another member list restacks."""
-    global _stack_cache
-    bound = [(t, t.data) for p in members for t in p.tensors.values()]
-    if _stack_cache is not None:
-        cached, stacked = _stack_cache
-        if len(cached) == len(bound) and all(
-                t is u and d is e for (t, d), (u, e) in zip(bound, cached)):
-            return stacked
-    _stack_cache = None  # the old stack is freed once its members are re-pointed
-    stacked = T.stack_params(members)
-    _stack_cache = ([(t, t.data) for p in members for t in p.tensors.values()], stacked)
-    return stacked
-
-
 def ensemble_probs(checkpoints, graphs):
     """Arithmetic mean of member probabilities, one value per graph.
 
     All members run in one forward per chunk, over parameters stacked along
-    a member axis; a member listed twice is scored once. Members must share
-    model config (persona use included) and parameter dtype.
+    a member axis (tensor.stack_params, kept on the members between calls).
+    Members must share model config (persona use included) and dtype.
     """
     if not checkpoints:
         raise ConfigError("ensemble needs at least one checkpoint")
@@ -328,15 +303,10 @@ def ensemble_probs(checkpoints, graphs):
             raise ConfigError("ensemble members have mismatched architectures")
     if len({t.dtype for ck in checkpoints for _, t in ck.params.named()}) > 1:
         raise ConfigError("ensemble members have mixed parameter dtypes")
-    params = [ck.params for ck in checkpoints]
-    distinct = list({id(p): p for p in params}.values())
-    stacked = _stacked_params(distinct)
+    stacked = T.stack_params([ck.params for ck in checkpoints])
     with T.no_grad():
         chunks = [M.forward(b, stacked).probs for b in _chunks(graphs)]
-    probs = np.concatenate(chunks, axis=1) if chunks else np.zeros((len(distinct), 0))
-    if len(distinct) < len(params):
-        slot = {id(p): k for k, p in enumerate(distinct)}
-        probs = probs[[slot[id(p)] for p in params]]
+    probs = np.concatenate(chunks, axis=1) if chunks else np.zeros((len(checkpoints), 0))
     return probs.mean(axis=0)
 
 

@@ -55,6 +55,18 @@ class TestGenerate:
                                        ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                         "MKL_NUM_THREADS")}
 
+    def test_manifest_git_describes_the_package_checkout(self, workspace, tmp_path,
+                                                         monkeypatch):
+        try:
+            want = subprocess.run(["git", "describe", "--always", "--dirty"],
+                                  cwd=Path(cli.__file__).parent, capture_output=True,
+                                  text=True, timeout=5).stdout.strip() or "unknown"
+        except OSError:
+            want = "unknown"
+        monkeypatch.chdir(tmp_path)  # not a checkout
+        assert cli.main(["generate", "--config", str(workspace["gen_cfg"]), "--out", "o"]) == 0
+        assert json.loads((tmp_path / "o" / "run_manifest.json").read_text())["git"] == want
+
     def test_reruns_are_byte_identical(self, workspace, tmp_path):
         out = tmp_path / "again"
         cli.main(["generate", "--config", str(workspace["gen_cfg"]), "--seed", "5",
@@ -309,6 +321,17 @@ class TestTrain:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
         assert "seeds must be all >= 0" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_duplicate_seeds_exit_two_before_training(self, workspace, tmp_path, capsys,
+                                                      monkeypatch):
+        (tmp_path / "seeds.cfg").write_text("max_epochs = 1\nseeds = 1,1\n")
+        monkeypatch.setattr(cli.TR, "train_ensemble", never_called)
+        capsys.readouterr()
+        assert cli.main(["train", "--corpus", str(workspace["corpus"]),
+                         "--config", str(tmp_path / "seeds.cfg"),
+                         "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "config error: seeds must be distinct, got (1, 1)\n"
         assert not (tmp_path / "o").exists()
 
     def test_unparsable_epoch_count_exits_two_without_traceback(self, workspace, tmp_path,
@@ -651,6 +674,7 @@ class TestExplain:
         with pytest.raises(RuntimeError, match="session checkpoint changed during explain"):
             cli.main(["explain", "--checkpoint", str(tmp_path / "c.json"),
                       "--corpus", str(workspace["corpus"]), "--out", str(tmp_path / "o")])
+        assert not (tmp_path / "o").exists()  # no output that looks like a finished run
 
     def test_corpus_without_causes_exits_one(self, workspace, tmp_path):
         sessions = read_sessions(workspace["corpus"])
@@ -711,6 +735,35 @@ class TestExplain:
             cli.main(["explain", "--checkpoint", ck, ck,
                       "--corpus", str(workspace["corpus"]), "--out", str(tmp_path / "o")])
         assert exc.value.code == 2
+
+
+def never_called(*args, **kwargs):
+    raise AssertionError("ran before the arguments were checked")
+
+
+@pytest.mark.parametrize("command,owner,work", [
+    ("generate", "D", "generate_corpus"), ("train", "TR", "train_ensemble"),
+    ("evaluate", "ckpt", "load_checkpoint"), ("explain", "ckpt", "checkpoint_hash")])
+@pytest.mark.parametrize("under", [False, True], ids=["a file", "under a file"])
+def test_out_that_cannot_become_a_directory_exits_one_before_any_work(
+        workspace, tmp_path, capsys, monkeypatch, command, owner, work, under):
+    blocker = tmp_path / "taken"
+    blocker.write_text("kept\n")
+    out = blocker / "run" if under else blocker
+    inputs = {"generate": [],
+              "train": ["--corpus", str(workspace["corpus"]),
+                        "--config", str(workspace["train_cfg"])],
+              "evaluate": ["--checkpoint", str(workspace["train_dir"] / "ckpt-seed0.json"),
+                           "--corpus", str(workspace["corpus"])],
+              "explain": ["--checkpoint", str(workspace["train_dir"] / "ckpt-seed0.json"),
+                          "--corpus", str(workspace["corpus"])]}
+    monkeypatch.setattr(getattr(cli, owner), work, never_called)
+    capsys.readouterr()
+    assert cli.main([command, *inputs[command], "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: --out {out}: {blocker} exists and is not a directory\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+    assert blocker.read_text() == "kept\n"
 
 
 def test_same_seed_artifacts_match_pinned_digest(tmp_path):

@@ -102,9 +102,11 @@ class TestParams:
     def test_snapshot_round_trip(self):
         p = M.ModelParams(small_config(), seed=0)
         snap = p.snapshot()
-        p["text_w"].data += 1.0
+        data = p["text_w"].data
+        data += 1.0
         p.load_snapshot(snap)
-        np.testing.assert_array_equal(p["text_w"].data, snap["text_w"])
+        assert p["text_w"].data is data  # written in place, so a stack holding it sees it
+        np.testing.assert_array_equal(data, snap["text_w"])
 
 
 class TestForward:

@@ -280,7 +280,7 @@ class TestTrainConfig:
     @pytest.mark.parametrize("field,value", [
         ("contrastive_weight", -1.0), ("clip_norm", -1.0), ("clip_norm", 0.0),
         ("focal_alpha", -1.0), ("focal_alpha", 0.0), ("plateau_factor", 2.0),
-        ("plateau_factor", 0.0), ("max_epochs", -3), ("seeds", ()),
+        ("plateau_factor", 0.0), ("max_epochs", -3), ("seeds", ()), ("seeds", (1, 1)),
     ])
     def test_values_that_invert_or_freeze_training_rejected(self, field, value):
         with pytest.raises(TR.ConfigError, match=field) as info:
@@ -522,22 +522,25 @@ class TestEnsembleStack:
         got = TR.ensemble_probs(ensemble, graphs)
         assert got.dtype == np.float64 and got.shape == (count,)
         assert got.tobytes() == want.tobytes()
-        # and again from the cached stack, now that the members are views of it
+        # and again from the kept stack, now that the members are views of it
         assert TR.ensemble_probs(ensemble, graphs).tobytes() == want.tobytes()
         assert member_mean(ensemble, graphs).tobytes() == want.tobytes()
 
     def test_members_are_views_of_one_stack(self):
         ensemble = [tiny_checkpoint(k) for k in range(3)]
         TR.ensemble_probs(ensemble, tiny_graphs(2))
-        stacked = TR._stacked_params([ck.params for ck in ensemble])
-        assert stacked is TR._stacked_params([ck.params for ck in ensemble])
+        members = [ck.params for ck in ensemble]
+        stacked = T.stack_params(members)
+        assert stacked is T.stack_params(members)  # unchanged members keep their stack
+        assert stacked.stacked is None
+        assert [m.stacked for m in members] == [(stacked, k) for k in range(3)]
         for name, t in stacked.named():
-            for k, ck in enumerate(ensemble):
-                assert ck.params[name].data.base is t.data
-                assert np.shares_memory(ck.params[name].data, t.data[k])
+            for k, m in enumerate(members):
+                assert m[name].data.base is t.data
+                assert np.shares_memory(m[name].data, t.data[k])
 
-    @pytest.mark.parametrize("change", ["in-place edit", "load_snapshot", "reordered", "subset",
-                                        "duplicates"])
+    @pytest.mark.parametrize("change", ["in-place edit", "load_snapshot", "rebound tensor",
+                                        "reordered", "subset", "prefix", "duplicates"])
     def test_next_call_sees_the_members_as_they_are(self, change):
         ensemble = [tiny_checkpoint(k) for k in range(3)]
         graphs = tiny_graphs(5)
@@ -547,15 +550,42 @@ class TestEnsembleStack:
                 p.data *= 1.5
         elif change == "load_snapshot":
             ensemble[2].params.load_snapshot(tiny_checkpoint(7).params.snapshot())
+        elif change == "rebound tensor":
+            t = ensemble[1].params["text_w"]
+            t.data = t.data * 2
         elif change == "reordered":
             ensemble = ensemble[::-1]
         elif change == "subset":
             ensemble = ensemble[1:]
+        elif change == "prefix":  # tagged (stack, 0) and (stack, 1), but the stack holds 3
+            ensemble = ensemble[:2]
         else:
             ensemble = [ensemble[0], ensemble[1], ensemble[0]]
         want = member_mean(ensemble, graphs)
-        for _ in range(2):  # the first call after the change, then one from the cache
+        for _ in range(2):  # the first call after the change, then one on the kept stack
             assert TR.ensemble_probs(ensemble, graphs).tobytes() == want.tobytes()
+
+    def test_alternating_ensembles_keep_their_own_stacks(self):
+        graphs = tiny_graphs(4)
+        ensembles = [[tiny_checkpoint(k) for k in (0, 1, 2)], [tiny_checkpoint(k) for k in (3, 4)]]
+        want = [member_mean(e, graphs) for e in ensembles]
+        stacks = []
+        for e in ensembles:
+            TR.ensemble_probs(e, graphs)
+            stacks.append(e[0].params["text_w"].data.base)
+        for _ in range(2):
+            for e, w, stack in zip(ensembles, want, stacks):
+                assert TR.ensemble_probs(e, graphs).tobytes() == w.tobytes()
+                assert all(ck.params["text_w"].data.base is stack for ck in e)  # not restacked
+
+    def test_dropping_the_members_frees_their_stack(self):
+        import weakref
+
+        ensemble = [tiny_checkpoint(k) for k in range(2)]
+        TR.ensemble_probs(ensemble, tiny_graphs(2))
+        stack = weakref.ref(ensemble[0].params["text_w"].data.base)
+        del ensemble
+        assert stack() is None
 
     def test_mixed_persona_modes_rejected(self):
         ensemble = [tiny_checkpoint(0), tiny_checkpoint(1, persona=False)]
