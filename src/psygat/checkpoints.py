@@ -63,6 +63,8 @@ def _write_pair(prefix, header, arrays):
 
 def _read_pair(prefix, kind):
     """Header and name -> array of a checkpoint of the given kind. The
+    index must lay the entries end to end from offset 0, as _write_pair
+    does, with int offsets and sizes, and cover the blob exactly. The
     arrays are read-only views of the blob; _load_arrays copies them."""
     prefix = Path(prefix)
     try:
@@ -77,22 +79,27 @@ def _read_pair(prefix, kind):
     if header.get("kind") != kind:
         raise CheckpointError(f"{prefix}: not a {kind.replace('_', '-')} checkpoint")
     raw = prefix.with_suffix(".bin").read_bytes()
-    blob = np.frombuffer(raw, dtype="<f4")
-    arrays = {}
     try:
-        total = sum(entry["size"] for entry in header["params"])
-        if len(raw) != 4 * total:
-            raise CheckpointError(
-                f"{prefix}: blob holds {len(raw)} bytes, index expects {4 * total}")
+        total = 0
         for entry in header["params"]:
-            shape = entry["shape"]
+            shape, offset, size = entry["shape"], entry["offset"], entry["size"]
             if not isinstance(shape, list) or any(type(d) is not int or d < 0 for d in shape):
                 raise CheckpointError(f"{prefix}: index entry {entry['name']} has shape "
                                       f"{shape!r}, not a list of non-negative ints")
-            a, b = entry["offset"], entry["offset"] + entry["size"]
-            if a < 0 or b > blob.size or entry["size"] != int(np.prod(shape)):
-                raise CheckpointError(f"{prefix}: index entry {entry['name']} does not fit the blob")
-            arrays[entry["name"]] = blob[a:b].reshape(shape)
+            if type(offset) is not int or type(size) is not int:
+                raise CheckpointError(f"{prefix}: index entry {entry['name']} has offset "
+                                      f"{offset!r} and size {size!r}, not ints")
+            if offset != total or size != int(np.prod(shape)):
+                raise CheckpointError(f"{prefix}: index entry {entry['name']} does not fit the "
+                                      f"blob: offset {offset} and size {size}, expected offset "
+                                      f"{total} and size {int(np.prod(shape))}")
+            total += size
+        if len(raw) != 4 * total:
+            raise CheckpointError(
+                f"{prefix}: blob holds {len(raw)} bytes, index expects {4 * total}")
+        blob = np.frombuffer(raw, dtype="<f4")
+        arrays = {entry["name"]: blob[entry["offset"]:entry["offset"] + entry["size"]]
+                  .reshape(entry["shape"]) for entry in header["params"]}
     except (KeyError, TypeError) as exc:
         raise CheckpointError(f"{prefix}: malformed parameter index: {exc!r}") from exc
     return header, arrays

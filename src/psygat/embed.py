@@ -12,7 +12,7 @@ import re
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import DataError, FormatError
 
 DEFAULT_DIM = 384
 
@@ -61,9 +61,13 @@ def embed_sessions(sessions, dim=DEFAULT_DIM, seed=0, prepend_question=True):
     """session id -> float32 (T, dim) block of its utterances' hashed vectors.
 
     Feature hashes are shared across the call's utterances and dropped
-    when it returns.
+    when it returns. An id that two sessions share is a DataError: one
+    block per id would give both sessions the same text.
     """
-    codes = {}
-    return {s.id: _hash_rows([s.text(u.index, prepend_question) for u in s.utterances],
-                             dim, seed, codes)
-            for s in sessions}
+    codes, blocks = {}, {}
+    for s in sessions:
+        if s.id in blocks:
+            raise DataError(f"session id {s.id!r} occurs more than once")
+        blocks[s.id] = _hash_rows([s.text(u.index, prepend_question) for u in s.utterances],
+                                  dim, seed, codes)
+    return blocks

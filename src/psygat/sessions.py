@@ -37,6 +37,8 @@ class Session:
 
     def __post_init__(self):
         # types are checked, not converted: True and 1.0 equal 1, int(2.9) is 2
+        if not isinstance(self.id, str):
+            raise CorpusError(f"session id {self.id!r} is not a string")
         if type(self.label) is not int or self.label not in (0, 1):
             raise CorpusError(f"session {self.id}: label {self.label!r} is not 0 or 1")
         if type(self.persona) is not int:
@@ -91,7 +93,7 @@ class Session:
     @classmethod
     def from_json(cls, obj):
         return cls(
-            id=str(obj["id"]),
+            id=obj["id"],
             persona=obj["persona"],
             label=obj["label"],
             utterances=[Utterance(u["i"], u.get("q", ""), u.get("a", "")) for u in obj["utterances"]],

@@ -129,8 +129,14 @@ class Params:
         for t in self.tensors.values():
             t.zero_grad()
 
-    def snapshot(self):
-        return {name: t.data.copy() for name, t in self.named()}
+    def snapshot(self, into=None):
+        """name -> a copy of each tensor's data; given an earlier snapshot
+        into, the data is copied into its arrays instead, allocating nothing."""
+        if into is None:
+            return {name: t.data.copy() for name, t in self.named()}
+        for name, t in self.named():
+            into[name][...] = t.data
+        return into
 
     def load_snapshot(self, snap):
         """In place, so a stack the tensors are slices of holds it too."""
@@ -721,10 +727,20 @@ def l2_normalize_rows(x, eps=1e-12):
     return Tensor(y, (x,), backward)
 
 
-def backward(loss):
-    """Reverse accumulation from a scalar loss; grads add until zeroed.
+def _freed(g):
+    raise UsageError("backward through a graph that an earlier backward freed; "
+                     "run the forward again")
 
-    Only tensors that need a gradient are visited.
+
+def backward(loss):
+    """Reverse accumulation from a scalar loss; leaf grads add until zeroed.
+
+    Only tensors that need a gradient are visited. The graph is freed as
+    it is consumed: once a non-leaf's closure has run, the node drops its
+    grad, parents and closure, so its saved arrays and its inputs' go as
+    soon as nothing else holds them. A second backward through a freed
+    node, from the same loss or from another that shares it, raises
+    UsageError.
     """
     if loss.data.ndim != 0 and loss.data.size != 1:
         raise UsageError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -747,9 +763,11 @@ def backward(loss):
             if p.requires_grad and id(p) not in visited:
                 stack.append((p, False))
     loss.accumulate(np.ones_like(loss.data))
-    for node in reversed(topo):
-        if node._backward is not None:
+    while topo:
+        node = topo.pop()
+        if node._backward is not None:  # a leaf has none and keeps its grad
             node._backward(node.grad)
+            node.grad, node._backward, node.parents = None, _freed, ()
 
 
 def grad_check(f, params, eps=1e-4, max_coords=None, rng=None):

@@ -114,15 +114,20 @@ def info_nce(session_reps, labels, temperature=0.2):
 class AdamW:
     """Decoupled weight decay Adam (Loshchilov & Hutter 2019).
 
-    Each step updates m, v and the parameter in place through two scratch
-    buffers per parameter, allocating nothing. Every operation is the one
-    the textbook formula
+    Each step updates m, v and the parameter in place, allocating nothing.
+    Every operation is the one the textbook formula
 
         m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * (g * g)
         p -= (lr * (m / c1)) / (sqrt(v / c2) + eps)
 
     evaluates, in the same order, so results are bit-identical to it;
     folding lr / c1 into one scalar would not be.
+
+    state holds t, m and v per parameter name: twice the parameters'
+    memory. The intermediates go through one scratch pair per dtype,
+    sized to the largest parameter seen (scratch); each parameter takes
+    its views of that pair once, on first sight, since slicing on every
+    step costs more than the update of a small parameter.
     """
 
     def __init__(self, lr, weight_decay=0.0, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -132,6 +137,21 @@ class AdamW:
         self.beta2 = beta2
         self.eps = eps
         self.state = {}
+        self.scratch = {}  # dtype -> pair of flat arrays
+        self._views = {}  # parameter name -> its views of the scratch pair
+
+    def _take_views(self, name, data):
+        """Record name's views, of data's shape, into its dtype's scratch
+        pair. A parameter larger than the pair grows it and re-points the
+        earlier views, so the old pair is freed."""
+        pair = self.scratch.get(data.dtype)
+        if pair is None or pair[0].size < data.size:
+            pair = self.scratch[data.dtype] = (np.empty(data.size, data.dtype),
+                                               np.empty(data.size, data.dtype))
+            for key, (s1, _) in list(self._views.items()):
+                if s1.dtype == data.dtype:
+                    self._views[key] = tuple(b[:s1.size].reshape(s1.shape) for b in pair)
+        self._views[name] = tuple(b[:data.size].reshape(data.shape) for b in pair)
 
     def step(self, named_params):
         b1, b2 = self.beta1, self.beta2
@@ -141,11 +161,11 @@ class AdamW:
                 raise NumericalError(f"non-finite gradient for parameter {name}")
             st = self.state.get(name)
             if st is None:
-                st = self.state[name] = {
-                    "t": 0, "m": np.zeros_like(p.data), "v": np.zeros_like(p.data),
-                    "s1": np.empty_like(p.data), "s2": np.empty_like(p.data),
-                }
-            m, v, s1, s2 = st["m"], st["v"], st["s1"], st["s2"]
+                st = self.state[name] = {"t": 0, "m": np.zeros_like(p.data),
+                                         "v": np.zeros_like(p.data)}
+                self._take_views(name, p.data)
+            m, v = st["m"], st["v"]
+            s1, s2 = self._views[name]
             # decoupled decay, applied before the Adam update
             if self.weight_decay:
                 p.data *= 1.0 - self.lr * self.weight_decay
@@ -261,7 +281,7 @@ def fit(train_graphs, val_graphs, config, model_config, seed=0):
         if auc > best_auc + 1e-12:
             best_auc = auc
             best_probs = probs  # the restored parameters score exactly these
-            best_snapshot = params.snapshot()
+            params.snapshot(into=best_snapshot)  # in place: one snapshot, not two at once
             best_epoch = epoch
             since_improve = 0
             plateau_wait = 0

@@ -41,6 +41,12 @@ def append_entry(prefix, name):
         f.write(np.zeros(1, dtype="<f4").tobytes())
 
 
+def alias_ln_beta(header):
+    """Point text_ln_beta at text_ln_gamma's bytes; both have one size."""
+    entries = {entry["name"]: entry for entry in header["params"]}
+    entries["text_ln_beta"]["offset"] = entries["text_ln_gamma"]["offset"]
+
+
 class TestSessionModelCheckpoints:
     def test_round_trip_preserves_everything(self, tmp_path):
         ck = small_checkpoint()
@@ -128,6 +134,30 @@ class TestSessionModelCheckpoints:
         header["params"][-1]["offset"] += 1
         path.write_text(json.dumps(header))
         with pytest.raises(CK.CheckpointError, match="does not fit"):
+            CK.load_checkpoint(tmp_path / "ckpt")
+
+    def test_blob_cut_inside_a_value_rejected(self, tmp_path):
+        CK.save_checkpoint(tmp_path / "ckpt", small_checkpoint())
+        blob = tmp_path / "ckpt.bin"
+        blob.write_bytes(blob.read_bytes()[:-1])
+        with pytest.raises(CK.CheckpointError, match="bytes"):
+            CK.load_checkpoint(tmp_path / "ckpt")
+
+    @pytest.mark.parametrize("change,message", [
+        (alias_ln_beta, "text_ln_beta does not fit"),
+        (lambda header: header["params"][1].update(offset=header["params"][1]["offset"] + 1),
+         "does not fit"),
+        (lambda header: header["params"][0].update(offset=False), "offset False .* not ints"),
+        (lambda header: header["params"][0].update(offset=0.0), "offset 0.0 .* not ints"),
+        (lambda header: header["params"][0].update(size=float(header["params"][0]["size"])),
+         "not ints"),
+    ], ids=["aliased", "gap", "bool-offset", "float-offset", "float-size"])
+    def test_index_not_laid_end_to_end_rejected(self, tmp_path, change, message):
+        # every entry starts where the one before it ends, as _write_pair
+        # lays them out; anything else reads some other parameter's bytes
+        CK.save_checkpoint(tmp_path / "ckpt", small_checkpoint())
+        edit_header(tmp_path / "ckpt.json", change)
+        with pytest.raises(CK.CheckpointError, match=message):
             CK.load_checkpoint(tmp_path / "ckpt")
 
     @pytest.mark.parametrize("text", ["{not json", "[1, 2]", '{"kind": "session_model"}',

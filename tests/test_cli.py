@@ -287,6 +287,27 @@ class TestTrain:
         assert len(err.strip().splitlines()) == 1
         assert f"{bad}:3:" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["train", "evaluate", "explain"])
+    def test_repeated_session_id_exits_one_naming_it(self, workspace, tmp_path, capsys,
+                                                     command):
+        # two test sessions under one id would share one text embedding
+        from psygat.sessions import write_sessions
+
+        sessions = read_sessions(workspace["corpus"])
+        first, second = [s for s in sessions if s.split == "test"][:2]
+        second.id = first.id
+        corpus = tmp_path / "repeated.jsonl"
+        write_sessions(corpus, sessions)
+        args = {"train": ["--config", str(workspace["train_cfg"])],
+                "evaluate": ["--checkpoint", str(workspace["train_dir"] / "ckpt-seed0.json")],
+                "explain": ["--checkpoint", str(workspace["train_dir"] / "ckpt-seed0.json")]}
+        capsys.readouterr()
+        assert cli.main([command, "--corpus", str(corpus), *args[command],
+                         "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: session id {first.id!r} occurs more than once\n"
+        assert not (tmp_path / "o").exists()
+
     def test_zero_batch_size_exits_two_without_traceback(self, workspace, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("max_epochs = 1\nseeds = 0\nbatch_size = 0\n")

@@ -8,6 +8,7 @@ import pytest
 
 from psygat import embed
 from psygat.datagen import GenConfig, generate_corpus
+from psygat.errors import DataError
 from psygat.sessions import Session, Utterance
 
 
@@ -150,3 +151,12 @@ def test_features_of_opposite_sign_cancel_in_a_shared_bucket():
     assert vec.tobytes() == reference_hash_embed(f"{a} {b}", dim, 0).tobytes()
     # the unigrams cancel, so only the bigram's unit count is left
     assert np.count_nonzero(vec) == 1 and np.abs(vec).max() == 1.0
+
+
+def test_repeated_session_id_rejected():
+    # one block per id: the second session's text would silently stand in
+    # for the first's, both having two utterances
+    first, second = make_session("dup"), make_session("dup")
+    second.utterances[0].answer = "something else entirely"
+    with pytest.raises(DataError, match="session id 'dup' occurs more than once"):
+        embed.embed_sessions([make_session("a"), first, second])

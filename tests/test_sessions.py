@@ -1,6 +1,7 @@
 """Session records, JSONL round-trips, splits and the leakage guard."""
 
 import json
+import re
 
 import pytest
 
@@ -119,6 +120,15 @@ class TestCorpusIo:
         path = tmp_path / "old.jsonl"
         path.write_text(json.dumps(record) + "\n")
         with pytest.raises(S.CorpusError, match=":1:.*cause index -1"):
+            S.read_sessions(path)
+
+    @pytest.mark.parametrize("sid", [None, 7, ["a"]], ids=["null", "int", "list"])
+    def test_non_string_id_fails_on_load_naming_the_line(self, tmp_path, sid):
+        # checked, not converted: null would load as the id "None", 7 as "7"
+        path = tmp_path / "ids.jsonl"
+        path.write_text(json.dumps(make_session().to_json()) + "\n"
+                        + json.dumps({**make_session().to_json(), "id": sid}) + "\n")
+        with pytest.raises(S.CorpusError, match=":2:.*" + re.escape(f"session id {sid!r} is not a string")):
             S.read_sessions(path)
 
     def test_bad_record_reports_line(self, tmp_path):

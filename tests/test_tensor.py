@@ -404,6 +404,56 @@ class TestConstantsAndNoGrad:
         np.testing.assert_allclose(x.grad, 2 * x.data)
 
 
+def graph_nodes(loss):
+    """Every tensor the loss was computed from, the loss included."""
+    seen, stack = {}, [loss]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen[id(t)] = t
+            stack.extend(t.parents)
+    return list(seen.values())
+
+
+class TestFreedGraph:
+    def forward(self):
+        rng = np.random.default_rng(8)
+        x, w = t64(rng.standard_normal((3, 4))), t64(rng.standard_normal((4, 2)))
+        h = T.tanh(T.matmul(x, w))
+        return x, w, h, T.tsum(T.mul(h, h))
+
+    def test_backward_leaves_no_intermediate_state(self):
+        x, w, h, loss = self.forward()
+        inner = [t for t in graph_nodes(loss) if t.parents]
+        assert len(inner) == 4  # matmul, tanh, mul, tsum
+        T.backward(loss)
+        for t in inner:
+            assert t.grad is None and t.parents == () and t._backward is T._freed
+        # leaves keep their gradients
+        np.testing.assert_allclose(w.grad, x.data.T @ (2 * h.data * (1 - h.data**2)))
+        assert x.grad.shape == x.shape
+
+    def test_second_backward_from_the_same_loss_raises(self):
+        x, w, _, loss = self.forward()
+        T.backward(loss)
+        before = x.grad.copy(), w.grad.copy()
+        with pytest.raises(T.UsageError, match="earlier backward freed"):
+            T.backward(loss)
+        # nothing reached the leaves a second time
+        np.testing.assert_array_equal(x.grad, before[0])
+        np.testing.assert_array_equal(w.grad, before[1])
+
+    @pytest.mark.parametrize("built", ["before", "after"])
+    def test_second_loss_through_freed_nodes_raises(self, built):
+        _, _, h, loss = self.forward()
+        other = T.tsum(h) if built == "before" else None
+        T.backward(loss)
+        if other is None:
+            other = T.tsum(h)
+        with pytest.raises(T.UsageError, match="earlier backward freed"):
+            T.backward(other)
+
+
 class TestShapePolicy:
     def test_mismatched_elementwise_shapes_rejected(self):
         with pytest.raises(T.ShapeError):

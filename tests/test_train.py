@@ -153,6 +153,36 @@ class TestAdamW:
             expected = reference(x.astype(np.float32), grads[name], 3e-3, weight_decay)
             np.testing.assert_array_equal(params[name].data, expected)
 
+    def test_state_holds_moments_and_one_scratch_pair_fits_the_largest_parameter(self):
+        # smallest first: the float32 pair grows twice, re-pointing the
+        # views taken before; each run matches an optimizer per parameter,
+        # whose scratch is exactly its own size
+        rng = np.random.default_rng(6)
+        start = {"b": rng.standard_normal(3).astype(np.float32),
+                 "w": rng.standard_normal((4, 5)).astype(np.float32),
+                 "c": rng.standard_normal((2, 2)).astype(np.float32),
+                 "d": rng.standard_normal(7)}
+        grads = [{name: rng.standard_normal(x.shape).astype(x.dtype)
+                  for name, x in start.items()} for _ in range(4)]
+        shared = {name: T.Tensor(x.copy()) for name, x in start.items()}
+        alone = {name: T.Tensor(x.copy()) for name, x in start.items()}
+        opt = TR.AdamW(lr=0.01, weight_decay=0.1)
+        opts = {name: TR.AdamW(lr=0.01, weight_decay=0.1) for name in start}
+        for step_grads in grads:
+            for name, g in step_grads.items():
+                shared[name].grad, alone[name].grad = g, g
+            opt.step(shared.items())
+            for name, p in alone.items():
+                opts[name].step([(name, p)])
+        for name in start:
+            assert shared[name].data.tobytes() == alone[name].data.tobytes()
+        assert all(set(st) == {"t", "m", "v"} for st in opt.state.values())
+        assert {dtype: [b.size for b in pair] for dtype, pair in opt.scratch.items()} == {
+            np.dtype(np.float32): [20, 20], np.dtype(np.float64): [7, 7]}
+        for name, views in opt._views.items():
+            pair = opt.scratch[views[0].dtype]
+            assert all(v.base is b for v, b in zip(views, pair)), name
+
     def test_converges_on_quadratic(self):
         p = T.Tensor(np.asarray([5.0], dtype=np.float64))
         opt = TR.AdamW(lr=0.1)
@@ -391,6 +421,73 @@ class TestFit:
         assert ck.threshold == TR.select_threshold(probs, labels)
         if max_epochs:
             assert ck.best_val_pr_auc == pr_auc(probs, labels)
+
+    def test_freed_graph_leaves_parameter_gradients_bit_equal(self, monkeypatch):
+        # one train step's gradients, from the backward that frees the graph
+        # as it goes and from one that keeps every node's state
+        from psygat import model as M
+        from psygat.graph import GraphBatch
+        from psygat.verify import _tiny_graph
+
+        def keeping_backward(loss):
+            topo, seen = [], set()
+            stack = [(loss, False)]
+            while stack:
+                node, done = stack.pop()
+                if done:
+                    topo.append(node)
+                elif id(node) not in seen:
+                    seen.add(id(node))
+                    stack.append((node, True))
+                    stack.extend((p, False) for p in node.parents if p.requires_grad)
+            loss.accumulate(np.ones_like(loss.data))
+            for node in reversed(topo):
+                if node._backward is not None:
+                    node._backward(node.grad)
+            kept.append(sum(1 for node in topo if node.parents and node.grad is not None))
+
+        rng = np.random.default_rng(4)
+        graphs = [_tiny_graph(rng, int(n)) for n in (5, 2, 4, 1)]
+        for k, g in enumerate(graphs):
+            g.label, g.persona = k % 2, k % 4
+        batch = GraphBatch.from_graphs(graphs)
+        cfg = M.ModelConfig(text_dim=12, hidden=16, heads=2, persona_dim=4, head_hidden=8)
+
+        def step_grads():
+            params = M.ModelParams(cfg, seed=1)
+            TR._train_step(params, TR.AdamW(1e-3), batch, TR.TrainConfig(seeds=(0,)),
+                           np.random.default_rng(7))
+            return {name: p.grad.tobytes() for name, p in params.named()}
+
+        freed, kept = step_grads(), []
+        monkeypatch.setattr(T, "backward", keeping_backward)
+        assert step_grads() == freed
+        assert kept[0] > 50  # the reference did keep the intermediates' gradients
+
+    def test_best_snapshot_is_refreshed_in_place(self, monkeypatch):
+        from psygat import model as M
+        from psygat.verify import _tiny_graph
+
+        rng = np.random.default_rng(14)
+        graphs = [_tiny_graph(rng, int(n)) for n in rng.integers(1, 7, 14)]
+        for k, g in enumerate(graphs):
+            g.label, g.persona = k % 2, k % 4
+        snaps = []
+        snapshot = M.ModelParams.snapshot
+        monkeypatch.setattr(M.ModelParams, "snapshot",
+                            lambda self, into=None: snaps.append(snapshot(self, into))
+                            or snaps[-1])
+        cfg = M.ModelConfig(text_dim=12, hidden=16, heads=2, persona_dim=4, head_hidden=8)
+        config = TR.TrainConfig(lr=5e-3, max_epochs=6, early_stop_patience=6, seeds=(0,),
+                                batch_size=4)
+        ck = TR.fit(graphs[:8], graphs[8:], config, cfg, seed=0)
+        assert ck.epoch >= 2 and len(snaps) >= 3  # the start and two improving epochs
+        first = snaps[0]
+        for snap in snaps[1:]:
+            assert snap.keys() == first.keys()
+            assert all(snap[name] is first[name] for name in first)
+        for name, t in ck.params.named():
+            assert t.data.tobytes() == first[name].tobytes()
 
     def test_step_graphs_leave_no_cyclic_garbage(self):
         # op closures capture only their parents, so refcounting alone frees
