@@ -11,15 +11,13 @@ from psygat.pipeline import graphs_from_sessions
 from psygat.train import TrainConfig, fit
 
 splits = generate_corpus(GenConfig(seed=0, n_sessions=80))
-graphs = {name: graphs_from_sessions(split) for name, split in splits.items()}
-checkpoint = fit(graphs["train"], graphs["val"], TrainConfig(seeds=(0,)), ModelConfig())
+train, val = (graphs_from_sessions(splits[name]) for name in ("train", "val"))
+checkpoint = fit(train, val, TrainConfig(seeds=(0,)), ModelConfig())
 
-# the scorer reads frozen, detached node representations of the train and
-# test sessions only
-graphs_by_id = {g.session_id: g for split in graphs.values() for g in split}
+# explain builds the graphs of the train and test sessions only, and the
+# scorer reads their frozen, detached node representations
 config = causal.CausalConfig(window=3)
-scorer, report, explanations, skipped = causal.explain(splits, graphs_by_id,
-                                                       checkpoint.params, config)
+scorer, report, explanations, skipped = causal.explain(splits, checkpoint.params, config)
 print(f"instances {report.instances} (skipped {skipped} without annotated cause)")
 print(f"Hit@1 {report.hit_at[1]:.3f}  Hit@3 {report.hit_at[3]:.3f}  "
       f"Hit@5 {report.hit_at[5]:.3f}  MRR {report.mrr:.3f}")

@@ -19,6 +19,7 @@ from .errors import ConfigError, DataError
 from .graph import GraphBatch
 from .metrics import ranking_metrics
 from .peu import CATEGORIES, NUM_CATEGORIES
+from .pipeline import graphs_from_sessions
 from .train import AdamW
 
 
@@ -270,18 +271,19 @@ def rank_and_evaluate(instances, reps_by_session, peus_by_session, scorer):
     return ranking_metrics(ranked_labels), explanations, skipped
 
 
-def explain(splits, graphs_by_id, params, config, seed=0):
+def explain(splits, params, config, seed=0):
     """Fit the edge scorer on the train split and rank the evaluated split
     (test, or val when test is empty) under a frozen session model.
 
-    Only those sessions are encoded; their PEU rows are the graphs'
-    node_peu arrays. Returns (scorer, RankingReport, explanation records,
-    skipped count).
+    Only those sessions get graphs, built in one call, so an id that both
+    share is a DataError; their PEU rows are the graphs' node_peu arrays.
+    Returns (scorer, RankingReport, explanation records, skipped count).
     """
     evaluated = splits["test"] or splits["val"]
     read = splits["train"] + evaluated
-    reps = {s.id: session_node_reps(graphs_by_id[s.id], params) for s in read}
-    peus = {s.id: graphs_by_id[s.id].node_peu for s in read}
+    graphs = graphs_from_sessions(read)
+    reps = {s.id: session_node_reps(g, params) for s, g in zip(read, graphs)}
+    peus = {s.id: g.node_peu for s, g in zip(read, graphs)}
 
     def instances(split):
         return [inst for s in split

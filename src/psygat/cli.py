@@ -29,8 +29,7 @@ from .errors import ConfigError, CorpusError, PsygatError
 from .metrics import HIT_KS, classification_report
 from .model import ModelConfig
 from .pipeline import graphs_from_sessions
-from .sessions import (check_no_augmented_leakage, read_sessions, split_sessions, write_jsonl,
-                       write_sessions)
+from .sessions import read_sessions, split_sessions, write_jsonl, write_sessions
 
 EXIT_DATA = 1
 EXIT_CONFIG = 2
@@ -110,27 +109,17 @@ def cmd_generate(args):
     return 0
 
 
-def _load_graphs(corpus_path):
-    sessions = read_sessions(corpus_path)
-    check_no_augmented_leakage(sessions)
-    splits = split_sessions(sessions)
-    graphs = {
-        name: graphs_from_sessions(split) if split else []
-        for name, split in splits.items()
-    }
-    return sessions, splits, graphs
-
-
 def cmd_train(args):
     started = time.time()
     config = load_config(args.config, TR.TrainConfig) if args.config else TR.TrainConfig()
     if args.seed is not None:
         config = dataclasses.replace(config, seeds=(args.seed,))
     model_config = ModelConfig(persona=args.persona_mode == "on")
-    sessions, splits, graphs = _load_graphs(args.corpus)
+    splits = split_sessions(read_sessions(args.corpus))
     if not splits["train"] or not splits["val"]:
         raise ConfigError("corpus must provide train and val splits")
-    members, threshold = TR.train_ensemble(graphs["train"], graphs["val"], config, model_config)
+    train_graphs, val_graphs = (graphs_from_sessions(splits[name]) for name in ("train", "val"))
+    members, threshold = TR.train_ensemble(train_graphs, val_graphs, config, model_config)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
@@ -138,8 +127,8 @@ def cmd_train(args):
         prefix = out_dir / f"ckpt-seed{member.seed}"
         ckpt.save_checkpoint(prefix, member)
         outputs += [prefix.with_suffix(".json"), prefix.with_suffix(".bin")]
-    val_probs = TR.ensemble_probs(members, graphs["val"])
-    val_labels = np.array([g.label for g in graphs["val"]])
+    val_probs = TR.ensemble_probs(members, val_graphs)
+    val_labels = np.array([g.label for g in val_graphs])
     report = {
         "split": "val",
         "ensemble_threshold": threshold,
@@ -189,11 +178,12 @@ def cmd_evaluate(args):
         threshold = members[0].threshold
     else:
         threshold = _ensemble_threshold(args.checkpoint, members)
-    sessions, splits, graphs = _load_graphs(args.corpus)
-    if not splits[args.split]:
+    split = split_sessions(read_sessions(args.corpus))[args.split]
+    if not split:
         raise CorpusError(f"corpus has no sessions in split {args.split!r}")
-    probs = TR.ensemble_probs(members, graphs[args.split])
-    labels = np.array([g.label for g in graphs[args.split]])
+    graphs = graphs_from_sessions(split)
+    probs = TR.ensemble_probs(members, graphs)
+    labels = np.array([g.label for g in graphs])
     report = {"split": args.split,
               "metrics": classification_report(probs, labels, threshold).to_json()}
     out_dir = Path(args.out)
@@ -216,18 +206,19 @@ def _check_seed(args):
 def cmd_explain(args):
     started = time.time()
     _check_seed(args)
+    # before any file is read, as --seed
+    causal_config = C.CausalConfig(window=args.window, past_only=args.past_only)
     prefix = Path(args.checkpoint).with_suffix("")
     hash_before = ckpt.checkpoint_hash(prefix)
     member = ckpt.load_checkpoint(prefix)
-    sessions, splits, graphs = _load_graphs(args.corpus)
+    sessions = read_sessions(args.corpus)
+    splits = split_sessions(sessions)
     if not any(s.causes for s in sessions):
         raise CorpusError(
             "corpus carries no causal annotations; regenerate it with the generate command"
         )
-    causal_config = C.CausalConfig(window=args.window, past_only=args.past_only)
-    graph_by_id = {g.session_id: g for split in graphs.values() for g in split}
-    scorer, report, explanations, skipped = C.explain(splits, graph_by_id, member.params,
-                                                      causal_config, seed=args.seed or 0)
+    scorer, report, explanations, skipped = C.explain(splits, member.params, causal_config,
+                                                      seed=args.seed or 0)
     if ckpt.checkpoint_hash(prefix) != hash_before:
         raise RuntimeError("session checkpoint changed during explain; this is a bug")
     out_dir = Path(args.out)

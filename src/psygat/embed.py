@@ -57,7 +57,7 @@ def _hash_rows(texts, dim, seed, codes):
     return vecs / norm[:, None]
 
 
-def embed_sessions(sessions, dim=DEFAULT_DIM, seed=0, prepend_question=True):
+def embed_sessions(sessions, dim=DEFAULT_DIM, seed=0):
     """session id -> float32 (T, dim) block of its utterances' hashed vectors.
 
     Feature hashes are shared across the call's utterances and dropped
@@ -68,6 +68,5 @@ def embed_sessions(sessions, dim=DEFAULT_DIM, seed=0, prepend_question=True):
     for s in sessions:
         if s.id in blocks:
             raise DataError(f"session id {s.id!r} occurs more than once")
-        blocks[s.id] = _hash_rows([s.text(u.index, prepend_question) for u in s.utterances],
-                                  dim, seed, codes)
+        blocks[s.id] = _hash_rows([s.text(u.index) for u in s.utterances], dim, seed, codes)
     return blocks

@@ -16,6 +16,9 @@ from pathlib import Path
 from .errors import CorpusError
 from .peu import CATEGORIES
 
+SPLITS = ("train", "val", "test")
+SOURCES = ("base", "augmented")
+
 
 @dataclass
 class Utterance:
@@ -43,6 +46,11 @@ class Session:
             raise CorpusError(f"session {self.id}: label {self.label!r} is not 0 or 1")
         if type(self.persona) is not int:
             raise CorpusError(f"session {self.id}: persona {self.persona!r} is not an int")
+        # tuple membership compares, so a list or dict is refused, not unhashable
+        if self.split not in SPLITS:
+            raise CorpusError(f"session {self.id}: unknown split {self.split!r}")
+        if self.source not in SOURCES:
+            raise CorpusError(f"session {self.id}: unknown source {self.source!r}")
         for k, utt in enumerate(self.utterances):
             if type(utt.index) is not int:
                 raise CorpusError(f"session {self.id}: utterance index {utt.index!r} is not an int")
@@ -72,9 +80,9 @@ class Session:
     def T(self):
         return len(self.utterances)
 
-    def text(self, index, prepend_question=True):
+    def text(self, index):
         utt = self.utterances[index]
-        if prepend_question and utt.question:
+        if utt.question:
             return f"Q: {utt.question} A: {utt.answer}"
         return utt.answer
 
@@ -137,10 +145,15 @@ def read_sessions(path):
 
 
 def split_sessions(sessions):
-    splits = {"train": [], "val": [], "test": []}
+    """Sessions by split, in corpus order, once the corpus-level checks pass:
+    no augmented session outside train and no id twice, train and test alike."""
+    check_no_augmented_leakage(sessions)
+    splits = {name: [] for name in SPLITS}
+    seen = set()
     for s in sessions:
-        if s.split not in splits:
-            raise CorpusError(f"session {s.id}: unknown split {s.split!r}")
+        if s.id in seen:
+            raise CorpusError(f"session id {s.id!r} occurs more than once")
+        seen.add(s.id)
         splits[s.split].append(s)
     return splits
 

@@ -1,5 +1,6 @@
 """Causal instance extraction, edge scoring and ranked explanations."""
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -438,33 +439,46 @@ def small_explain_inputs():
 @pytest.mark.parametrize("evaluated", ["test", "val"])
 def test_explain_encodes_and_annotates_train_and_the_evaluated_split_once(
         small_explain_inputs, evaluated, monkeypatch):
-    corpus, graphs, params = small_explain_inputs
+    corpus, _, params = small_explain_inputs
     splits = dict(corpus, test=corpus["test"] if evaluated == "test" else [])
     from psygat import peu, pipeline
 
-    encoded, annotated, scored_peus = [], [], []
-    reps, peus, train = C.session_node_reps, peu.build_peu_tensor, C.train_scorer
+    built, encoded, annotated, scored_peus = [], [], [], []
+    graphs_from, reps = C.graphs_from_sessions, C.session_node_reps
+    peus, train = peu.build_peu_tensor, C.train_scorer
+    monkeypatch.setattr(C, "graphs_from_sessions",
+                        lambda ss: built.append(graphs_from(ss)) or built[-1])
     monkeypatch.setattr(C, "session_node_reps",
                         lambda g, p: encoded.append(g.session_id) or reps(g, p))
     for owner in (peu, pipeline):
         monkeypatch.setattr(owner, "build_peu_tensor", lambda s: annotated.append(s.id) or peus(s))
     monkeypatch.setattr(C, "train_scorer", lambda insts, reps_by, peus_by, *rest:
                         scored_peus.append(peus_by) or train(insts, reps_by, peus_by, *rest))
-    _, _, explanations, _ = C.explain(splits, graphs, params, C.CausalConfig(epochs=1))
+    _, _, explanations, _ = C.explain(splits, params, C.CausalConfig(epochs=1))
     read = [s.id for s in corpus["train"] + corpus[evaluated]]
+    (graphs,) = built  # one call, so an id shared across the splits is caught
+    assert [g.session_id for g in graphs] == read
     assert encoded == read
-    # the PEU rows are the graphs' own arrays, not a second parse
-    assert annotated == []
+    # each PEU array is parsed once, for its graph, and the scorer reads it there
+    assert annotated == read
     (peus_by,) = scored_peus
     assert list(peus_by) == read
-    assert all(peus_by[sid] is graphs[sid].node_peu for sid in read)
+    assert all(peus_by[g.session_id] is g.node_peu for g in graphs)
     assert {rec["session"] for rec in explanations} <= {s.id for s in corpus[evaluated]}
+
+
+def test_explain_rejects_an_id_train_and_the_evaluated_split_share(small_explain_inputs):
+    corpus, _, params = small_explain_inputs
+    clash = dataclasses.replace(corpus["test"][0], id=corpus["train"][0].id)
+    splits = dict(corpus, test=[clash, *corpus["test"][1:]])
+    with pytest.raises(C.DataError, match=f"session id {clash.id!r} occurs more than once"):
+        C.explain(splits, params, C.CausalConfig(epochs=1))
 
 
 def test_explain_equals_its_components(small_explain_inputs):
     corpus, graphs, params = small_explain_inputs
     config = C.CausalConfig(epochs=1)
-    scorer, report, explanations, skipped = C.explain(corpus, graphs, params, config, seed=3)
+    scorer, report, explanations, skipped = C.explain(corpus, params, config, seed=3)
     read = corpus["train"] + corpus["test"]
     reps = {s.id: C.session_node_reps(graphs[s.id], params) for s in read}
     rows = {s.id: build_peu_tensor(s) for s in read}
@@ -487,13 +501,10 @@ def test_explain_outputs_match_pinned_digest():
     refactor."""
     from psygat import model as M
     from psygat.datagen import GenConfig, generate_corpus
-    from psygat.pipeline import graphs_from_sessions
 
     corpus = generate_corpus(GenConfig(seed=0))
-    sessions = [s for split in ("train", "val", "test") for s in corpus[split]]
     params = M.ModelParams(M.ModelConfig(), seed=0)
-    graphs = {g.session_id: g for g in graphs_from_sessions(sessions)}
-    scorer, _, explanations, _ = C.explain(corpus, graphs, params, C.CausalConfig(epochs=2))
+    scorer, _, explanations, _ = C.explain(corpus, params, C.CausalConfig(epochs=2))
     h = hashlib.sha256()
     for name, t in scorer.named():
         h.update(name.encode())

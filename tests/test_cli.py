@@ -271,8 +271,12 @@ class TestTrain:
                                         "sources": [0]}]},
         lambda rec: {**rec, "causes": [{"target": 1, "category": "self_negativity",
                                         "sources": [0.2]}]},
+        lambda rec: {**rec, "split": []},
+        lambda rec: {**rec, "split": {}},
+        lambda rec: {**rec, "source": None},
     ], ids=["not-an-object", "utterances", "cause", "label", "peus", "text", "persona",
-            "persona-bool", "utterance-index", "cause-target", "cause-source"])
+            "persona-bool", "utterance-index", "cause-target", "cause-source", "split-list",
+            "split-object", "source-null"])
     def test_malformed_corpus_line_exits_one_naming_it(self, workspace, tmp_path, capsys,
                                                        malform):
         lines = workspace["corpus"].read_text(encoding="utf-8").splitlines()
@@ -290,23 +294,26 @@ class TestTrain:
     @pytest.mark.parametrize("command", ["train", "evaluate", "explain"])
     def test_repeated_session_id_exits_one_naming_it(self, workspace, tmp_path, capsys,
                                                      command):
-        # two test sessions under one id would share one text embedding
+        # two test sessions under one id would share one text embedding, and a
+        # test session under a train id would replace that train session's graph
         from psygat.sessions import write_sessions
 
-        sessions = read_sessions(workspace["corpus"])
-        first, second = [s for s in sessions if s.split == "test"][:2]
-        second.id = first.id
-        corpus = tmp_path / "repeated.jsonl"
-        write_sessions(corpus, sessions)
         args = {"train": ["--config", str(workspace["train_cfg"])],
                 "evaluate": ["--checkpoint", str(workspace["train_dir"] / "ckpt-seed0.json")],
                 "explain": ["--checkpoint", str(workspace["train_dir"] / "ckpt-seed0.json")]}
-        capsys.readouterr()
-        assert cli.main([command, "--corpus", str(corpus), *args[command],
-                         "--out", str(tmp_path / "o")]) == 1
-        err = capsys.readouterr().err
-        assert err == f"error: session id {first.id!r} occurs more than once\n"
-        assert not (tmp_path / "o").exists()
+        for first_split in ("test", "train"):
+            sessions = read_sessions(workspace["corpus"])
+            first = next(s for s in sessions if s.split == first_split)
+            second = next(s for s in sessions if s.split == "test" and s is not first)
+            second.id = first.id
+            corpus = tmp_path / f"repeated-{first_split}.jsonl"
+            write_sessions(corpus, sessions)
+            capsys.readouterr()
+            assert cli.main([command, "--corpus", str(corpus), *args[command],
+                             "--out", str(tmp_path / "o")]) == 1, first_split
+            err = capsys.readouterr().err
+            assert err == f"error: session id {first.id!r} occurs more than once\n"
+            assert not (tmp_path / "o").exists()
 
     def test_zero_batch_size_exits_two_without_traceback(self, workspace, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -649,24 +656,15 @@ class TestExplain:
 
         from psygat import peu, pipeline
 
-        # explain reads the PEU rows its graphs hold: no annotation is parsed
-        # again once the graphs are built
-        encoded, annotated, explaining = [], [], []
-        reps, peus, explain = cli.C.session_node_reps, peu.build_peu_tensor, cli.C.explain
+        # the whole command parses each read session's PEU annotations once,
+        # for its graph, and the scorer reads the rows that graph holds
+        encoded, annotated = [], []
+        reps, peus = cli.C.session_node_reps, peu.build_peu_tensor
         monkeypatch.setattr(cli.C, "session_node_reps",
                             lambda g, params: encoded.append(g.session_id) or reps(g, params))
         for owner in (peu, pipeline):
             monkeypatch.setattr(owner, "build_peu_tensor",
-                                lambda s: (explaining and annotated.append(s.id)) or peus(s))
-
-        def tracked_explain(*args, **kwargs):
-            explaining.append(True)
-            try:
-                return explain(*args, **kwargs)
-            finally:
-                explaining.clear()
-
-        monkeypatch.setattr(cli.C, "explain", tracked_explain)
+                                lambda s: annotated.append(s.id) or peus(s))
         code = cli.main(["explain",
                          "--checkpoint", str(workspace["train_dir"] / "ckpt-seed0.json"),
                          "--corpus", str(workspace["corpus"]), "--out", str(tmp_path / "o")])
@@ -675,7 +673,7 @@ class TestExplain:
         assert splits["val"] and splits["test"]
         read = [s.id for s in splits["train"] + splits["test"]]
         assert encoded == read
-        assert annotated == []
+        assert annotated == read
 
     def test_checkpoint_rewritten_during_explain_is_a_bug(self, workspace, tmp_path,
                                                           monkeypatch):
@@ -740,6 +738,16 @@ class TestExplain:
         assert code == 2
         assert capsys.readouterr().err == f"config error: window must be >= 1, got {window}\n"
 
+    def test_window_below_one_exits_two_before_reading_a_file(self, tmp_path, capsys):
+        # neither the checkpoint nor the corpus exists: the window is refused first
+        capsys.readouterr()
+        code = cli.main(["explain", "--checkpoint", str(tmp_path / "none.json"),
+                         "--corpus", str(tmp_path / "none.jsonl"), "--window", "0",
+                         "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == "config error: window must be >= 1, got 0\n"
+        assert not (tmp_path / "o").exists()
+
     def test_negative_seed_exits_two_before_reading_a_file(self, tmp_path, capsys):
         # neither the checkpoint nor the corpus exists: the seed is refused first
         capsys.readouterr()
@@ -756,6 +764,28 @@ class TestExplain:
             cli.main(["explain", "--checkpoint", ck, ck,
                       "--corpus", str(workspace["corpus"]), "--out", str(tmp_path / "o")])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command,built", [
+    ("train", [["train"], ["val"]]), ("evaluate", [["val"]]), ("explain", [["train", "test"]])])
+def test_each_command_builds_only_the_graphs_it_reads(workspace, tmp_path, monkeypatch, command,
+                                                      built):
+    from psygat.sessions import split_sessions
+
+    splits = split_sessions(read_sessions(workspace["corpus"]))
+    assert all(splits.values())
+    calls = []
+    graphs_from = cli.graphs_from_sessions
+    for owner in (cli, cli.C):
+        monkeypatch.setattr(owner, "graphs_from_sessions",
+                            lambda ss: calls.append([s.id for s in ss]) or graphs_from(ss))
+    checkpoint = ["--checkpoint", str(workspace["train_dir"] / "ckpt-seed0.json")]
+    args = {"train": ["--config", str(workspace["train_cfg"])],
+            "evaluate": [*checkpoint, "--split", "val"],
+            "explain": checkpoint}
+    assert cli.main([command, "--corpus", str(workspace["corpus"]), *args[command],
+                     "--out", str(tmp_path / "o")]) == 0
+    assert calls == [[s.id for name in names for s in splits[name]] for names in built]
 
 
 def never_called(*args, **kwargs):

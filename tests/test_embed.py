@@ -88,15 +88,14 @@ def test_a_block_does_not_depend_on_the_other_sessions_of_the_call():
         assert together[s.id].tobytes() == alone[s.id].tobytes()
 
 
-def test_question_embedded_only_when_prepended():
+def test_question_text_reaches_the_block():
     s = Session(id="q", persona=0, label=0,
                 utterances=[Utterance(0, "how are you", "fine"), Utterance(1, "", "fine")])
-    with_q = embed.embed_sessions([s], dim=64, prepend_question=True)["q"]
-    without = embed.embed_sessions([s], dim=64, prepend_question=False)["q"]
-    assert not np.array_equal(with_q[0], without[0])
-    np.testing.assert_array_equal(without[0], without[1])
+    block = embed.embed_sessions([s], dim=64)["q"]
+    assert not np.array_equal(block[0], block[1])
+    assert block[0].tobytes() == reference_hash_embed("Q: how are you A: fine", 64, 0).tobytes()
     # an empty question adds nothing, so the answer is embedded alone
-    np.testing.assert_array_equal(with_q[1], without[1])
+    assert block[1].tobytes() == reference_hash_embed("fine", 64, 0).tobytes()
 
 
 def test_session_without_utterances_gets_an_empty_block():
@@ -124,18 +123,17 @@ def edge_case_sessions():
 
 
 @pytest.mark.parametrize("dim", [8, 9, 100, 384])
-@pytest.mark.parametrize("prepend_question", [True, False])
-def test_vectors_are_bit_identical_to_the_per_feature_reference(dim, prepend_question):
+def test_vectors_are_bit_identical_to_the_per_feature_reference(dim):
     sessions = edge_case_sessions()
     for seed in (0, 1, 2):
         sessions += generate_corpus(GenConfig(seed=seed, n_sessions=10))["train"]
     for hash_seed in (0, 5):
-        blocks = embed.embed_sessions(sessions, dim, hash_seed, prepend_question)
+        blocks = embed.embed_sessions(sessions, dim, hash_seed)
         assert len(blocks) == len(sessions)
         for s in sessions:
             assert blocks[s.id].shape == (s.T, dim)
             for u in s.utterances:
-                text = s.text(u.index, prepend_question)
+                text = s.text(u.index)
                 want = reference_hash_embed(text, dim, hash_seed).tobytes()
                 assert blocks[s.id][u.index].tobytes() == want
 

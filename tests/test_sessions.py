@@ -80,6 +80,19 @@ class TestSession:
         with pytest.raises(S.CorpusError, match="utterance 0 has a non-string q or a"):
             S.Session(id="x", persona=0, label=0, utterances=[S.Utterance(0, question, answer)])
 
+    @pytest.mark.parametrize("split", ["dev", "", "Train", None, 3, True, [], {}, ["train"]],
+                             ids=["dev", "empty", "Train", "null", "int", "bool", "list",
+                                  "object", "list-of-train"])
+    def test_split_other_than_train_val_or_test_rejected(self, split):
+        with pytest.raises(S.CorpusError, match=re.escape(f"unknown split {split!r}")):
+            make_session(split=split)
+
+    @pytest.mark.parametrize("source", ["synthetic", "", None, 3, False, [], {}],
+                             ids=["synthetic", "empty", "null", "int", "bool", "list", "object"])
+    def test_source_other_than_base_or_augmented_rejected(self, source):
+        with pytest.raises(S.CorpusError, match=re.escape(f"unknown source {source!r}")):
+            make_session(source=source)
+
     def test_peus_that_are_not_a_list_rejected(self):
         with pytest.raises(S.CorpusError, match="peus 5 is not a list"):
             S.Session(id="x", persona=0, label=0, utterances=[], peus=5)
@@ -87,7 +100,6 @@ class TestSession:
     def test_text_prepends_question(self):
         s = make_session()
         assert s.text(1) == "Q: q1 A: answer 1"
-        assert s.text(1, prepend_question=False) == "answer 1"
 
     def test_text_skips_empty_question(self):
         s = S.Session(id="x", persona=0, label=0, utterances=[S.Utterance(0, "", "hi")])
@@ -131,6 +143,19 @@ class TestCorpusIo:
         with pytest.raises(S.CorpusError, match=":2:.*" + re.escape(f"session id {sid!r} is not a string")):
             S.read_sessions(path)
 
+    @pytest.mark.parametrize("field,value", [
+        ("split", []), ("split", {}), ("split", "dev"),
+        ("source", None), ("source", 3), ("source", []),
+    ], ids=["split-list", "split-object", "split-unknown", "source-null", "source-int",
+            "source-list"])
+    def test_unknown_split_or_source_fails_on_load_naming_the_line(self, tmp_path, field, value):
+        path = tmp_path / "fields.jsonl"
+        path.write_text(json.dumps(make_session().to_json()) + "\n"
+                        + json.dumps({**make_session("b").to_json(), field: value}) + "\n")
+        with pytest.raises(S.CorpusError,
+                           match=":2:.*" + re.escape(f"unknown {field} {value!r}")):
+            S.read_sessions(path)
+
     def test_bad_record_reports_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"id": "x"}\n')
@@ -149,6 +174,16 @@ class TestSplitsAndLeakage:
     def test_unknown_split_rejected(self):
         with pytest.raises(S.CorpusError):
             S.split_sessions([make_session("a", split="dev")])
+
+    def test_repeated_id_rejected_within_and_across_splits(self):
+        for second in (make_session("a"), make_session("a", split="test")):
+            with pytest.raises(S.CorpusError, match="^session id 'a' occurs more than once$"):
+                S.split_sessions([make_session("a"), make_session("b", split="val"), second])
+
+    def test_split_sessions_refuses_augmented_sessions_outside_train(self):
+        with pytest.raises(S.CorpusError, match="outside the train split: leaky"):
+            S.split_sessions([make_session("ok", source="augmented"),
+                              make_session("leaky", split="val", source="augmented")])
 
     def test_leakage_guard_passes_clean_corpus(self):
         S.check_no_augmented_leakage(
