@@ -8,6 +8,7 @@ cannot touch the session model.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,7 +16,7 @@ import numpy as np
 from . import model as M
 from . import tensor as T
 from .config import Config
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, NumericalError
 from .graph import GraphBatch
 from .metrics import ranking_metrics
 from .peu import CATEGORIES, NUM_CATEGORIES
@@ -93,19 +94,32 @@ def extract_instances(session, peus, window, past_only=False):
 
 
 class ScorerParams(T.Params):
-    """Pairwise MLP over [h_target, h_candidate, target PEU, relative position]."""
+    """Pairwise MLP over [h_target, h_candidate, target PEU, relative position].
+
+    The scorer is one contiguous block: w1, b1, w2 and b2 are views, in
+    that order, of flat.data, and grads holds their views of flat.grad,
+    which scorer_loss writes in place. So one AdamW step over flat steps
+    every parameter.
+    """
 
     def __init__(self, config, model_hidden=128, seed=0, dtype=np.float32):
         self.config = config
         self.model_hidden = model_hidden
         self.input_dim = 2 * model_hidden + NUM_CATEGORIES + config.position_dim
+        shapes = {"w1": (self.input_dim, config.hidden), "b1": (config.hidden,),
+                  "w2": (config.hidden, 1), "b2": (1,)}
+        self.flat = T.Tensor(np.zeros(sum(map(math.prod, shapes.values())), dtype), name="scorer")
+        self.flat.grad = np.zeros_like(self.flat.data)
+        self.tensors, self.grads = {}, {}
+        offset = 0
+        for name, shape in shapes.items():
+            span = slice(offset, offset + math.prod(shape))
+            offset = span.stop
+            self.tensors[name] = T.Tensor(self.flat.data[span].reshape(shape), name=name)
+            self.grads[name] = self.flat.grad[span].reshape(shape)
         rng = np.random.default_rng(seed)
-        self.tensors = {
-            "w1": T.Tensor(T.xavier(rng, self.input_dim, config.hidden, dtype), name="w1"),
-            "b1": T.Tensor(np.zeros(config.hidden, dtype=dtype), name="b1"),
-            "w2": T.Tensor(T.xavier(rng, config.hidden, 1, dtype), name="w2"),
-            "b2": T.Tensor(np.zeros(1, dtype=dtype), name="b2"),
-        }
+        self["w1"].data[...] = T.xavier(rng, self.input_dim, config.hidden, dtype)
+        self["w2"].data[...] = T.xavier(rng, config.hidden, 1, dtype)
 
 
 def instance_features(instance, node_reps, peu_rows, window, out):
@@ -156,7 +170,13 @@ def session_node_reps(graph, params):
 
 
 def train_scorer(instances, reps_by_session, peus_by_session, config, seed=0):
-    """Fit the edge scorer on labeled instances; session model stays untouched."""
+    """Fit the edge scorer on labeled instances; session model stays untouched.
+
+    Each minibatch is one AdamW step over the scorer's contiguous block,
+    with the float operations of a step per parameter. A non-finite
+    gradient raises NumericalError naming the first parameter, in creation
+    order, that holds one, as a step per parameter would.
+    """
     train_set = [i for i in instances if i.candidate_indices]
     if not train_set:
         raise DataError("no causal instances to train on")
@@ -168,13 +188,20 @@ def train_scorer(instances, reps_by_session, peus_by_session, config, seed=0):
                                               scorer)
     labels = np.concatenate([i.labels for i in train_set])
     sign = np.where(labels == 1, 1.0, -1.0).astype(features.dtype)
+    every, block = config.batch_instances, [("scorer", scorer.flat)]
     for _ in range(config.epochs):
         order = rng.permutation(len(train_set))
-        for start in range(0, len(order), config.batch_instances):
-            batch = order[start : start + config.batch_instances]
-            rows = _block_rows(starts[batch], counts[batch])
-            scorer_loss(scorer, features[rows], sign[rows], config.focal_alpha, config.focal_gamma)
-            opt.step(scorer.named())
+        rows, ends = _block_rows(starts[order], counts[order])
+        # a minibatch's rows end where the block of its last instance ends
+        cuts = [0, *ends[every - 1:-1:every].tolist(), len(rows)]
+        for a, b in zip(cuts, cuts[1:]):
+            batch = rows[a:b]
+            scorer_loss(scorer, features[batch], sign[batch], config.focal_alpha, config.focal_gamma)
+            try:
+                opt.step(block)
+            except NumericalError:
+                name = next(k for k, g in scorer.grads.items() if not np.all(np.isfinite(g)))
+                raise NumericalError(f"non-finite gradient for parameter {name}") from None
     return scorer
 
 
@@ -192,16 +219,18 @@ def _feature_block(instances, reps_by_session, peus_by_session, scorer):
 
 
 def _block_rows(starts, counts):
-    """Row indices of the blocks [start, start + count), block after block."""
+    """Row indices of the blocks [start, start + count), block after block,
+    and where each block ends among them."""
     ends = np.cumsum(counts)
-    return np.arange(ends[-1]) + np.repeat(starts - (ends - counts), counts)
+    return np.arange(ends[-1]) + np.repeat(starts - (ends - counts), counts), ends
 
 
 def scorer_loss(scorer, x, sign, alpha, gamma):
     """Focal loss mean(alpha * (1 - p_t)^gamma * -log p_t) of the scorer on
     the rows of x, with p_t = sigmoid(sign * logit) and sign +1 for a cause,
-    -1 otherwise. Writes the gradient to each parameter's .grad and returns
-    the loss.
+    -1 otherwise. Writes each parameter's gradient into its view of
+    scorer.flat.grad, points the parameter's .grad at that view, and
+    returns the loss.
 
     This is what tensor.backward computes through edge_logits' ops,
     tensor.focal, tensor.tmean and a product with alpha, without that
@@ -209,7 +238,7 @@ def scorer_loss(scorer, x, sign, alpha, gamma):
     operations the composition computes it with, in the same order, so
     results are bit-identical to it.
     """
-    p = scorer.tensors
+    p, grads = scorer.tensors, scorer.grads
     dtype = p["w1"].dtype
     x, sign = x.astype(dtype, copy=False), sign.astype(dtype, copy=False)
     logits, h, neg = edge_logits(x, scorer)
@@ -217,15 +246,17 @@ def scorer_loss(scorer, x, sign, alpha, gamma):
     scale = np.asarray(alpha, dtype=dtype)
     # d loss / d term is alike for every row
     g_out = (focal_grad(scale / terms.size) * sign).reshape(-1, 1)
-    p["b2"].grad = g_out.sum(axis=-2)
-    p["w2"].grad = h.T @ g_out
+    np.sum(g_out, axis=-2, out=grads["b2"])
+    np.matmul(h.T, g_out, out=grads["w2"])
     # each entry of g_out @ w2.T is one product, which matmul adds to a
     # zero; 0.0 + product has the same bits, a -0.0 product included
     g_z1 = neg
     g_z1 += 1.0
     g_z1 *= 0.0 + g_out * p["w2"].data.T
-    p["b1"].grad = g_z1.sum(axis=-2)
-    p["w1"].grad = x.T @ g_z1
+    np.sum(g_z1, axis=-2, out=grads["b1"])
+    np.matmul(x.T, g_z1, out=grads["w1"])
+    for name, g in grads.items():
+        p[name].grad = g
     return np.asarray(terms.mean(), dtype=dtype) * scale
 
 

@@ -26,8 +26,10 @@ FORMAT_VERSION = 2
 
 
 def _load_arrays(params, arrays, prefix):
-    """Set every tensor of params from name -> array, checking names and
-    shapes; an array the config does not create is rejected, not ignored."""
+    """Copy name -> array into every tensor of params, checking names and
+    shapes; an array the config does not create is rejected, not ignored.
+    Each tensor keeps its own array, so a scorer's tensors stay views of
+    its flat block, and none is ever a view of the blob."""
     for name, t in params.named():
         if name not in arrays:
             raise CheckpointError(f"{prefix}: missing parameter {name}")
@@ -35,7 +37,7 @@ def _load_arrays(params, arrays, prefix):
             raise CheckpointError(
                 f"{prefix}: shape mismatch for {name}: {arrays[name].shape} vs {t.data.shape}"
             )
-        t.data = arrays[name].astype(t.data.dtype)  # a copy, never a view of the blob
+        t.data[...] = arrays[name]
     for name in arrays:
         if name not in params.tensors:
             raise CheckpointError(f"{prefix}: unexpected parameter {name}; "

@@ -83,8 +83,9 @@ def reference_scorer_loss(scorer, x, labels, alpha, gamma):
 
 
 def reference_train_scorer(instances, reps_by, peus_by, config, seed=0):
-    """train_scorer with each minibatch concatenated from per-instance blocks
-    and stepped through reference_scorer_loss."""
+    """train_scorer with each minibatch concatenated from per-instance blocks,
+    its gradients from reference_scorer_loss and one AdamW step per tensor,
+    where train_scorer steps the scorer's flat block once."""
     train_set = [i for i in instances if i.candidate_indices]
     scorer = C.ScorerParams(config, model_hidden=next(iter(reps_by.values())).shape[1],
                             seed=seed)
@@ -278,6 +279,40 @@ class TestScorer:
         # probs tie pairwise; earlier utterances win within each tie
         assert [inst.candidate_indices[k] for k in order] == [2, 5, 1, 4]
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_parameters_and_gradients_are_views_of_one_block(self, dtype):
+        config = C.CausalConfig(window=2, hidden=16)
+        got, want = (C.ScorerParams(config, model_hidden=8, seed=1, dtype=dtype)
+                     for _ in range(2))
+        flat = got.flat
+        assert flat.data.dtype == flat.grad.dtype == dtype
+        assert flat.data.flags.c_contiguous and flat.grad.flags.c_contiguous
+        assert [name for name, _ in got.named()] == list(got.grads) == ["w1", "b1", "w2", "b2"]
+        offset = 0
+        for name, t in got.named():
+            g = got.grads[name]
+            assert t.data.base is flat.data and g.base is flat.grad, name
+            assert g.shape == t.data.shape and t.data.dtype == dtype, name
+            # in creation order, end to end from the start of the block
+            assert flat.data[offset:offset + t.data.size].ctypes.data == t.data.ctypes.data, name
+            assert flat.grad[offset:offset + g.size].ctypes.data == g.ctypes.data, name
+            offset += t.data.size
+        assert offset == flat.data.size == flat.grad.size
+        assert flat.data.tobytes() == b"".join(t.data.tobytes() for _, t in want.named())
+
+        rng = np.random.default_rng(2)
+        x = rng.standard_normal((30, got.input_dim)).astype(dtype)
+        labels = rng.integers(0, 2, 30)
+        sign = np.where(labels == 1, 1.0, -1.0).astype(dtype)
+        for _ in range(2):  # a second call overwrites, never adds to, the first
+            got.zero_grad()
+            assert all(t.grad is None for _, t in got.named())
+            C.scorer_loss(got, x, sign, 0.75, 2.0)
+        reference_scorer_loss(want, x, labels, 0.75, 2.0)
+        for (name, a), (_, b) in zip(got.named(), want.named()):
+            assert a.grad is got.grads[name], name
+            assert a.grad.tobytes() == b.grad.tobytes(), name
+
     def test_causal_loss_focal_shape_and_identity(self):
         # a one-unit scorer whose logits are x[:, 0] - 3: [2, -2, 0]
         scorer = C.ScorerParams(C.CausalConfig(window=1, hidden=1), model_hidden=2,
@@ -361,6 +396,33 @@ class TestScorer:
                                                       match="parameter w1"):
             C.train_scorer(instances, reps_by, peus_by, config, seed=0)
 
+    @pytest.mark.parametrize("poisoned,named", [
+        (("w2",), "w2"), (("b2",), "b2"), (("b1", "b2"), "b1"), (("w1", "b2"), "w1"),
+    ])
+    def test_non_finite_gradient_of_a_later_tensor_is_named(self, monkeypatch, poisoned,
+                                                             named):
+        # gradients non-finite only in the poisoned tensors: the step over
+        # the whole block names the first of them in creation order, as a
+        # step per tensor does
+        scorer_loss = C.scorer_loss
+
+        def poisoning_loss(scorer, *args):
+            loss = scorer_loss(scorer, *args)
+            for name in poisoned:
+                scorer[name].grad.flat[0] = np.nan
+            return loss
+
+        monkeypatch.setattr(C, "scorer_loss", poisoning_loss)
+        config = C.CausalConfig(window=2, epochs=1, batch_instances=4, hidden=8)
+        instances, reps_by, peus_by = planted_instances(config, sessions=6)
+        with pytest.raises(NumericalError, match=f"parameter {named}$"):
+            C.train_scorer(instances, reps_by, peus_by, config, seed=0)
+        scorer = C.ScorerParams(config, model_hidden=8)
+        x = C._feature_block(instances, reps_by, peus_by, scorer)[0]
+        poisoning_loss(scorer, x, np.ones(len(x), np.float32), 0.75, 2.0)
+        with pytest.raises(NumericalError, match=f"parameter {named}$"):
+            AdamW(config.lr).step(scorer.named())
+
     def test_training_learns_planted_signal(self):
         # candidates whose representation matches a fixed pattern are the
         # causes; the scorer should rank them first after training
@@ -375,14 +437,19 @@ class TestScorer:
         for rec in explanations:
             assert rec["ranked"][0]["is_cause"]
 
+    # 12 instances: minibatches of 4 divide them, of 5 leave a short last
+    # one, and 20 is more than there are
+    @pytest.mark.parametrize("batch_instances", [5, 4, 20])
     @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
     @pytest.mark.parametrize("alpha", [1.0, 0.75])
     @pytest.mark.parametrize("gamma", [0.0, 0.5, 2.0])
     def test_trained_scorer_is_bit_equal_to_per_batch_concatenation(self, gamma, alpha,
-                                                                    weight_decay):
-        config = C.CausalConfig(window=2, epochs=3, batch_instances=5, hidden=16,
+                                                                    weight_decay,
+                                                                    batch_instances):
+        config = C.CausalConfig(window=2, epochs=3, batch_instances=batch_instances, hidden=16,
                                 focal_alpha=alpha, focal_gamma=gamma, weight_decay=weight_decay)
         instances, reps_by, peus_by = planted_instances(config, sessions=12)
+        assert len(instances) == 12
         got = C.train_scorer(instances, reps_by, peus_by, config, seed=3)
         want = reference_train_scorer(instances, reps_by, peus_by, config, seed=3)
         for (name, a), (_, b) in zip(got.named(), want.named()):

@@ -271,6 +271,19 @@ class TestScorerCheckpoints:
             assert n1 == n2
             np.testing.assert_array_equal(t1.data, t2.data)
 
+    def test_loaded_tensors_stay_views_of_the_scorer_block(self, tmp_path):
+        scorer = ScorerParams(CausalConfig(window=2, hidden=8), model_hidden=4, seed=3)
+        CK.save_scorer(tmp_path / "s", scorer)
+        _, arrays = CK._read_pair(tmp_path / "s", "causal_scorer")
+        blob = next(iter(arrays.values())).base
+        loaded = CK.load_scorer(tmp_path / "s")
+        assert loaded.flat.data.tobytes() == scorer.flat.data.tobytes()
+        for (name, t), (_, want) in zip(loaded.named(), scorer.named()):
+            assert t.data.base is loaded.flat.data, name
+            assert np.shares_memory(t.data, loaded.flat.data), name
+            assert not np.shares_memory(t.data, blob), name
+            assert t.data.tobytes() == want.data.tobytes(), name
+
     def test_wrong_kind_rejected(self, tmp_path):
         CK.save_checkpoint(tmp_path / "m", small_checkpoint())
         with pytest.raises(CK.CheckpointError):
