@@ -104,7 +104,6 @@ class ScorerParams(T.Params):
 
     def __init__(self, config, model_hidden=128, seed=0, dtype=np.float32):
         self.config = config
-        self.model_hidden = model_hidden
         self.input_dim = 2 * model_hidden + NUM_CATEGORIES + config.position_dim
         shapes = {"w1": (self.input_dim, config.hidden), "b1": (config.hidden,),
                   "w2": (config.hidden, 1), "b2": (1,)}

@@ -1,5 +1,6 @@
-"""Checkpoint persistence: a JSON header plus a raw little-endian float32
-parameter blob, with an ordered parameter index in the header.
+"""Session-model checkpoint persistence: a JSON header plus a raw
+little-endian float32 parameter blob, with an ordered parameter index in
+the header. The session model is the only checkpoint kind.
 
 Every header carries FORMAT_VERSION. A header of another version, or of
 none, is rejected rather than read with the current defaults.
@@ -9,11 +10,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 
-from .causal import CausalConfig, ScorerParams
 from .config import KINDS
 from .errors import CheckpointError
 from .model import ModelConfig, ModelParams
@@ -28,8 +29,7 @@ FORMAT_VERSION = 2
 def _load_arrays(params, arrays, prefix):
     """Copy name -> array into every tensor of params, checking names and
     shapes; an array the config does not create is rejected, not ignored.
-    Each tensor keeps its own array, so a scorer's tensors stay views of
-    its flat block, and none is ever a view of the blob."""
+    Each tensor keeps its own array, so none is ever a view of the blob."""
     for name, t in params.named():
         if name not in arrays:
             raise CheckpointError(f"{prefix}: missing parameter {name}")
@@ -63,11 +63,11 @@ def _write_pair(prefix, header, arrays):
     tmp_bin.replace(prefix.with_suffix(".bin"))
 
 
-def _read_pair(prefix, kind):
-    """Header and name -> array of a checkpoint of the given kind. The
-    index must lay the entries end to end from offset 0, as _write_pair
-    does, with int offsets and sizes, and cover the blob exactly. The
-    arrays are read-only views of the blob; _load_arrays copies them."""
+def _read_pair(prefix):
+    """Header and name -> array of a session-model checkpoint. The index
+    must lay the entries end to end from offset 0, as _write_pair does,
+    with int offsets and sizes, and cover the blob exactly. The arrays are
+    read-only views of the blob; _load_arrays copies them."""
     prefix = Path(prefix)
     try:
         header = json.loads(prefix.with_suffix(".json").read_text(encoding="utf-8"))
@@ -78,8 +78,8 @@ def _read_pair(prefix, kind):
     version = header.get("format_version")
     if type(version) is not int or version != FORMAT_VERSION:
         raise CheckpointError(f"{prefix}: format version {version!r}, expected {FORMAT_VERSION}")
-    if header.get("kind") != kind:
-        raise CheckpointError(f"{prefix}: not a {kind.replace('_', '-')} checkpoint")
+    if header.get("kind") != "session_model":
+        raise CheckpointError(f"{prefix}: not a session-model checkpoint")
     raw = prefix.with_suffix(".bin").read_bytes()
     try:
         total = 0
@@ -91,17 +91,24 @@ def _read_pair(prefix, kind):
             if type(offset) is not int or type(size) is not int:
                 raise CheckpointError(f"{prefix}: index entry {entry['name']} has offset "
                                       f"{offset!r} and size {size!r}, not ints")
-            if offset != total or size != int(np.prod(shape)):
+            # exact: numpy's int64 product wraps, (2**32, 2**32) to 0
+            if offset != total or size != math.prod(shape):
                 raise CheckpointError(f"{prefix}: index entry {entry['name']} does not fit the "
                                       f"blob: offset {offset} and size {size}, expected offset "
-                                      f"{total} and size {int(np.prod(shape))}")
+                                      f"{total} and size {math.prod(shape)}")
             total += size
         if len(raw) != 4 * total:
             raise CheckpointError(
                 f"{prefix}: blob holds {len(raw)} bytes, index expects {4 * total}")
         blob = np.frombuffer(raw, dtype="<f4")
-        arrays = {entry["name"]: blob[entry["offset"]:entry["offset"] + entry["size"]]
-                  .reshape(entry["shape"]) for entry in header["params"]}
+        arrays = {}
+        for entry in header["params"]:
+            view = blob[entry["offset"]:entry["offset"] + entry["size"]]
+            try:
+                arrays[entry["name"]] = view.reshape(entry["shape"])
+            except ValueError as exc:  # size 0, but a dimension past numpy's limit
+                raise CheckpointError(f"{prefix}: index entry {entry['name']} has shape "
+                                      f"{entry['shape']}, which numpy cannot hold") from exc
     except (KeyError, TypeError) as exc:
         raise CheckpointError(f"{prefix}: malformed parameter index: {exc!r}") from exc
     return header, arrays
@@ -137,7 +144,7 @@ def save_checkpoint(prefix, checkpoint):
 
 
 def load_checkpoint(prefix):
-    header, arrays = _read_pair(prefix, "session_model")
+    header, arrays = _read_pair(prefix)
     model_config = _header_config(prefix, header, "model_config", ModelConfig)
     train_config = _header_config(prefix, header, "train_config", TrainConfig)
     fields = {key: _header_field(prefix, header, key)
@@ -149,28 +156,6 @@ def load_checkpoint(prefix):
     params = ModelParams(model_config, seed=0)
     _load_arrays(params, arrays, prefix)
     return Checkpoint(params=params, train_config=train_config, **fields)
-
-
-def save_scorer(prefix, scorer, extra=None):
-    header = {
-        "kind": "causal_scorer",
-        "causal_config": scorer.config.to_json(),
-        "model_hidden": scorer.model_hidden,
-    }
-    if extra:
-        header.update(extra)
-    _write_pair(prefix, header, [(n, t.data) for n, t in scorer.named()])
-
-
-def load_scorer(prefix):
-    header, arrays = _read_pair(prefix, "causal_scorer")
-    config = _header_config(prefix, header, "causal_config", CausalConfig)
-    model_hidden = _header_field(prefix, header, "model_hidden")
-    if not KINDS["int"][0](model_hidden) or model_hidden < 1:
-        raise CheckpointError(f"{prefix}: model_hidden {model_hidden!r} is not an integer >= 1")
-    scorer = ScorerParams(config, model_hidden=model_hidden, seed=0)
-    _load_arrays(scorer, arrays, prefix)
-    return scorer
 
 
 def checkpoint_hash(prefix):

@@ -217,22 +217,20 @@ def cmd_explain(args):
         raise CorpusError(
             "corpus carries no causal annotations; regenerate it with the generate command"
         )
-    scorer, report, explanations, skipped = C.explain(splits, member.params, causal_config,
-                                                      seed=args.seed or 0)
+    _, report, explanations, skipped = C.explain(splits, member.params, causal_config,
+                                                 seed=args.seed or 0)
     if ckpt.checkpoint_hash(prefix) != hash_before:
         raise RuntimeError("session checkpoint changed during explain; this is a bug")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    scorer_prefix = out_dir / "causal-scorer"
-    ckpt.save_scorer(scorer_prefix, scorer, extra={"session_checkpoint_sha256": hash_before})
     explain_path = out_dir / "explanations.jsonl"
     write_jsonl(explain_path, explanations)
     report_path = out_dir / "ranking_report.json"
     _write_json(report_path, {**report.to_json(), "instances_without_cause": skipped})
-    write_manifest(out_dir, "explain", [args.seed or 0],
-                   [scorer_prefix.with_suffix(".json"), scorer_prefix.with_suffix(".bin"),
-                    explain_path, report_path], started, config=causal_config.to_json(),
-                   session_checkpoint=str(prefix))
+    # the path as given, and a digest of what it named that no working directory changes
+    write_manifest(out_dir, "explain", [args.seed or 0], [explain_path, report_path], started,
+                   config=causal_config.to_json(), session_checkpoint=str(prefix),
+                   session_checkpoint_sha256=hash_before)
     print(*(f"Hit@{k} {report.hit_at[k]:.3f}" for k in HIT_KS), f"MRR {report.mrr:.3f}")
     return 0
 

@@ -46,6 +46,9 @@ class Session:
             raise CorpusError(f"session {self.id}: label {self.label!r} is not 0 or 1")
         if type(self.persona) is not int:
             raise CorpusError(f"session {self.id}: persona {self.persona!r} is not an int")
+        # graph batches hold personas as int64; range checks come later, in the model
+        if not -2**63 <= self.persona < 2**63:
+            raise CorpusError(f"session {self.id}: persona {self.persona} does not fit in int64")
         # tuple membership compares, so a list or dict is refused, not unhashable
         if self.split not in SPLITS:
             raise CorpusError(f"session {self.id}: unknown split {self.split!r}")

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from psygat import checkpoints as CK
-from psygat.causal import CausalConfig, ScorerParams
 from psygat.model import ModelConfig, ModelParams
 from psygat.train import Checkpoint, TrainConfig
 
@@ -31,14 +30,15 @@ def edit_header(path, change):
     path.write_text(json.dumps(header))
 
 
-def append_entry(prefix, name):
-    """Add a one-value parameter the config does not create to a saved pair."""
+def append_entry(prefix, name, shape=(1,), size=1):
+    """Add a parameter the config does not create to the end of a saved
+    pair's index, and size zeros to its blob."""
     header = json.loads(prefix.with_suffix(".json").read_text())
     offset = sum(entry["size"] for entry in header["params"])
-    header["params"].append({"name": name, "shape": [1], "offset": offset, "size": 1})
+    header["params"].append({"name": name, "shape": list(shape), "offset": offset, "size": size})
     prefix.with_suffix(".json").write_text(json.dumps(header))
     with prefix.with_suffix(".bin").open("ab") as f:
-        f.write(np.zeros(1, dtype="<f4").tobytes())
+        f.write(np.zeros(size, dtype="<f4").tobytes())
 
 
 def alias_ln_beta(header):
@@ -74,7 +74,7 @@ class TestSessionModelCheckpoints:
     def test_loaded_parameters_are_writable_copies_of_the_blob(self, tmp_path):
         ck = small_checkpoint()
         CK.save_checkpoint(tmp_path / "ckpt", ck)
-        _, arrays = CK._read_pair(tmp_path / "ckpt", "session_model")
+        _, arrays = CK._read_pair(tmp_path / "ckpt")
         blob = next(iter(arrays.values())).base
         loaded = CK.load_checkpoint(tmp_path / "ckpt")
         for (_, t), (_, want) in zip(loaded.params.named(), ck.params.named()):
@@ -90,11 +90,30 @@ class TestSessionModelCheckpoints:
         assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
-    def test_wrong_kind_rejected(self, tmp_path):
-        scorer = ScorerParams(CausalConfig(), model_hidden=8, seed=0)
-        CK.save_scorer(tmp_path / "s", scorer)
-        with pytest.raises(CK.CheckpointError):
-            CK.load_checkpoint(tmp_path / "s")
+    @pytest.mark.parametrize("kind", ["causal_scorer", None, "missing"])
+    def test_wrong_kind_rejected(self, tmp_path, kind):
+        # causal_scorer is the kind of the scorer headers older explain runs wrote
+        CK.save_checkpoint(tmp_path / "ckpt", small_checkpoint())
+        edit_header(tmp_path / "ckpt.json", lambda header: header.pop("kind")
+                    if kind == "missing" else header.update(kind=kind))
+        with pytest.raises(CK.CheckpointError, match="not a session-model checkpoint"):
+            CK.load_checkpoint(tmp_path / "ckpt")
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("name", "head_w3", "missing parameter head_w2"),
+        ("shape", [1, 4], r"shape mismatch for head_w2: \(1, 4\) vs \(4, 1\)"),
+    ])
+    def test_bad_tensor_entry_rejected(self, tmp_path, field, value, message):
+        # the index fits the blob; the config's parameters do not fit the index
+        CK.save_checkpoint(tmp_path / "ckpt", small_checkpoint())
+
+        def change(header):
+            (entry,) = [e for e in header["params"] if e["name"] == "head_w2"]
+            entry[field] = value
+
+        edit_header(tmp_path / "ckpt.json", change)
+        with pytest.raises(CK.CheckpointError, match=message):
+            CK.load_checkpoint(tmp_path / "ckpt")
 
     @pytest.mark.parametrize("version", ["missing", 1, CK.FORMAT_VERSION + 1, "2", True, 2.0])
     def test_other_format_version_rejected(self, tmp_path, version):
@@ -174,6 +193,19 @@ class TestSessionModelCheckpoints:
         edit_header(tmp_path / "ckpt.json", lambda header: header["params"][0].update(shape=shape))
         with pytest.raises(CK.CheckpointError, match="not a list of non-negative ints"):
             CK.load_checkpoint(tmp_path / "ckpt")
+
+    @pytest.mark.parametrize("shape,message", [
+        # numpy's int64 product of this shape wraps to 0, the entry's size
+        ([2**32, 2**32], "does not fit the blob: .* and size 18446744073709551616"),
+        # the product is exactly 0, but numpy cannot hold the middle dimension
+        ([0, 2**62, 4], r"has shape \[0, 4611686018427387904, 4\], which numpy cannot hold"),
+    ], ids=["wraps-to-zero", "too-big-for-numpy"])
+    def test_index_entry_with_an_overflowing_shape_rejected(self, tmp_path, shape, message):
+        CK.save_checkpoint(tmp_path / "ckpt", small_checkpoint())
+        append_entry(tmp_path / "ckpt", "huge", shape=shape, size=0)
+        with pytest.raises(CK.CheckpointError, match=message) as info:
+            CK.load_checkpoint(tmp_path / "ckpt")
+        assert len(str(info.value).splitlines()) == 1
 
     def test_index_entry_without_offset_rejected(self, tmp_path):
         CK.save_checkpoint(tmp_path / "ckpt", small_checkpoint())
@@ -258,92 +290,6 @@ class TestSessionModelCheckpoints:
         edit_header(tmp_path / "ckpt.json", lambda header: header.update(model_config=[1, 2]))
         with pytest.raises(CK.CheckpointError, match="invalid model_config"):
             CK.load_checkpoint(tmp_path / "ckpt")
-
-
-class TestScorerCheckpoints:
-    def test_round_trip(self, tmp_path):
-        scorer = ScorerParams(CausalConfig(window=5, hidden=32), model_hidden=16, seed=3)
-        CK.save_scorer(tmp_path / "s", scorer, extra={"session_checkpoint_sha256": "x"})
-        loaded = CK.load_scorer(tmp_path / "s")
-        assert loaded.config == scorer.config
-        assert loaded.model_hidden == 16
-        for (n1, t1), (n2, t2) in zip(scorer.named(), loaded.named()):
-            assert n1 == n2
-            np.testing.assert_array_equal(t1.data, t2.data)
-
-    def test_loaded_tensors_stay_views_of_the_scorer_block(self, tmp_path):
-        scorer = ScorerParams(CausalConfig(window=2, hidden=8), model_hidden=4, seed=3)
-        CK.save_scorer(tmp_path / "s", scorer)
-        _, arrays = CK._read_pair(tmp_path / "s", "causal_scorer")
-        blob = next(iter(arrays.values())).base
-        loaded = CK.load_scorer(tmp_path / "s")
-        assert loaded.flat.data.tobytes() == scorer.flat.data.tobytes()
-        for (name, t), (_, want) in zip(loaded.named(), scorer.named()):
-            assert t.data.base is loaded.flat.data, name
-            assert np.shares_memory(t.data, loaded.flat.data), name
-            assert not np.shares_memory(t.data, blob), name
-            assert t.data.tobytes() == want.data.tobytes(), name
-
-    def test_wrong_kind_rejected(self, tmp_path):
-        CK.save_checkpoint(tmp_path / "m", small_checkpoint())
-        with pytest.raises(CK.CheckpointError):
-            CK.load_scorer(tmp_path / "m")
-
-    @pytest.mark.parametrize("field,value,message", [
-        ("name", "w3", "missing parameter w2"),
-        ("shape", [1, 32], "shape mismatch for w2"),
-    ])
-    def test_bad_tensor_entry_rejected(self, tmp_path, field, value, message):
-        CK.save_scorer(tmp_path / "s", ScorerParams(CausalConfig(hidden=32), model_hidden=8))
-        path = tmp_path / "s.json"
-        header = json.loads(path.read_text())
-        (entry,) = [e for e in header["params"] if e["name"] == "w2"]
-        entry[field] = value
-        path.write_text(json.dumps(header))
-        with pytest.raises(CK.CheckpointError, match=message):
-            CK.load_scorer(tmp_path / "s")
-
-
-    def test_extra_index_entry_rejected(self, tmp_path):
-        CK.save_scorer(tmp_path / "s", ScorerParams(CausalConfig(hidden=32), model_hidden=8))
-        append_entry(tmp_path / "s", "w3")
-        with pytest.raises(CK.CheckpointError, match="unexpected parameter w3"):
-            CK.load_scorer(tmp_path / "s")
-
-    @pytest.mark.parametrize("version", ["missing", 1, CK.FORMAT_VERSION + 1])
-    def test_other_format_version_rejected(self, tmp_path, version):
-        CK.save_scorer(tmp_path / "s", ScorerParams(CausalConfig(), model_hidden=8))
-        assert json.loads((tmp_path / "s.json").read_text())["format_version"] == 2
-        edit_header(tmp_path / "s.json", lambda header: header.pop("format_version")
-                    if version == "missing" else header.update(format_version=version))
-        with pytest.raises(CK.CheckpointError, match="format version .*, expected 2"):
-            CK.load_scorer(tmp_path / "s")
-
-    @pytest.mark.parametrize("key", ["causal_config", "model_hidden"])
-    def test_missing_header_field_rejected(self, tmp_path, key):
-        CK.save_scorer(tmp_path / "s", ScorerParams(CausalConfig(), model_hidden=8))
-        edit_header(tmp_path / "s.json", lambda header: header.pop(key))
-        with pytest.raises(CK.CheckpointError, match=f"header has no {key}"):
-            CK.load_scorer(tmp_path / "s")
-
-    @pytest.mark.parametrize("value", [8.0, "8", True, 0, -2])
-    def test_model_hidden_not_a_positive_int_rejected(self, tmp_path, value):
-        # a missing model_hidden is test_missing_header_field_rejected's case
-        CK.save_scorer(tmp_path / "s", ScorerParams(CausalConfig(), model_hidden=8))
-        edit_header(tmp_path / "s.json", lambda header: header.update(model_hidden=value))
-        with pytest.raises(CK.CheckpointError, match="model_hidden .* is not an integer >= 1") as info:
-            CK.load_scorer(tmp_path / "s")
-        assert len(str(info.value).splitlines()) == 1
-
-    @pytest.mark.parametrize("change", [
-        {"depth": 2}, {"window": 0}, {"epochs": 0}, {"batch_instances": 0}, {"hidden": 0},
-        {"lr": 0.0}, {"weight_decay": -1.0},
-    ])
-    def test_config_rejected_by_its_dataclass(self, tmp_path, change):
-        CK.save_scorer(tmp_path / "s", ScorerParams(CausalConfig(), model_hidden=8))
-        edit_header(tmp_path / "s.json", lambda header: header["causal_config"].update(change))
-        with pytest.raises(CK.CheckpointError, match="invalid causal_config"):
-            CK.load_scorer(tmp_path / "s")
 
 
 class TestHash:

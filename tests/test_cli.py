@@ -502,6 +502,26 @@ class TestEvaluate:
         assert len(err.strip().splitlines()) == 1
         assert f"index entry {entry['name']} has shape" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("shape", [[2**32, 2**32], [0, 2**62, 4]],
+                             ids=["wraps-to-zero", "too-big-for-numpy"])
+    def test_checkpoint_index_with_an_overflowing_shape_exits_one(self, workspace, tmp_path,
+                                                                 capsys, shape):
+        # a zero-size entry at the end leaves every other entry and the blob as they were
+        for suffix in (".json", ".bin"):
+            shutil.copy(workspace["train_dir"] / f"ckpt-seed0{suffix}", tmp_path / f"c{suffix}")
+        header = json.loads((tmp_path / "c.json").read_text())
+        offset = sum(entry["size"] for entry in header["params"])
+        header["params"].append({"name": "huge", "shape": shape, "offset": offset, "size": 0})
+        (tmp_path / "c.json").write_text(json.dumps(header))
+        capsys.readouterr()
+        code = cli.main(["evaluate", "--checkpoint", str(tmp_path / "c.json"),
+                         "--corpus", str(workspace["corpus"]), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "index entry huge" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("key,value,message", [
         ("hidden", 128.0, "hidden must be an integer"),
         ("text_dim", "384", "text_dim must be an integer"),
@@ -648,7 +668,8 @@ class TestExplain:
         lines = (out / "explanations.jsonl").read_text().splitlines()
         rec = json.loads(lines[0])
         assert {"session", "target", "category", "ranked"} <= set(rec)
-        assert (out / "causal-scorer.json").exists()
+        assert sorted(p.name for p in out.iterdir()) == [
+            "explanations.jsonl", "ranking_report.json", "run_manifest.json"]
 
     def test_encodes_and_annotates_only_the_sessions_it_reads(self, workspace, tmp_path,
                                                               monkeypatch):
@@ -708,25 +729,24 @@ class TestExplain:
                          "--corpus", str(bare), "--out", str(tmp_path / "o")])
         assert code == 1
 
-    def test_scorer_header_does_not_depend_on_the_working_directory(self, workspace, tmp_path,
-                                                                     monkeypatch):
+    def test_manifest_names_the_session_checkpoint_by_path_and_content(self, workspace,
+                                                                       tmp_path, monkeypatch):
         from psygat.checkpoints import checkpoint_hash
 
         prefix = workspace["train_dir"] / "ckpt-seed0"
-        headers = []
+        runs = []
         for cwd, given in ((workspace["root"], prefix.relative_to(workspace["root"])),
                            (tmp_path, prefix)):
             monkeypatch.chdir(cwd)
-            out = tmp_path / f"x{len(headers)}"
+            out = tmp_path / f"x{len(runs)}"
             assert cli.main(["explain", "--checkpoint", str(given),
                              "--corpus", str(workspace["corpus"]), "--out", str(out)]) == 0
-            headers.append((out / "causal-scorer.json").read_bytes())
             run = json.loads((out / "run_manifest.json").read_text())
             assert run["session_checkpoint"] == str(given)
-        assert headers[0] == headers[1]
-        header = json.loads(headers[0])
-        assert header["session_checkpoint_sha256"] == checkpoint_hash(prefix)
-        assert "session_checkpoint" not in header
+            runs.append(run)
+        assert runs[0]["session_checkpoint"] != runs[1]["session_checkpoint"]
+        assert ({run["session_checkpoint_sha256"] for run in runs}
+                == {checkpoint_hash(prefix)})
 
     @pytest.mark.parametrize("window", ["0", "-1"])
     def test_window_below_one_exits_two(self, workspace, tmp_path, capsys, window):
@@ -788,6 +808,44 @@ def test_each_command_builds_only_the_graphs_it_reads(workspace, tmp_path, monke
     assert calls == [[s.id for name in names for s in splits[name]] for names in built]
 
 
+@pytest.mark.parametrize("command", ["generate", "train", "evaluate", "explain"])
+def test_manifest_outputs_are_exactly_the_files_written(workspace, tmp_path, command):
+    checkpoint = ["--checkpoint", str(workspace["train_dir"] / "ckpt-seed0.json")]
+    corpus = ["--corpus", str(workspace["corpus"])]
+    args = {"generate": ["--config", str(workspace["gen_cfg"])],
+            "train": [*corpus, "--config", str(workspace["train_cfg"])],
+            "evaluate": [*corpus, *checkpoint],
+            "explain": [*corpus, *checkpoint]}
+    out = tmp_path / "o"
+    assert cli.main([command, *args[command], "--out", str(out)]) == 0
+    run = json.loads((out / "run_manifest.json").read_text())
+    assert run["outputs"] == sorted(str(p) for p in out.iterdir()
+                                    if p.name != "run_manifest.json")
+
+
+@pytest.mark.parametrize("persona", [2**63, 2**70])
+@pytest.mark.parametrize("command", ["train", "evaluate", "explain"])
+def test_persona_past_int64_exits_one_naming_the_session(workspace, tmp_path, capsys, command,
+                                                         persona):
+    # on a test session, which train reads but builds no graph for
+    lines = workspace["corpus"].read_text(encoding="utf-8").splitlines()
+    k, rec = next((k, rec) for k, rec in enumerate(map(json.loads, lines))
+                  if rec["split"] == "test")
+    lines[k] = json.dumps({**rec, "persona": persona})
+    bad = tmp_path / "outsized.jsonl"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    checkpoint = ["--checkpoint", str(workspace["train_dir"] / "ckpt-seed0.json")]
+    args = {"train": ["--config", str(workspace["train_cfg"])],
+            "evaluate": checkpoint, "explain": checkpoint}
+    capsys.readouterr()
+    assert cli.main([command, "--corpus", str(bad), *args[command],
+                     "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert f"session {rec['id']}: persona {persona} does not fit in int64" in err
+    assert "Traceback" not in err and not (tmp_path / "o").exists()
+
+
 def never_called(*args, **kwargs):
     raise AssertionError("ran before the arguments were checked")
 
@@ -836,13 +894,13 @@ def test_same_seed_artifacts_match_pinned_digest(tmp_path):
     outputs = sorted(p for p in tmp_path.glob("*/*") if p.name != "run_manifest.json")
     assert [p.relative_to(tmp_path).as_posix() for p in outputs] == [
         "corpus/corpus_manifest.json", "corpus/sessions.jsonl", "eval/eval-test.json",
-        "explain/causal-scorer.bin", "explain/causal-scorer.json", "explain/explanations.jsonl",
-        "explain/ranking_report.json", "train/ckpt-seed0.bin", "train/ckpt-seed0.json",
-        "train/ckpt-seed1.bin", "train/ckpt-seed1.json", "train/report.json"]
+        "explain/explanations.jsonl", "explain/ranking_report.json", "train/ckpt-seed0.bin",
+        "train/ckpt-seed0.json", "train/ckpt-seed1.bin", "train/ckpt-seed1.json",
+        "train/report.json"]
     for p in outputs:
         h.update(p.relative_to(tmp_path).as_posix().encode())
         h.update(p.read_bytes())
-    assert h.hexdigest() == "feaa607cfbc562dd1b63c1aaf0a94f4440e329cb6ca1ed3d3e09c350901d80b3"
+    assert h.hexdigest() == "d10ba2dab39f4f5d4906096badf76a58053493d4556481fc6b64df8c9db32059"
 
 
 class TestGradcheck:

@@ -157,3 +157,13 @@ class TestModelConfigRanges:
     def test_boundary_values_accepted(self):
         ModelConfig(text_dim=1, hidden=1, heads=1, num_layers=1, set2set_iters=1,
                     persona_count=1, persona_dim=1, head_hidden=1, dropout=0)
+
+
+class TestCausalConfigRanges:
+    @pytest.mark.parametrize("name,value,message", [
+        ("window", 0, ">= 1"), ("epochs", 0, ">= 1"), ("batch_instances", 0, ">= 1"),
+        ("hidden", 0, ">= 1"), ("lr", 0.0, "positive"), ("weight_decay", -1.0, ">= 0"),
+    ])
+    def test_out_of_range_value_rejected(self, name, value, message):
+        with pytest.raises(ConfigError, match=f"{name} must be {message}"):
+            CausalConfig(**{name: value})

@@ -31,8 +31,6 @@ ALLOWED = {
                                "looks it up (ROADMAP item 3)",
     ("pipeline", "peu_rows_by_session"): "FOUND 47: only perfbench's explain set-up and "
                                          "test_acceptance call it",
-    ("checkpoints", "load_scorer"): "only tests read causal-scorer.{json,bin} back; "
-                                    "ROADMAP item 8 settles the scorer checkpoint",
     ("train", "ensemble_predict"): "perfbench's screen workload calls it; only tests "
                                    "call it otherwise (ROADMAP item 8)",
 }

@@ -53,6 +53,17 @@ class TestSession:
         with pytest.raises(S.CorpusError, match=f"persona {persona!r} is not an int"):
             make_session(persona=persona)
 
+    @pytest.mark.parametrize("persona", [2**63, 2**70, -2**63 - 1])
+    def test_persona_past_int64_rejected(self, persona):
+        with pytest.raises(S.CorpusError, match=f"session a: persona {persona} does not fit "
+                                                "in int64"):
+            make_session(persona=persona)
+
+    @pytest.mark.parametrize("persona", [2**63 - 1, -2**63, -1, 0, 7])
+    def test_persona_within_int64_accepted(self, persona):
+        # out-of-range ids are the model's to refuse, and only when it reads personas
+        assert make_session(persona=persona).persona == persona
+
     @pytest.mark.parametrize("index", [0.6, 1.0, True, "1"])
     def test_utterance_index_that_is_not_an_int_rejected(self, index):
         with pytest.raises(S.CorpusError, match=f"utterance index {index!r} is not an int"):
