@@ -29,7 +29,6 @@ class CausalConfig(Config):
     window: int = 3
     past_only: bool = False
     hidden: int = 64
-    focal_alpha: float = 0.75
     focal_gamma: float = 2.0
     lr: float = 1e-3
     weight_decay: float = 0.0
@@ -195,7 +194,7 @@ def train_scorer(instances, reps_by_session, peus_by_session, config, seed=0):
         cuts = [0, *ends[every - 1:-1:every].tolist(), len(rows)]
         for a, b in zip(cuts, cuts[1:]):
             batch = rows[a:b]
-            scorer_loss(scorer, features[batch], sign[batch], config.focal_alpha, config.focal_gamma)
+            scorer_loss(scorer, features[batch], sign[batch], config.focal_gamma)
             try:
                 opt.step(block)
             except NumericalError:
@@ -224,27 +223,26 @@ def _block_rows(starts, counts):
     return np.arange(ends[-1]) + np.repeat(starts - (ends - counts), counts), ends
 
 
-def scorer_loss(scorer, x, sign, alpha, gamma):
-    """Focal loss mean(alpha * (1 - p_t)^gamma * -log p_t) of the scorer on
-    the rows of x, with p_t = sigmoid(sign * logit) and sign +1 for a cause,
-    -1 otherwise. Writes each parameter's gradient into its view of
+def scorer_loss(scorer, x, sign, gamma):
+    """Focal loss mean((1 - p_t)^gamma * -log p_t) of the scorer on the rows
+    of x, with p_t = sigmoid(sign * logit) and sign +1 for a cause, -1
+    otherwise. Writes each parameter's gradient into its view of
     scorer.flat.grad, points the parameter's .grad at that view, and
     returns the loss.
 
     This is what tensor.backward computes through edge_logits' ops,
-    tensor.focal, tensor.tmean and a product with alpha, without that
-    graph of tensors and closures. Every value comes from the float
-    operations the composition computes it with, in the same order, so
-    results are bit-identical to it.
+    tensor.focal and tensor.tmean, without that graph of tensors and
+    closures. Every value comes from the float operations the composition
+    computes it with, in the same order, so results are bit-identical to
+    it.
     """
     p, grads = scorer.tensors, scorer.grads
     dtype = p["w1"].dtype
     x, sign = x.astype(dtype, copy=False), sign.astype(dtype, copy=False)
     logits, h, neg = edge_logits(x, scorer)
     terms, focal_grad = T.focal_parts(logits * sign, gamma)
-    scale = np.asarray(alpha, dtype=dtype)
-    # d loss / d term is alike for every row
-    g_out = (focal_grad(scale / terms.size) * sign).reshape(-1, 1)
+    # d loss / d term is alike for every row: tmean's share of backward's 1
+    g_out = (focal_grad(np.asarray(1.0, dtype=dtype) / terms.size) * sign).reshape(-1, 1)
     np.sum(g_out, axis=-2, out=grads["b2"])
     np.matmul(h.T, g_out, out=grads["w2"])
     # each entry of g_out @ w2.T is one product, which matmul adds to a
@@ -256,7 +254,7 @@ def scorer_loss(scorer, x, sign, alpha, gamma):
     np.matmul(x.T, g_z1, out=grads["w1"])
     for name, g in grads.items():
         p[name].grad = g
-    return np.asarray(terms.mean(), dtype=dtype) * scale
+    return np.asarray(terms.mean(), dtype=dtype)
 
 
 def rank_candidates(instance, probs):

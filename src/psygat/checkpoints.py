@@ -16,14 +16,16 @@ from pathlib import Path
 import numpy as np
 
 from .config import KINDS
-from .errors import CheckpointError
+from .errors import CheckpointError, ConfigError
 from .model import ModelConfig, ModelParams
-from .train import Checkpoint, TrainConfig
+from .train import Checkpoint, TrainConfig, is_threshold
 
 # Changes whenever the meaning of a header changes. Headers written before
 # it existed, persona use then in train_config, carry none; version-1 headers
-# index each attention head as its own gat{l}_attn{h} entry.
-FORMAT_VERSION = 2
+# index each attention head as its own gat{l}_attn{h} entry; version-2
+# headers carry a train_config key since removed: a uniform scale of the
+# focal loss, which AdamW's update divides out.
+FORMAT_VERSION = 3
 
 
 def _load_arrays(params, arrays, prefix):
@@ -126,7 +128,7 @@ def _header_config(prefix, header, key, cls):
     obj = _header_field(prefix, header, key)
     try:
         return cls.from_json(obj)
-    except (TypeError, ValueError) as exc:
+    except ConfigError as exc:
         raise CheckpointError(f"{prefix}: invalid {key}: {exc}") from exc
 
 
@@ -147,10 +149,12 @@ def load_checkpoint(prefix):
     header, arrays = _read_pair(prefix)
     model_config = _header_config(prefix, header, "model_config", ModelConfig)
     train_config = _header_config(prefix, header, "train_config", TrainConfig)
-    fields = {key: _header_field(prefix, header, key)
-              for key in ("best_val_pr_auc", "threshold", "seed", "epoch")}
+    checks = {"best_val_pr_auc": KINDS["float"][:2],
+              "threshold": (is_threshold, "a finite number in [0, 1]"),
+              "seed": KINDS["int"][:2], "epoch": KINDS["int"][:2]}
+    fields = {key: _header_field(prefix, header, key) for key in checks}
     for key, value in fields.items():
-        accepts, must_be, _ = KINDS["int" if key in ("seed", "epoch") else "float"]
+        accepts, must_be = checks[key]
         if not accepts(value):
             raise CheckpointError(f"{prefix}: {key} {value!r} is not {must_be}")
     params = ModelParams(model_config, seed=0)

@@ -25,7 +25,7 @@ from . import checkpoints as ckpt
 from . import datagen as D
 from . import train as TR
 from . import verify
-from .errors import ConfigError, CorpusError, PsygatError
+from .errors import ConfigError, CorpusError, DataError, PsygatError
 from .metrics import HIT_KS, classification_report
 from .model import ModelConfig
 from .pipeline import graphs_from_sessions
@@ -158,10 +158,15 @@ def _ensemble_threshold(paths, members):
         report_path = folders.pop() / "report.json"
         try:
             report = json.loads(report_path.read_text(encoding="utf-8"))
-            if sorted(m["seed"] for m in report["members"]) == seeds:
-                return float(report["ensemble_threshold"])
+            listed = sorted(m["seed"] for m in report["members"]) == seeds
+            threshold = report["ensemble_threshold"]
         except (OSError, ValueError, KeyError, TypeError):
-            pass
+            listed = False
+        if listed:
+            if not TR.is_threshold(threshold):
+                raise DataError(f"{report_path}: ensemble_threshold {threshold!r} "
+                                "is not a finite number in [0, 1]")
+            return float(threshold)
     raise ConfigError(f"no train report.json beside the checkpoints lists exactly seeds {seeds}; "
                       "pass --threshold for this ensemble")
 
@@ -169,7 +174,7 @@ def _ensemble_threshold(paths, members):
 def cmd_evaluate(args):
     started = time.time()
     # before any file is read; NaN would also write invalid JSON reports
-    if args.threshold is not None and not 0.0 <= args.threshold <= 1.0:
+    if args.threshold is not None and not TR.is_threshold(args.threshold):
         raise ConfigError(f"--threshold must be in [0, 1], got {args.threshold}")
     members = [ckpt.load_checkpoint(Path(p).with_suffix("")) for p in args.checkpoint]
     if args.threshold is not None:
@@ -302,6 +307,9 @@ def main(argv=None):
         return EXIT_CONFIG
     except (PsygatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_DATA
 
 

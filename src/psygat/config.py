@@ -51,7 +51,19 @@ class Config:
 
     @classmethod
     def from_json(cls, obj):
+        """A JSON object of field values; fields it leaves out keep their
+        defaults."""
+        if not isinstance(obj, dict):
+            raise ConfigError(f"{cls.__name__} must be a JSON object, got {obj!r}")
+        cls._reject_unknown(obj)
         return cls(**obj)
+
+    @classmethod
+    def _reject_unknown(cls, keys):
+        names = {f.name for f in fields(cls)}
+        for key in keys:
+            if key not in names:
+                raise ConfigError(f"unknown {cls.__name__} field {key!r}")
 
     @classmethod
     def from_text(cls, text):
@@ -65,8 +77,7 @@ class Config:
             if "=" not in line:
                 raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
             key, val = (part.strip() for part in line.split("=", 1))
-            if key not in kinds:
-                raise ConfigError(f"unknown {cls.__name__} field {key!r}")
+            cls._reject_unknown([key])
             try:
                 values[key] = KINDS[kinds[key]][2](val)
             except ValueError as exc:

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import model as M
 from . import tensor as T
-from .config import Config
+from .config import KINDS, Config
 from .errors import ConfigError, DataError, NumericalError
 from .graph import GraphBatch
 from .metrics import _prf, pr_auc
@@ -33,8 +33,7 @@ class TrainConfig(Config):
     plateau_factor: float = 0.5
     plateau_patience: int = 2
     clip_norm: float = 1.0
-    focal_gamma: float = 2.0  # gamma 0, alpha 1 is plain BCE
-    focal_alpha: float = 1.0
+    focal_gamma: float = 2.0  # 0 is plain BCE
     contrastive_weight: float = 0.1  # 0 turns InfoNCE off
     contrastive_temperature: float = 0.2
     seeds: tuple = (0, 1, 2, 3, 4)
@@ -43,7 +42,7 @@ class TrainConfig(Config):
     def __post_init__(self):
         super().__post_init__()
         self._check(lambda v: v > 0, "positive",
-                    "lr", "clip_norm", "focal_alpha", "contrastive_temperature")
+                    "lr", "clip_norm", "contrastive_temperature")
         self._check(lambda v: v >= 0, ">= 0",
                     "weight_decay", "max_epochs", "focal_gamma", "contrastive_weight")
         self._check(lambda v: v >= 1, ">= 1",
@@ -65,15 +64,14 @@ class Checkpoint:
     epoch: int
 
 
-def focal_loss(logit, y, gamma=2.0, alpha=1.0):
-    """alpha * (1 - p_t)^gamma * (-log p_t), elementwise.
+def focal_loss(logit, y, gamma=2.0):
+    """(1 - p_t)^gamma * (-log p_t), elementwise.
 
     logit is a scalar with one label y, or a (B,) vector with B labels.
-    gamma=0, alpha=1 recovers plain BCE exactly.
+    gamma=0 recovers plain BCE exactly.
     """
     sign = np.where(np.asarray(y) == 1, 1.0, -1.0).astype(logit.dtype)
-    out = T.focal(T.mul(logit, T.Tensor(sign, requires_grad=False)), gamma)
-    return T.mul(out, T.Tensor(np.asarray(alpha, dtype=logit.dtype), requires_grad=False))
+    return T.focal(T.mul(logit, T.Tensor(sign, requires_grad=False)), gamma)
 
 
 def info_nce(session_reps, labels, temperature=0.2):
@@ -223,6 +221,12 @@ def select_threshold(probs, labels):
     return best[1]
 
 
+def is_threshold(value):
+    """Whether value can be a decision threshold: a number, not a bool,
+    finite, in [0, 1]."""
+    return KINDS["float"][0](value) and 0 <= value <= 1
+
+
 def _chunks(graphs):
     return [GraphBatch.from_graphs(graphs[i : i + PREDICT_CHUNK])
             for i in range(0, len(graphs), PREDICT_CHUNK)]
@@ -240,7 +244,7 @@ def _train_step(params, opt, batch, config, rng):
     call, so refcounting frees it on return."""
     params.zero_grad()
     out = M.forward(batch, params, rng=rng)
-    loss = T.tmean(focal_loss(out.logits, batch.labels, config.focal_gamma, config.focal_alpha))
+    loss = T.tmean(focal_loss(out.logits, batch.labels, config.focal_gamma))
     if config.contrastive_weight > 0 and batch.num_graphs >= 2:
         aux = info_nce(out.session_reps, batch.labels, config.contrastive_temperature)
         loss = T.add(

@@ -110,7 +110,7 @@ def _op_checks(rng):
 
     # signed logits of alternating sign, clear of saturation; an integer and
     # a non-integer focusing exponent, and gamma 0, the logistic loss that
-    # focal_gamma = 0, focal_alpha = 1 trains with
+    # focal_gamma = 0 trains with
     sign = np.where(np.arange(m * n) % 2 == 0, 1.0, -1.0).reshape(m, n)
     zf = T.Tensor(sign * rng.uniform(0.1, 3.0, (m, n)), dtype=np.float64)
     for gamma in (2.0, 0.7, 0.0):
@@ -231,8 +231,8 @@ def check_stacked(seed=0, sizes=(5, 1, 8, 3)):
 
 def check_causal_scorer(seed=0):
     """fd check of causal.scorer_loss, whose backward is written by hand:
-    the focal loss (gamma 2, alpha 0.75) of a small scorer over 12 rows of
-    random features, labels of both classes, every coordinate, float64."""
+    the focal loss (gamma 2) of a small scorer over 12 rows of random
+    features, labels of both classes, every coordinate, float64."""
     rng = np.random.default_rng(seed)
     config = C.CausalConfig(window=1, hidden=5)
     scorer = C.ScorerParams(config, model_hidden=3, seed=seed, dtype=np.float64)
@@ -241,7 +241,7 @@ def check_causal_scorer(seed=0):
     leaves = list(scorer.tensors.values())
 
     def f():
-        loss = C.scorer_loss(scorer, x, sign, config.focal_alpha, config.focal_gamma)
+        loss = C.scorer_loss(scorer, x, sign, config.focal_gamma)
         # scorer_loss has written every gradient already, so the loss node's
         # backward has nothing left to pass on
         return T.Tensor(loss, tuple(leaves), lambda g: None, dtype=np.float64)

@@ -48,11 +48,11 @@ def block(instance, node_reps, window):
     return np.empty((len(instance.candidate_indices), width), dtype=node_reps.dtype)
 
 
-def reference_loss(logits, labels, alpha, gamma):
+def reference_loss(logits, labels, gamma):
     """The scorer's focal loss as an op composition over a logits Tensor:
-    mean(alpha * (1 - p_t)^gamma * -log p_t), p_t the sigmoid of the
-    logit signed by its label, -log p_t as softplus(-z) and the focal
-    weight, at gamma above 0, as pow_const(1 - sigmoid(z), gamma)."""
+    mean((1 - p_t)^gamma * -log p_t), p_t the sigmoid of the logit signed
+    by its label, -log p_t as softplus(-z) and the focal weight, at gamma
+    above 0, as pow_const(1 - sigmoid(z), gamma)."""
     dtype = logits.dtype
 
     def const(value):
@@ -63,13 +63,10 @@ def reference_loss(logits, labels, alpha, gamma):
     terms = T.softplus(T.mul(z, const(-1.0)))
     if gamma != 0.0:
         terms = T.mul(T.pow_const(T.sub(const(1.0), T.sigmoid(z)), gamma), terms)
-    loss = T.tmean(terms)
-    if alpha != 1.0:
-        loss = T.mul(loss, const(alpha))
-    return loss
+    return T.tmean(terms)
 
 
-def reference_scorer_loss(scorer, x, labels, alpha, gamma):
+def reference_scorer_loss(scorer, x, labels, gamma):
     """C.scorer_loss through the autodiff graph: the scorer MLP composed of
     tensor ops, reference_loss, and tensor.backward into fresh gradients."""
     p = scorer.tensors
@@ -77,7 +74,7 @@ def reference_scorer_loss(scorer, x, labels, alpha, gamma):
     xt = T.Tensor(x.astype(p["w1"].dtype, copy=False), requires_grad=False)
     h = T.elu(T.add_bias(T.matmul(xt, p["w1"]), p["b1"]))
     logits = T.reshape(T.add_bias(T.matmul(h, p["w2"]), p["b2"]), (x.shape[0],))
-    loss = reference_loss(logits, labels, alpha, gamma)
+    loss = reference_loss(logits, labels, gamma)
     T.backward(loss)
     return loss.data
 
@@ -100,7 +97,7 @@ def reference_train_scorer(instances, reps_by, peus_by, config, seed=0):
             batch = [train_set[k] for k in order[start:start + config.batch_instances]]
             x = np.concatenate([feats[id(i)] for i in batch])
             y = np.concatenate([np.asarray(i.labels) for i in batch])
-            reference_scorer_loss(scorer, x, y, config.focal_alpha, config.focal_gamma)
+            reference_scorer_loss(scorer, x, y, config.focal_gamma)
             opt.step(scorer.named())
     return scorer
 
@@ -307,8 +304,8 @@ class TestScorer:
         for _ in range(2):  # a second call overwrites, never adds to, the first
             got.zero_grad()
             assert all(t.grad is None for _, t in got.named())
-            C.scorer_loss(got, x, sign, 0.75, 2.0)
-        reference_scorer_loss(want, x, labels, 0.75, 2.0)
+            C.scorer_loss(got, x, sign, 2.0)
+        reference_scorer_loss(want, x, labels, 2.0)
         for (name, a), (_, b) in zip(got.named(), want.named()):
             assert a.grad is got.grads[name], name
             assert a.grad.tobytes() == b.grad.tobytes(), name
@@ -329,17 +326,14 @@ class TestScorer:
         np.testing.assert_array_equal(C.edge_logits(x, scorer)[0], logits.data)
         probs = 1 / (1 + np.exp(-logits.data))
         ref = np.mean([-np.log(probs[0]), -np.log(1 - probs[1]), -np.log(probs[2])])
-        for alpha in (1.0, 0.75):
-            got = float(C.scorer_loss(scorer, x, sign, alpha, gamma=0.0))
-            assert got == pytest.approx(alpha * ref, rel=1e-9)
-            assert got == float(reference_loss(logits, labels, alpha, gamma=0.0).data)
+        got = float(C.scorer_loss(scorer, x, sign, gamma=0.0))
+        assert got == pytest.approx(ref, rel=1e-9)
+        assert got == float(reference_loss(logits, labels, gamma=0.0).data)
 
     @pytest.mark.parametrize("saturated", [False, True])
-    @pytest.mark.parametrize("alpha", [1.0, 0.75])
     @pytest.mark.parametrize("gamma", [0.0, 0.5, 2.0])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_scorer_loss_is_bit_equal_to_the_op_composition(self, dtype, gamma, alpha,
-                                                            saturated):
+    def test_scorer_loss_is_bit_equal_to_the_op_composition(self, dtype, gamma, saturated):
         rng = np.random.default_rng(5)
         config = C.CausalConfig(window=2, hidden=16)
         got, want = (C.ScorerParams(config, model_hidden=8, seed=1, dtype=dtype)
@@ -356,9 +350,9 @@ class TestScorer:
                 scorer["b2"].data[:] = 50.0
             labels[:] = 1
         loss = C.scorer_loss(got, x.astype(dtype),
-                             np.where(labels == 1, 1.0, -1.0).astype(dtype), alpha, gamma)
+                             np.where(labels == 1, 1.0, -1.0).astype(dtype), gamma)
         with np.errstate(divide="ignore", invalid="ignore"):
-            ref = reference_scorer_loss(want, x.astype(dtype), labels, alpha, gamma)
+            ref = reference_scorer_loss(want, x.astype(dtype), labels, gamma)
         assert np.asarray(loss).dtype == ref.dtype == dtype
         assert np.asarray(loss).tobytes() == ref.tobytes()
         nan_rows = saturated and gamma == 0.5
@@ -419,7 +413,7 @@ class TestScorer:
             C.train_scorer(instances, reps_by, peus_by, config, seed=0)
         scorer = C.ScorerParams(config, model_hidden=8)
         x = C._feature_block(instances, reps_by, peus_by, scorer)[0]
-        poisoning_loss(scorer, x, np.ones(len(x), np.float32), 0.75, 2.0)
+        poisoning_loss(scorer, x, np.ones(len(x), np.float32), 2.0)
         with pytest.raises(NumericalError, match=f"parameter {named}$"):
             AdamW(config.lr).step(scorer.named())
 
@@ -441,13 +435,11 @@ class TestScorer:
     # one, and 20 is more than there are
     @pytest.mark.parametrize("batch_instances", [5, 4, 20])
     @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
-    @pytest.mark.parametrize("alpha", [1.0, 0.75])
     @pytest.mark.parametrize("gamma", [0.0, 0.5, 2.0])
-    def test_trained_scorer_is_bit_equal_to_per_batch_concatenation(self, gamma, alpha,
-                                                                    weight_decay,
+    def test_trained_scorer_is_bit_equal_to_per_batch_concatenation(self, gamma, weight_decay,
                                                                     batch_instances):
         config = C.CausalConfig(window=2, epochs=3, batch_instances=batch_instances, hidden=16,
-                                focal_alpha=alpha, focal_gamma=gamma, weight_decay=weight_decay)
+                                focal_gamma=gamma, weight_decay=weight_decay)
         instances, reps_by, peus_by = planted_instances(config, sessions=12)
         assert len(instances) == 12
         got = C.train_scorer(instances, reps_by, peus_by, config, seed=3)
@@ -578,4 +570,4 @@ def test_explain_outputs_match_pinned_digest():
         h.update(t.data.tobytes())
     h.update(np.array([r["prob"] for rec in explanations for r in rec["ranked"]]).tobytes())
     assert len(explanations) == 299
-    assert h.hexdigest() == "c489cb108c02b8fec411b8d3767103ef28068648098dcc7f486d13c73126e8a0"
+    assert h.hexdigest() == "1109b36bc4ec6defd42f28beae00f2c9b04c8da0d7f17f561c2a998ccd8d96a3"

@@ -115,22 +115,24 @@ class TestSessionModelCheckpoints:
         with pytest.raises(CK.CheckpointError, match=message):
             CK.load_checkpoint(tmp_path / "ckpt")
 
-    @pytest.mark.parametrize("version", ["missing", 1, CK.FORMAT_VERSION + 1, "2", True, 2.0])
+    @pytest.mark.parametrize("version", ["missing", 1, 2, CK.FORMAT_VERSION + 1, "3", True,
+                                         3.0])
     def test_other_format_version_rejected(self, tmp_path, version):
         # a header from before the version, persona use then in train_config,
         # fails here and never loads as a persona-on model; nor does a
-        # version-1 header, which indexed each attention head on its own
+        # version-1 header, which indexed each attention head on its own, or
+        # a version-2 one, whose train_config carries focal_alpha
         CK.save_checkpoint(tmp_path / "ckpt", small_checkpoint())
         edit_header(tmp_path / "ckpt.json", lambda header: header.pop("format_version")
                     if version == "missing" else header.update(format_version=version))
-        with pytest.raises(CK.CheckpointError, match="format version .*, expected 2") as info:
+        with pytest.raises(CK.CheckpointError, match="format version .*, expected 3") as info:
             CK.load_checkpoint(tmp_path / "ckpt")
         assert len(str(info.value).splitlines()) == 1
 
     def test_header_records_the_format_version(self, tmp_path):
         CK.save_checkpoint(tmp_path / "ckpt", small_checkpoint())
         header = json.loads((tmp_path / "ckpt.json").read_text())
-        assert header["format_version"] == CK.FORMAT_VERSION == 2
+        assert header["format_version"] == CK.FORMAT_VERSION == 3
 
     def test_blob_is_float32_little_endian(self, tmp_path):
         ck = small_checkpoint()

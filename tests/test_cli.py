@@ -147,7 +147,7 @@ class TestTrain:
         "lr": ("0.001", 0.001), "weight_decay": ("0.0005", 0.0005), "max_epochs": ("1", 1),
         "early_stop_patience": ("3", 3), "plateau_factor": ("0.25", 0.25),
         "plateau_patience": ("4", 4), "clip_norm": ("2.5", 2.5), "focal_gamma": ("0", 0.0),
-        "focal_alpha": ("0.75", 0.75), "contrastive_weight": ("0", 0.0),
+        "contrastive_weight": ("0", 0.0),
         "contrastive_temperature": ("0.5", 0.5), "seeds": ("3,4", (3, 4)),
         "batch_size": ("5", 5),
     }
@@ -473,19 +473,35 @@ class TestEvaluate:
         assert len(err.strip().splitlines()) == 1
         assert "header has no threshold" in err and "Traceback" not in err
 
-    def test_checkpoint_header_with_a_bad_threshold_exits_one(self, workspace, tmp_path, capsys):
+    @pytest.mark.parametrize("value", ["abc", float("nan"), 7.5, -0.1, True])
+    def test_checkpoint_header_with_a_bad_threshold_exits_one(self, workspace, tmp_path, capsys,
+                                                              value):
         for suffix in (".json", ".bin"):
             shutil.copy(workspace["train_dir"] / f"ckpt-seed0{suffix}", tmp_path / f"c{suffix}")
         header = json.loads((tmp_path / "c.json").read_text())
-        header["threshold"] = "abc"
+        header["threshold"] = value
         (tmp_path / "c.json").write_text(json.dumps(header))
         capsys.readouterr()
         code = cli.main(["evaluate", "--checkpoint", str(tmp_path / "c.json"),
                          "--corpus", str(workspace["corpus"]), "--out", str(tmp_path / "o")])
         assert code == 1
-        err = capsys.readouterr().err
-        assert len(err.strip().splitlines()) == 1
-        assert "threshold 'abc' is not a finite number" in err and "Traceback" not in err
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'c'}: threshold {value!r} is not a finite number in [0, 1]\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_checkpoint_header_with_an_unknown_model_config_key_exits_one(
+            self, workspace, tmp_path, capsys):
+        for suffix in (".json", ".bin"):
+            shutil.copy(workspace["train_dir"] / f"ckpt-seed0{suffix}", tmp_path / f"c{suffix}")
+        header = json.loads((tmp_path / "c.json").read_text())
+        header["model_config"]["depth"] = 2
+        (tmp_path / "c.json").write_text(json.dumps(header))
+        capsys.readouterr()
+        code = cli.main(["evaluate", "--checkpoint", str(tmp_path / "c.json"),
+                         "--corpus", str(workspace["corpus"]), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'c'}: invalid model_config: unknown ModelConfig field 'depth'\n")
 
     def test_checkpoint_index_with_a_negative_shape_exits_one(self, workspace, tmp_path, capsys):
         for suffix in (".json", ".bin"):
@@ -596,6 +612,23 @@ class TestEvaluate:
         evaluated = json.loads((tmp_path / "o" / "eval-val.json").read_text())
         assert evaluated["metrics"]["threshold"] == 0.3
 
+    @pytest.mark.parametrize("value", [float("nan"), 7.5, -0.1, True])
+    def test_report_threshold_outside_the_unit_interval_exits_one(self, workspace, pair_dir,
+                                                                  tmp_path, capsys, value):
+        folder = tmp_path / "members"
+        folder.mkdir()
+        for name in ("ckpt-seed0.json", "ckpt-seed0.bin", "ckpt-seed1.json", "ckpt-seed1.bin"):
+            shutil.copy(pair_dir / name, folder / name)
+        report = json.loads((pair_dir / "report.json").read_text())
+        report["ensemble_threshold"] = value
+        (folder / "report.json").write_text(json.dumps(report))
+        capsys.readouterr()
+        assert self._evaluate_pair(folder, workspace["corpus"], tmp_path / "o") == 1
+        assert capsys.readouterr().err == (
+            f"error: {folder / 'report.json'}: ensemble_threshold {value!r} "
+            "is not a finite number in [0, 1]\n")
+        assert not (tmp_path / "o").exists()
+
     def test_ensemble_scores_match_per_graph_ensemble_predict(self, workspace):
         from psygat import checkpoints, train
         from psygat.pipeline import graphs_from_sessions
@@ -625,12 +658,13 @@ class TestEvaluate:
         assert len(err.strip().splitlines()) == 1
         assert "mismatched architectures" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("version", ["missing", 1, 3])
+    @pytest.mark.parametrize("version", ["missing", 1, 2, 4])
     def test_checkpoint_of_another_format_version_exits_one(self, workspace, tmp_path, capsys,
                                                              version):
         # a header written before the version, persona use then in
         # train_config, is refused rather than scored as a persona-on model;
-        # so is a version-1 header, which indexed each attention head alone
+        # so is a version-1 header, which indexed each attention head alone,
+        # and a version-2 one, whose train_config carries focal_alpha
         for suffix in (".json", ".bin"):
             shutil.copy(workspace["train_dir"] / f"ckpt-seed0{suffix}", tmp_path / f"c{suffix}")
         header = json.loads((tmp_path / "c.json").read_text())
@@ -646,7 +680,7 @@ class TestEvaluate:
         assert code == 1
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
-        assert "format version" in err and "expected 2" in err and "Traceback" not in err
+        assert "format version" in err and "expected 3" in err and "Traceback" not in err
 
 
 class TestExplain:
@@ -757,6 +791,19 @@ class TestExplain:
                          "--out", str(tmp_path / "o")])
         assert code == 2
         assert capsys.readouterr().err == f"config error: window must be >= 1, got {window}\n"
+
+    def test_outsized_window_exits_one_out_of_memory(self, workspace, tmp_path, capsys):
+        # the scorer's first weight matrix alone would take about 466 TiB,
+        # beyond the address space, so numpy refuses it without allocating
+        capsys.readouterr()
+        code = cli.main(["explain",
+                         "--checkpoint", str(workspace["train_dir"] / "ckpt-seed0.json"),
+                         "--corpus", str(workspace["corpus"]), "--window", "1000000000000",
+                         "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: ") and len(err.splitlines()) == 1
+        assert not (tmp_path / "o").exists()
 
     def test_window_below_one_exits_two_before_reading_a_file(self, tmp_path, capsys):
         # neither the checkpoint nor the corpus exists: the window is refused first
@@ -900,7 +947,7 @@ def test_same_seed_artifacts_match_pinned_digest(tmp_path):
     for p in outputs:
         h.update(p.relative_to(tmp_path).as_posix().encode())
         h.update(p.read_bytes())
-    assert h.hexdigest() == "d10ba2dab39f4f5d4906096badf76a58053493d4556481fc6b64df8c9db32059"
+    assert h.hexdigest() == "52bc0d6be8edc3ca5f878b5567ab8f238aad2db99f6253acc30a8ca7fd166e90"
 
 
 class TestGradcheck:

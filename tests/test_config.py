@@ -72,8 +72,8 @@ class TestFieldTypes:
 
     def test_field_counts(self):
         counts = {cls.__name__: len(dataclasses.fields(cls)) for cls in CONFIGS}
-        assert counts == {"GenConfig": 15, "ModelConfig": 10, "TrainConfig": 13,
-                          "CausalConfig": 9}
+        assert counts == {"GenConfig": 15, "ModelConfig": 10, "TrainConfig": 12,
+                          "CausalConfig": 8}
 
     def test_every_config_shares_the_one_layer(self):
         for cls in CONFIGS:
@@ -92,6 +92,19 @@ class TestJson:
 
     def test_tuple_written_as_a_list(self):
         assert TrainConfig(seeds=(7, 8)).to_json()["seeds"] == [7, 8]
+
+    @pytest.mark.parametrize("obj", [3, [], None, "lr"])
+    def test_non_object_rejected(self, obj):
+        with pytest.raises(ConfigError) as info:
+            CausalConfig.from_json(obj)
+        assert str(info.value) == f"CausalConfig must be a JSON object, got {obj!r}"
+
+    def test_unknown_key_rejected_as_from_text_does(self):
+        with pytest.raises(ConfigError) as by_json:
+            CausalConfig.from_json({**CausalConfig().to_json(), "depth": 2})
+        with pytest.raises(ConfigError) as by_text:
+            CausalConfig.from_text("depth = 2\n")
+        assert str(by_json.value) == str(by_text.value) == "unknown CausalConfig field 'depth'"
 
 
 class TestConfigParsing:
@@ -118,7 +131,7 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("key,value", [("loss", "bce"), ("contrastive_enabled", "false"),
                                            ("persona_mode", "off"), ("threshold_objective", "f1"),
-                                           ("min_precision", "0.75")])
+                                           ("min_precision", "0.75"), ("focal_alpha", "0.75")])
     def test_removed_train_keys_rejected(self, key, value):
         with pytest.raises(ConfigError, match=f"unknown TrainConfig field '{key}'"):
             TrainConfig.from_text(f"{key} = {value}\n")

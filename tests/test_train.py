@@ -13,13 +13,13 @@ def logit_of_prob(p):
 
 class TestFocalLoss:
     def test_hand_value_quarter_ln_two(self):
-        # p_t = 0.5: focal(gamma=2, alpha=1) = 0.25 * ln 2
-        loss = TR.focal_loss(T.Tensor(np.asarray(0.0)), 1, gamma=2.0, alpha=1.0)
+        # p_t = 0.5: focal(gamma=2) = 0.25 * ln 2
+        loss = TR.focal_loss(T.Tensor(np.asarray(0.0)), 1, gamma=2.0)
         assert float(loss.data) == pytest.approx(0.25 * np.log(2.0), abs=1e-6)
 
     def test_hand_value_confident_correct(self):
         # p_t = 0.9: (1 - 0.9)^2 * (-ln 0.9) = 0.01 * (-ln 0.9)
-        loss = TR.focal_loss(logit_of_prob(0.9), 1, gamma=2.0, alpha=1.0)
+        loss = TR.focal_loss(logit_of_prob(0.9), 1, gamma=2.0)
         assert float(loss.data) == pytest.approx(0.01 * -np.log(0.9), abs=1e-6)
 
     def test_negative_class_mirrors_positive(self):
@@ -27,21 +27,15 @@ class TestFocalLoss:
         b = TR.focal_loss(logit_of_prob(0.8), 1)
         assert float(a.data) == pytest.approx(float(b.data), rel=1e-6)
 
-    def test_gamma_zero_alpha_one_equals_bce(self):
+    def test_gamma_zero_equals_bce(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             z = T.Tensor(np.asarray(rng.standard_normal() * 4, dtype=np.float64))
             y = int(rng.integers(0, 2))
-            f = float(TR.focal_loss(z, y, gamma=0.0, alpha=1.0).data)
+            f = float(TR.focal_loss(z, y, gamma=0.0).data)
             p = 1 / (1 + np.exp(-float(z.data)))
             ref = -np.log(p) if y == 1 else -np.log(1 - p)
             assert f == pytest.approx(ref, abs=1e-10)
-
-    def test_alpha_scales_linearly(self):
-        z = logit_of_prob(0.3)
-        full = float(TR.focal_loss(z, 1, alpha=1.0).data)
-        scaled = float(TR.focal_loss(z, 1, alpha=0.25).data)
-        assert scaled == pytest.approx(0.25 * full, rel=1e-6)
 
     def test_extreme_logits_stay_finite(self):
         for z in (-80.0, 80.0):
@@ -52,7 +46,7 @@ class TestFocalLoss:
 
     def test_gradient_matches_finite_differences(self):
         z = T.Tensor(np.asarray(0.7, dtype=np.float64))
-        err = T.grad_check(lambda: TR.focal_loss(z, 1, gamma=2.0, alpha=0.5), [z])
+        err = T.grad_check(lambda: TR.focal_loss(z, 1, gamma=2.0), [z])
         assert err < 1e-6
 
 
@@ -304,13 +298,13 @@ class TestTrainConfig:
     def test_fields(self):
         assert list(TR.TrainConfig.__dataclass_fields__) == [
             "lr", "weight_decay", "max_epochs", "early_stop_patience", "plateau_factor",
-            "plateau_patience", "clip_norm", "focal_gamma", "focal_alpha", "contrastive_weight",
+            "plateau_patience", "clip_norm", "focal_gamma", "contrastive_weight",
             "contrastive_temperature", "seeds", "batch_size"]
 
     @pytest.mark.parametrize("field,value", [
         ("contrastive_weight", -1.0), ("clip_norm", -1.0), ("clip_norm", 0.0),
-        ("focal_alpha", -1.0), ("focal_alpha", 0.0), ("plateau_factor", 2.0),
-        ("plateau_factor", 0.0), ("max_epochs", -3), ("seeds", ()), ("seeds", (1, 1)),
+        ("plateau_factor", 2.0), ("plateau_factor", 0.0), ("max_epochs", -3), ("seeds", ()),
+        ("seeds", (1, 1)),
     ])
     def test_values_that_invert_or_freeze_training_rejected(self, field, value):
         with pytest.raises(TR.ConfigError, match=field) as info:
