@@ -116,7 +116,7 @@ def planted_instances(config, sessions, hidden=8, n=8, target=4):
         reps[cause, :4] = 2.0  # planted signature
         reps_by[s.id] = reps
         peus_by[s.id] = peus
-        instances += C.extract_instances(s, peus, config.window)
+        instances += C.extract_instances(s, peus, config.window, config.past_only)
     return instances, reps_by, peus_by
 
 
@@ -432,16 +432,21 @@ class TestScorer:
             assert rec["ranked"][0]["is_cause"]
 
     # 12 instances: minibatches of 4 divide them, of 5 leave a short last
-    # one, and 20 is more than there are
+    # one, and 20 is more than there are; past_only halves each instance's
+    # rows, which moves where a minibatch's rows end in the feature block
     @pytest.mark.parametrize("batch_instances", [5, 4, 20])
     @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    @pytest.mark.parametrize("past_only", [False, True])
     @pytest.mark.parametrize("gamma", [0.0, 0.5, 2.0])
-    def test_trained_scorer_is_bit_equal_to_per_batch_concatenation(self, gamma, weight_decay,
+    def test_trained_scorer_is_bit_equal_to_per_batch_concatenation(self, gamma, past_only,
+                                                                    weight_decay,
                                                                     batch_instances):
-        config = C.CausalConfig(window=2, epochs=3, batch_instances=batch_instances, hidden=16,
+        config = C.CausalConfig(window=2, past_only=past_only, epochs=3,
+                                batch_instances=batch_instances, hidden=16,
                                 focal_gamma=gamma, weight_decay=weight_decay)
         instances, reps_by, peus_by = planted_instances(config, sessions=12)
         assert len(instances) == 12
+        assert all(len(i.candidate_indices) == (2 if past_only else 4) for i in instances)
         got = C.train_scorer(instances, reps_by, peus_by, config, seed=3)
         want = reference_train_scorer(instances, reps_by, peus_by, config, seed=3)
         for (name, a), (_, b) in zip(got.named(), want.named()):
