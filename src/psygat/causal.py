@@ -23,27 +23,21 @@ from .peu import CATEGORIES, NUM_CATEGORIES
 from .pipeline import graphs_from_sessions
 from .train import AdamW
 
+LR = 1e-3  # the scorer's AdamW learning rate; its decay is AdamW's default, 0
+FOCAL_GAMMA = 2.0  # the focusing exponent of the scorer's focal loss
+
 
 @dataclass
 class CausalConfig(Config):
     window: int = 3
     past_only: bool = False
     hidden: int = 64
-    focal_gamma: float = 2.0
-    lr: float = 1e-3
-    weight_decay: float = 0.0
     epochs: int = 40
     batch_instances: int = 32
 
     def __post_init__(self):
         super().__post_init__()
         self._check(lambda v: v >= 1, ">= 1", "window", "epochs", "batch_instances", "hidden")
-        self._check(lambda v: v > 0, "positive", "lr")
-        self._check(lambda v: v >= 0, ">= 0", "weight_decay", "focal_gamma")
-
-    @property
-    def position_dim(self):
-        return 2 * self.window + 1
 
 
 @dataclass
@@ -103,7 +97,7 @@ class ScorerParams(T.Params):
 
     def __init__(self, config, model_hidden=128, seed=0, dtype=np.float32):
         self.config = config
-        self.input_dim = 2 * model_hidden + NUM_CATEGORIES + config.position_dim
+        self.input_dim = 2 * model_hidden + NUM_CATEGORIES + 2 * config.window + 1
         shapes = {"w1": (self.input_dim, config.hidden), "b1": (config.hidden,),
                   "w2": (config.hidden, 1), "b2": (1,)}
         self.flat = T.Tensor(np.zeros(sum(map(math.prod, shapes.values())), dtype), name="scorer")
@@ -138,7 +132,8 @@ def instance_features(instance, node_reps, peu_rows, window, out):
     out[:, :hidden] = node_reps[t]
     out[:, hidden:2 * hidden] = node_reps[cand]
     out[:, 2 * hidden:pos] = peu
-    out[:, pos:] = np.eye(2 * window + 1, dtype=out.dtype)[cand - t + window]
+    out[:, pos:] = 0.0
+    out[np.arange(cand.size), pos + window + cand - t] = 1.0
     return out
 
 
@@ -180,7 +175,7 @@ def train_scorer(instances, reps_by_session, peus_by_session, config, seed=0):
         raise DataError("no causal instances to train on")
     scorer = ScorerParams(config, model_hidden=next(iter(reps_by_session.values())).shape[1],
                           seed=seed)
-    opt = AdamW(config.lr, config.weight_decay)
+    opt = AdamW(LR)
     rng = np.random.default_rng(seed)
     features, starts, counts = _feature_block(train_set, reps_by_session, peus_by_session,
                                               scorer)
@@ -194,7 +189,7 @@ def train_scorer(instances, reps_by_session, peus_by_session, config, seed=0):
         cuts = [0, *ends[every - 1:-1:every].tolist(), len(rows)]
         for a, b in zip(cuts, cuts[1:]):
             batch = rows[a:b]
-            scorer_loss(scorer, features[batch], sign[batch], config.focal_gamma)
+            scorer_loss(scorer, features[batch], sign[batch])
             try:
                 opt.step(block)
             except NumericalError:
@@ -223,8 +218,8 @@ def _block_rows(starts, counts):
     return np.arange(ends[-1]) + np.repeat(starts - (ends - counts), counts), ends
 
 
-def scorer_loss(scorer, x, sign, gamma):
-    """Focal loss mean((1 - p_t)^gamma * -log p_t) of the scorer on the rows
+def scorer_loss(scorer, x, sign):
+    """Focal loss mean((1 - p_t)^FOCAL_GAMMA * -log p_t) of the scorer on the rows
     of x, with p_t = sigmoid(sign * logit) and sign +1 for a cause, -1
     otherwise. Writes each parameter's gradient into its view of
     scorer.flat.grad, points the parameter's .grad at that view, and
@@ -240,7 +235,7 @@ def scorer_loss(scorer, x, sign, gamma):
     dtype = p["w1"].dtype
     x, sign = x.astype(dtype, copy=False), sign.astype(dtype, copy=False)
     logits, h, neg = edge_logits(x, scorer)
-    terms, focal_grad = T.focal_parts(logits * sign, gamma)
+    terms, focal_grad = T.focal_parts(logits * sign, FOCAL_GAMMA)
     # d loss / d term is alike for every row: tmean's share of backward's 1
     g_out = (focal_grad(np.asarray(1.0, dtype=dtype) / terms.size) * sign).reshape(-1, 1)
     np.sum(g_out, axis=-2, out=grads["b2"])

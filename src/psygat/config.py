@@ -51,11 +51,14 @@ class Config:
 
     @classmethod
     def from_json(cls, obj):
-        """A JSON object of field values; fields it leaves out keep their
-        defaults."""
+        """A JSON object holding every field, and nothing else: a field it
+        left out would silently take today's default."""
         if not isinstance(obj, dict):
             raise ConfigError(f"{cls.__name__} must be a JSON object, got {obj!r}")
         cls._reject_unknown(obj)
+        for f in fields(cls):
+            if f.name not in obj:
+                raise ConfigError(f"missing {cls.__name__} field {f.name!r}")
         return cls(**obj)
 
     @classmethod

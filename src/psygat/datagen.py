@@ -16,6 +16,7 @@ import numpy as np
 
 from .config import Config
 from .errors import ConfigError
+from .model import ModelConfig
 from .peu import CATEGORIES, COPING, DEFAULT_LEXICON
 from .sessions import Session, Utterance
 
@@ -89,7 +90,6 @@ class GenConfig(Config):
     # the causal lag range; a distractor only wider windows can see
     echo_rate: float = 0.0
     persona_set: str = "default"  # default (4) or extended (12)
-    model_persona_count: int = 4
 
     def __post_init__(self):
         super().__post_init__()
@@ -311,7 +311,7 @@ def generate_session(seed, persona, label, config=None, source="base", session_i
 
     return Session(
         id=session_id or f"g{seed}",
-        persona=persona.id % config.model_persona_count,
+        persona=persona.id % ModelConfig.persona_count,
         label=int(emitted_label),
         utterances=utterances,
         peus=annotations,

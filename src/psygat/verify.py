@@ -234,14 +234,14 @@ def check_causal_scorer(seed=0):
     the focal loss (gamma 2) of a small scorer over 12 rows of random
     features, labels of both classes, every coordinate, float64."""
     rng = np.random.default_rng(seed)
-    config = C.CausalConfig(window=1, hidden=5)
-    scorer = C.ScorerParams(config, model_hidden=3, seed=seed, dtype=np.float64)
+    scorer = C.ScorerParams(C.CausalConfig(window=1, hidden=5), model_hidden=3, seed=seed,
+                            dtype=np.float64)
     x = rng.standard_normal((12, scorer.input_dim))
     sign = np.where(np.arange(12) % 2 == 0, 1.0, -1.0)
     leaves = list(scorer.tensors.values())
 
     def f():
-        loss = C.scorer_loss(scorer, x, sign, config.focal_gamma)
+        loss = C.scorer_loss(scorer, x, sign)
         # scorer_loss has written every gradient already, so the loss node's
         # backward has nothing left to pass on
         return T.Tensor(loss, tuple(leaves), lambda g: None, dtype=np.float64)

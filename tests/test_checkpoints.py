@@ -246,6 +246,16 @@ class TestSessionModelCheckpoints:
         with pytest.raises(CK.CheckpointError, match=f"invalid {key}"):
             CK.load_checkpoint(tmp_path / "ckpt")
 
+    @pytest.mark.parametrize("key,field", [("train_config", "lr"), ("model_config", "hidden")])
+    def test_config_missing_a_field_rejected(self, tmp_path, key, field):
+        # not filled in with today's default: TrainConfig.lr 2e-4 would load
+        # for a checkpoint trained at another rate
+        CK.save_checkpoint(tmp_path / "ckpt", small_checkpoint())
+        edit_header(tmp_path / "ckpt.json", lambda header: header[key].pop(field))
+        with pytest.raises(CK.CheckpointError,
+                           match=f"invalid {key}: missing .*Config field '{field}'"):
+            CK.load_checkpoint(tmp_path / "ckpt")
+
     @pytest.mark.parametrize("key,value,message", [
         ("threshold", "abc", "not a finite number"),
         ("threshold", float("nan"), "not a finite number"),

@@ -79,7 +79,7 @@ class TestGenerate:
         "test_fraction": ("0.3", 0.3), "augmentation_ratio": ("0.1", 0.1),
         "label_flip": ("0.05", 0.05), "peu_dropout": ("0.2", 0.2), "causal_lag_min": ("2", 2),
         "causal_lag_max": ("3", 3), "echo_rate": ("0.1", 0.1),
-        "persona_set": ("extended", "extended"), "model_persona_count": ("12", 12),
+        "persona_set": ("extended", "extended"),
     }
 
     def test_every_config_field_set_from_a_config_line(self, tmp_path):
@@ -101,6 +101,17 @@ class TestGenerate:
         bad = tmp_path / "bad.cfg"
         bad.write_text("sessions = 40\n")
         assert cli.main(["generate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+
+    def test_removed_model_persona_count_exits_two(self, tmp_path, capsys):
+        # a persona's label is its id mod ModelConfig.persona_count; the
+        # key that set another modulus wrote corpora train refused
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("persona_set = extended\nmodel_persona_count = 12\n")
+        capsys.readouterr()
+        assert cli.main(["generate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "config error: unknown GenConfig field 'model_persona_count'\n")
+        assert not (tmp_path / "o").exists()
 
     def test_negative_seed_exits_two_without_traceback(self, tmp_path, capsys):
         capsys.readouterr()
@@ -502,6 +513,22 @@ class TestEvaluate:
         assert code == 1
         assert capsys.readouterr().err == (
             f"error: {tmp_path / 'c'}: invalid model_config: unknown ModelConfig field 'depth'\n")
+
+    def test_checkpoint_header_missing_a_train_config_key_exits_one(
+            self, workspace, tmp_path, capsys):
+        # read as it was written, not with today's default for the key
+        for suffix in (".json", ".bin"):
+            shutil.copy(workspace["train_dir"] / f"ckpt-seed0{suffix}", tmp_path / f"c{suffix}")
+        header = json.loads((tmp_path / "c.json").read_text())
+        del header["train_config"]["lr"]
+        (tmp_path / "c.json").write_text(json.dumps(header))
+        capsys.readouterr()
+        code = cli.main(["evaluate", "--checkpoint", str(tmp_path / "c.json"),
+                         "--corpus", str(workspace["corpus"]), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'c'}: invalid train_config: missing TrainConfig field 'lr'\n")
+        assert not (tmp_path / "o").exists()
 
     def test_checkpoint_index_with_a_negative_shape_exits_one(self, workspace, tmp_path, capsys):
         for suffix in (".json", ".bin"):
@@ -947,7 +974,7 @@ def test_same_seed_artifacts_match_pinned_digest(tmp_path):
     for p in outputs:
         h.update(p.relative_to(tmp_path).as_posix().encode())
         h.update(p.read_bytes())
-    assert h.hexdigest() == "52bc0d6be8edc3ca5f878b5567ab8f238aad2db99f6253acc30a8ca7fd166e90"
+    assert h.hexdigest() == "7e91335be0d2fea5b7564b857254a093cdb3dac0009ccf9329d1ee23cc778581"
 
 
 class TestGradcheck:

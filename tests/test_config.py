@@ -64,7 +64,7 @@ class TestFieldTypes:
             dataclasses.replace(GenConfig(), seed="1")
 
     def test_int_is_a_valid_float_and_kept_as_given(self):
-        config = CausalConfig(weight_decay=0, lr=1)
+        config = TrainConfig(weight_decay=0, lr=1)
         assert config.to_json()["weight_decay"] == 0 and type(config.weight_decay) is int
 
     def test_tuple_field_stores_a_list_as_a_tuple(self):
@@ -72,8 +72,8 @@ class TestFieldTypes:
 
     def test_field_counts(self):
         counts = {cls.__name__: len(dataclasses.fields(cls)) for cls in CONFIGS}
-        assert counts == {"GenConfig": 15, "ModelConfig": 10, "TrainConfig": 12,
-                          "CausalConfig": 8}
+        assert counts == {"GenConfig": 14, "ModelConfig": 10, "TrainConfig": 12,
+                          "CausalConfig": 5}
 
     def test_every_config_shares_the_one_layer(self):
         for cls in CONFIGS:
@@ -106,6 +106,16 @@ class TestJson:
             CausalConfig.from_text("depth = 2\n")
         assert str(by_json.value) == str(by_text.value) == "unknown CausalConfig field 'depth'"
 
+    @pytest.mark.parametrize("cls,name,kind", field_cases())
+    def test_missing_field_rejected_naming_it(self, cls, name, kind):
+        # a stored config that lacks a field is refused, not filled in with
+        # today's default
+        obj = cls().to_json()
+        del obj[name]
+        with pytest.raises(ConfigError) as info:
+            cls.from_json(obj)
+        assert str(info.value) == f"missing {cls.__name__} field {name!r}"
+
 
 class TestConfigParsing:
     def test_key_value_with_comments(self):
@@ -129,12 +139,16 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="unknown"):
             GenConfig.from_text("sessions = 10\n")
 
-    @pytest.mark.parametrize("key,value", [("loss", "bce"), ("contrastive_enabled", "false"),
-                                           ("persona_mode", "off"), ("threshold_objective", "f1"),
-                                           ("min_precision", "0.75"), ("focal_alpha", "0.75")])
-    def test_removed_train_keys_rejected(self, key, value):
-        with pytest.raises(ConfigError, match=f"unknown TrainConfig field '{key}'"):
-            TrainConfig.from_text(f"{key} = {value}\n")
+    @pytest.mark.parametrize("cls,key,value", [
+        (TrainConfig, "loss", "bce"), (TrainConfig, "contrastive_enabled", "false"),
+        (TrainConfig, "persona_mode", "off"), (TrainConfig, "threshold_objective", "f1"),
+        (TrainConfig, "min_precision", "0.75"), (TrainConfig, "focal_alpha", "0.75"),
+        (CausalConfig, "lr", "0.01"), (CausalConfig, "weight_decay", "0.1"),
+        (CausalConfig, "focal_gamma", "0"), (GenConfig, "model_persona_count", "12"),
+    ], ids=lambda v: v.__name__ if isinstance(v, type) else v)
+    def test_removed_keys_rejected(self, cls, key, value):
+        with pytest.raises(ConfigError, match=f"unknown {cls.__name__} field '{key}'"):
+            cls.from_text(f"{key} = {value}\n")
 
     def test_invalid_value_becomes_config_error(self):
         with pytest.raises(ConfigError):
@@ -175,7 +189,7 @@ class TestModelConfigRanges:
 class TestCausalConfigRanges:
     @pytest.mark.parametrize("name,value,message", [
         ("window", 0, ">= 1"), ("epochs", 0, ">= 1"), ("batch_instances", 0, ">= 1"),
-        ("hidden", 0, ">= 1"), ("lr", 0.0, "positive"), ("weight_decay", -1.0, ">= 0"),
+        ("hidden", 0, ">= 1"),
     ])
     def test_out_of_range_value_rejected(self, name, value, message):
         with pytest.raises(ConfigError, match=f"{name} must be {message}"):

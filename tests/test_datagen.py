@@ -8,7 +8,10 @@ import numpy as np
 import pytest
 
 from psygat import datagen as D
+from psygat.model import ModelConfig
 from psygat.peu import COPING, DEFAULT_LEXICON, build_peu_tensor, keyword_extract
+from psygat.pipeline import graphs_from_sessions
+from psygat.train import TrainConfig, fit
 
 
 class TestPersonaProfile:
@@ -138,6 +141,21 @@ class TestGenerateSession:
         config = D.GenConfig(persona_set="extended")
         s = D.generate_session(0, D.EXTENDED_PERSONAS[9], 1, config)
         assert s.persona == 9 % 4
+
+    def test_extended_corpus_personas_fit_the_model_table(self):
+        # every persona label indexes the model's persona table, so a
+        # corpus of the 12 extended personas trains at the default count
+        config = D.GenConfig(seed=3, n_sessions=24, utterances_min=5, utterances_max=7,
+                             persona_set="extended")
+        splits = D.generate_corpus(config)
+        sessions = [s for split in splits.values() for s in split]
+        assert {s.persona for s in sessions} == set(range(ModelConfig().persona_count))
+        model_config = ModelConfig(hidden=16, heads=2, num_layers=1, persona_dim=4,
+                                   head_hidden=8)
+        train_config = TrainConfig(max_epochs=1, seeds=(0,), batch_size=8)
+        ck = fit(graphs_from_sessions(splits["train"]), graphs_from_sessions(splits["val"]),
+                 train_config, model_config)
+        assert ck.epoch == 1
 
     def test_label_flip_noise(self):
         config = D.GenConfig(label_flip=0.5)
