@@ -8,7 +8,6 @@ cannot touch the session model.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +15,7 @@ import numpy as np
 from . import model as M
 from . import tensor as T
 from .config import Config
-from .errors import ConfigError, DataError, NumericalError
+from .errors import ConfigError, DataError
 from .graph import GraphBatch
 from .metrics import ranking_metrics
 from .peu import CATEGORIES, NUM_CATEGORIES
@@ -87,31 +86,17 @@ def extract_instances(session, peus, window, past_only=False):
 
 
 class ScorerParams(T.Params):
-    """Pairwise MLP over [h_target, h_candidate, target PEU, relative position].
-
-    The scorer is one contiguous block: w1, b1, w2 and b2 are views, in
-    that order, of flat.data, and grads holds their views of flat.grad,
-    which scorer_loss writes in place. So one AdamW step over flat steps
-    every parameter.
-    """
+    """Pairwise MLP over [h_target, h_candidate, target PEU, relative position]."""
 
     def __init__(self, config, model_hidden=128, seed=0, dtype=np.float32):
         self.config = config
-        self.input_dim = 2 * model_hidden + NUM_CATEGORIES + 2 * config.window + 1
-        shapes = {"w1": (self.input_dim, config.hidden), "b1": (config.hidden,),
-                  "w2": (config.hidden, 1), "b2": (1,)}
-        self.flat = T.Tensor(np.zeros(sum(map(math.prod, shapes.values())), dtype), name="scorer")
-        self.flat.grad = np.zeros_like(self.flat.data)
-        self.tensors, self.grads = {}, {}
-        offset = 0
-        for name, shape in shapes.items():
-            span = slice(offset, offset + math.prod(shape))
-            offset = span.stop
-            self.tensors[name] = T.Tensor(self.flat.data[span].reshape(shape), name=name)
-            self.grads[name] = self.flat.grad[span].reshape(shape)
+        self.input_dim = d = 2 * model_hidden + NUM_CATEGORIES + 2 * config.window + 1
+        h = config.hidden
         rng = np.random.default_rng(seed)
-        self["w1"].data[...] = T.xavier(rng, self.input_dim, config.hidden, dtype)
-        self["w2"].data[...] = T.xavier(rng, config.hidden, 1, dtype)
+        super().__init__({"w1": ((d, h), lambda: T.xavier(rng, d, h, dtype)),
+                          "b1": ((h,), lambda: 0.0),
+                          "w2": ((h, 1), lambda: T.xavier(rng, h, 1, dtype)),
+                          "b2": ((1,), lambda: 0.0)}, dtype)
 
 
 def instance_features(instance, node_reps, peu_rows, window, out):
@@ -164,12 +149,7 @@ def session_node_reps(graph, params):
 
 def train_scorer(instances, reps_by_session, peus_by_session, config, seed=0):
     """Fit the edge scorer on labeled instances; session model stays untouched.
-
-    Each minibatch is one AdamW step over the scorer's contiguous block,
-    with the float operations of a step per parameter. A non-finite
-    gradient raises NumericalError naming the first parameter, in creation
-    order, that holds one, as a step per parameter would.
-    """
+    Each minibatch is one AdamW step over the scorer's block."""
     train_set = [i for i in instances if i.candidate_indices]
     if not train_set:
         raise DataError("no causal instances to train on")
@@ -181,7 +161,7 @@ def train_scorer(instances, reps_by_session, peus_by_session, config, seed=0):
                                               scorer)
     labels = np.concatenate([i.labels for i in train_set])
     sign = np.where(labels == 1, 1.0, -1.0).astype(features.dtype)
-    every, block = config.batch_instances, [("scorer", scorer.flat)]
+    every = config.batch_instances
     for _ in range(config.epochs):
         order = rng.permutation(len(train_set))
         rows, ends = _block_rows(starts[order], counts[order])
@@ -190,11 +170,7 @@ def train_scorer(instances, reps_by_session, peus_by_session, config, seed=0):
         for a, b in zip(cuts, cuts[1:]):
             batch = rows[a:b]
             scorer_loss(scorer, features[batch], sign[batch])
-            try:
-                opt.step(block)
-            except NumericalError:
-                name = next(k for k, g in scorer.grads.items() if not np.all(np.isfinite(g)))
-                raise NumericalError(f"non-finite gradient for parameter {name}") from None
+            opt.step(scorer)
     return scorer
 
 
@@ -204,7 +180,7 @@ def _feature_block(instances, reps_by_session, peus_by_session, scorer):
     twice at the peak), with each instance's first row and row count."""
     counts = np.array([len(i.candidate_indices) for i in instances], dtype=np.int64)
     starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    features = np.empty((int(counts.sum()), scorer.input_dim), dtype=scorer.tensors["w1"].dtype)
+    features = np.empty((int(counts.sum()), scorer.input_dim), dtype=scorer.flat.dtype)
     for i, a, n in zip(instances, starts, counts):
         instance_features(i, reps_by_session[i.session_id], peus_by_session[i.session_id],
                           scorer.config.window, features[a:a + n])
@@ -221,9 +197,9 @@ def _block_rows(starts, counts):
 def scorer_loss(scorer, x, sign):
     """Focal loss mean((1 - p_t)^FOCAL_GAMMA * -log p_t) of the scorer on the rows
     of x, with p_t = sigmoid(sign * logit) and sign +1 for a cause, -1
-    otherwise. Writes each parameter's gradient into its view of
-    scorer.flat.grad, points the parameter's .grad at that view, and
-    returns the loss.
+    otherwise. Writes each parameter's gradient into its .grad, the view
+    of scorer.flat.grad that scorer.zero_grad points it at, and returns
+    the loss.
 
     This is what tensor.backward computes through edge_logits' ops,
     tensor.focal and tensor.tmean, without that graph of tensors and
@@ -231,24 +207,23 @@ def scorer_loss(scorer, x, sign):
     computes it with, in the same order, so results are bit-identical to
     it.
     """
-    p, grads = scorer.tensors, scorer.grads
-    dtype = p["w1"].dtype
+    scorer.zero_grad()
+    p = scorer.tensors
+    dtype = scorer.flat.dtype
     x, sign = x.astype(dtype, copy=False), sign.astype(dtype, copy=False)
     logits, h, neg = edge_logits(x, scorer)
     terms, focal_grad = T.focal_parts(logits * sign, FOCAL_GAMMA)
     # d loss / d term is alike for every row: tmean's share of backward's 1
     g_out = (focal_grad(np.asarray(1.0, dtype=dtype) / terms.size) * sign).reshape(-1, 1)
-    np.sum(g_out, axis=-2, out=grads["b2"])
-    np.matmul(h.T, g_out, out=grads["w2"])
+    np.sum(g_out, axis=-2, out=p["b2"].grad)
+    np.matmul(h.T, g_out, out=p["w2"].grad)
     # each entry of g_out @ w2.T is one product, which matmul adds to a
     # zero; 0.0 + product has the same bits, a -0.0 product included
     g_z1 = neg
     g_z1 += 1.0
     g_z1 *= 0.0 + g_out * p["w2"].data.T
-    np.sum(g_z1, axis=-2, out=grads["b1"])
-    np.matmul(x.T, g_z1, out=grads["w1"])
-    for name, g in grads.items():
-        p[name].grad = g
+    np.sum(g_z1, axis=-2, out=p["b1"].grad)
+    np.matmul(x.T, g_z1, out=p["w1"].grad)
     return np.asarray(terms.mean(), dtype=dtype)
 
 

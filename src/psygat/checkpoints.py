@@ -31,7 +31,8 @@ FORMAT_VERSION = 3
 def _load_arrays(params, arrays, prefix):
     """Copy name -> array into every tensor of params, checking names and
     shapes; an array the config does not create is rejected, not ignored.
-    Each tensor keeps its own array, so none is ever a view of the blob."""
+    Each tensor stays a view of params' block, so none is ever a view of
+    the blob."""
     for name, t in params.named():
         if name not in arrays:
             raise CheckpointError(f"{prefix}: missing parameter {name}")
@@ -68,8 +69,9 @@ def _write_pair(prefix, header, arrays):
 def _read_pair(prefix):
     """Header and name -> array of a session-model checkpoint. The index
     must lay the entries end to end from offset 0, as _write_pair does,
-    with int offsets and sizes, and cover the blob exactly. The arrays are
-    read-only views of the blob; _load_arrays copies them."""
+    with int offsets and sizes, cover the blob exactly and name each
+    tensor once. The arrays are read-only views of the blob; _load_arrays
+    copies them."""
     prefix = Path(prefix)
     try:
         header = json.loads(prefix.with_suffix(".json").read_text(encoding="utf-8"))
@@ -105,6 +107,8 @@ def _read_pair(prefix):
         blob = np.frombuffer(raw, dtype="<f4")
         arrays = {}
         for entry in header["params"]:
+            if entry["name"] in arrays:
+                raise CheckpointError(f"{prefix}: index entry {entry['name']} occurs twice")
             view = blob[entry["offset"]:entry["offset"] + entry["size"]]
             try:
                 arrays[entry["name"]] = view.reshape(entry["shape"])

@@ -58,46 +58,46 @@ class ModelParams(T.Params):
 
     def __init__(self, config, seed=0, dtype=np.float32):
         self.config = config
-        self.tensors = {}
         rng = np.random.default_rng(seed)
         c = config
         h = c.hidden
+        inits = {}
 
         def w(name, fan_in, fan_out, shape=None):
-            self.tensors[name] = T.Tensor(T.xavier(rng, fan_in, fan_out, dtype, shape), name=name)
+            inits[name] = (shape or (fan_in, fan_out),
+                           lambda: T.xavier(rng, fan_in, fan_out, dtype, shape))
 
-        def const(name, value):
-            self.tensors[name] = T.Tensor(np.asarray(value, dtype=dtype), name=name)
+        def const(name, size, value):
+            inits[name] = ((size,), lambda: value)
 
-        const("text_ln_gamma", np.ones(c.text_dim))
-        const("text_ln_beta", np.zeros(c.text_dim))
+        const("text_ln_gamma", c.text_dim, 1.0)
+        const("text_ln_beta", c.text_dim, 0.0)
         w("text_w", c.text_dim, h)
-        const("text_b", np.zeros(h))
-        const("peu_ln_gamma", np.ones(NUM_CATEGORIES))
-        const("peu_ln_beta", np.zeros(NUM_CATEGORIES))
+        const("text_b", h, 0.0)
+        const("peu_ln_gamma", NUM_CATEGORIES, 1.0)
+        const("peu_ln_beta", NUM_CATEGORIES, 0.0)
         w("peu_w", NUM_CATEGORIES, h)
-        const("peu_b", np.zeros(h))
-        const("fuse_ln_gamma", np.ones(h))
-        const("fuse_ln_beta", np.zeros(h))
+        const("peu_b", h, 0.0)
+        const("fuse_ln_gamma", h, 1.0)
+        const("fuse_ln_beta", h, 0.0)
         for layer in range(c.num_layers):
             w(f"gat{layer}_edge_w", NUM_CATEGORIES, h)
-            const(f"gat{layer}_edge_b", np.zeros(h))
+            const(f"gat{layer}_edge_b", h, 0.0)
             w(f"gat{layer}_w_src", h, h)
             w(f"gat{layer}_w_dst", h, h)
             # the GATv2 score vectors, one row per head
             w(f"gat{layer}_attn", c.head_dim, 1, shape=(c.heads, c.head_dim))
-            const(f"gat{layer}_b", np.zeros(h))
+            const(f"gat{layer}_b", h, 0.0)
         w("s2s_wx", 2 * h, 4 * h)
         w("s2s_wh", h, 4 * h)
-        const("s2s_b", np.zeros(4 * h))
-        self.tensors["persona_table"] = T.Tensor(
-            (rng.normal(0.0, 0.02, size=(c.persona_count, c.persona_dim))).astype(dtype),
-            name="persona_table",
-        )
+        const("s2s_b", 4 * h, 0.0)
+        table = (c.persona_count, c.persona_dim)
+        inits["persona_table"] = (table, lambda: rng.normal(0.0, 0.02, size=table).astype(dtype))
         w("head_w1", c.readout_dim + c.persona_dim, c.head_hidden)
-        const("head_b1", np.zeros(c.head_hidden))
+        const("head_b1", c.head_hidden, 0.0)
         w("head_w2", c.head_hidden, 1)
-        const("head_b2", np.zeros(1))
+        const("head_b2", 1, 0.0)
+        super().__init__(inits, dtype)
 
 
 @dataclass

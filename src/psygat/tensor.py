@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import math
 
 import numpy as np
 
@@ -114,10 +115,38 @@ def xavier(rng, fan_in, fan_out, dtype, shape=None):
 
 
 class Params:
-    """Named leaf tensors in a fixed creation order (the checkpoint order).
-    Subclasses fill self.tensors; stack_params sets stacked."""
+    """Named leaf tensors in a fixed creation order (the checkpoint order),
+    held in one contiguous block, as PyTorch FSDP's FlatParameter holds
+    its module's parameters (Zhao et al. 2023).
+
+    flat is a Tensor over the whole block: each named tensor is a view of
+    its share of flat.data, end to end in creation order, and zero_grad
+    makes each .grad the same view of flat.grad. So one AdamW step over
+    the block steps every parameter. stack_params sets stacked.
+    """
 
     stacked = None
+
+    def __init__(self, inits, dtype):
+        """inits maps each name, in creation order, to (shape, init). The
+        inits are called in that order, so their random draws come in it
+        too, and each one's values are written into its tensor's view: the
+        block is the only copy of the weights."""
+        self.shapes = {name: tuple(shape) for name, (shape, _) in inits.items()}
+        self.flat = Tensor(np.empty(sum(map(math.prod, self.shapes.values())), dtype),
+                           name="flat")
+        self.tensors = {name: Tensor(view, name=name) for name, view in self.views(self.flat.data)}
+        for (_, init), t in zip(inits.values(), self.tensors.values()):
+            t.data[...] = init()
+
+    def views(self, block):
+        """(name, view) of each tensor's share of block's last axis, in
+        creation order, shaped (*lead, *shape) for block's leading axes."""
+        offset = 0
+        for name, shape in self.shapes.items():
+            size = math.prod(shape)
+            yield name, block[..., offset:offset + size].reshape(block.shape[:-1] + shape)
+            offset += size
 
     def __getitem__(self, name):
         return self.tensors[name]
@@ -126,51 +155,45 @@ class Params:
         return self.tensors.items()
 
     def zero_grad(self):
-        for t in self.tensors.values():
-            t.zero_grad()
-
-    def snapshot(self, into=None):
-        """name -> a copy of each tensor's data; given an earlier snapshot
-        into, the data is copied into its arrays instead, allocating nothing."""
-        if into is None:
-            return {name: t.data.copy() for name, t in self.named()}
-        for name, t in self.named():
-            into[name][...] = t.data
-        return into
-
-    def load_snapshot(self, snap):
-        """In place, so a stack the tensors are slices of holds it too."""
-        for name, t in self.named():
-            t.data[...] = snap[name].reshape(t.data.shape)
+        """Zero flat.grad, allocated on first use, and point each tensor's
+        .grad at its view of it, so backward accumulates into that block."""
+        if self.flat.grad is None:
+            self.flat.grad = np.zeros_like(self.flat.data)
+        else:
+            self.flat.grad.fill(0)
+        for name, g in self.views(self.flat.grad):
+            self.tensors[name].grad = g
 
 
 def stack_params(members):
-    """A clone of members[0] whose tensors hold all members' same-named
-    tensors along a new leading axis, for one forward over every member.
+    """A clone of members[0] whose block is an (M, size) stack of the M
+    members' blocks, one row each, and whose tensors are (M, *shape) views
+    of it, for one forward over every member.
 
-    Each member tensor is re-pointed at its slice k of the stack, and the
-    member is tagged stacked = (stack, k), so members and stack share one
-    copy of the weights: an in-place update of either shows in both. While
-    the members are, in order, every slice of one stack, a call returns
-    that stack; a rebound member tensor, or another order, subset or
-    repeat of the members, stacks afresh. Members must have equal tensor
-    names, shapes and dtypes.
+    Row k is copied from member k's tensors as they are now, a rebound one
+    included. The member's block and tensors are then re-pointed at row k,
+    and the member is tagged stacked = (stack, k), so members and stack
+    share one copy of the weights: an in-place update of either shows in
+    both. While the members are, in order, every row of one stack, and
+    their tensors are still views of it, a call returns that stack; a
+    rebound member tensor, or another order, subset or repeat of the
+    members, stacks afresh. Members must have equal tensor names, shapes
+    and dtypes.
     """
     kept = members[0].stacked and members[0].stacked[0]
     tags = [(kept, k) for k in range(len(members))]
-    if kept and [p.stacked for p in members] == tags and all(
-            len(t.data) == len(members) and all(p[name].data.base is t.data for p in members)
-            for name, t in kept.named()):
+    if kept and [p.stacked for p in members] == tags and len(kept.flat.data) == len(members) \
+            and all(t.data.base is kept.flat.data for p in members for t in p.tensors.values()):
         return kept
+    stack = np.empty((len(members), members[0].flat.data.size), dtype=members[0].flat.dtype)
     clone = copy.copy(members[0])
-    clone.stacked, clone.tensors = None, {}
-    for name, t in members[0].named():
-        stack = np.empty((len(members),) + t.data.shape, dtype=t.data.dtype)
-        for k, p in enumerate(members):
-            stack[k] = p[name].data
-            p[name].data = stack[k]
-        clone.tensors[name] = Tensor(stack, name=name)
+    clone.stacked, clone.flat = None, Tensor(stack, name="flat")
+    clone.tensors = {name: Tensor(view, name=name) for name, view in clone.views(stack)}
     for k, p in enumerate(members):
+        p.flat.data = stack[k]
+        for name, view in p.views(stack[k]):
+            view[...] = p[name].data
+            p[name].data = view
         p.stacked = (clone, k)
     return clone
 
@@ -784,11 +807,13 @@ def grad_check(f, params, eps=1e-4, max_coords=None, rng=None):
     worst = 0.0
     with no_grad():
         for p, an in zip(params, analytic):
-            flat = p.data.reshape(-1)
-            coords = range(flat.size)
-            if max_coords is not None and flat.size > max_coords:
+            # through the flat iterator: reshape(-1) of a strided leaf, such
+            # as a stacked clone's tensor, is a copy that p would not see
+            flat, size = p.data.flat, p.data.size
+            coords = range(size)
+            if max_coords is not None and size > max_coords:
                 r = rng if rng is not None else np.random.default_rng(0)
-                coords = r.choice(flat.size, size=max_coords, replace=False)
+                coords = r.choice(size, size=max_coords, replace=False)
             for i in coords:
                 orig = flat[i]
                 flat[i] = orig + eps

@@ -110,22 +110,24 @@ def info_nce(session_reps, labels, temperature=0.2):
 
 
 class AdamW:
-    """Decoupled weight decay Adam (Loshchilov & Hutter 2019).
+    """Decoupled weight decay Adam (Loshchilov & Hutter 2019) over one
+    tensor.Params block.
 
-    Each step updates m, v and the parameter in place, allocating nothing.
+    Each step updates m, v and the block in place, allocating nothing.
     Every operation is the one the textbook formula
 
         m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * (g * g)
         p -= (lr * (m / c1)) / (sqrt(v / c2) + eps)
 
-    evaluates, in the same order, so results are bit-identical to it;
-    folding lr / c1 into one scalar would not be.
+    evaluates, in the same order, so results are bit-identical to it, and
+    to a step per parameter; folding lr / c1 into one scalar would not be.
 
-    state holds t, m and v per parameter name: twice the parameters'
-    memory. The intermediates go through one scratch pair per dtype,
-    sized to the largest parameter seen (scratch); each parameter takes
-    its views of that pair once, on first sight, since slicing on every
-    step costs more than the update of a small parameter.
+    From the first step on it keeps t, and m, v and one scratch array of
+    the block's size: three times the parameters' memory. Once read, the
+    gradient block serves as the second scratch array, so after a step
+    .grad holds no gradient. A non-finite gradient is refused before
+    anything changes, naming the first tensor, in creation order, that
+    holds one.
     """
 
     def __init__(self, lr, weight_decay=0.0, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -134,54 +136,36 @@ class AdamW:
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.state = {}
-        self.scratch = {}  # dtype -> pair of flat arrays
-        self._views = {}  # parameter name -> its views of the scratch pair
+        self.t = 0
+        self.m = self.v = self.scratch = None
 
-    def _take_views(self, name, data):
-        """Record name's views, of data's shape, into its dtype's scratch
-        pair. A parameter larger than the pair grows it and re-points the
-        earlier views, so the old pair is freed."""
-        pair = self.scratch.get(data.dtype)
-        if pair is None or pair[0].size < data.size:
-            pair = self.scratch[data.dtype] = (np.empty(data.size, data.dtype),
-                                               np.empty(data.size, data.dtype))
-            for key, (s1, _) in list(self._views.items()):
-                if s1.dtype == data.dtype:
-                    self._views[key] = tuple(b[:s1.size].reshape(s1.shape) for b in pair)
-        self._views[name] = tuple(b[:data.size].reshape(data.shape) for b in pair)
-
-    def step(self, named_params):
+    def step(self, params):
+        p, g = params.flat.data, params.flat.grad
+        if not np.isfinite(g).all():
+            name = next(name for name, view in params.views(g) if not np.isfinite(view).all())
+            raise NumericalError(f"non-finite gradient for parameter {name}")
+        if self.m is None:
+            self.m, self.v, self.scratch = np.zeros_like(p), np.zeros_like(p), np.empty_like(p)
+        m, v, s = self.m, self.v, self.scratch
         b1, b2 = self.beta1, self.beta2
-        for name, p in named_params:
-            g = np.zeros_like(p.data) if p.grad is None else p.grad
-            if not np.all(np.isfinite(g)):
-                raise NumericalError(f"non-finite gradient for parameter {name}")
-            st = self.state.get(name)
-            if st is None:
-                st = self.state[name] = {"t": 0, "m": np.zeros_like(p.data),
-                                         "v": np.zeros_like(p.data)}
-                self._take_views(name, p.data)
-            m, v = st["m"], st["v"]
-            s1, s2 = self._views[name]
-            # decoupled decay, applied before the Adam update
-            if self.weight_decay:
-                p.data *= 1.0 - self.lr * self.weight_decay
-            st["t"] += 1
-            np.multiply(m, b1, out=m)
-            np.multiply(g, 1 - b1, out=s1)
-            np.add(m, s1, out=m)
-            np.multiply(g, g, out=s1)
-            np.multiply(s1, 1 - b2, out=s1)
-            np.multiply(v, b2, out=v)
-            np.add(v, s1, out=v)
-            np.divide(m, 1 - b1 ** st["t"], out=s1)
-            np.multiply(s1, self.lr, out=s1)
-            np.divide(v, 1 - b2 ** st["t"], out=s2)
-            np.sqrt(s2, out=s2)
-            np.add(s2, self.eps, out=s2)
-            np.divide(s1, s2, out=s1)
-            p.data -= s1
+        # decoupled decay, applied before the Adam update
+        if self.weight_decay:
+            p *= 1.0 - self.lr * self.weight_decay
+        self.t += 1
+        np.multiply(m, b1, out=m)
+        np.multiply(g, 1 - b1, out=s)
+        np.add(m, s, out=m)
+        np.multiply(g, g, out=s)
+        np.multiply(s, 1 - b2, out=s)
+        np.multiply(v, b2, out=v)
+        np.add(v, s, out=v)
+        np.divide(m, 1 - b1 ** self.t, out=s)
+        np.multiply(s, self.lr, out=s)
+        np.divide(v, 1 - b2 ** self.t, out=g)  # g is read: from here on it is scratch
+        np.sqrt(g, out=g)
+        np.add(g, self.eps, out=g)
+        np.divide(s, g, out=s)
+        p -= s
 
 
 def clip_gradients(named_params, max_norm):
@@ -254,7 +238,7 @@ def _train_step(params, opt, batch, config, rng):
         )
     T.backward(loss)
     clip_gradients(params.named(), config.clip_norm)
-    opt.step(params.named())
+    opt.step(params)
 
 
 def fit(train_graphs, val_graphs, config, model_config, seed=0):
@@ -268,7 +252,7 @@ def fit(train_graphs, val_graphs, config, model_config, seed=0):
     opt = AdamW(config.lr, config.weight_decay)
     rng = np.random.default_rng(seed + 1)
     best_auc = -1.0
-    best_snapshot = params.snapshot()
+    best = params.flat.data.copy()
     best_probs = None
     best_epoch = 0
     since_improve = 0
@@ -285,7 +269,7 @@ def fit(train_graphs, val_graphs, config, model_config, seed=0):
         if auc > best_auc + 1e-12:
             best_auc = auc
             best_probs = probs  # the restored parameters score exactly these
-            params.snapshot(into=best_snapshot)  # in place: one snapshot, not two at once
+            best[...] = params.flat.data  # in place: one snapshot, not two at once
             best_epoch = epoch
             since_improve = 0
             plateau_wait = 0
@@ -298,7 +282,7 @@ def fit(train_graphs, val_graphs, config, model_config, seed=0):
             if since_improve >= config.early_stop_patience:
                 break
 
-    params.load_snapshot(best_snapshot)
+    params.flat.data[...] = best
     if best_probs is None:  # max_epochs = 0
         best_probs = predict_probs(params, val_graphs)
     threshold = select_threshold(best_probs, val_labels)
@@ -325,7 +309,7 @@ def ensemble_probs(checkpoints, graphs):
     for ck in checkpoints[1:]:
         if ck.params.config != arch:
             raise ConfigError("ensemble members have mismatched architectures")
-    if len({t.dtype for ck in checkpoints for _, t in ck.params.named()}) > 1:
+    if len({ck.params.flat.dtype for ck in checkpoints}) > 1:
         raise ConfigError("ensemble members have mixed parameter dtypes")
     stacked = T.stack_params([ck.params for ck in checkpoints])
     with T.no_grad():

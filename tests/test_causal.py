@@ -80,9 +80,8 @@ def reference_scorer_loss(scorer, x, labels):
 
 
 def reference_train_scorer(instances, reps_by, peus_by, config, seed=0):
-    """train_scorer with each minibatch concatenated from per-instance blocks,
-    its gradients from reference_scorer_loss and one AdamW step per tensor,
-    where train_scorer steps the scorer's flat block once."""
+    """train_scorer with each minibatch concatenated from per-instance blocks
+    and its gradients from reference_scorer_loss."""
     train_set = [i for i in instances if i.candidate_indices]
     scorer = C.ScorerParams(config, model_hidden=next(iter(reps_by.values())).shape[1],
                             seed=seed)
@@ -98,7 +97,7 @@ def reference_train_scorer(instances, reps_by, peus_by, config, seed=0):
             x = np.concatenate([feats[id(i)] for i in batch])
             y = np.concatenate([np.asarray(i.labels) for i in batch])
             reference_scorer_loss(scorer, x, y)
-            opt.step(scorer.named())
+            opt.step(scorer)
     return scorer
 
 
@@ -293,37 +292,46 @@ class TestScorer:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_parameters_and_gradients_are_views_of_one_block(self, dtype):
+        from tests.test_tensor import assert_views_of_block
+
         config = C.CausalConfig(window=2, hidden=16)
         got, want = (C.ScorerParams(config, model_hidden=8, seed=1, dtype=dtype)
                      for _ in range(2))
-        flat = got.flat
-        assert flat.data.dtype == flat.grad.dtype == dtype
-        assert flat.data.flags.c_contiguous and flat.grad.flags.c_contiguous
-        assert [name for name, _ in got.named()] == list(got.grads) == ["w1", "b1", "w2", "b2"]
-        offset = 0
-        for name, t in got.named():
-            g = got.grads[name]
-            assert t.data.base is flat.data and g.base is flat.grad, name
-            assert g.shape == t.data.shape and t.data.dtype == dtype, name
-            # in creation order, end to end from the start of the block
-            assert flat.data[offset:offset + t.data.size].ctypes.data == t.data.ctypes.data, name
-            assert flat.grad[offset:offset + g.size].ctypes.data == g.ctypes.data, name
-            offset += t.data.size
-        assert offset == flat.data.size == flat.grad.size
-        assert flat.data.tobytes() == b"".join(t.data.tobytes() for _, t in want.named())
+        assert list(got.shapes) == ["w1", "b1", "w2", "b2"]
+        assert got.flat.data.dtype == dtype and got.flat.data.flags.c_contiguous
+        assert_views_of_block(got)
 
         rng = np.random.default_rng(2)
         x = rng.standard_normal((30, got.input_dim)).astype(dtype)
         labels = rng.integers(0, 2, 30)
         sign = np.where(labels == 1, 1.0, -1.0).astype(dtype)
         for _ in range(2):  # a second call overwrites, never adds to, the first
-            got.zero_grad()
-            assert all(t.grad is None for _, t in got.named())
+            for _, t in got.named():
+                t.zero_grad()  # as grad_check leaves them: scorer_loss re-points them
             C.scorer_loss(got, x, sign)
         reference_scorer_loss(want, x, labels)
-        for (name, a), (_, b) in zip(got.named(), want.named()):
-            assert a.grad is got.grads[name], name
+        for (name, a), (_, b), (_, g) in zip(got.named(), want.named(),
+                                             got.views(got.flat.grad)):
+            assert a.grad.base is got.flat.grad and a.grad.ctypes.data == g.ctypes.data, name
             assert a.grad.tobytes() == b.grad.tobytes(), name
+
+    def test_rejected_step_changes_nothing(self):
+        config = C.CausalConfig(window=2, hidden=8)
+        scorer = C.ScorerParams(config, model_hidden=4, seed=0)
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((10, scorer.input_dim))
+        sign = np.where(np.arange(10) % 2 == 0, 1.0, -1.0)
+        opt = AdamW(C.LR)
+        C.scorer_loss(scorer, x, sign)
+        opt.step(scorer)
+        C.scorer_loss(scorer, x, sign)
+        scorer["b2"].grad[0] = np.inf
+        before = [a.copy() for a in (scorer.flat.data, scorer.flat.grad, opt.m, opt.v)]
+        with pytest.raises(NumericalError, match="parameter b2$"):
+            opt.step(scorer)
+        for want, got in zip(before, (scorer.flat.data, scorer.flat.grad, opt.m, opt.v)):
+            assert got.tobytes() == want.tobytes()
+        assert opt.t == 1
 
     def test_causal_loss_focal_shape_and_identity(self):
         # a one-unit scorer whose logits are x[:, 0] - 3: [2, -2, 0]
@@ -406,7 +414,7 @@ class TestScorer:
         x = C._feature_block(instances, reps_by, peus_by, scorer)[0]
         poisoning_loss(scorer, x, np.ones(len(x), np.float32))
         with pytest.raises(NumericalError, match=f"parameter {named}$"):
-            AdamW(C.LR).step(scorer.named())
+            AdamW(C.LR).step(scorer)
 
     def test_training_learns_planted_signal(self):
         # candidates whose representation matches a fixed pattern are the

@@ -71,17 +71,20 @@ class TestSessionModelCheckpoints:
         assert "persona_mode" not in header["train_config"]
         assert CK.load_checkpoint(tmp_path / "ckpt").params.config.persona is False
 
-    def test_loaded_parameters_are_writable_copies_of_the_blob(self, tmp_path):
+    def test_loaded_parameters_are_views_of_their_block_not_of_the_blob(self, tmp_path):
+        from tests.test_tensor import assert_views_of_block
+
         ck = small_checkpoint()
         CK.save_checkpoint(tmp_path / "ckpt", ck)
         _, arrays = CK._read_pair(tmp_path / "ckpt")
         blob = next(iter(arrays.values())).base
         loaded = CK.load_checkpoint(tmp_path / "ckpt")
-        for (_, t), (_, want) in zip(loaded.params.named(), ck.params.named()):
-            assert t.data.flags.writeable and t.data.flags.owndata
-            assert t.data.dtype == np.float32 and t.data.tobytes() == want.data.tobytes()
-            assert not np.shares_memory(t.data, blob)
-            t.data += 1.0  # an AdamW step updates in place
+        block = loaded.params.flat.data
+        assert block.flags.writeable and block.flags.owndata and block.dtype == np.float32
+        assert block.tobytes() == ck.params.flat.data.tobytes()
+        assert not np.shares_memory(block, blob)
+        assert_views_of_block(loaded.params)
+        block += 1.0  # an AdamW step updates in place
 
     def test_save_is_byte_deterministic(self, tmp_path):
         ck = small_checkpoint()
@@ -295,6 +298,17 @@ class TestSessionModelCheckpoints:
         CK.save_checkpoint(tmp_path / "ckpt", small_checkpoint())
         append_entry(tmp_path / "ckpt", "stray")
         with pytest.raises(CK.CheckpointError, match="unexpected parameter stray"):
+            CK.load_checkpoint(tmp_path / "ckpt")
+
+    def test_index_naming_a_tensor_twice_rejected(self, tmp_path):
+        # a second text_ln_gamma entry, with its values, fits the blob; the
+        # later copy must not silently win
+        ck = small_checkpoint()
+        CK.save_checkpoint(tmp_path / "ckpt", ck)
+        size = ck.params["text_ln_gamma"].data.size
+        append_entry(tmp_path / "ckpt", "text_ln_gamma", shape=(size,), size=size)
+        with pytest.raises(CK.CheckpointError, match=r"ckpt: index entry text_ln_gamma occurs "
+                                                     r"twice$"):
             CK.load_checkpoint(tmp_path / "ckpt")
 
     def test_config_that_is_not_an_object_rejected(self, tmp_path):

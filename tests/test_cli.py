@@ -545,6 +545,25 @@ class TestEvaluate:
         assert len(err.strip().splitlines()) == 1
         assert f"index entry {entry['name']} has shape" in err and "Traceback" not in err
 
+    def test_checkpoint_index_naming_a_tensor_twice_exits_one(self, workspace, tmp_path,
+                                                              capsys):
+        for suffix in (".json", ".bin"):
+            shutil.copy(workspace["train_dir"] / f"ckpt-seed0{suffix}", tmp_path / f"c{suffix}")
+        header = json.loads((tmp_path / "c.json").read_text())
+        first = header["params"][0]
+        offset = sum(entry["size"] for entry in header["params"])
+        header["params"].append(dict(first, offset=offset))
+        (tmp_path / "c.json").write_text(json.dumps(header))
+        with (tmp_path / "c.bin").open("ab") as f:
+            f.write(np.ones(first["size"], dtype="<f4").tobytes())
+        capsys.readouterr()
+        code = cli.main(["evaluate", "--checkpoint", str(tmp_path / "c.json"),
+                         "--corpus", str(workspace["corpus"]), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'c'}: index entry {first['name']} occurs twice\n")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("shape", [[2**32, 2**32], [0, 2**62, 4]],
                              ids=["wraps-to-zero", "too-big-for-numpy"])
     def test_checkpoint_index_with_an_overflowing_shape_exits_one(self, workspace, tmp_path,

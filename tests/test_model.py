@@ -99,14 +99,22 @@ class TestParams:
         b = M.ModelParams(small_config(), seed=1)
         assert not np.allclose(a["text_w"].data, b["text_w"].data)
 
-    def test_snapshot_round_trip(self):
-        p = M.ModelParams(small_config(), seed=0)
-        snap = p.snapshot()
-        data = p["text_w"].data
-        data += 1.0
-        p.load_snapshot(snap)
-        assert p["text_w"].data is data  # written in place, so a stack holding it sees it
-        np.testing.assert_array_equal(data, snap["text_w"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_every_tensor_is_a_view_of_one_block(self, dtype):
+        from tests.test_tensor import assert_views_of_block
+
+        p = M.ModelParams(small_config(), seed=0, dtype=dtype)
+        assert p.flat.data.dtype == dtype and p.flat.data.flags.c_contiguous
+        assert p.flat.grad is None  # allocated by the first zero_grad
+        assert_views_of_block(p)
+        p.zero_grad()
+        assert p.flat.grad.dtype == dtype and not p.flat.grad.any()
+        for (name, t), (_, g) in zip(p.named(), p.views(p.flat.grad)):
+            assert t.grad.base is p.flat.grad and t.grad.ctypes.data == g.ctypes.data, name
+        grad = p.flat.grad
+        grad[...] = 1.0
+        p.zero_grad()  # zeroes the same block
+        assert p.flat.grad is grad and not grad.any() and p["text_w"].grad.base is grad
 
 
 class TestForward:
@@ -153,11 +161,10 @@ class TestForward:
 
     def test_persona_off_draws_the_persona_on_parameters(self):
         # one parameter set for both configs, so a seed's blob is the same
-        on = M.ModelParams(small_config(), seed=5).snapshot()
-        off = M.ModelParams(small_config(persona=False), seed=5).snapshot()
-        assert on.keys() == off.keys()
-        for name, value in on.items():
-            assert value.tobytes() == off[name].tobytes(), name
+        on = M.ModelParams(small_config(), seed=5)
+        off = M.ModelParams(small_config(persona=False), seed=5)
+        assert on.shapes == off.shapes
+        assert on.flat.data.tobytes() == off.flat.data.tobytes()
 
     def test_persona_on_changes_output(self):
         rng = np.random.default_rng(0)

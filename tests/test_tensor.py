@@ -1,6 +1,8 @@
 """Autodiff engine: frozen hand-computed gradients, shape policing
 and finite-difference agreement."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,23 @@ from psygat import tensor as T
 
 def t64(x):
     return T.Tensor(np.asarray(x, dtype=np.float64))
+
+
+def assert_views_of_block(params, block=None):
+    """Each tensor of params is its share of block's last axis (block
+    defaults to params.flat.data), end to end in creation order, with
+    block's leading axes first: a view of the array that owns block."""
+    block = params.flat.data if block is None else block
+    owner = block if block.base is None else block.base
+    offset = 0
+    for name, t in params.named():
+        size = math.prod(params.shapes[name])
+        want = block[..., offset:offset + size].reshape(block.shape[:-1] + params.shapes[name])
+        assert t.data.base is owner, name
+        assert ((t.data.ctypes.data, t.data.shape, t.data.strides)
+                == (want.ctypes.data, want.shape, want.strides)), name
+        offset += size
+    assert offset == block.shape[-1]
 
 
 class TestHandGradients:
@@ -358,16 +377,19 @@ class TestMemberAxis:
 
         cfg = M.ModelConfig(text_dim=12, hidden=16, heads=2, persona_dim=4, head_hidden=8)
         members = [M.ModelParams(cfg, seed=k) for k in range(3)]
-        before = [m.snapshot() for m in members]
+        before = [m.flat.data.copy() for m in members]
         stacked = T.stack_params(members)
         assert stacked.config is cfg and list(stacked.tensors) == list(members[0].tensors)
+        assert stacked.flat.data.shape == (3, before[0].size)
+        assert_views_of_block(stacked)
         for name, t in stacked.named():
             assert t.shape == (3,) + members[0][name].shape
-            for k, m in enumerate(members):
-                assert m[name].data.base is t.data
-                np.testing.assert_array_equal(m[name].data, before[k][name])
+        for k, m in enumerate(members):
+            assert_views_of_block(m, stacked.flat.data[k])
+            assert m.flat.data.tobytes() == before[k].tobytes()
+        text_w = members[1]["text_w"].data.copy()
         members[1]["text_w"].data *= 2.0
-        np.testing.assert_array_equal(stacked["text_w"].data[1], 2.0 * before[1]["text_w"])
+        np.testing.assert_array_equal(stacked["text_w"].data[1], 2.0 * text_w)
 
 
 class TestConstantsAndNoGrad:
@@ -520,3 +542,19 @@ class TestGradCheck:
 
         err = T.grad_check(lambda: T.tsum(broken(x)), [x])
         assert err > 0.1
+
+    @pytest.mark.parametrize("max_coords", [None, 5])
+    def test_strided_leaf_checks_as_its_contiguous_copy(self, max_coords):
+        # a stacked clone's tensor is a strided view of its stack, which
+        # reshape(-1) would copy: each perturbation must reach the leaf
+        rng = np.random.default_rng(4)
+        stack = rng.standard_normal((3, 10))
+        strided = T.Tensor(stack[:, 2:8].reshape(3, 2, 3))
+        assert strided.data.base is stack and not strided.data.flags.c_contiguous
+        contiguous = T.Tensor(strided.data.copy())
+        w = T.Tensor(rng.standard_normal((3, 2, 3)), requires_grad=False)
+        errs = [T.grad_check(lambda x=x: T.tsum(T.mul(T.tanh(x), w)), [x],
+                             max_coords=max_coords, rng=np.random.default_rng(0))
+                for x in (strided, contiguous)]
+        assert errs[0] == errs[1] < 1e-7
+        assert strided.data.tobytes() == contiguous.data.tobytes()  # every coordinate restored

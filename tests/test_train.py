@@ -92,31 +92,44 @@ class TestInfoNce:
         assert err < 1e-6
 
 
+def block_params(starts, dtype=np.float32):
+    """A tensor.Params of one tensor per name of starts, holding its values."""
+    return T.Params({name: (np.shape(x), lambda x=x: x) for name, x in starts.items()}, dtype)
+
+
+def set_grads(params, grads):
+    """zero_grad, then each named gradient written into its view."""
+    params.zero_grad()
+    for name, g in grads.items():
+        params[name].grad[...] = g
+
+
 class TestAdamW:
     def test_first_step_magnitude(self):
         # bias-corrected first step is lr * g / (|g| + eps) = -lr * sign(g)
-        p = T.Tensor(np.zeros(3))
-        p.grad = np.array([1.0, -2.0, 0.5], dtype=np.float32)
+        params = block_params({"p": np.zeros(3)})
+        set_grads(params, {"p": [1.0, -2.0, 0.5]})
         opt = TR.AdamW(lr=0.1)
-        opt.step([("p", p)])
-        np.testing.assert_allclose(p.data, [-0.1, 0.1, -0.1], atol=1e-6)
+        opt.step(params)
+        np.testing.assert_allclose(params["p"].data, [-0.1, 0.1, -0.1], atol=1e-6)
 
     def test_decoupled_weight_decay(self):
         # zero gradient: pure decay p *= (1 - lr * wd)
-        p = T.Tensor(np.asarray([10.0]))
-        p.grad = np.zeros(1, dtype=np.float32)
+        params = block_params({"p": np.asarray([10.0])})
+        params.zero_grad()
         opt = TR.AdamW(lr=0.1, weight_decay=0.5)
-        opt.step([("p", p)])
-        assert p.data[0] == pytest.approx(10.0 * (1 - 0.05), rel=1e-5)
+        opt.step(params)
+        assert params["p"].data[0] == pytest.approx(10.0 * (1 - 0.05), rel=1e-5)
 
     def test_non_finite_gradient_rejected(self):
-        p = T.Tensor(np.zeros(2))
-        p.grad = np.array([np.nan, 0.0], dtype=np.float32)
-        with pytest.raises(TR.NumericalError, match="p"):
-            TR.AdamW(lr=0.1).step([("p", p)])
+        params = block_params({"p": np.zeros(2)})
+        set_grads(params, {"p": [np.nan, 0.0]})
+        with pytest.raises(TR.NumericalError, match="parameter p$"):
+            TR.AdamW(lr=0.1).step(params)
 
     @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
     def test_bit_equal_to_reference_formula(self, weight_decay):
+        # each tensor of the block steps as the formula steps it alone
         def reference(p, grads, lr, wd, b1=0.9, b2=0.999, eps=1e-8):
             m, v = np.zeros_like(p), np.zeros_like(p)
             for t, g in enumerate(grads, 1):
@@ -137,53 +150,72 @@ class TestAdamW:
                         for k in range(-3, 2)]
                  for name, x in start.items()}
         grads["b"][2] = None  # a parameter the step's loss did not reach
-        params = {name: T.Tensor(x.astype(np.float32)) for name, x in start.items()}
+        params = block_params(start)
         opt = TR.AdamW(lr=3e-3, weight_decay=weight_decay)
         for step in range(5):
-            for name, p in params.items():
-                p.grad = grads[name][step]
-            opt.step(params.items())
+            set_grads(params, {name: g[step] for name, g in grads.items()
+                               if g[step] is not None})
+            opt.step(params)
         for name, x in start.items():
             expected = reference(x.astype(np.float32), grads[name], 3e-3, weight_decay)
             np.testing.assert_array_equal(params[name].data, expected)
 
-    def test_state_holds_moments_and_one_scratch_pair_fits_the_largest_parameter(self):
-        # smallest first: the float32 pair grows twice, re-pointing the
-        # views taken before; each run matches an optimizer per parameter,
-        # whose scratch is exactly its own size
-        rng = np.random.default_rng(6)
-        start = {"b": rng.standard_normal(3).astype(np.float32),
-                 "w": rng.standard_normal((4, 5)).astype(np.float32),
-                 "c": rng.standard_normal((2, 2)).astype(np.float32),
-                 "d": rng.standard_normal(7)}
-        grads = [{name: rng.standard_normal(x.shape).astype(x.dtype)
-                  for name, x in start.items()} for _ in range(4)]
-        shared = {name: T.Tensor(x.copy()) for name, x in start.items()}
-        alone = {name: T.Tensor(x.copy()) for name, x in start.items()}
-        opt = TR.AdamW(lr=0.01, weight_decay=0.1)
-        opts = {name: TR.AdamW(lr=0.01, weight_decay=0.1) for name in start}
-        for step_grads in grads:
-            for name, g in step_grads.items():
-                shared[name].grad, alone[name].grad = g, g
-            opt.step(shared.items())
-            for name, p in alone.items():
-                opts[name].step([(name, p)])
-        for name in start:
-            assert shared[name].data.tobytes() == alone[name].data.tobytes()
-        assert all(set(st) == {"t", "m", "v"} for st in opt.state.values())
-        assert {dtype: [b.size for b in pair] for dtype, pair in opt.scratch.items()} == {
-            np.dtype(np.float32): [20, 20], np.dtype(np.float64): [7, 7]}
-        for name, views in opt._views.items():
-            pair = opt.scratch[views[0].dtype]
-            assert all(v.base is b for v, b in zip(views, pair)), name
+    def test_state_is_three_blocks_and_the_gradient_block_is_scratch(self):
+        params = block_params({"w": np.ones((4, 5)), "b": np.zeros(3)})
+        params.zero_grad()
+        grad = params.flat.grad
+        params["w"].grad[...] = -0.5
+        opt = TR.AdamW(lr=0.01)
+        opt.step(params)
+        assert opt.t == 1
+        for state in (opt.m, opt.v, opt.scratch):
+            assert state.shape == params.flat.data.shape == (23,)
+            assert state.dtype == np.float32 and state.flags.owndata
+        assert len({id(a) for a in (opt.m, opt.v, opt.scratch, grad, params.flat.data)}) == 5
+        # the step computed in the gradient block, which now holds no gradient
+        assert params.flat.grad is grad and params["w"].grad.base is grad
+        assert not np.any(params["w"].grad == -0.5)
+
+    def test_rejected_step_changes_nothing(self):
+        # a NaN in the last weight's gradient, after a good step: the block,
+        # its gradient, m, v and t are as they were
+        from psygat import model as M
+        from psygat.graph import GraphBatch
+        from psygat.verify import _tiny_graph
+
+        rng = np.random.default_rng(8)
+        graphs = [_tiny_graph(rng, n) for n in (3, 5)]
+        graphs[1].label = 0
+        batch = GraphBatch.from_graphs(graphs)
+        cfg = M.ModelConfig(text_dim=12, hidden=16, heads=2, persona_dim=4, head_hidden=8)
+        params = M.ModelParams(cfg, seed=3)
+        opt = TR.AdamW(1e-3, weight_decay=0.1)
+        config = TR.TrainConfig(seeds=(0,))
+        TR._train_step(params, opt, batch, config, np.random.default_rng(1))
+
+        class Poisoning:
+            def step(self, params):
+                params["head_w2"].grad[-1, 0] = np.nan
+                self.before = [a.copy() for a in (params.flat.data, params.flat.grad,
+                                                  opt.m, opt.v)]
+                with pytest.raises(TR.NumericalError, match="parameter head_w2$"):
+                    opt.step(params)
+
+        poisoning = Poisoning()
+        TR._train_step(params, poisoning, batch, config, np.random.default_rng(2))
+        after = (params.flat.data, params.flat.grad, opt.m, opt.v)
+        for want, got in zip(poisoning.before, after):
+            assert got.tobytes() == want.tobytes()
+        assert opt.t == 1
 
     def test_converges_on_quadratic(self):
-        p = T.Tensor(np.asarray([5.0], dtype=np.float64))
+        params = block_params({"p": np.asarray([5.0])}, np.float64)
+        p = params["p"]
         opt = TR.AdamW(lr=0.1)
         for _ in range(500):
-            p.zero_grad()
+            params.zero_grad()
             T.backward(T.tsum(T.mul(p, p)))
-            opt.step([("p", p)])
+            opt.step(params)
         assert abs(p.data[0]) < 1e-2
 
 
@@ -365,8 +397,8 @@ class TestFit:
         config = TR.TrainConfig(seeds=(0,))
 
         class Recorder:
-            def step(self, named_params):
-                self.grads = {name: p.grad.copy() for name, p in named_params}
+            def step(self, params):
+                self.grads = {name: p.grad.copy() for name, p in params.named()}
 
         def step_grads():
             opt = Recorder()
@@ -447,41 +479,49 @@ class TestFit:
         batch = GraphBatch.from_graphs(graphs)
         cfg = M.ModelConfig(text_dim=12, hidden=16, heads=2, persona_dim=4, head_hidden=8)
 
+        class Recorder:
+            def step(self, params):
+                self.grads = {name: p.grad.tobytes() for name, p in params.named()}
+
         def step_grads():
-            params = M.ModelParams(cfg, seed=1)
-            TR._train_step(params, TR.AdamW(1e-3), batch, TR.TrainConfig(seeds=(0,)),
+            opt = Recorder()
+            TR._train_step(M.ModelParams(cfg, seed=1), opt, batch, TR.TrainConfig(seeds=(0,)),
                            np.random.default_rng(7))
-            return {name: p.grad.tobytes() for name, p in params.named()}
+            return opt.grads
 
         freed, kept = step_grads(), []
         monkeypatch.setattr(T, "backward", keeping_backward)
         assert step_grads() == freed
         assert kept[0] > 50  # the reference did keep the intermediates' gradients
 
-    def test_best_snapshot_is_refreshed_in_place(self, monkeypatch):
+    def test_best_block_is_restored_in_place(self, monkeypatch):
+        # fit restores the best epoch's weights into the block it trained,
+        # which its tensors are still views of
         from psygat import model as M
         from psygat.verify import _tiny_graph
+        from tests.test_tensor import assert_views_of_block
 
         rng = np.random.default_rng(14)
         graphs = [_tiny_graph(rng, int(n)) for n in rng.integers(1, 7, 14)]
         for k, g in enumerate(graphs):
             g.label, g.persona = k % 2, k % 4
-        snaps = []
-        snapshot = M.ModelParams.snapshot
-        monkeypatch.setattr(M.ModelParams, "snapshot",
-                            lambda self, into=None: snaps.append(snapshot(self, into))
-                            or snaps[-1])
+        blocks, weights = [], []
+        predict = TR.predict_probs
+
+        def recording(params, graphs):
+            blocks.append(params.flat.data)
+            weights.append(params.flat.data.copy())
+            return predict(params, graphs)
+
+        monkeypatch.setattr(TR, "predict_probs", recording)
         cfg = M.ModelConfig(text_dim=12, hidden=16, heads=2, persona_dim=4, head_hidden=8)
         config = TR.TrainConfig(lr=5e-3, max_epochs=6, early_stop_patience=6, seeds=(0,),
                                 batch_size=4)
         ck = TR.fit(graphs[:8], graphs[8:], config, cfg, seed=0)
-        assert ck.epoch >= 2 and len(snaps) >= 3  # the start and two improving epochs
-        first = snaps[0]
-        for snap in snaps[1:]:
-            assert snap.keys() == first.keys()
-            assert all(snap[name] is first[name] for name in first)
-        for name, t in ck.params.named():
-            assert t.data.tobytes() == first[name].tobytes()
+        assert 2 <= ck.epoch < len(weights)  # the restored epoch is not the last
+        assert all(block is ck.params.flat.data for block in blocks)
+        assert ck.params.flat.data.tobytes() == weights[ck.epoch - 1].tobytes()
+        assert_views_of_block(ck.params)
 
     def test_step_graphs_leave_no_cyclic_garbage(self):
         # op closures capture only their parents, so refcounting alone frees
@@ -524,9 +564,9 @@ class TestSchedule:
         lrs = []
 
         class Recording(TR.AdamW):
-            def step(self, named_params):
+            def step(self, params):
                 lrs.append(self.lr)
-                super().step(named_params)
+                super().step(params)
 
         monkeypatch.setattr(TR, "AdamW", Recording)
         cfg = M.ModelConfig(text_dim=12, hidden=8, heads=2, num_layers=1, set2set_iters=1,
@@ -618,6 +658,8 @@ class TestEnsembleStack:
         assert member_mean(ensemble, graphs).tobytes() == want.tobytes()
 
     def test_members_are_views_of_one_stack(self):
+        from tests.test_tensor import assert_views_of_block
+
         ensemble = [tiny_checkpoint(k) for k in range(3)]
         TR.ensemble_probs(ensemble, tiny_graphs(2))
         members = [ck.params for ck in ensemble]
@@ -625,12 +667,13 @@ class TestEnsembleStack:
         assert stacked is T.stack_params(members)  # unchanged members keep their stack
         assert stacked.stacked is None
         assert [m.stacked for m in members] == [(stacked, k) for k in range(3)]
-        for name, t in stacked.named():
-            for k, m in enumerate(members):
-                assert m[name].data.base is t.data
-                assert np.shares_memory(m[name].data, t.data[k])
+        assert_views_of_block(stacked)
+        for k, m in enumerate(members):
+            assert m.flat.data.base is stacked.flat.data
+            assert m.flat.data.ctypes.data == stacked.flat.data[k].ctypes.data
+            assert_views_of_block(m, stacked.flat.data[k])
 
-    @pytest.mark.parametrize("change", ["in-place edit", "load_snapshot", "rebound tensor",
+    @pytest.mark.parametrize("change", ["in-place edit", "block write", "rebound tensor",
                                         "reordered", "subset", "prefix", "duplicates"])
     def test_next_call_sees_the_members_as_they_are(self, change):
         ensemble = [tiny_checkpoint(k) for k in range(3)]
@@ -639,8 +682,8 @@ class TestEnsembleStack:
         if change == "in-place edit":
             for _, p in ensemble[1].params.named():
                 p.data *= 1.5
-        elif change == "load_snapshot":
-            ensemble[2].params.load_snapshot(tiny_checkpoint(7).params.snapshot())
+        elif change == "block write":  # as fit restores its best epoch
+            ensemble[2].params.flat.data[...] = tiny_checkpoint(7).params.flat.data
         elif change == "rebound tensor":
             t = ensemble[1].params["text_w"]
             t.data = t.data * 2
